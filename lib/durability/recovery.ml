@@ -191,11 +191,7 @@ module Applier = struct
     torn
 
   (* resume the commit-timestamp counter past everything replayed *)
-  let finish t =
-    let ts = Engine.timestamp t.eng in
-    while Int64.compare (Timestamp.current ts) t.max_ts < 0 do
-      ignore (Timestamp.next ts)
-    done
+  let finish t = Timestamp.advance_to (Engine.timestamp t.eng) t.max_ts
 end
 
 let recover_with_stats log =

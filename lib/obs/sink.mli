@@ -5,7 +5,7 @@
     keeps the most recent [capacity] entries; older ones are overwritten
     (counted in {!dropped}).  Recording is O(1) and allocation-light; a
     worker that was handed no sink pays only an option check per call
-    site, matching the old [Sim.Trace] discipline. *)
+    site. *)
 
 type entry = {
   seq : int;  (** global record order, for stable sorting at equal times *)

@@ -206,6 +206,25 @@ type repl_parts = {
   repl_failover : Replication.Failover.t option;
 }
 
+(* The simulation a node runs on: one DES, one uintr fabric and one cycle
+   profiler.  A single-node run builds its own; a sharded cluster
+   assembles every shard on one host. *)
+type host = {
+  h_des : Sim.Des.t;
+  h_fabric : Uintr.Fabric.t;
+  h_prof : Obs.Profiler.t;
+  mutable h_workers : int;  (* workers registered on the fabric so far *)
+}
+
+let host ?obs (cfg : Config.t) =
+  let des = Sim.Des.create ~seed:cfg.Config.seed () in
+  {
+    h_des = des;
+    h_fabric = Uintr.Fabric.create ?obs des ~costs:cfg.Config.uintr_costs;
+    h_prof = Obs.Profiler.create ();
+    h_workers = 0;
+  }
+
 type assembly = {
   des : Sim.Des.t;
   eng : Storage.Engine.t;
@@ -217,23 +236,23 @@ type assembly = {
   repl : repl_parts option;
   prof : Obs.Profiler.t;
   mutable sched : Sched_thread.t option;
-      (* set by [finish] so mid-run fault callbacks (primary crash) can
+      (* set by [start] so mid-run fault callbacks (primary crash) can
          halt the scheduling thread *)
 }
 
-let assemble ?trace ?obs (cfg : Config.t) =
-  let des = Sim.Des.create ?trace ~seed:cfg.Config.seed () in
+let assemble ?obs ?host:h (cfg : Config.t) =
+  let h = match h with Some h -> h | None -> host ?obs cfg in
+  let des = h.h_des and fabric = h.h_fabric and prof = h.h_prof in
   let eng = Storage.Engine.create () in
-  let fabric = Uintr.Fabric.create ?obs des ~costs:cfg.Config.uintr_costs in
   let timeline_window =
     Sim.Clock.cycles_of_us (Sim.Des.clock des) 10_000.  (* 10 ms intervals *)
   in
   let metrics = Metrics.create ~timeline_window () in
-  let prof = Obs.Profiler.create () in
   let workers =
-    Array.init cfg.Config.n_workers (fun id ->
-        Worker.create ?obs ~prof ~des ~cfg ~fabric ~metrics ~eng ~id ())
+    Array.init cfg.Config.n_workers (fun k ->
+        Worker.create ?obs ~prof ~des ~cfg ~fabric ~metrics ~eng ~id:(h.h_workers + k) ())
   in
+  h.h_workers <- h.h_workers + cfg.Config.n_workers;
   let maint =
     match cfg.Config.reclaim with
     | None -> None
@@ -434,7 +453,7 @@ let wall_in_runs = ref 0.
 let virtual_us_in_runs = ref 0.
 let perf_totals () = (!wall_in_runs, !virtual_us_in_runs)
 
-let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
+let start (a : assembly) sched =
   a.sched <- Some sched;
   (* All bootstrap loading is done: capture the recovery base image and
      arm the group-commit daemon before the first transaction runs. *)
@@ -451,23 +470,33 @@ let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
     Replication.Shipper.start r.repl_shipper;
     Replication.Failure_detector.start r.repl_detector
   | None -> ());
-  Sched_thread.start sched;
+  Sched_thread.start sched
+
+let run_des des ~horizon =
   let t0 = Unix.gettimeofday () in
-  Sim.Des.run ~until:horizon a.des;
+  Sim.Des.run ~until:horizon des;
   let wall_s = Unix.gettimeofday () -. t0 in
   wall_in_runs := !wall_in_runs +. wall_s;
   virtual_us_in_runs :=
-    !virtual_us_in_runs +. Sim.Clock.us_of_cycles (Sim.Des.clock a.des) horizon;
-  (* Close the cycle ledger: whatever a worker did not charge as busy work
-     over the horizon was idle.  After this, each worker's buckets sum to
-     the full horizon — the conservation invariant the profiler exports. *)
+    !virtual_us_in_runs +. Sim.Clock.us_of_cycles (Sim.Des.clock des) horizon;
+  wall_s
+
+(* Close the cycle ledger: whatever a worker did not charge as busy work
+   over the horizon was idle.  After this, each worker's buckets sum to the
+   full horizon — the conservation invariant the profiler exports. *)
+let close_idle (a : assembly) ~horizon =
   Array.iter
     (fun w ->
       let busy = Int64.of_int (Worker.stats w).Worker.busy_cycles in
       let idle = Int64.to_int (Int64.max 0L (Int64.sub horizon busy)) in
       Obs.Profiler.account (Obs.Profiler.worker a.prof ~wid:(Worker.id w))
         Obs.Profiler.Idle idle)
-    a.workers;
+    a.workers
+
+let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
+  start a sched;
+  let wall_s = run_des a.des ~horizon in
+  close_idle a ~horizon;
   let sum f = Array.fold_left (fun acc w -> acc + f w) 0 a.workers in
   {
     cfg;
@@ -602,242 +631,183 @@ let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
     wall_s;
   }
 
-let run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ?trace ?obs ?prepare
-    ?(arrival_interval_us = 1000.) ?lp_interval_us ?(horizon_sec = 0.3) ?hp_batch () =
-  let a = assemble ?trace ?obs cfg in
+(* -- drivers ---------------------------------------------------------------- *)
+
+(* What a driver's workload feeds its scheduling thread: high-priority,
+   low-priority and urgent request streams (the urgent one with its batch
+   size and interval). *)
+type streams = {
+  hp : (submitted_at:int64 -> Request.t) option;
+  lp : (worker:int -> submitted_at:int64 -> Request.t) option;
+  urgent : ((submitted_at:int64 -> Request.t) * int * int64) option;
+}
+
+(* The one driver body: assemble a node, let [load] fill its databases
+   (from the seed+1 stream) and build its request streams (drawing from
+   the seed+2 stream), hand the assembly to [prepare], then schedule and
+   run to the horizon. *)
+let drive ~cfg ?obs ?prepare ?hp_batch ?lp_interval_us ?empty_interrupt_ticks
+    ~arrival_interval_us ~horizon_sec load =
+  let a = assemble ?obs cfg in
   let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
+  let streams =
+    load a
+      ~load_rng:(Sim.Rng.create (Int64.add cfg.Config.seed 1L))
+      ~gen_rng:(Sim.Rng.create (Int64.add cfg.Config.seed 2L))
+  in
+  (match prepare with Some f -> f a | None -> ());
+  let sched =
+    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
+      ~workers:a.workers ?obs ?lp_gen:streams.lp ?maint:(maint_arg a cfg)
+      ?ckpt:(ckpt_arg a cfg) ?hp_gen:streams.hp ?hp_batch
+      ?urgent_gen:(Option.map (fun (g, _, _) -> g) streams.urgent)
+      ?urgent_batch:(Option.map (fun (_, b, _) -> b) streams.urgent)
+      ?urgent_interval:(Option.map (fun (_, _, i) -> i) streams.urgent)
+      ?empty_interrupt_ticks
+      ?lp_interval:(Option.map (Sim.Clock.cycles_of_us clock) lp_interval_us)
+      ~arrival_interval:(Sim.Clock.cycles_of_us clock arrival_interval_us)
+      ()
+  in
+  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
+
+(* The TPC-C database: [tpcc_cfg], by default one warehouse per worker. *)
+let load_tpcc (a : assembly) (cfg : Config.t) tpcc_cfg rng =
   let tpcc_cfg =
     match tpcc_cfg with
     | Some c -> c
     | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
   in
-  let tpch_cfg = match tpch_cfg with Some c -> c | None -> Tpch_schema.default in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let tpch_db = Tpch_db.create a.eng tpch_cfg in
-  Tpch_db.load tpch_db load_rng;
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  let hp_gen ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let kind = if Sim.Rng.bool gen_rng then Tpcc.New_order else Tpcc.Payment in
-    let prog env =
-      Tpcc.program tpcc_db kind ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.High
-      ~prog ~rng ~submitted_at
-  in
-  let lp_gen ~worker:_ ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    Request.make ~id:(fresh_id ()) ~label:"Q2" ~priority:Request.Low
-      ~prog:(Tpch_q2.random_program tpch_db) ~rng ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  let lp_interval =
-    Option.map (Sim.Clock.cycles_of_us clock) lp_interval_us
-  in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
-      ?lp_interval ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
+  let db = Tpcc_db.create a.eng tpcc_cfg in
+  Tpcc_db.load db rng;
+  db
+
+let load_tpch (a : assembly) tpch_cfg rng =
+  let db = Tpch_db.create a.eng (Option.value tpch_cfg ~default:Tpch_schema.default) in
+  Tpch_db.load db rng;
+  db
+
+(* TPC-C programs run against the executing worker's home warehouse. *)
+let home_w db (env : P.env) = (env.P.worker mod db.Tpcc_db.cfg.Tpcc_schema.warehouses) + 1
+
+(* The high-priority stream of most drivers: a 50/50 NewOrder/Payment mix. *)
+let new_order_payment db gen_rng ~submitted_at =
+  let rng = Sim.Rng.split gen_rng in
+  let kind = if Sim.Rng.bool gen_rng then Tpcc.New_order else Tpcc.Payment in
+  let prog env = Tpcc.program db kind ~home_w:(home_w db env) env in
+  Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.High
+    ~prog ~rng ~submitted_at
+
+let q2_stream tpch gen_rng ~worker:_ ~submitted_at =
+  let rng = Sim.Rng.split gen_rng in
+  Request.make ~id:(fresh_id ()) ~label:"Q2" ~priority:Request.Low
+    ~prog:(Tpch_q2.random_program tpch) ~rng ~submitted_at
+
+let run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
+    ?lp_interval_us ?(horizon_sec = 0.3) ?hp_batch () =
+  drive ~cfg ?obs ?prepare ?hp_batch ?lp_interval_us ~arrival_interval_us ~horizon_sec
+    (fun a ~load_rng ~gen_rng ->
+      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      let tpch = load_tpch a tpch_cfg load_rng in
+      {
+        hp = Some (new_order_payment tpcc gen_rng);
+        lp = Some (q2_stream tpch gen_rng);
+        urgent = None;
+      })
 
 let run_tpcc ~cfg ?tpcc_cfg ?obs ?prepare ?(horizon_sec = 0.3)
     ?(arrival_interval_us = 25.) ?(empty_interrupt_ticks = 4) () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
-  in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  let lp_gen ~worker:_ ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let kind = Tpcc.standard_mix gen_rng in
-    let prog env =
-      Tpcc.program tpcc_db kind ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.Low
-      ~prog ~rng ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~empty_interrupt_ticks
-      ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
+  drive ~cfg ?obs ?prepare ~empty_interrupt_ticks ~arrival_interval_us ~horizon_sec
+    (fun a ~load_rng ~gen_rng ->
+      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      let lp ~worker:_ ~submitted_at =
+        let rng = Sim.Rng.split gen_rng in
+        let kind = Tpcc.standard_mix gen_rng in
+        let prog env = Tpcc.program tpcc kind ~home_w:(home_w tpcc env) env in
+        Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind)
+          ~priority:Request.Low ~prog ~rng ~submitted_at
+      in
+      { hp = None; lp = Some lp; urgent = None })
 
 let run_htap ~cfg ?tpcc_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
     ?(horizon_sec = 0.1) ?hp_batch () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
-  in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  let hp_gen ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let kind = if Sim.Rng.bool gen_rng then Tpcc.New_order else Tpcc.Payment in
-    let prog env =
-      Tpcc.program tpcc_db kind ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.High
-      ~prog ~rng ~submitted_at
-  in
-  (* Low priority: CH-benCHmark reporting queries over the live TPC-C
-     tables — analytics paused over data being written. *)
-  let lp_gen ~worker:_ ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let kind = Workload.Ch.random_kind gen_rng in
-    Request.make ~id:(fresh_id ()) ~label:(Workload.Ch.kind_to_string kind)
-      ~priority:Request.Low
-      ~prog:(Workload.Ch.program tpcc_db kind)
-      ~rng ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
-      ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
+  drive ~cfg ?obs ?prepare ?hp_batch ~arrival_interval_us ~horizon_sec
+    (fun a ~load_rng ~gen_rng ->
+      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      (* Low priority: CH-benCHmark reporting queries over the live TPC-C
+         tables — analytics paused over data being written. *)
+      let lp ~worker:_ ~submitted_at =
+        let rng = Sim.Rng.split gen_rng in
+        let kind = Workload.Ch.random_kind gen_rng in
+        Request.make ~id:(fresh_id ()) ~label:(Workload.Ch.kind_to_string kind)
+          ~priority:Request.Low ~prog:(Workload.Ch.program tpcc kind) ~rng ~submitted_at
+      in
+      { hp = Some (new_order_payment tpcc gen_rng); lp = Some lp; urgent = None })
 
 let run_tiered ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
     ?(horizon_sec = 0.1) ?hp_batch ?urgent_batch () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
-  in
-  let tpch_cfg = match tpch_cfg with Some c -> c | None -> Tpch_schema.default in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let tpch_db = Tpch_db.create a.eng tpch_cfg in
-  Tpch_db.load tpch_db load_rng;
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  (* High = StockLevel (a mid-length read-only scan, ~100 µs), Urgent = a
-     2 µs balance lookup: the pairing where preempting an in-progress
-     high-priority transaction pays off. *)
-  let hp_gen ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let prog env =
-      Tpcc.stock_level tpcc_db ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:"StockLevel" ~priority:Request.High ~prog ~rng
-      ~submitted_at
-  in
-  let urgent_gen ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let prog env =
-      Tpcc.balance_check tpcc_db ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:"BalanceCheck" ~priority:Request.Urgent ~prog
-      ~rng ~submitted_at
-  in
-  let lp_gen ~worker:_ ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    Request.make ~id:(fresh_id ()) ~label:"Q2" ~priority:Request.Low
-      ~prog:(Tpch_q2.random_program tpch_db) ~rng ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  (* Urgent lookups arrive on their own, 4x denser cadence in small
-     batches, so most land while a StockLevel batch is in progress. *)
-  let urgent_interval = Int64.div arrival_interval 4L in
-  let urgent_batch =
-    match urgent_batch with Some b -> b | None -> cfg.Config.n_workers * 2
-  in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
-      ~urgent_gen ~urgent_batch ~urgent_interval ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
+  drive ~cfg ?obs ?prepare ?hp_batch ~arrival_interval_us ~horizon_sec
+    (fun a ~load_rng ~gen_rng ->
+      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      let tpch = load_tpch a tpch_cfg load_rng in
+      (* High = StockLevel (a mid-length read-only scan, ~100 µs), Urgent =
+         a 2 µs balance lookup: the pairing where preempting an
+         in-progress high-priority transaction pays off. *)
+      let hp ~submitted_at =
+        let rng = Sim.Rng.split gen_rng in
+        let prog env = Tpcc.stock_level tpcc ~home_w:(home_w tpcc env) env in
+        Request.make ~id:(fresh_id ()) ~label:"StockLevel" ~priority:Request.High ~prog
+          ~rng ~submitted_at
+      in
+      let urgent ~submitted_at =
+        let rng = Sim.Rng.split gen_rng in
+        let prog env = Tpcc.balance_check tpcc ~home_w:(home_w tpcc env) env in
+        Request.make ~id:(fresh_id ()) ~label:"BalanceCheck" ~priority:Request.Urgent
+          ~prog ~rng ~submitted_at
+      in
+      (* Urgent lookups arrive on their own, 4x denser cadence in small
+         batches, so most land while a StockLevel batch is in progress. *)
+      let interval =
+        Int64.div (Sim.Clock.cycles_of_us (Sim.Des.clock a.des) arrival_interval_us) 4L
+      in
+      let batch = Option.value urgent_batch ~default:(cfg.Config.n_workers * 2) in
+      {
+        hp = Some hp;
+        lp = Some (q2_stream tpch gen_rng);
+        urgent = Some (urgent, batch, interval);
+      })
 
 let run_ledger ~cfg ?(ledger_cfg = Workload.Ledger.default) ?obs ?prepare
     ?(arrival_interval_us = 200.) ?(horizon_sec = 0.05) ?hp_batch () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let ledger = Workload.Ledger.create a.eng ledger_cfg in
-  Workload.Ledger.load ledger (Sim.Rng.create (Int64.add cfg.Config.seed 1L));
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let hp_gen ~submitted_at =
-    Request.make ~id:(fresh_id ()) ~label:"Transfer" ~priority:Request.High
-      ~prog:(Workload.Ledger.transfer ledger)
-      ~rng:(Sim.Rng.split gen_rng) ~submitted_at
+  let ledger = ref None in
+  let result =
+    drive ~cfg ?obs ?prepare ?hp_batch ~arrival_interval_us ~horizon_sec
+      (fun a ~load_rng ~gen_rng ->
+        let l = Workload.Ledger.create a.eng ledger_cfg in
+        Workload.Ledger.load l load_rng;
+        ledger := Some l;
+        let request label priority prog ~submitted_at =
+          Request.make ~id:(fresh_id ()) ~label ~priority ~prog:(prog l)
+            ~rng:(Sim.Rng.split gen_rng) ~submitted_at
+        in
+        {
+          hp = Some (request "Transfer" Request.High Workload.Ledger.transfer);
+          lp = Some (fun ~worker:_ -> request "Audit" Request.Low Workload.Ledger.audit);
+          urgent = None;
+        })
   in
-  let lp_gen ~worker:_ ~submitted_at =
-    Request.make ~id:(fresh_id ()) ~label:"Audit" ~priority:Request.Low
-      ~prog:(Workload.Ledger.audit ledger)
-      ~rng:(Sim.Rng.split gen_rng) ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ~lp_gen ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
-      ~arrival_interval ()
-  in
-  let result = finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec) in
-  result, Workload.Ledger.total_balance ledger
+  (result, Workload.Ledger.total_balance (Option.get !ledger))
 
+(* The memory-footprint workload: high priority only — NewOrder + Payment
+   hammering the warehouse / district / customer YTD rows, whose chains
+   grow with every commit.  No analytics stream: the low-priority level
+   belongs to GC chunks, so this driver isolates reclamation's interaction
+   with the latency-critical path. *)
 let run_maintenance ~cfg ?tpcc_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
     ?(horizon_sec = 0.1) ?hp_batch () =
-  let a = assemble ?obs cfg in
-  let clock = Sim.Des.clock a.des in
-  let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed 1L) in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
-  in
-  let tpcc_db = Tpcc_db.create a.eng tpcc_cfg in
-  Tpcc_db.load tpcc_db load_rng;
-  let gen_rng = Sim.Rng.create (Int64.add cfg.Config.seed 2L) in
-  let warehouses = tpcc_cfg.Tpcc_schema.warehouses in
-  (* High priority only: NewOrder + Payment hammering the warehouse /
-     district / customer YTD rows, whose chains grow with every commit.
-     No analytics stream — the low-priority level belongs to GC chunks,
-     so this driver isolates reclamation's interaction with the
-     latency-critical path. *)
-  let hp_gen ~submitted_at =
-    let rng = Sim.Rng.split gen_rng in
-    let kind = if Sim.Rng.bool gen_rng then Tpcc.New_order else Tpcc.Payment in
-    let prog env =
-      Tpcc.program tpcc_db kind ~home_w:((env.P.worker mod warehouses) + 1) env
-    in
-    Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.High
-      ~prog ~rng ~submitted_at
-  in
-  let arrival_interval = Sim.Clock.cycles_of_us clock arrival_interval_us in
-  (match prepare with Some f -> f a | None -> ());
-  let sched =
-    Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ?maint:(maint_arg a cfg) ?ckpt:(ckpt_arg a cfg) ~hp_gen ?hp_batch
-      ~arrival_interval ()
-  in
-  finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
+  drive ~cfg ?obs ?prepare ?hp_batch ~arrival_interval_us ~horizon_sec
+    (fun a ~load_rng ~gen_rng ->
+      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      { hp = Some (new_order_payment tpcc gen_rng); lp = None; urgent = None })
 
 let tpcc_labels =
   [ "NewOrder"; "Payment"; "OrderStatus"; "Delivery"; "StockLevel" ]

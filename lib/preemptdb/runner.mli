@@ -1,13 +1,22 @@
-(** End-to-end experiment driver: build an engine, load the workload
-    databases, wire up the simulation (fabric, workers, scheduling thread),
-    run for a virtual horizon, and collect results.
+(** End-to-end experiment driver: assemble a node (engine, uintr fabric,
+    workers, and the durability / replication / maintenance subsystems its
+    config arms), load the workload databases, run the scheduling thread
+    to a virtual horizon, and collect results.
 
-    Two workload assemblies cover the paper's evaluation:
+    A node is an {!assembly}.  Six [run_*] drivers, one per workload, share
+    one body — assemble, load, generate, schedule, {!finish}:
     - {!run_mixed} — the target mixed workload (§6.1): TPC-H Q2 as the
       long-running low-priority transaction, TPC-C NewOrder + Payment as
       the short high-priority ones;
     - {!run_tpcc} — the full five-transaction TPC-C mix, all low-priority
-      (the Fig. 8 overhead experiment). *)
+      (the Fig. 8 overhead experiment);
+    - {!run_htap}, {!run_tiered}, {!run_ledger}, {!run_maintenance} — the
+      same-table HTAP, multi-level, serializable-ledger and
+      memory-footprint workloads.
+
+    A warehouse-sharded cluster ({e lib/shard}) is N assemblies on one
+    {!host}: {!start}, {!run_des} and {!close_idle} are {!finish}'s steps,
+    exposed so each can run over several assemblies. *)
 
 type worker_totals = {
   passive_switches : int;
@@ -175,11 +184,26 @@ type repl_parts = {
       (** present iff [rp_failover] *)
 }
 
-(** The wired-up simulation before any workload is attached: DES, engine,
+(** The simulation a node runs on: one DES (seeded from [cfg.seed]), one
+    uintr fabric and one cycle-accounting profiler.  A single-node run
+    builds its own; a sharded cluster builds one and assembles every shard
+    on it. *)
+type host = private {
+  h_des : Sim.Des.t;
+  h_fabric : Uintr.Fabric.t;
+  h_prof : Obs.Profiler.t;
+  mutable h_workers : int;  (** workers registered on the fabric so far *)
+}
+
+val host : ?obs:Obs.Sink.t -> Config.t -> host
+(** [obs], when given, receives the fabric's send/deliver events. *)
+
+(** The wired-up node before any workload is attached: DES, engine,
     uintr fabric, metrics and workers.  {!assemble} builds it; callers
     (the standard [run_*] drivers below, the correctness-checking harness
-    in {e lib/check}, custom experiments) load databases, create a
-    {!Sched_thread} with their generators, then {!finish}. *)
+    in {e lib/check}, the sharded cluster, custom experiments) load
+    databases, create a {!Sched_thread} with their generators, then
+    {!finish}. *)
 type assembly = {
   des : Sim.Des.t;
   eng : Storage.Engine.t;
@@ -191,15 +215,17 @@ type assembly = {
           tables) iff [cfg.reclaim] is set *)
   dur : dur_parts option;
   repl : repl_parts option;
-  prof : Obs.Profiler.t;  (** shared cycle-accounting profiler, one per run *)
+  prof : Obs.Profiler.t;  (** shared cycle-accounting profiler, one per host *)
   mutable sched : Sched_thread.t option;
-      (** set by {!finish} before the run starts, so mid-run fault
+      (** set by {!start} before the run starts, so mid-run fault
           callbacks can halt the scheduling thread *)
 }
 
-val assemble : ?trace:Sim.Trace.t -> ?obs:Obs.Sink.t -> Config.t -> assembly
-(** Create the DES (seeded from [cfg.seed]), engine, fabric and
-    [cfg.n_workers] workers (each registered in the fabric's UITT).
+val assemble : ?obs:Obs.Sink.t -> ?host:host -> Config.t -> assembly
+(** Create an engine and [cfg.n_workers] workers (each registered in the
+    fabric's UITT) on [host] — by default a fresh {!host} of its own.
+    Workers are numbered after those already on the host's fabric, so ids
+    stay unique across every assembly sharing it.
 
     The [?prepare] hook of the [run_*] drivers below receives this
     assembly after workload loading and before the scheduling thread
@@ -221,14 +247,25 @@ val crash_replica : assembly -> unit
     the gated commit waiters.  No-op without replication. *)
 
 val finish : assembly -> Config.t -> Sched_thread.t -> horizon:int64 -> result
-(** Start the scheduling thread, run the DES to [horizon] (virtual
-    cycles), and collect the run's totals.  Also closes the profiler's
-    cycle ledger (accounting [horizon - busy] as idle per worker) and
-    measures the wall-clock time of the run. *)
+(** {!start}, {!run_des} to [horizon] (virtual cycles), {!close_idle},
+    and collect the run's totals. *)
+
+val start : assembly -> Sched_thread.t -> unit
+(** Arm the node for its run: record [sched] as its scheduling thread,
+    capture the recovery base image, start the group-commit daemon and the
+    replication loops, then the scheduling thread. *)
+
+val run_des : Sim.Des.t -> horizon:int64 -> float
+(** Run the DES to [horizon] and return the wall-clock seconds it took,
+    adding them and the simulated span to {!perf_totals}. *)
+
+val close_idle : assembly -> horizon:int64 -> unit
+(** Close the profiler's cycle ledger: account [horizon - busy] as idle
+    for each of the node's workers. *)
 
 val perf_totals : unit -> float * float
 (** [(wall_seconds, virtual_microseconds)] accumulated across every
-    {!finish} in this process — the bench driver diffs successive readings
+    {!run_des} in this process — the bench driver diffs successive readings
     to report a per-experiment simulation rate. *)
 
 val throughput_ktps : result -> string -> float
@@ -243,7 +280,6 @@ val run_mixed :
   cfg:Config.t ->
   ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?tpch_cfg:Workload.Tpch_schema.config ->
-  ?trace:Sim.Trace.t ->
   ?obs:Obs.Sink.t ->
   ?prepare:(assembly -> unit) ->
   ?arrival_interval_us:float ->

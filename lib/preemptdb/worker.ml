@@ -210,6 +210,24 @@ let set_gates t ~blocking gates =
 
 let parked_requests t = t.parked_count
 
+(* Each wait kind keeps its own counter family: [dur_*] for commit waits,
+   [gate_*] for 2PC gates. *)
+let count_wait t kind what =
+  let st = t.st in
+  match (kind, what) with
+  | Wait_lsn _, `Immediate -> st.dur_immediate <- st.dur_immediate + 1
+  | Wait_lsn _, `Park -> st.dur_parks <- st.dur_parks + 1
+  | Wait_lsn _, `Unpark -> st.dur_unparks <- st.dur_unparks + 1
+  | Wait_lsn _, `Spin ->
+    st.dur_block_cycles <- st.dur_block_cycles + t.cfg.Config.op_costs.Op_costs.commit_wait_spin
+  | Wait_gate _, `Immediate -> st.gate_immediate <- st.gate_immediate + 1
+  | Wait_gate _, `Park -> st.gate_parks <- st.gate_parks + 1
+  | Wait_gate _, `Unpark -> st.gate_unparks <- st.gate_unparks + 1
+  | Wait_gate _, `Spin ->
+    st.gate_block_cycles <- st.gate_block_cycles + t.cfg.Config.op_costs.Op_costs.commit_wait_spin
+
+let wait_key = function Wait_lsn lsn -> lsn | Wait_gate g -> g
+
 (* Parked transactions stay in flight: they hold a request that is neither
    queued nor finished, and the conservation ledger must see it. *)
 let inflight_requests t =
@@ -620,9 +638,9 @@ and step_loop t des =
       let slot = t.slots.(ctx) in
       match slot.step with
       | Some (P.Pending (P.Commit_wait lsn, k)) when t.dur <> None ->
-        commit_wait t des ctx lsn k
+        wait t des ctx (Wait_lsn lsn) k
       | Some (P.Pending (P.Gate_wait g, k)) when t.gates <> None ->
-        gate_wait t des ctx g k
+        wait t des ctx (Wait_gate g) k
       | Some (P.Pending (op, k)) ->
         execute_op t op k;
         step_loop t des
@@ -637,72 +655,81 @@ and step_loop t des =
     end
   end
 
-(* The transaction on [ctx] reached its Commit_wait op: its writes are
-   committed in memory but the commit is only acknowledged when marker
-   [lsn] is durable.  Three paths:
-   - already durable: ack immediately and resume;
+(* The transaction on [ctx] reached a wait op.  A [Commit_wait lsn] has
+   its writes committed in memory but is only acknowledged once marker
+   [lsn] is durable; a [Gate_wait g] is inside a 2PC round trip — a
+   coordinator waiting for votes or a participant waiting for the decision
+   — and the resumed program reads the gate's value itself.  Both take the
+   same three paths:
+   - already resolved: ack immediately and resume;
    - blocking ablation: hold the context, re-asking after a spin quantum
      (the match above did not consume the continuation — [slot.step] still
-     carries the pending op, so every activation re-enters here);
-   - preemptible commit wait (the headline): park the transaction with
-     the daemon and free the slot, so this hardware thread immediately
-     acquires other work; flush completion sends a user interrupt whose
-     recognition resumes the parked continuation. *)
-and commit_wait t des ctx lsn k =
-  let d = match t.dur with Some d -> d | None -> assert false in
+     carries the pending op, so every activation re-enters here).  The
+     charge advances [local] past the next daemon or fabric event, and the
+     run-ahead check at the top of [step_loop] defers this worker until it
+     fires;
+   - preemptible wait (the headline): park the transaction with the daemon
+     or the gate registry and free the slot, so this hardware thread
+     immediately acquires other work; the flush completion, vote, decision
+     or timeout sends a user interrupt whose recognition resumes the parked
+     continuation. *)
+and wait t des ctx kind k =
   let slot = t.slots.(ctx) in
   let label =
     match slot.req with Some r -> r.Request.label | None -> assert false
   in
   let first = slot.blocked_since < 0 in
   if first then begin
-    (* Publish the LSN to the daemon — charged once, at the first
-       encounter; blocking-mode re-checks only pay the spin quantum. *)
-    charge_b t Obs.Profiler.Commit_publish
-      (Op_costs.cycles t.cfg.Config.op_costs (P.Commit_wait lsn));
+    (* Publish the wait — charged once, at the first encounter;
+       blocking-mode re-checks only pay the spin quantum. *)
+    let op = match kind with Wait_lsn lsn -> P.Commit_wait lsn | Wait_gate g -> P.Gate_wait g in
+    charge_b t Obs.Profiler.Commit_publish (Op_costs.cycles t.cfg.Config.op_costs op);
     let tcb = Hw.current t.hw in
     tcb.Tcb.rip <- tcb.Tcb.rip + 1;
-    (match t.op_probe with Some f -> f t (P.Commit_wait lsn) | None -> ());
+    (match t.op_probe with Some f -> f t op | None -> ());
     slot.blocked_since <- t.local
   end;
-  if Durability.Daemon.try_ack d ~lsn then begin
+  let ready =
+    match kind with
+    | Wait_lsn lsn -> Durability.Daemon.try_ack (Option.get t.dur) ~lsn
+    | Wait_gate g -> Uintr.Gate.ready (Option.get t.gates) g
+  in
+  if ready then begin
     let waited =
       if slot.blocked_since >= 0 then
         Int64.of_int (t.local - slot.blocked_since)
       else 0L
     in
     slot.blocked_since <- -1;
-    if first then t.st.dur_immediate <- t.st.dur_immediate + 1;
+    if first then count_wait t kind `Immediate;
     Metrics.record_commit_wait t.metrics label waited;
     slot.step <- Some (P.resume k);
     step_loop t des
   end
-  else if t.dur_blocking then begin
-    (* Wait-for-durability ablation: burn a re-check quantum and keep the
-       context.  Forward progress: the charge advances [local] past the
-       daemon's next sweep/flush event, and the run-ahead check at the top
-       of [step_loop] then defers this worker until it fires. *)
-    let spin = t.cfg.Config.op_costs.Op_costs.commit_wait_spin in
-    charge_b t Obs.Profiler.Commit_spin spin;
-    t.st.dur_block_cycles <- t.st.dur_block_cycles + spin;
+  else if (match kind with Wait_lsn _ -> t.dur_blocking | Wait_gate _ -> t.gate_blocking)
+  then begin
+    charge_b t Obs.Profiler.Commit_spin t.cfg.Config.op_costs.Op_costs.commit_wait_spin;
+    count_wait t kind `Spin;
     step_loop t des
   end
   else begin
-    let p = park_slot t slot k ~kind:(Wait_lsn lsn) in
-    t.st.dur_parks <- t.st.dur_parks + 1;
-    if has_obs t then emit t (Obs.Event.Commit_park { lsn });
-    Durability.Daemon.park d ~lsn
-      ~notify:(fun () ->
-        (* Flush completion (daemon context): hand the transaction back to
-           its context's resume queue and nudge the worker through the
-           production interrupt path. *)
-        Queue.push p t.resumes.(ctx);
-        Uintr.Fabric.senduipi t.fabric t.uitt_index_;
-        if not t.scheduled then begin
-          t.scheduled <- true;
-          Sim.Des.schedule_at_int t.des ~time:(Sim.Des.now_int t.des)
-            t.activation
-        end);
+    let p = park_slot t slot k ~kind in
+    count_wait t kind `Park;
+    if has_obs t then emit t (Obs.Event.Commit_park { lsn = wait_key kind });
+    let notify () =
+      (* Resolution (daemon or message context): hand the transaction back
+         to its context's resume queue and nudge the worker through the
+         production interrupt path. *)
+      Queue.push p t.resumes.(ctx);
+      Uintr.Fabric.senduipi t.fabric t.uitt_index_;
+      if not t.scheduled then begin
+        t.scheduled <- true;
+        Sim.Des.schedule_at_int t.des ~time:(Sim.Des.now_int t.des) t.activation
+      end
+    in
+    (match kind with
+    | Wait_lsn lsn -> Durability.Daemon.park (Option.get t.dur) ~lsn ~notify
+    | Wait_gate g -> Uintr.Gate.park (Option.get t.gates) g ~notify);
     step_loop t des
   end
 
@@ -729,66 +756,6 @@ and park_slot t slot k ~kind =
   t.parked_count <- t.parked_count + 1;
   p
 
-(* The transaction on [ctx] reached a Gate_wait op: it is inside a 2PC
-   round trip — a coordinator waiting for votes, or a participant waiting
-   for the decision.  Same three paths as [commit_wait], same machinery:
-   already-resolved gates ack immediately, the blocking ablation spins
-   holding the context, and the preemptible path (the headline) parks the
-   transaction with the gate registry and frees the slot — resolution
-   (vote arrival, decision delivery, or timeout) sends the wake-up
-   interrupt.  The resumed program reads the gate's value itself. *)
-and gate_wait t des ctx g k =
-  let gates = match t.gates with Some gs -> gs | None -> assert false in
-  let slot = t.slots.(ctx) in
-  let label =
-    match slot.req with Some r -> r.Request.label | None -> assert false
-  in
-  let first = slot.blocked_since < 0 in
-  if first then begin
-    charge_b t Obs.Profiler.Commit_publish
-      (Op_costs.cycles t.cfg.Config.op_costs (P.Gate_wait g));
-    let tcb = Hw.current t.hw in
-    tcb.Tcb.rip <- tcb.Tcb.rip + 1;
-    (match t.op_probe with Some f -> f t (P.Gate_wait g) | None -> ());
-    slot.blocked_since <- t.local
-  end;
-  if Uintr.Gate.ready gates g then begin
-    let waited =
-      if slot.blocked_since >= 0 then
-        Int64.of_int (t.local - slot.blocked_since)
-      else 0L
-    in
-    slot.blocked_since <- -1;
-    if first then t.st.gate_immediate <- t.st.gate_immediate + 1;
-    Metrics.record_commit_wait t.metrics label waited;
-    slot.step <- Some (P.resume k);
-    step_loop t des
-  end
-  else if t.gate_blocking then begin
-    (* Spin ablation: as in blocking commit waits, the charge advances
-       [local] past the next fabric event and the run-ahead check defers
-       this worker until the gate can have been resolved. *)
-    let spin = t.cfg.Config.op_costs.Op_costs.commit_wait_spin in
-    charge_b t Obs.Profiler.Commit_spin spin;
-    t.st.gate_block_cycles <- t.st.gate_block_cycles + spin;
-    step_loop t des
-  end
-  else begin
-    let p = park_slot t slot k ~kind:(Wait_gate g) in
-    t.st.gate_parks <- t.st.gate_parks + 1;
-    if has_obs t then emit t (Obs.Event.Commit_park { lsn = g });
-    Uintr.Gate.park gates g
-      ~notify:(fun () ->
-        Queue.push p t.resumes.(ctx);
-        Uintr.Fabric.senduipi t.fabric t.uitt_index_;
-        if not t.scheduled then begin
-          t.scheduled <- true;
-          Sim.Des.schedule_at_int t.des ~time:(Sim.Des.now_int t.des)
-            t.activation
-        end);
-    step_loop t des
-  end
-
 (* Reinstall a parked transaction on its (now free) context and resume it
    past the Commit_wait / Gate_wait: the wait is over. *)
 and unpark t des ctx (p : parked) =
@@ -801,19 +768,12 @@ and unpark t des ctx (p : parked) =
   end;
   let slot = t.slots.(ctx) in
   t.parked_count <- t.parked_count - 1;
-  (match p.pkind with
-  | Wait_lsn _ -> t.st.dur_unparks <- t.st.dur_unparks + 1
-  | Wait_gate _ -> t.st.gate_unparks <- t.st.gate_unparks + 1);
+  count_wait t p.pkind `Unpark;
   charge_b t Obs.Profiler.Commit_unpark t.cfg.Config.op_costs.Op_costs.commit_unpark;
   let waited = max 0 (t.local - p.parked_at) in
   Metrics.record_commit_wait t.metrics p.preq.Request.label (Int64.of_int waited);
   if has_obs t then
-    emit t
-      (Obs.Event.Commit_unpark
-         {
-           lsn = (match p.pkind with Wait_lsn l -> l | Wait_gate g -> g);
-           wait = waited;
-         });
+    emit t (Obs.Event.Commit_unpark { lsn = wait_key p.pkind; wait = waited });
   slot.req <- Some p.preq;
   slot.env <- Some p.penv;
   slot.attempts <- p.pattempts;

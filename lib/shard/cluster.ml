@@ -3,6 +3,7 @@ module Metrics = Preemptdb.Metrics
 module Worker = Preemptdb.Worker
 module Sched_thread = Preemptdb.Sched_thread
 module Request = Preemptdb.Request
+module Runner = Preemptdb.Runner
 module P = Workload.Program
 module Sc = Workload.Tpcc_schema
 module Tpcc = Workload.Tpcc
@@ -24,14 +25,10 @@ let decision_ts gid = Int64.of_int (1_000_000_000 + (gid - gid_base))
 
 type shard = {
   sid : int;
-  eng : Storage.Engine.t;
-  db : Tpcc_db.t;
-  metrics : Metrics.t;
-  workers : Worker.t array;
-  mutable sched : Sched_thread.t option;
+  node : Runner.assembly;  (* engine, metrics, workers, log + daemon *)
   log : Durability.Log.t;
-  daemon : Durability.Daemon.t;
-  device : Durability.Device.t;
+  db : Tpcc_db.t;
+  mutable sched : Sched_thread.t option;
   gates : Uintr.Gate.t;
   coord : Coordinator.t;
   owned : int array;  (* warehouses this shard homes *)
@@ -58,11 +55,9 @@ type t = {
   des : Sim.Des.t;
   clock : Sim.Clock.t;
   fabric : Uintr.Fabric.t;
-  prof : Obs.Profiler.t;
   cfg : Config.t;
   sp : Config.shard_policy;
   router : Router.t;
-  tpcc_cfg : Sc.config;
   shards : shard array;
   links : Msg.t Uintr.Channel.t array array;  (* [src].[dst]; diagonal unused *)
   origins : bool array;
@@ -81,10 +76,10 @@ let router t = t.router
 let policy t = t.sp
 let horizon t = t.horizon
 let wall_s t = t.wall_s
-let engine t ~sid = t.shards.(sid).eng
+let engine t ~sid = t.shards.(sid).node.Runner.eng
 let log t ~sid = t.shards.(sid).log
-let metrics t ~sid = t.shards.(sid).metrics
-let workers t ~sid = t.shards.(sid).workers
+let metrics t ~sid = t.shards.(sid).node.Runner.metrics
+let workers t ~sid = t.shards.(sid).node.Runner.workers
 let crashed t ~sid = t.shards.(sid).crashed
 let events_processed t = Sim.Des.events_processed t.des
 let coord_pending t ~sid = Coordinator.pending t.shards.(sid).coord
@@ -441,14 +436,15 @@ let participant_prog t s ~gid ~origin ~ops env =
    full queues from a DES event (bounded — a dropped prepare simply times
    out at the coordinator). *)
 let inject t s req =
-  let n = Array.length s.workers in
+  let workers = s.node.Runner.workers in
+  let n = Array.length workers in
   let rec attempt tries =
     if s.crashed then ()
     else begin
       let placed = ref false in
       let k = ref 0 in
       while (not !placed) && !k < n do
-        let w = s.workers.((s.rr + !k) mod n) in
+        let w = workers.((s.rr + !k) mod n) in
         if Worker.enqueue_hp w req then begin
           placed := true;
           s.rr <- (s.rr + !k + 1) mod n;
@@ -527,11 +523,15 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
     | Some sp -> sp
     | None -> invalid_arg "Cluster.create: cfg.shard not set (use Config.with_shard)"
   in
-  let dp =
-    match cfg.Config.durability with
-    | Some dp -> dp
-    | None -> invalid_arg "Cluster.create: sharded 2PC requires cfg.durability"
-  in
+  (match cfg.Config.durability with
+  | None -> invalid_arg "Cluster.create: sharded 2PC requires cfg.durability"
+  | Some dp when dp.Config.du_ckpt_interval_us > 0. ->
+    invalid_arg "Cluster.create: checkpointing is not supported in a sharded cluster"
+  | Some _ -> ());
+  if cfg.Config.replication <> None then
+    invalid_arg "Cluster.create: replication is not supported in a sharded cluster";
+  if cfg.Config.reclaim <> None then
+    invalid_arg "Cluster.create: reclamation is not supported in a sharded cluster";
   let n = sp.Config.sh_shards in
   let tpcc_cfg =
     match tpcc_cfg with
@@ -546,59 +546,30 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
       (Printf.sprintf "Cluster.create: %d warehouses cannot cover %d shards"
          tpcc_cfg.Sc.warehouses n);
   let router = Router.create ~shards:n ~warehouses:tpcc_cfg.Sc.warehouses in
-  let des = Sim.Des.create ~seed:cfg.Config.seed () in
+  (* The fabric splits the DES root RNG, and so does each link: the host
+     must exist before the shards and the links after them. *)
+  let host = Runner.host cfg in
+  let des = host.Runner.h_des and fabric = host.Runner.h_fabric in
   let clock = Sim.Des.clock des in
-  let fabric = Uintr.Fabric.create des ~costs:cfg.Config.uintr_costs in
-  let prof = Obs.Profiler.create () in
-  let timeline_window = Sim.Clock.cycles_of_us clock 10_000. in
   let all_w = Array.init tpcc_cfg.Sc.warehouses (fun i -> i + 1) in
   let shards =
     Array.init n (fun sid ->
-        let eng = Storage.Engine.create () in
-        let log =
-          Durability.Log.create ~buffer_records:dp.Config.du_buffer_records
-            ~n_workers:cfg.Config.n_workers ()
-        in
-        Durability.Log.attach log eng;
-        let db = Tpcc_db.create eng tpcc_cfg in
+        let node = Runner.assemble ~host cfg in
+        let db = Tpcc_db.create node.Runner.eng tpcc_cfg in
         let load_rng = Sim.Rng.create (Int64.add cfg.Config.seed (Int64.of_int (1 + sid))) in
         Tpcc_db.load ~owns:(fun w -> Router.shard_of router w = sid) db load_rng;
-        let metrics = Metrics.create ~timeline_window () in
-        let workers =
-          Array.init cfg.Config.n_workers (fun k ->
-              Worker.create ~prof ~des ~cfg ~fabric ~metrics ~eng
-                ~id:((sid * cfg.Config.n_workers) + k)
-                ())
-        in
-        let device =
-          Durability.Device.create ~setup_cycles:dp.Config.du_setup_cycles
-            ~per_byte_cycles_x100:dp.Config.du_per_byte_cycles_x100
-            ~fsync_floor_cycles:(Sim.Clock.cycles_of_us clock dp.Config.du_fsync_floor_us)
-            ()
-        in
-        let daemon =
-          Durability.Daemon.create ~des ~log ~device ~group_bytes:dp.Config.du_group_bytes
-            ~group_interval:
-              (Int64.max 1L (Sim.Clock.cycles_of_us clock dp.Config.du_group_interval_us))
-            ()
-        in
-        Array.iter
-          (fun w -> Worker.set_durability w ~blocking:dp.Config.du_blocking (Some daemon))
-          workers;
         let gates = Uintr.Gate.create () in
-        Array.iter (fun w -> Worker.set_gates w ~blocking:sp.Config.sh_blocking (Some gates)) workers;
+        Array.iter
+          (fun w -> Worker.set_gates w ~blocking:sp.Config.sh_blocking (Some gates))
+          node.Runner.workers;
         let owned = Router.warehouses_of router sid in
         let foreign = Array.of_list (List.filter (fun w -> Router.shard_of router w <> sid) (Array.to_list all_w)) in
         {
           sid;
-          eng;
+          node;
+          log = (Option.get node.Runner.dur).Runner.dur_log;
           db;
-          metrics;
-          workers;
           sched = None;
-          log;
-          daemon;
-          device;
           gates;
           coord = Coordinator.create ~gates;
           owned;
@@ -640,11 +611,9 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
       des;
       clock;
       fabric;
-      prof;
       cfg;
       sp;
       router;
-      tpcc_cfg;
       shards;
       links;
       origins = origins_arr;
@@ -685,8 +654,8 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
         Request.make ~id:(fresh_req t) ~label ~priority:Request.High ~prog ~rng ~submitted_at
       in
       let sched =
-        Sched_thread.create ~des ~cfg ~fabric ~metrics:s.metrics ~workers:s.workers ~hp_gen
-          ~hp_batch
+        Sched_thread.create ~des ~cfg ~fabric ~metrics:s.node.Runner.metrics
+          ~workers:s.node.Runner.workers ~hp_gen ~hp_batch
           ~arrival_interval:(Sim.Clock.cycles_of_us clock arrival_interval_us)
           ()
       in
@@ -699,35 +668,15 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
 let run t ~horizon_sec =
   let horizon = Sim.Clock.cycles_of_sec t.clock horizon_sec in
   t.horizon <- horizon;
-  Array.iter
-    (fun s ->
-      Durability.Log.snapshot_base s.log s.eng;
-      Durability.Daemon.start s.daemon;
-      match s.sched with Some sched -> Sched_thread.start sched | None -> ())
-    t.shards;
-  let t0 = Unix.gettimeofday () in
-  Sim.Des.run ~until:horizon t.des;
-  t.wall_s <- Unix.gettimeofday () -. t0;
-  (* Close each worker's cycle ledger (idle = horizon − busy) so the
-     profiler's conservation invariant holds cluster-wide. *)
-  Array.iter
-    (fun s ->
-      Array.iter
-        (fun w ->
-          let busy = Int64.of_int (Worker.stats w).Worker.busy_cycles in
-          let idle = Int64.to_int (Int64.max 0L (Int64.sub horizon busy)) in
-          Obs.Profiler.account (Obs.Profiler.worker t.prof ~wid:(Worker.id w))
-            Obs.Profiler.Idle idle)
-        s.workers)
-    t.shards
+  Array.iter (fun s -> Option.iter (Runner.start s.node) s.sched) t.shards;
+  t.wall_s <- Runner.run_des t.des ~horizon;
+  Array.iter (fun s -> Runner.close_idle s.node ~horizon) t.shards
 
 let crash_shard t ~sid ~rng =
   let s = t.shards.(sid) in
   if not s.crashed then begin
     s.crashed <- true;
-    Durability.Daemon.crash s.daemon ~rng;
-    Array.iter Worker.kill s.workers;
-    (match s.sched with Some sched -> Sched_thread.halt sched | None -> ());
+    Runner.crash_primary s.node ~rng;
     for other = 0 to Array.length t.shards - 1 do
       if other <> sid then begin
         Uintr.Channel.sever t.links.(sid).(other);
@@ -770,7 +719,8 @@ type shard_stats = {
 let stats t =
   Array.map
     (fun s ->
-      let sum f = Array.fold_left (fun acc w -> acc + f (Worker.stats w)) 0 s.workers in
+      let workers = s.node.Runner.workers in
+      let sum f = Array.fold_left (fun acc w -> acc + f (Worker.stats w)) 0 workers in
       let link_sends = ref 0 and link_bytes = ref 0 in
       Array.iteri
         (fun dst ch ->
@@ -782,8 +732,8 @@ let stats t =
       {
         ss_sid = s.sid;
         ss_crashed = s.crashed;
-        ss_committed = Metrics.committed_total s.metrics;
-        ss_aborted = Metrics.aborted_total s.metrics;
+        ss_committed = Metrics.committed_total s.node.Runner.metrics;
+        ss_aborted = Metrics.aborted_total s.node.Runner.metrics;
         ss_xs_started = s.xs_started;
         ss_xs_committed = s.xs_committed;
         ss_xs_aborted = s.xs_aborted;
@@ -801,8 +751,8 @@ let stats t =
         ss_gate_unparks = sum (fun st -> st.Worker.gate_unparks);
         ss_gate_immediate = sum (fun st -> st.Worker.gate_immediate);
         ss_gate_block_cycles = sum (fun st -> st.Worker.gate_block_cycles);
-        ss_parked_left = Array.fold_left (fun acc w -> acc + Worker.parked_requests w) 0 s.workers;
-        ss_flushes = Durability.Daemon.flushes s.daemon;
+        ss_parked_left = Array.fold_left (fun acc w -> acc + Worker.parked_requests w) 0 workers;
+        ss_flushes = Durability.Daemon.flushes (Option.get s.node.Runner.dur).Runner.dur_daemon;
         ss_durable_lsn = Durability.Log.durable_lsn s.log;
         ss_link_sends = !link_sends;
         ss_link_bytes = !link_bytes;

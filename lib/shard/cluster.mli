@@ -1,11 +1,12 @@
 (** Warehouse-sharded scale-out cluster.
 
-    N shards share one DES virtual clock and one uintr fabric; each shard
-    owns its own engine partition (the TPC-C warehouses {!Router} maps to
-    it), worker pool, scheduling thread, redo log and group-commit daemon,
-    and a {!Uintr.Gate} registry for its workers' preemptible 2PC waits.
-    Directed shard pairs are connected by {!Uintr.Channel} links carrying
-    {!Msg} frames.
+    Each shard is a single-node {!Preemptdb.Runner.assembly} — its own
+    engine partition (the TPC-C warehouses {!Router} maps to it), worker
+    pool, redo log and group-commit daemon — plus a scheduling thread and
+    a {!Uintr.Gate} registry for its workers' preemptible 2PC waits.  All
+    shards share one {!Preemptdb.Runner.host} (one DES virtual clock, one
+    uintr fabric, one cycle profiler), and directed shard pairs are
+    connected by {!Uintr.Channel} links carrying {!Msg} frames.
 
     Cross-shard NewOrder/Payment transactions run two-phase commit with
     presumed abort:
@@ -55,7 +56,9 @@ val create :
     {e before} their prepare record is durable) that the atomicity
     oracle's self-test must catch.
     @raise Invalid_argument when [cfg.shard] or [cfg.durability] is unset,
-    or there are fewer warehouses than shards. *)
+    when the config arms replication, reclamation or checkpointing (no
+    shard runs a standby, reclaimer or checkpointer), or when there are
+    fewer warehouses than shards. *)
 
 val des : t -> Sim.Des.t
 val clock : t -> Sim.Clock.t
@@ -64,13 +67,16 @@ val router : t -> Router.t
 val policy : t -> Config.shard_policy
 
 val run : t -> horizon_sec:float -> unit
-(** Snapshot base images, start daemons and scheduling threads, run the
-    DES to the horizon, close each worker's idle-cycle ledger. *)
+(** {!Preemptdb.Runner.start} every shard (base image, daemon, scheduling
+    thread), {!Preemptdb.Runner.run_des} the shared DES to the horizon —
+    counted in {!Preemptdb.Runner.perf_totals} — and close each shard's
+    idle-cycle ledger. *)
 
 val crash_shard : t -> sid:int -> rng:Sim.Rng.t -> unit
-(** Fail-stop one shard mid-run: its daemon tears (random prefix of the
-    pending tail lost), workers die, the scheduling thread halts, and
-    every link touching the shard severs.  The rest of the cluster keeps
+(** Fail-stop one shard mid-run: {!Preemptdb.Runner.crash_primary} tears
+    its daemon (random prefix of the pending tail lost), kills its workers
+    and halts its scheduling thread, and every link touching the shard
+    severs.  The rest of the cluster keeps
     running — in-flight 2PC involving the shard resolves via the
     coordinator timeout (participant crash) or stays parked until the
     horizon (coordinator crash; presumed abort at recovery). *)

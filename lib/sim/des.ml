@@ -1,6 +1,5 @@
 type t = {
   clk : Clock.t;
-  tr : Trace.t;
   root_rng : Rng.t;
   q : (t -> unit) Event_queue.t;
   (* The clock and the next-event cache are native ints: both are touched
@@ -15,11 +14,9 @@ type t = {
   mutable probe : (time:int64 -> seq:int -> unit) option;
 }
 
-let create ?(clock = Clock.default) ?trace ?(seed = 42L) () =
-  let tr = match trace with Some tr -> tr | None -> Trace.create () in
+let create ?(clock = Clock.default) ?(seed = 42L) () =
   {
     clk = clock;
-    tr;
     root_rng = Rng.create seed;
     q = Event_queue.create ~capacity:1024 ();
     now_i = 0;
@@ -31,7 +28,6 @@ let create ?(clock = Clock.default) ?trace ?(seed = 42L) () =
   }
 
 let clock t = t.clk
-let trace t = t.tr
 let rng t = t.root_rng
 let now t = Int64.of_int t.now_i
 let now_int t = t.now_i

@@ -15,10 +15,9 @@
 
 type t
 
-val create : ?clock:Clock.t -> ?trace:Trace.t -> ?seed:int64 -> unit -> t
+val create : ?clock:Clock.t -> ?seed:int64 -> unit -> t
 
 val clock : t -> Clock.t
-val trace : t -> Trace.t
 val rng : t -> Rng.t
 (** Root RNG for the run; actors should [Rng.split] their own streams. *)
 

@@ -8,3 +8,4 @@ let next t =
   t.counter
 
 let current t = t.counter
+let advance_to t ts = if Int64.compare ts t.counter > 0 then t.counter <- ts

@@ -18,3 +18,8 @@ val next : t -> int64
 
 val current : t -> int64
 (** Latest timestamp drawn (0 if none). *)
+
+val advance_to : t -> int64 -> unit
+(** Raise the counter to [ts] in one step (no-op when it is already at or
+    past [ts]): the next {!next} returns [ts + 1].  Recovery resumes the
+    counter past the replayed maximum this way. *)

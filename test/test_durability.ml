@@ -403,6 +403,19 @@ let test_recovery_oid_gaps () =
   checki "row after gap recovered at same oid" 3 (read_int recovered r table' oid2);
   Engine.abort recovered r
 
+(* A resolved in-doubt 2PC transaction installs at its global decision
+   timestamp (>= 10^9), so recovery must resume the commit-timestamp
+   counter in one step, not by drawing every timestamp below it. *)
+let test_recovery_finish_far_timestamp () =
+  let ap = Recovery.Applier.create () in
+  let far = 1_000_000_000_000L in
+  Recovery.Applier.create_table ap "accounts";
+  ignore (Recovery.Applier.load_image ap [ ("accounts", [ (0, Some (row 7), far) ]) ]);
+  Recovery.Applier.finish ap;
+  let ts = Engine.timestamp (Recovery.Applier.engine ap) in
+  Alcotest.(check int64) "counter resumed at the image maximum" far (Storage.Timestamp.current ts);
+  Alcotest.(check int64) "next timestamp lies past it" (Int64.succ far) (Storage.Timestamp.next ts)
+
 let test_recovery_ddl_replay () =
   (* tables created after the base snapshot reappear through DDL records *)
   let eng, table, log = mk_logged_engine () in
@@ -646,6 +659,8 @@ let () =
             test_recovery_torn_marker_atomicity;
           Alcotest.test_case "oid gaps" `Quick test_recovery_oid_gaps;
           Alcotest.test_case "ddl replay" `Quick test_recovery_ddl_replay;
+          Alcotest.test_case "finish resumes a far timestamp in one step" `Quick
+            test_recovery_finish_far_timestamp;
           Alcotest.test_case "state-equal: tombstone-only table" `Quick
             test_state_equal_tombstone_only_table;
           Alcotest.test_case "state-equal: never-committed slots" `Quick

@@ -718,6 +718,94 @@ let test_integration_sched_latency_recorded () =
   | Some v -> checkb "scheduling latency sub-50us under preemption" true (v < 50.)
   | None -> Alcotest.fail "scheduling latency missing"
 
+(* -- Golden schedules ---------------------------------------------------------- *)
+
+(* Each [run_*] driver at a small horizon, pinned to the exact schedule it
+   produces: DES events processed, commits per class, and an FNV-1a hash
+   of the (time, seq) event stream folded in through [?prepare] and
+   [Sim.Des.set_probe].  Reordering a single event changes the hash, so a
+   refactor of the drivers or of node assembly that keeps these values
+   keeps every schedule bit-identical. *)
+
+let schedule_hasher () =
+  let h = ref 0x811c9dc5 in
+  let mix x = h := (!h lxor x) * 0x100000001b3 in
+  let prepare (a : Runner.assembly) =
+    Sim.Des.set_probe a.Runner.des
+      (Some
+         (fun ~time ~seq ->
+           mix (Int64.to_int time);
+           mix seq))
+  in
+  (prepare, fun () -> Printf.sprintf "%x" !h)
+
+let commits_per_class m =
+  String.concat " "
+    (List.map
+       (fun (label, cs) -> Printf.sprintf "%s=%d" label cs.Preemptdb.Metrics.committed)
+       (Preemptdb.Metrics.classes m))
+
+let check_golden ~events ~commits ~hash run =
+  let prepare, digest = schedule_hasher () in
+  let r = run prepare in
+  checki "DES events" events r.Runner.events;
+  Alcotest.(check string) "commits per class" commits (commits_per_class r.Runner.metrics);
+  Alcotest.(check string) "(time, seq) stream hash" hash (digest ())
+
+let golden_cfg () = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 ()
+
+let test_golden_mixed () =
+  (* group commit with fuzzy checkpointing, and a decoupled lp cadence *)
+  let cfg =
+    Config.with_durability
+      ~durability:{ Config.default_durability with Config.du_ckpt_interval_us = 500. }
+      (golden_cfg ())
+  in
+  check_golden ~events:22908 ~commits:"Ckpt=9 NewOrder=94 Payment=65 Q2=11"
+    ~hash:"33d807aea8ccd9f7" (fun prepare ->
+      Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:250.
+        ~lp_interval_us:500. ~horizon_sec:0.005 ())
+
+let test_golden_tpcc () =
+  let cfg = { (golden_cfg ()) with Config.empty_interrupts = true } in
+  check_golden ~events:18315
+    ~commits:"Delivery=18 NewOrder=164 OrderStatus=16 Payment=146 StockLevel=23"
+    ~hash:"19cef35285fa544a" (fun prepare ->
+      Runner.run_tpcc ~cfg ~prepare ~horizon_sec:0.005 ())
+
+let test_golden_htap () =
+  check_golden ~events:117703 ~commits:"CH-Q1=6 CH-Q4=5 CH-Q6=4 NewOrder=89 Payment=69"
+    ~hash:"9ded058b460f76f" (fun prepare ->
+      Runner.run_htap ~cfg:(golden_cfg ()) ~prepare ~arrival_interval_us:250.
+        ~horizon_sec:0.005 ())
+
+let test_golden_tiered () =
+  let cfg = { (golden_cfg ()) with Config.n_priority_levels = 3 } in
+  check_golden ~events:113449 ~commits:"BalanceCheck=316 Q2=2 StockLevel=160"
+    ~hash:"1dcad04f6e63a107" (fun prepare ->
+      Runner.run_tiered ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:250.
+        ~horizon_sec:0.005 ())
+
+let test_golden_ledger () =
+  let balance = ref 0 in
+  check_golden ~events:133571 ~commits:"Audit=6 Transfer=392"
+    ~hash:"34220699a2c49fe9" (fun prepare ->
+      let r, b =
+        Runner.run_ledger ~cfg:(golden_cfg ()) ~prepare ~arrival_interval_us:100.
+          ~horizon_sec:0.005 ()
+      in
+      balance := b;
+      r);
+  checki "balance conserved" (Workload.Ledger.default.Workload.Ledger.accounts * 1000) !balance
+
+let test_golden_maintenance () =
+  (* reclamation plus a semi-sync standby (which implies group commit) *)
+  let cfg = golden_cfg () |> Config.with_reclaim |> Config.with_replication in
+  check_golden ~events:49309 ~commits:"GC=48 NewOrder=502 Payment=492"
+    ~hash:"171f5694a08e5025" (fun prepare ->
+      Runner.run_maintenance ~cfg ~prepare ~arrival_interval_us:40. ~hp_batch:8
+        ~horizon_sec:0.005 ())
+
 let () =
   Alcotest.run "preemptdb"
     [
@@ -779,5 +867,14 @@ let () =
             test_integration_backlog_cap_drops;
           Alcotest.test_case "resilience stack defaults off" `Slow
             test_integration_resilience_defaults_off;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "run_mixed" `Quick test_golden_mixed;
+          Alcotest.test_case "run_tpcc" `Quick test_golden_tpcc;
+          Alcotest.test_case "run_htap" `Quick test_golden_htap;
+          Alcotest.test_case "run_tiered" `Quick test_golden_tiered;
+          Alcotest.test_case "run_ledger" `Quick test_golden_ledger;
+          Alcotest.test_case "run_maintenance" `Quick test_golden_maintenance;
         ] );
     ]

@@ -208,6 +208,77 @@ let test_atomic_deterministic () =
   let a = run () and b = run () in
   checkb "same seed, same run" true (a = b)
 
+(* -- Unsupported compositions --------------------------------------------------- *)
+
+(* A shard is a node assembly without a standby, reclaimer or
+   checkpointer: configs arming one are refused up front instead of being
+   silently ignored. *)
+let test_cluster_rejects_unsupported () =
+  let rejects what cfg =
+    checkb (what ^ " rejected") true
+      (match Shard.Cluster.create ~cfg () with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let cfg = shard_cfg () in
+  rejects "replication" (Config.with_replication cfg);
+  rejects "reclamation" (Config.with_reclaim cfg);
+  rejects "checkpointing"
+    {
+      cfg with
+      Config.durability =
+        Some { Config.default_durability with Config.du_ckpt_interval_us = 500. };
+    };
+  rejects "unsharded config" (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 ())
+
+(* -- Golden cluster schedules ---------------------------------------------------- *)
+
+(* A 2-shard and a 4-shard cluster pinned to the exact schedule they
+   produce: DES events processed, commits per class summed over the
+   shards, and an FNV-1a hash of the (time, seq) event stream folded in
+   through [Cluster.des] and [Sim.Des.set_probe].  Any change to how a
+   shard is assembled, started or run that moves one event breaks the
+   hash. *)
+
+let check_golden_cluster ~shards ~seed ~horizon_sec ~events ~commits ~hash =
+  let cfg =
+    Config.with_shard
+      ~shard:{ Config.default_shard with Config.sh_shards = shards; sh_cross_pct = 10 }
+      { (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 ()) with Config.seed }
+  in
+  let cl = Shard.Cluster.create ~cfg ~arrival_interval_us:18. () in
+  let h = ref 0x811c9dc5 in
+  let mix x = h := (!h lxor x) * 0x100000001b3 in
+  Sim.Des.set_probe (Shard.Cluster.des cl)
+    (Some
+       (fun ~time ~seq ->
+         mix (Int64.to_int time);
+         mix seq));
+  Shard.Cluster.run cl ~horizon_sec;
+  let per_class = Hashtbl.create 8 in
+  for sid = 0 to shards - 1 do
+    List.iter
+      (fun (label, cs) ->
+        let prev = Option.value ~default:0 (Hashtbl.find_opt per_class label) in
+        Hashtbl.replace per_class label (prev + cs.Preemptdb.Metrics.committed))
+      (Preemptdb.Metrics.classes (Shard.Cluster.metrics cl ~sid))
+  done;
+  let got =
+    Hashtbl.fold (fun l c acc -> Printf.sprintf "%s=%d" l c :: acc) per_class []
+    |> List.sort compare |> String.concat " "
+  in
+  checki "DES events" events (Shard.Cluster.events_processed cl);
+  Alcotest.(check string) "commits per class" commits got;
+  Alcotest.(check string) "(time, seq) stream hash" hash (Printf.sprintf "%x" !h)
+
+let test_golden_two_shards () =
+  check_golden_cluster ~shards:2 ~seed:42L ~horizon_sec:0.005 ~events:20446
+    ~commits:"NewOrder=236 NewOrderX=34 Payment=258 PaymentX=24 XPart=58" ~hash:"1546f4fa477d3a0a"
+
+let test_golden_four_shards () =
+  check_golden_cluster ~shards:4 ~seed:7L ~horizon_sec:0.01 ~events:126017
+    ~commits:"NewOrder=986 NewOrderX=132 Payment=1000 PaymentX=92 XPart=425" ~hash:"268a17a3b86286e"
+
 let () =
   Alcotest.run "shard"
     [
@@ -233,5 +304,15 @@ let () =
           Alcotest.test_case "early-vote self-test caught" `Quick
             test_atomic_early_vote_caught;
           Alcotest.test_case "deterministic" `Quick test_atomic_deterministic;
+        ] );
+      ( "cluster",
+        [
+          Alcotest.test_case "rejects unsupported compositions" `Quick
+            test_cluster_rejects_unsupported;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "2 shards" `Quick test_golden_two_shards;
+          Alcotest.test_case "4 shards, 10 ms" `Quick test_golden_four_shards;
         ] );
     ]

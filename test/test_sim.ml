@@ -6,7 +6,6 @@ module Event_queue_ref = Sim.Event_queue_ref
 module Rng = Sim.Rng
 module Histogram = Sim.Histogram
 module Stats = Sim.Stats
-module Trace = Sim.Trace
 module Des = Sim.Des
 
 let check = Alcotest.check
@@ -253,44 +252,6 @@ let test_stats () =
     (fun () -> ignore (Stats.geomean [| 1.; 0. |]));
   Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty input") (fun () ->
       ignore (Stats.mean [||]))
-
-(* -- Trace ----------------------------------------------------------------- *)
-
-let test_trace_disabled_by_default () =
-  let tr = Trace.create () in
-  Trace.emit tr ~time:1L ~actor:"x" "msg";
-  checki "nothing recorded" 0 (List.length (Trace.entries tr))
-
-let test_trace_ring () =
-  let tr = Trace.create ~enabled:true ~capacity:3 () in
-  List.iter (fun i -> Trace.emit tr ~time:(Int64.of_int i) ~actor:"a" (string_of_int i)) [ 1; 2; 3; 4; 5 ];
-  let msgs = List.map (fun (e : Trace.entry) -> e.message) (Trace.entries tr) in
-  check Alcotest.(list string) "keeps most recent" [ "3"; "4"; "5" ] msgs;
-  Trace.clear tr;
-  checki "cleared" 0 (List.length (Trace.entries tr))
-
-let test_trace_emitf () =
-  let tr = Trace.create ~enabled:true () in
-  Trace.emitf tr ~time:1L ~actor:"w0" "value %d" 42;
-  match Trace.entries tr with
-  | [ e ] -> check Alcotest.string "formatted" "value 42" e.Trace.message
-  | _ -> Alcotest.fail "expected one entry"
-
-(* Whatever the capacity and emit count, the ring retains exactly the most
-   recent [min capacity n] messages, in order. *)
-let prop_trace_ring_wraparound =
-  QCheck2.Test.make ~name:"trace ring keeps the most recent entries" ~count:200
-    QCheck2.Gen.(pair (int_range 1 32) (int_range 0 200))
-    (fun (capacity, n) ->
-      let tr = Trace.create ~enabled:true ~capacity () in
-      for i = 1 to n do
-        Trace.emit tr ~time:(Int64.of_int i) ~actor:"a" (string_of_int i)
-      done;
-      let kept = List.map (fun (e : Trace.entry) -> e.message) (Trace.entries tr) in
-      let expected =
-        List.init (min capacity n) (fun i -> string_of_int (n - min capacity n + i + 1))
-      in
-      kept = expected)
 
 (* -- Des -------------------------------------------------------------------- *)
 
@@ -540,13 +501,6 @@ let () =
         @ qsuite
             [ prop_hist_percentile_accuracy; prop_hist_merge_is_union; prop_hist_percentile_monotone ] );
       ("stats", [ Alcotest.test_case "oracles" `Quick test_stats ]);
-      ( "trace",
-        [
-          Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
-          Alcotest.test_case "ring buffer" `Quick test_trace_ring;
-          Alcotest.test_case "formatted emit" `Quick test_trace_emitf;
-        ]
-        @ qsuite [ prop_trace_ring_wraparound ] );
       ( "des",
         [
           Alcotest.test_case "ordering" `Quick test_des_ordering;
