@@ -11,6 +11,8 @@
     - {e acked ⟹ durable}: no commit acknowledgement names a marker outside
       the durable prefix (the daemon's early-ack fault trips this — the
       self-test that proves the checker catches a lying daemon);
+    - {e every ack is backed by an audited commit}, and {e every audited
+      commit has a marker};
     - {e durable effects survive, lost effects are invisible}: the
       recovered state equals the bootstrap base image overlaid with exactly
       the audited commits whose marker is durable, applied in
@@ -46,14 +48,6 @@ type outcome = {
   co_violations : Violation.t list;  (** empty = the oracle passed *)
 }
 
-val check :
-  dur:Preemptdb.Runner.dur_parts ->
-  audits:audit list ->
-  recovered:Storage.Engine.t ->
-  Violation.t list
-(** The bare oracle, for callers that drive their own run. [audits] must be
-    in commit-timestamp order. *)
-
 val run :
   cfg:Preemptdb.Config.t ->
   ?tpcc_cfg:Workload.Tpcc_schema.config ->
@@ -72,3 +66,47 @@ val run :
     [early_ack] arms the lying-daemon self-test, which must produce
     violations.
     @raise Invalid_argument when [cfg.durability] is unset. *)
+
+(** {1 The survival oracle}
+
+    One oracle checks every failure this system survives: a crash
+    survived by the recovered log ({!run}) and a primary failure survived
+    by the promoted replica ({!Failover.run}).  The two differ only in
+    the survivor engine, its LSN prefix, whether acks must lie inside
+    that prefix, and a table left out of the comparison. *)
+
+val audited_run :
+  cfg:Preemptdb.Config.t ->
+  ?tpcc_cfg:Workload.Tpcc_schema.config ->
+  ?tpch_cfg:Workload.Tpch_schema.config ->
+  early_ack:bool ->
+  plan:Faults.Plan.t ->
+  arrival_interval_us:float ->
+  horizon_sec:float ->
+  unit ->
+  Preemptdb.Runner.result * Preemptdb.Runner.assembly * audit list
+(** Run the mixed workload under [cfg] with every commit audited through
+    the engine observer and the fault [plan] installed; [early_ack] arms
+    the lying daemon.  Returns the run, its node and the audits in
+    commit-timestamp order. *)
+
+val survived : prefix:int -> audit -> bool
+(** The audited commit's marker lies below [prefix]. *)
+
+val survival :
+  oracle:string ->
+  dur:Preemptdb.Runner.dur_parts ->
+  audits:audit list ->
+  prefix:int ->
+  acked_bound:bool ->
+  ?exclude:string ->
+  Storage.Engine.t ->
+  Violation.t list
+(** [survival ~oracle ~dur ~audits ~prefix ~acked_bound ?exclude survivor]
+    checks the engine that outlived a finished {!audited_run} ([dur] is
+    its node's durability parts; violations are labelled [oracle]): no
+    early acks; every ack backed by an audited commit and, when
+    [acked_bound], inside [prefix]; every audited commit has a marker;
+    [survivor]'s state, [exclude] left out, equals the base image plus
+    exactly the audited commits inside [prefix], in both directions; its
+    version chains are well-formed. *)

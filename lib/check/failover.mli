@@ -1,14 +1,16 @@
-(** The acked-commit-survival failover oracle.
+(** The acked-commit-survival failover oracle: {!Crash.survival} run
+    against the promoted replica.
 
     A replication-enabled run is audited from the primary's engine side
-    (every commit with its timestamp, marker LSN and final payloads, via
-    {!Storage.Engine.set_observer}).  The primary fail-stops at a seeded
-    virtual time ({!Faults.Plan.crash_at_us}), the failure detector
-    declares it dead, the replica is promoted — and the oracle checks,
-    independently of the shipping and replay machinery:
+    ({!Crash.audited_run}).  The primary fail-stops at a seeded virtual
+    time ({!Faults.Plan.crash_at_us}), the failure detector declares it
+    dead, the replica is promoted — and the oracle checks, independently
+    of the shipping and replay machinery:
 
     - {e acked ⟹ durable}: no ack names a marker outside the primary's
       durable prefix (the early-ack self-test trips this);
+    - {e every ack is backed by an audited commit}, and {e every audited
+      commit has a marker};
     - {e semi-sync RPO = 0}: while the gate held (no degrade edge), every
       acked marker sits inside the surviving replica prefix — an
       acknowledged commit cannot die with the primary;
@@ -38,18 +40,6 @@ type outcome = {
   fv_failover : Replication.Failover.outcome option;
   fv_violations : Violation.t list;  (** empty = the oracle passed *)
 }
-
-val check :
-  repl:Preemptdb.Runner.repl_parts ->
-  dur:Preemptdb.Runner.dur_parts ->
-  mode:Preemptdb.Config.replication_mode ->
-  audits:Crash.audit list ->
-  survivor:int ->
-  promoted:Storage.Engine.t ->
-  Violation.t list
-(** The bare oracle, for callers that drive their own run.  [audits] must
-    be in commit-timestamp order; [survivor] is the surviving prefix
-    bound (replica applied LSN at promotion). *)
 
 val run :
   cfg:Preemptdb.Config.t ->

@@ -251,7 +251,8 @@ let run ?fault ?plan ?(reclaim = false) ?(workload = Tpcc) (s : Schedule.t) =
   let sched =
     R.Sched_thread.create ~des:a.R.Runner.des ~cfg ~fabric:a.R.Runner.fabric
       ~metrics:a.R.Runner.metrics ~workers:a.R.Runner.workers ~lp_gen
-      ?maint:(R.Runner.maint_arg a cfg) ~hp_gen ~arrival_interval ()
+      ?epoch:(Option.map Maint.Reclaimer.epoch a.R.Runner.maint)
+      ~lanes:(R.Runner.lanes a cfg) ~hp_gen ~arrival_interval ()
   in
   let horizon = Sim.Clock.cycles_of_us clock s.Schedule.horizon_us in
   let result = R.Runner.finish a cfg sched ~horizon in

@@ -194,45 +194,13 @@ module Applier = struct
   let finish t = Timestamp.advance_to (Engine.timestamp t.eng) t.max_ts
 end
 
-let recover_with_stats log =
-  let ap = Applier.create () in
-  (* Newest image wins: a completed checkpoint pass supersedes the
-     bootstrap base (and already covers every table alive at pass time). *)
-  let image, from_lsn, from_ckpt =
-    match Log.checkpoint log with
-    | Some (start_lsn, image) -> image, start_lsn, true
-    | None ->
-      List.iter (fun name -> Applier.create_table ap name) (Log.catalog log);
-      Log.base log, 0, false
-  in
-  let image_rows = Applier.load_image ap image in
-  (* Replay the durable suffix.  A transaction's effects apply only when
-     its commit marker is durable — buffered records of a torn transaction
-     (its marker past the durable point) stay invisible. *)
-  List.iter
-    (fun (r : Log.record) ->
-      if r.Log_buffer.lsn >= from_lsn then Applier.feed ap r)
-    (Log.durable_entries log);
-  let torn = Applier.pending_txns ap in
-  Applier.finish ap;
-  ( Applier.engine ap,
-    {
-      rec_from_ckpt = from_ckpt;
-      rec_image_rows = image_rows;
-      rec_entries_replayed = Applier.replayed ap;
-      rec_txns_applied = Applier.applied ap;
-      rec_txns_torn = torn;
-      rec_tables_created = Applier.tables_created ap;
-    } )
-
-let recover log = fst (recover_with_stats log)
-
-(* 2PC variant: load the image and feed the durable suffix, but return
-   the applier BEFORE discarding torn tails or finishing — the caller
-   (the cross-shard atomicity oracle / sharded restart) must first union
-   decision records across every shard's log and resolve the in-doubt
-   set, then discard and finish. *)
-let recover_applier log =
+(* Newest image wins: a completed checkpoint pass supersedes the bootstrap
+   base (and already covers every table alive at pass time).  Load it,
+   then replay the durable suffix past it.  A transaction's effects apply
+   only when its commit marker is durable — buffered records of a torn
+   transaction (its marker past the durable point) stay invisible.
+   Returns the applier and the image's row count. *)
+let replay log =
   let ap = Applier.create () in
   let image, from_lsn =
     match Log.checkpoint log with
@@ -241,12 +209,34 @@ let recover_applier log =
       List.iter (fun name -> Applier.create_table ap name) (Log.catalog log);
       Log.base log, 0
   in
-  ignore (Applier.load_image ap image);
+  let image_rows = Applier.load_image ap image in
   List.iter
     (fun (r : Log.record) ->
       if r.Log_buffer.lsn >= from_lsn then Applier.feed ap r)
     (Log.durable_entries log);
-  ap
+  (ap, image_rows)
+
+(* 2PC variant: return the applier BEFORE discarding torn tails or
+   finishing — the caller (the cross-shard atomicity oracle / sharded
+   restart) must first union decision records across every shard's log
+   and resolve the in-doubt set, then discard and finish. *)
+let recover_applier log = fst (replay log)
+
+let recover_with_stats log =
+  let ap, image_rows = replay log in
+  let torn = Applier.pending_txns ap in
+  Applier.finish ap;
+  ( Applier.engine ap,
+    {
+      rec_from_ckpt = Option.is_some (Log.checkpoint log);
+      rec_image_rows = image_rows;
+      rec_entries_replayed = Applier.replayed ap;
+      rec_txns_applied = Applier.applied ap;
+      rec_txns_torn = torn;
+      rec_tables_created = Applier.tables_created ap;
+    } )
+
+let recover log = fst (recover_with_stats log)
 
 (* -- state comparison (test and oracle helper) --------------------------- *)
 

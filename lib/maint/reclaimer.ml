@@ -16,11 +16,8 @@ type audit = {
 type t = {
   eng : Engine.t;
   epoch : Epoch.t;
-  chunk_tuples : int;
+  sweep : Storage.Sweep.t;
   non_preemptible_chunks : bool;
-  mutable table_idx : int;
-  mutable next_oid : int;
-  mutable passes_ : int;
   mutable chunks_ : int;
   mutable scanned_ : int;
   mutable reclaimed_ : int;
@@ -31,16 +28,12 @@ type t = {
   mutable emit : (Obs.Event.t -> unit) option;
 }
 
-let create ?(chunk_tuples = 256) ?(non_preemptible_chunks = false) ~eng ~epoch () =
-  if chunk_tuples < 1 then invalid_arg "Reclaimer.create: need chunk_tuples >= 1";
+let create ?chunk_tuples ?(non_preemptible_chunks = false) ~eng ~epoch () =
   {
     eng;
     epoch;
-    chunk_tuples;
+    sweep = Storage.Sweep.create ?chunk_tuples eng;
     non_preemptible_chunks;
-    table_idx = 0;
-    next_oid = 0;
-    passes_ = 0;
     chunks_ = 0;
     scanned_ = 0;
     reclaimed_ = 0;
@@ -55,51 +48,11 @@ let epoch t = t.epoch
 let chunks t = t.chunks_
 let tuples_scanned t = t.scanned_
 let versions_reclaimed t = t.reclaimed_
-let passes t = t.passes_
+let passes t = Storage.Sweep.passes t.sweep
 let chain_histogram t = t.chain_hist
 let set_emit t f = t.emit <- f
 let set_audit t enabled = t.audit_enabled <- enabled
 let audits t = List.rev t.audits_
-
-(* Claim the next OID range: [chunk_tuples] tuples of the current table
-   (fewer at the table's tail), advancing the cursor past them.  Claiming
-   happens in one uncharged step, so concurrent chunk programs on
-   different workers always work disjoint ranges.  Table sizes are
-   re-read on every claim — chunks follow growth from inserts. *)
-let claim_range t =
-  let tables = Array.of_list (Engine.tables t.eng) in
-  let n = Array.length tables in
-  if n = 0 then None
-  else begin
-    if t.table_idx >= n then begin
-      t.table_idx <- 0;
-      t.next_oid <- 0;
-      t.passes_ <- t.passes_ + 1
-    end;
-    (* Skip tables already consumed (or empty) this pass. *)
-    let rec settle hops =
-      if hops > n then None
-      else begin
-        let table = tables.(t.table_idx) in
-        if t.next_oid >= Table.size table then begin
-          t.table_idx <- t.table_idx + 1;
-          t.next_oid <- 0;
-          if t.table_idx >= n then begin
-            t.table_idx <- 0;
-            t.passes_ <- t.passes_ + 1
-          end;
-          settle (hops + 1)
-        end
-        else begin
-          let first = t.next_oid in
-          let count = min t.chunk_tuples (Table.size table - first) in
-          t.next_oid <- first + count;
-          Some (table, first, count)
-        end
-      end
-    in
-    settle 0
-  end
 
 (* Truncate one chain, with the unlink wrapped in a non-preemptible region:
    a user interrupt landing mid-unlink is rejected and recognized at the
@@ -142,7 +95,7 @@ let reclaim_tuple t env table tuple ~boundary =
 
 let chunk_program t : P.t =
  fun env ->
-  (match claim_range t with
+  (match Storage.Sweep.claim t.sweep with
   | None -> ()
   | Some (table, first, count) ->
     let boundary = Epoch.reclaim_boundary t.epoch in

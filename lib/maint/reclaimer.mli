@@ -1,8 +1,8 @@
 (** The version-chain reclaimer: epoch-based GC as preemptible background
     maintenance.
 
-    The reclaimer walks tables in disjoint OID ranges ({e chunks}); each
-    chunk is packaged as an ordinary {!Workload.Program.t} that the
+    The reclaimer walks tables in disjoint OID ranges ({e chunks}) on a
+    {!Storage.Sweep}; each chunk is packaged as an ordinary {!Workload.Program.t} that the
     scheduling thread submits at low priority, so arriving high-priority
     transactions preempt a scan mid-chunk through the production uintr
     path.  Per tuple the chunk charges one [Gc_scan] micro-op, then — only

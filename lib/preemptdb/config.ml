@@ -14,17 +14,15 @@ type retry_policy = {
   retry_max_attempts : int;
   retry_backoff_base : int;
   retry_backoff_cap : int;
-  retry_jitter_pct : int;
 }
 
 (* Reproduces the historical hardcoded formula:
-   min (500 * 2^min(attempts,7)) 100_000, no jitter, 1000 attempts. *)
+   min (500 * 2^min(attempts,7)) 100_000, 1000 attempts. *)
 let default_retry =
   {
     retry_max_attempts = 1000;
     retry_backoff_base = 500;
     retry_backoff_cap = 100_000;
-    retry_jitter_pct = 0;
   }
 
 type watchdog_policy = {

@@ -24,14 +24,11 @@ type retry_policy = {
           becomes a terminal [Txn_exhausted] abort *)
   retry_backoff_base : int;  (** cycles; doubled per attempt *)
   retry_backoff_cap : int;  (** cycles; ceiling on the doubled backoff *)
-  retry_jitter_pct : int;
-      (** ± percent of the computed backoff, drawn from the request's own
-          RNG stream (0 = deterministic backoff, the historical formula) *)
 }
 
 val default_retry : retry_policy
 (** The historical hardcoded worker formula:
-    [min (500 * 2^min(attempts,7)) 100_000], 1000 attempts, no jitter. *)
+    [min (500 * 2^min(attempts,7)) 100_000], 1000 attempts. *)
 
 type watchdog_policy = {
   wd_deadline_us : float;

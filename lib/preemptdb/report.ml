@@ -174,7 +174,6 @@ let config_json (r : Runner.result) =
       ("retry_max_attempts", J.Int cfg.Config.retry.Config.retry_max_attempts);
       ("retry_backoff_base", J.Int cfg.Config.retry.Config.retry_backoff_base);
       ("retry_backoff_cap", J.Int cfg.Config.retry.Config.retry_backoff_cap);
-      ("retry_jitter_pct", J.Int cfg.Config.retry.Config.retry_jitter_pct);
       ("watchdog", J.Bool (cfg.Config.watchdog <> None));
       ("degrade", J.Bool (cfg.Config.degrade <> None));
       ( "shed_deadline_us",

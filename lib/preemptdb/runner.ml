@@ -253,15 +253,25 @@ let assemble ?obs ?host:h (cfg : Config.t) =
         Worker.create ?obs ~prof ~des ~cfg ~fabric ~metrics ~eng ~id:(h.h_workers + k) ())
   in
   h.h_workers <- h.h_workers + cfg.Config.n_workers;
+  (* Daemon-style subsystems record on their own timeline tracks
+     (durability, maintenance) instead of riding the scheduler's. *)
+  let track wid =
+    Option.map
+      (fun s ev -> Obs.Sink.record s ~time:(Sim.Des.now des) ~wid ~ctx:0 ev)
+      obs
+  in
   let maint =
     match cfg.Config.reclaim with
     | None -> None
     | Some rp ->
       let epoch = Maint.Epoch.create (Storage.Engine.timestamp eng) in
       Maint.Epoch.attach epoch eng;
-      Some
-        (Maint.Reclaimer.create ~chunk_tuples:rp.Config.rc_chunk_tuples
-           ~non_preemptible_chunks:rp.Config.rc_non_preemptible ~eng ~epoch ())
+      let r =
+        Maint.Reclaimer.create ~chunk_tuples:rp.Config.rc_chunk_tuples
+          ~non_preemptible_chunks:rp.Config.rc_non_preemptible ~eng ~epoch ()
+      in
+      Maint.Reclaimer.set_emit r (track Obs.Sink.maint_track);
+      Some r
   in
   let dur =
     match cfg.Config.durability with
@@ -289,19 +299,16 @@ let assemble ?obs ?host:h (cfg : Config.t) =
       Array.iter
         (fun w -> Worker.set_durability w ~blocking:dp.Config.du_blocking (Some dur_daemon))
         workers;
-      (match obs with
-      | Some s ->
-        Durability.Daemon.set_emit dur_daemon
-          (Some
-             (fun ev ->
-               Obs.Sink.record s ~time:(Sim.Des.now des) ~wid:Obs.Sink.dur_track
-                 ~ctx:0 ev))
-      | None -> ());
+      Durability.Daemon.set_emit dur_daemon (track Obs.Sink.dur_track);
       let dur_ckpt =
-        if dp.Config.du_ckpt_interval_us > 0. then
-          Some
-            (Durability.Checkpoint.create ~chunk_tuples:dp.Config.du_ckpt_chunk_tuples
-               ~eng ~log:dur_log ())
+        if dp.Config.du_ckpt_interval_us > 0. then begin
+          let c =
+            Durability.Checkpoint.create ~chunk_tuples:dp.Config.du_ckpt_chunk_tuples
+              ~eng ~log:dur_log ()
+          in
+          Durability.Checkpoint.set_emit c (track Obs.Sink.maint_track);
+          Some c
+        end
         else None
       in
       Some { dur_log; dur_daemon; dur_device; dur_ckpt }
@@ -416,34 +423,39 @@ let fresh_id () =
   incr next_id;
   !next_id
 
-(* The [?maint] argument for {!Sched_thread.create}: the reclaimer paired
-   with a GC-chunk request generator (its own seeded random stream, like
-   the workload generators). *)
-let maint_arg (a : assembly) (cfg : Config.t) =
-  match a.maint with
-  | None -> None
-  | Some r ->
-    let gc_rng = Sim.Rng.create (Int64.add cfg.Config.seed 77L) in
+(* The scheduling thread's maintenance lanes: GC chunks, then checkpoint
+   chunks, each minted from its own seeded random stream (like the
+   workload generators). *)
+let lanes (a : assembly) (cfg : Config.t) =
+  let clock = Sim.Des.clock a.des in
+  let lane label ~seed prog ~interval_us ~per_tick =
+    let rng = Sim.Rng.create (Int64.add cfg.Config.seed seed) in
     let gen ~submitted_at =
-      Request.make ~id:(fresh_id ()) ~label:"GC" ~priority:Request.Low
-        ~prog:(Maint.Reclaimer.chunk_program r) ~rng:(Sim.Rng.split gc_rng)
-        ~submitted_at
+      Request.make ~id:(fresh_id ()) ~label ~priority:Request.Low ~prog
+        ~rng:(Sim.Rng.split rng) ~submitted_at
     in
-    Some (r, gen)
-
-(* The [?ckpt] argument for {!Sched_thread.create}: the checkpointer paired
-   with a chunk-request generator. *)
-let ckpt_arg (a : assembly) (cfg : Config.t) =
-  match a.dur with
-  | Some { dur_ckpt = Some c; _ } ->
-    let ck_rng = Sim.Rng.create (Int64.add cfg.Config.seed 79L) in
-    let gen ~submitted_at =
-      Request.make ~id:(fresh_id ()) ~label:"Ckpt" ~priority:Request.Low
-        ~prog:(Durability.Checkpoint.chunk_program c)
-        ~rng:(Sim.Rng.split ck_rng) ~submitted_at
-    in
-    Some (c, gen)
-  | Some { dur_ckpt = None; _ } | None -> None
+    let interval = Int64.max 1L (Sim.Clock.cycles_of_us clock interval_us) in
+    { Sched_thread.gen; interval; per_tick }
+  in
+  let gc =
+    match a.maint, cfg.Config.reclaim with
+    | Some r, Some rp ->
+      [
+        lane "GC" ~seed:77L (Maint.Reclaimer.chunk_program r)
+          ~interval_us:rp.Config.rc_gc_interval_us ~per_tick:rp.Config.rc_chunks_per_tick;
+      ]
+    | _ -> []
+  in
+  let ckpt =
+    match a.dur, cfg.Config.durability with
+    | Some { dur_ckpt = Some c; _ }, Some dp ->
+      [
+        lane "Ckpt" ~seed:79L (Durability.Checkpoint.chunk_program c)
+          ~interval_us:dp.Config.du_ckpt_interval_us ~per_tick:1;
+      ]
+    | _ -> []
+  in
+  gc @ ckpt
 
 (* Cross-run sim-rate ledger: wall seconds and virtual microseconds spent
    inside [Sim.Des.run], accumulated over every run in the process so the
@@ -658,8 +670,9 @@ let drive ~cfg ?obs ?prepare ?hp_batch ?lp_interval_us ?empty_interrupt_ticks
   (match prepare with Some f -> f a | None -> ());
   let sched =
     Sched_thread.create ~des:a.des ~cfg ~fabric:a.fabric ~metrics:a.metrics
-      ~workers:a.workers ?obs ?lp_gen:streams.lp ?maint:(maint_arg a cfg)
-      ?ckpt:(ckpt_arg a cfg) ?hp_gen:streams.hp ?hp_batch
+      ~workers:a.workers ?obs ?lp_gen:streams.lp
+      ?epoch:(Option.map Maint.Reclaimer.epoch a.maint) ~lanes:(lanes a cfg)
+      ?hp_gen:streams.hp ?hp_batch
       ?urgent_gen:(Option.map (fun (g, _, _) -> g) streams.urgent)
       ?urgent_batch:(Option.map (fun (_, b, _) -> b) streams.urgent)
       ?urgent_interval:(Option.map (fun (_, _, i) -> i) streams.urgent)

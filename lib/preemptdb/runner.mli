@@ -375,19 +375,14 @@ val run_maintenance :
     [cfg.reclaim] is set.  With reclamation off, chains grow monotonically
     for the whole run. *)
 
-val maint_arg :
-  assembly -> Config.t -> (Maint.Reclaimer.t * (submitted_at:int64 -> Request.t)) option
-(** The [?maint] argument for a hand-built {!Sched_thread.create}: the
-    assembly's reclaimer paired with a GC-chunk request generator.  [None]
-    when the assembly was built without [cfg.reclaim]. *)
-
-val ckpt_arg :
-  assembly ->
-  Config.t ->
-  (Durability.Checkpoint.t * (submitted_at:int64 -> Request.t)) option
-(** Likewise the [?ckpt] argument: the assembly's checkpointer paired with
-    a chunk-request generator.  [None] unless [cfg.durability] asked for
-    checkpointing. *)
+val lanes : assembly -> Config.t -> Sched_thread.lane list
+(** The [?lanes] argument for a hand-built {!Sched_thread.create} (pass
+    the reclaimer's epoch as [?epoch] beside it): a ["GC"] lane of
+    reclaimer chunks every [rc_gc_interval_us], [rc_chunks_per_tick] per
+    firing, when the assembly was built with [cfg.reclaim]; then a
+    ["Ckpt"] lane of one checkpoint chunk every [du_ckpt_interval_us] when
+    [cfg.durability] asked for checkpointing.  Each lane mints requests
+    from its own random stream (seed + 77 and seed + 79). *)
 
 val tpcc_labels : string list
 (** Labels of the five TPC-C classes, for aggregating total throughput. *)

@@ -1,3 +1,11 @@
+(* A background maintenance lane: a chunk-request generator, its cadence
+   in cycles and the chunks placed per firing. *)
+type lane = {
+  gen : submitted_at:int64 -> Request.t;
+  interval : int64;
+  per_tick : int;
+}
+
 (* One dispatch stream per priority level >= 1: generator, batch size and
    undispatched backlog. *)
 type stream = {
@@ -27,15 +35,9 @@ type t = {
   workers : Worker.t array;
   obs : Obs.Sink.t option;
   lp_gen : (worker:int -> submitted_at:int64 -> Request.t) option;
-  maint : (Maint.Reclaimer.t * (submitted_at:int64 -> Request.t)) option;
-      (* armed by the runner when cfg.reclaim is set: the reclaimer handle
-         (for the epoch-advance loop) and a GC-chunk request generator *)
-  ckpt : (Durability.Checkpoint.t * (submitted_at:int64 -> Request.t)) option;
-      (* armed when cfg.durability asks for fuzzy checkpointing
-         (du_ckpt_interval_us > 0): checkpoint-chunk requests ride the
-         low-priority maintenance lane exactly like GC chunks *)
+  epoch : (Maint.Epoch.t * int64) option;  (* advanced every interval *)
+  lanes : lane list;  (* first scheduled in list order, after the epoch *)
   streams : stream list;  (* highest level first *)
-  lp_refill : int;
   arrival_interval : int64;
   lp_interval : int64;
   retry_interval : int64;
@@ -59,8 +61,8 @@ type t = {
   mutable halted : bool;  (* fail-stop under failover: all loops unwind *)
 }
 
-let create ~des ~cfg ~fabric ~metrics ~workers ?obs ?lp_gen ?maint ?ckpt ?hp_gen ?hp_batch
-    ?urgent_gen ?urgent_batch ?urgent_interval ?lp_refill ?(empty_interrupt_ticks = 1)
+let create ~des ~cfg ~fabric ~metrics ~workers ?obs ?lp_gen ?epoch ?(lanes = []) ?hp_gen
+    ?hp_batch ?urgent_gen ?urgent_batch ?urgent_interval ?(empty_interrupt_ticks = 1)
     ?lp_interval ~arrival_interval () =
   let n = Array.length workers in
   let default_batch = n * cfg.Config.hp_queue_size in
@@ -88,9 +90,6 @@ let create ~des ~cfg ~fabric ~metrics ~workers ?obs ?lp_gen ?maint ?ckpt ?hp_gen
           hp_gen;
       ]
   in
-  let lp_refill =
-    match lp_refill with Some r -> r | None -> cfg.Config.lp_queue_size
-  in
   let clock = Sim.Des.clock des in
   (* The delivery watchdog only makes sense when senduipi is in use. *)
   let wd_enabled =
@@ -109,13 +108,14 @@ let create ~des ~cfg ~fabric ~metrics ~workers ?obs ?lp_gen ?maint ?ckpt ?hp_gen
     workers;
     obs;
     lp_gen;
-    maint = (if cfg.Config.reclaim = None then None else maint);
-    ckpt =
-      (match cfg.Config.durability with
-      | Some dp when dp.Config.du_ckpt_interval_us > 0. -> ckpt
-      | Some _ | None -> None);
+    epoch =
+      (match epoch, cfg.Config.reclaim with
+      | Some ep, Some rp ->
+        let iv = Sim.Clock.cycles_of_us clock rp.Config.rc_epoch_interval_us in
+        Some (ep, Int64.max 1L iv)
+      | _ -> None);
+    lanes;
     streams;
-    lp_refill;
     arrival_interval;
     lp_interval = (match lp_interval with Some i -> i | None -> arrival_interval);
     (* The paper's driver keeps pushing leftovers "until the next arrival
@@ -166,13 +166,6 @@ let emit t ev =
   | None -> ()
   | Some s ->
     Obs.Sink.record s ~time:(Sim.Des.now t.des) ~wid:Obs.Sink.sched_track ~ctx:0 ev
-
-(* Daemon-style subsystems get their own timeline tracks (durability,
-   maintenance) instead of riding the scheduler's. *)
-let emit_track t ~wid ev =
-  match t.obs with
-  | None -> ()
-  | Some s -> Obs.Sink.record s ~time:(Sim.Des.now t.des) ~wid ~ctx:0 ev
 
 let posted_count t i =
   Uintr.Receiver.posted_count (Uintr.Hw_thread.receiver (Worker.hw t.workers.(i)))
@@ -360,13 +353,12 @@ let lp_tick t =
   let now = Sim.Des.now t.des in
   match t.lp_gen with
   | Some gen ->
-    (* with reclamation or checkpointing armed, keep one lp queue slot per
-       worker free so background chunks are never crowded out by the lp
-       stream *)
-    let reserve = if t.maint <> None || t.ckpt <> None then 1 else 0 in
+    (* with a maintenance lane armed, keep one lp queue slot per worker free
+       so background chunks are never crowded out by the lp stream *)
+    let reserve = if t.lanes <> [] then 1 else 0 in
     Array.iter
       (fun w ->
-        let budget = min t.lp_refill (Worker.lp_free_slots w - reserve) in
+        let budget = Worker.lp_free_slots w - reserve in
         for _ = 1 to budget do
           let req = gen ~worker:(Worker.id w) ~submitted_at:now in
           t.gen_lp <- t.gen_lp + 1;
@@ -411,88 +403,48 @@ let tick t =
         Worker.wake w)
       t.workers
 
-(* Background maintenance: the epoch-advance loop and the GC-chunk
-   dispatch loop.  Chunks go straight into low-priority queue slots (up to
-   [rc_chunks_per_tick] per tick, one per worker with room) — from there
-   the production scheduling machinery owns them: a preemptive worker
+(* Background maintenance: the epoch-advance loop, then one dispatch loop
+   per lane.  A lane's chunks go straight into low-priority queue slots (up
+   to [per_tick] per firing, one per worker with room) — from there the
+   production scheduling machinery owns them: a preemptive worker
    interrupts them for arriving high-priority work like any other
    low-priority transaction. *)
-let start_maint t =
-  match t.maint, t.cfg.Config.reclaim with
-  | Some (r, gc_gen), Some rp ->
-    if t.obs <> None then
-      Maint.Reclaimer.set_emit r
-        (Some (fun ev -> emit_track t ~wid:Obs.Sink.maint_track ev));
-    let clock = Sim.Des.clock t.des in
-    let ep = Maint.Reclaimer.epoch r in
-    let iv us = Int64.max 1L (Sim.Clock.cycles_of_us clock us) in
-    let epoch_iv = iv rp.Config.rc_epoch_interval_us in
-    let gc_iv = iv rp.Config.rc_gc_interval_us in
+let start_maintenance t =
+  (match t.epoch with
+  | Some (ep, iv) ->
     let rec epoch_loop _ =
       if not t.halted then begin
         let e = Maint.Epoch.advance ep in
         emit t
           (Obs.Event.Epoch_advance
              { epoch = e; safe = Maint.Epoch.safe_epoch ep; lag = Maint.Epoch.lag ep });
-        Sim.Des.schedule_after t.des ~delay:epoch_iv epoch_loop
+        Sim.Des.schedule_after t.des ~delay:iv epoch_loop
       end
     in
-    Sim.Des.schedule_after t.des ~delay:epoch_iv epoch_loop;
-    let rec gc_loop _ =
-      if not t.halted then begin
-        let now = Sim.Des.now t.des in
-        let budget = ref rp.Config.rc_chunks_per_tick in
-        Array.iter
-          (fun w ->
-            if !budget > 0 && Worker.lp_free_slots w > 0 then begin
-              let req = { (gc_gen ~submitted_at:now) with Request.maintenance = true } in
-              let ok = Worker.enqueue_lp w req in
-              assert ok;
-              t.gen_gc <- t.gen_gc + 1;
-              decr budget;
-              Worker.wake w
-            end)
-          t.workers;
-        Sim.Des.schedule_after t.des ~delay:gc_iv gc_loop
-      end
-    in
-    Sim.Des.schedule_after t.des ~delay:gc_iv gc_loop
-  | _ -> ()
-
-(* Fuzzy-checkpoint chunks ride the same low-priority maintenance lane as
-   GC: one chunk per interval to the first worker with queue room, and the
-   production scheduling machinery preempts it like any other low-priority
-   transaction. *)
-let start_ckpt t =
-  match t.ckpt, t.cfg.Config.durability with
-  | Some (c, ck_gen), Some dp when dp.Config.du_ckpt_interval_us > 0. ->
-    if t.obs <> None then
-      Durability.Checkpoint.set_emit c
-        (Some (fun ev -> emit_track t ~wid:Obs.Sink.maint_track ev));
-    let clock = Sim.Des.clock t.des in
-    let iv =
-      Int64.max 1L (Sim.Clock.cycles_of_us clock dp.Config.du_ckpt_interval_us)
-    in
-    let rec ckpt_loop _ =
-      if not t.halted then begin
-        let now = Sim.Des.now t.des in
-        let placed = ref false in
-        Array.iter
-          (fun w ->
-            if (not !placed) && Worker.lp_free_slots w > 0 then begin
-              let req = { (ck_gen ~submitted_at:now) with Request.maintenance = true } in
-              let ok = Worker.enqueue_lp w req in
-              assert ok;
-              t.gen_gc <- t.gen_gc + 1;
-              placed := true;
-              Worker.wake w
-            end)
-          t.workers;
-        Sim.Des.schedule_after t.des ~delay:iv ckpt_loop
-      end
-    in
-    Sim.Des.schedule_after t.des ~delay:iv ckpt_loop
-  | _ -> ()
+    Sim.Des.schedule_after t.des ~delay:iv epoch_loop
+  | None -> ());
+  List.iter
+    (fun (lane : lane) ->
+      let rec lane_loop _ =
+        if not t.halted then begin
+          let now = Sim.Des.now t.des in
+          let budget = ref lane.per_tick in
+          Array.iter
+            (fun w ->
+              if !budget > 0 && Worker.lp_free_slots w > 0 then begin
+                let req = lane.gen ~submitted_at:now in
+                let ok = Worker.enqueue_lp w { req with Request.maintenance = true } in
+                assert ok;
+                t.gen_gc <- t.gen_gc + 1;
+                decr budget;
+                Worker.wake w
+              end)
+            t.workers;
+          Sim.Des.schedule_after t.des ~delay:lane.interval lane_loop
+        end
+      in
+      Sim.Des.schedule_after t.des ~delay:lane.interval lane_loop)
+    t.lanes
 
 let start t =
   let rec hp_loop _ =
@@ -502,8 +454,7 @@ let start t =
     end
   in
   Sim.Des.schedule_after t.des ~delay:0L hp_loop;
-  start_maint t;
-  start_ckpt t;
+  start_maintenance t;
   (* Streams with their own cadence (e.g. a denser urgent stream). *)
   List.iter
     (fun s ->

@@ -27,6 +27,16 @@
 
 type t
 
+(** A background maintenance lane on the low-priority level: every
+    [interval] cycles ([>= 1]) it places up to [per_tick] requests minted
+    by [gen], one per worker with a free low-priority slot, each marked
+    [Request.maintenance] and counted in {!generated_gc}. *)
+type lane = {
+  gen : submitted_at:int64 -> Request.t;
+  interval : int64;
+  per_tick : int;
+}
+
 val create :
   des:Sim.Des.t ->
   cfg:Config.t ->
@@ -35,14 +45,13 @@ val create :
   workers:Worker.t array ->
   ?obs:Obs.Sink.t ->
   ?lp_gen:(worker:int -> submitted_at:int64 -> Request.t) ->
-  ?maint:Maint.Reclaimer.t * (submitted_at:int64 -> Request.t) ->
-  ?ckpt:Durability.Checkpoint.t * (submitted_at:int64 -> Request.t) ->
+  ?epoch:Maint.Epoch.t ->
+  ?lanes:lane list ->
   ?hp_gen:(submitted_at:int64 -> Request.t) ->
   ?hp_batch:int ->
   ?urgent_gen:(submitted_at:int64 -> Request.t) ->
   ?urgent_batch:int ->
   ?urgent_interval:int64 ->
-  ?lp_refill:int ->
   ?empty_interrupt_ticks:int ->
   ?lp_interval:int64 ->
   arrival_interval:int64 ->
@@ -51,27 +60,20 @@ val create :
 (** [urgent_gen] feeds the level-2 queues of the multi-level extension
     (with only two configured levels it degrades to the high-priority
     queue, dispatched first — the 2-level baseline); higher levels are
-    dispatched first each tick.  [lp_refill] low-priority requests are
-    generated per worker per tick while its queue has room (default: fill
-    to capacity).  [empty_interrupt_ticks] paces Fig-8-mode empty
-    interrupts: one per worker every that many ticks (default 1).
-    [lp_interval] decouples the low-priority refill cadence from the
-    high-priority arrival interval (default: equal) — the Fig-13 sweep
-    varies only the latter.
+    dispatched first each tick.  [empty_interrupt_ticks] paces Fig-8-mode
+    empty interrupts: one per worker every that many ticks (default 1).
+    Every [lp_interval] each worker's low-priority queue is refilled to
+    capacity, less one slot while a maintenance lane is armed;
+    [lp_interval] decouples that cadence from the high-priority arrival
+    interval (default: equal) — the Fig-13 sweep varies only the latter.
 
-    [maint] arms background version reclamation (ignored unless
-    [cfg.reclaim] is also set): the reclaimer handle drives the
-    epoch-advance loop (every [rc_epoch_interval_us]), and the generator
-    mints GC-chunk requests dispatched every [rc_gc_interval_us] — up to
-    [rc_chunks_per_tick] per tick, one per worker with a free low-priority
-    slot.  Dispatched GC requests are marked [Request.maintenance] and are
-    preempted by arriving high-priority work like any other low-priority
-    transaction.
-
-    [ckpt] arms fuzzy checkpointing the same way (ignored unless
-    [cfg.durability] sets [du_ckpt_interval_us > 0]): one checkpoint-chunk
-    request per interval, on the first worker with low-priority queue room,
-    counted in {!generated_gc}. *)
+    Background maintenance runs as [lanes] (default none; see
+    {!Runner.lanes} for version reclamation and fuzzy checkpointing), first
+    scheduled in list order, each after its own interval.  Their requests
+    are preempted by arriving high-priority work like any other
+    low-priority transaction.  [epoch], when [cfg.reclaim] is also set, is
+    advanced every [rc_epoch_interval_us] on this thread, first scheduled
+    ahead of the lanes. *)
 
 val start : t -> unit
 (** Schedule the first tick at the current virtual time. *)
@@ -79,8 +81,8 @@ val start : t -> unit
 val halt : t -> unit
 (** Fail-stop the scheduling thread (primary crash under failover): every
     self-rescheduling loop — arrival ticks, lp refills, extra streams,
-    retries, maintenance, checkpointing, watchdog rechecks — unwinds at
-    its next firing instead of rescheduling.  Irreversible. *)
+    retries, the epoch advance, maintenance lanes, watchdog rechecks —
+    unwinds at its next firing instead of rescheduling.  Irreversible. *)
 
 val halted : t -> bool
 
@@ -89,9 +91,9 @@ val generated_hp : t -> int
 val generated_lp : t -> int
 
 val generated_gc : t -> int
-(** Maintenance (GC-chunk) requests dispatched by this thread — a
-    request-conservation ledger term alongside {!generated_hp} and
-    {!generated_lp}. *)
+(** Maintenance requests (GC and checkpoint chunks) dispatched by this
+    thread's lanes — a request-conservation ledger term alongside
+    {!generated_hp} and {!generated_lp}. *)
 
 val skipped_starved : t -> int
 (** Dispatch attempts skipped because a worker's starvation level exceeded

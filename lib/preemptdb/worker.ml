@@ -368,17 +368,10 @@ let start_request t ctx (req : Request.t) =
          });
   slot.step <- Some (P.start req.Request.prog env)
 
-(* Exponential backoff before a retry: base * 2^attempts, capped, with an
-   optional +/- jitter drawn from the request's own RNG stream so two
-   conflicting retriers decorrelate without breaking replay determinism. *)
-let retry_backoff t (req : Request.t) ~attempts =
+(* Exponential backoff before a retry: base * 2^attempts, capped. *)
+let retry_backoff t ~attempts =
   let rp = t.cfg.Config.retry in
-  let backoff = min rp.Config.retry_backoff_cap (rp.Config.retry_backoff_base * (1 lsl min attempts 20)) in
-  if rp.Config.retry_jitter_pct <= 0 then backoff
-  else
-    let spread = backoff * rp.Config.retry_jitter_pct / 100 in
-    if spread = 0 then backoff
-    else max 0 (backoff + Sim.Rng.int_in req.Request.rng (-spread) spread)
+  min rp.Config.retry_backoff_cap (rp.Config.retry_backoff_base * (1 lsl min attempts 20))
 
 let finish_request t ctx outcome =
   let slot = t.slots.(ctx) in
@@ -415,7 +408,7 @@ let finish_request t ctx outcome =
       slot.attempts <- 0
     end
     else begin
-      let backoff = retry_backoff t req ~attempts:slot.attempts in
+      let backoff = retry_backoff t ~attempts:slot.attempts in
       if has_obs t then
         emit t
           (Obs.Event.Txn_retry

@@ -25,13 +25,6 @@ let label_p99_us cl label =
   done;
   !worst
 
-let label_committed cl label =
-  let total = ref 0 in
-  for sid = 0 to Cluster.n_shards cl - 1 do
-    total := !total + Metrics.committed (Cluster.metrics cl ~sid) label
-  done;
-  !total
-
 let to_json cl =
   let stats = Cluster.stats cl in
   let committed = Array.fold_left (fun a s -> a + s.Cluster.ss_committed) 0 stats in
@@ -93,24 +86,3 @@ let to_json cl =
         J.Float (if wall > 0. then virtual_us /. wall else 0.) );
       ("info_des_events", J.Int (Cluster.events_processed cl));
     ]
-
-let summary cl =
-  let b = Buffer.create 1024 in
-  let stats = Cluster.stats cl in
-  Buffer.add_string b
-    "  shard   commit    abort  xs-start  xs-commit  prep-recv  parks  immediate  parked-left\n";
-  Array.iter
-    (fun s ->
-      Buffer.add_string b
-        (Printf.sprintf "  %5d%s %8d %8d %9d %10d %10d %6d %10d %12d\n" s.Cluster.ss_sid
-           (if s.Cluster.ss_crashed then "*" else " ")
-           s.Cluster.ss_committed s.Cluster.ss_aborted s.Cluster.ss_xs_started
-           s.Cluster.ss_xs_committed s.Cluster.ss_prepares_recv s.Cluster.ss_gate_parks
-           s.Cluster.ss_gate_immediate s.Cluster.ss_parked_left))
-    stats;
-  Buffer.add_string b
-    (Printf.sprintf "  total: %.1f kTPS (origin-side)%s\n" (total_ktps cl)
-       (match label_p99_us cl "NewOrderX" with
-       | Some v -> Printf.sprintf ", NewOrderX p99 %.1f us" v
-       | None -> ""));
-  Buffer.contents b

@@ -13,8 +13,4 @@ val total_ktps : Cluster.t -> float
 val label_p99_us : Cluster.t -> string -> float option
 (** Worst per-shard p99 latency of a metrics class, µs. *)
 
-val label_committed : Cluster.t -> string -> int
-
 val to_json : Cluster.t -> Obs.Json.t
-val summary : Cluster.t -> string
-(** Multi-line human-readable table (one row per shard + totals). *)

@@ -1,30 +1,5 @@
-let check_nonempty xs name =
-  if Array.length xs = 0 then invalid_arg (Printf.sprintf "Stats.%s: empty input" name)
-
-let sum xs = Array.fold_left ( +. ) 0. xs
-
-let mean xs =
-  check_nonempty xs "mean";
-  sum xs /. float_of_int (Array.length xs)
-
-let geomean xs =
-  check_nonempty xs "geomean";
-  let acc = ref 0. in
-  Array.iter
-    (fun x ->
-      if x <= 0. then invalid_arg "Stats.geomean: non-positive value";
-      acc := !acc +. log x)
-    xs;
-  exp (!acc /. float_of_int (Array.length xs))
-
-let stddev xs =
-  check_nonempty xs "stddev";
-  let m = mean xs in
-  let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0. xs in
-  sqrt (acc /. float_of_int (Array.length xs))
-
 let percentile xs p =
-  check_nonempty xs "percentile";
+  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty input";
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of [0,100]";
   let sorted = Array.copy xs in
   Array.sort compare sorted;

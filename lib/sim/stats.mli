@@ -1,19 +1,7 @@
-(** Small numeric helpers for reporting (exact, array-based — used for test
-    oracles and for summary rows; hot-path recording uses {!Histogram}). *)
-
-val mean : float array -> float
-(** @raise Invalid_argument on empty input *)
-
-val geomean : float array -> float
-(** Geometric mean.  All values must be positive.
-    @raise Invalid_argument on empty input or non-positive values *)
-
-val stddev : float array -> float
-(** Population standard deviation.
-    @raise Invalid_argument on empty input *)
+(** Exact, array-based percentile — the reference the histogram property
+    tests check {!Histogram} against; hot-path recording uses
+    {!Histogram}. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0, 100\]], nearest-rank on a sorted copy.
     @raise Invalid_argument on empty input or [p] out of range *)
-
-val sum : float array -> float

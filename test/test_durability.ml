@@ -479,6 +479,25 @@ let test_checkpoint_pass_and_recovery () =
   checkb "fuzzy image + replay converge" true
     (Recovery.durable_state_equal eng recovered)
 
+let test_checkpoint_empty_tables () =
+  (* With every table empty there is no range to claim: the sweep's lap
+     guard ends the chunk after one pass instead of republishing forever. *)
+  let eng = Engine.create () in
+  ignore (Engine.create_table eng "a");
+  ignore (Engine.create_table eng "b");
+  let log = Log.create ~n_workers:1 () in
+  Log.attach log eng;
+  Log.snapshot_base log eng;
+  let ck = Checkpoint.create ~eng ~log () in
+  ignore (drive (Checkpoint.chunk_program ck) (mk_env eng));
+  checki "one pass" 1 (Checkpoint.passes ck);
+  checki "no tuples" 0 (Checkpoint.tuples_scanned ck);
+  match Log.checkpoint log with
+  | None -> Alcotest.fail "checkpoint not installed"
+  | Some (_, image) ->
+    Alcotest.(check (list string)) "both tables in the image" [ "a"; "b" ]
+      (List.map fst image)
+
 (* -- durable_state_equal edge cases ---------------------------------------------- *)
 
 let test_state_equal_tombstone_only_table () =
@@ -673,5 +692,7 @@ let () =
         [
           Alcotest.test_case "fuzzy pass + recovery" `Quick
             test_checkpoint_pass_and_recovery;
+          Alcotest.test_case "chunk over empty tables returns" `Quick
+            test_checkpoint_empty_tables;
         ] );
     ]

@@ -806,6 +806,19 @@ let test_golden_maintenance () =
       Runner.run_maintenance ~cfg ~prepare ~arrival_interval_us:40. ~hp_batch:8
         ~horizon_sec:0.005 ())
 
+let test_golden_maintenance_lanes () =
+  (* both maintenance lanes at once: the epoch loop, GC chunks and
+     checkpoint chunks first scheduled in that order *)
+  let cfg =
+    golden_cfg () |> Config.with_reclaim
+    |> Config.with_durability
+         ~durability:{ Config.default_durability with Config.du_ckpt_interval_us = 100. }
+  in
+  check_golden ~events:57043 ~commits:"Ckpt=49 GC=42 NewOrder=503 Payment=492"
+    ~hash:"3be1c4cc14b52ae1" (fun prepare ->
+      Runner.run_maintenance ~cfg ~prepare ~arrival_interval_us:40. ~hp_batch:8
+        ~horizon_sec:0.005 ())
+
 let () =
   Alcotest.run "preemptdb"
     [
@@ -876,5 +889,7 @@ let () =
           Alcotest.test_case "run_tiered" `Quick test_golden_tiered;
           Alcotest.test_case "run_ledger" `Quick test_golden_ledger;
           Alcotest.test_case "run_maintenance" `Quick test_golden_maintenance;
+          Alcotest.test_case "run_maintenance gc+ckpt lanes" `Quick
+            test_golden_maintenance_lanes;
         ] );
     ]
