@@ -939,12 +939,7 @@ let shard () =
     let cfg =
       Config.with_shard
         ~shard:
-          {
-            Config.default_shard with
-            Config.sh_shards = shards;
-            sh_cross_pct = cross;
-            sh_blocking = blocking;
-          }
+          { Config.sh_shards = shards; sh_cross_pct = cross; sh_blocking = blocking }
         (cfg_of ~workers (Config.Preempt 1.0))
     in
     let cl = Shard.Cluster.create ~cfg ~arrival_interval_us:arrival () in

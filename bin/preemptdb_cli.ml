@@ -203,7 +203,6 @@ let durability_term =
     else
       Some
         {
-          dd with
           Config.du_blocking = blocking;
           du_group_bytes = group_bytes;
           du_group_interval_us = group_us;
@@ -273,7 +272,6 @@ let replication_term =
     Option.map
       (fun m ->
         {
-          rd with
           Config.rp_mode = m;
           rp_hb_interval_us = hb_us;
           rp_hb_timeout_us = timeout_us;

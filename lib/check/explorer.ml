@@ -23,7 +23,7 @@ let derive (base : Schedule.t) rng =
   in
   { base with Schedule.seed; jitter_pct; forced }
 
-let explore ?fault ?plan ?reclaim ?workload ?progress schedules =
+let explore ?fault ?plan ?reclaim ?workload schedules =
   let explored = ref 0 in
   let total_commits = ref 0 in
   let total_forced = ref 0 in
@@ -36,7 +36,6 @@ let explore ?fault ?plan ?reclaim ?workload ?progress schedules =
          incr explored;
          total_commits := !total_commits + r.Harness.commits;
          total_forced := !total_forced + List.length r.Harness.forced_fired;
-         (match progress with Some f -> f !explored r | None -> ());
          if Harness.failed r then begin
            incr failing;
            first_failure := Some r;
@@ -52,18 +51,17 @@ let explore ?fault ?plan ?reclaim ?workload ?progress schedules =
     first_failure = !first_failure;
   }
 
-let fuzz ?fault ?plan ?reclaim ?workload ?progress ~budget ~base () =
+let fuzz ?fault ?plan ?reclaim ?workload ~budget ~base () =
   let rng = Sim.Rng.create (Int64.logxor base.Schedule.seed 0xbb67ae8584caa73bL) in
   let schedules =
     List.init (max 1 budget) (fun i -> if i = 0 then base else derive base rng)
   in
-  explore ?fault ?plan ?reclaim ?workload ?progress schedules
+  explore ?fault ?plan ?reclaim ?workload schedules
 
-let exhaustive ?fault ?plan ?reclaim ?workload ?progress ~budget ~base () =
+let exhaustive ?fault ?plan ?reclaim ?workload ~budget ~base () =
   let pilot =
     Harness.run ?fault ?plan ?reclaim ?workload { base with Schedule.forced = None }
   in
-  (match progress with Some f -> f 0 pilot | None -> ());
   if Harness.failed pilot then
     {
       explored = 1;
@@ -81,7 +79,7 @@ let exhaustive ?fault ?plan ?reclaim ?workload ?progress ~budget ~base () =
       List.init n_points (fun i ->
           { base with Schedule.forced = Some (Schedule.At [ i * stride ]) })
     in
-    let o = explore ?fault ?plan ?reclaim ?workload ?progress schedules in
+    let o = explore ?fault ?plan ?reclaim ?workload schedules in
     {
       o with
       explored = o.explored + 1;

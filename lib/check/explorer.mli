@@ -23,7 +23,6 @@ val fuzz :
   ?plan:Faults.Plan.t ->
   ?reclaim:bool ->
   ?workload:Harness.workload ->
-  ?progress:(int -> Harness.run -> unit) ->
   budget:int ->
   base:Schedule.t ->
   unit ->
@@ -39,14 +38,12 @@ val exhaustive :
   ?plan:Faults.Plan.t ->
   ?reclaim:bool ->
   ?workload:Harness.workload ->
-  ?progress:(int -> Harness.run -> unit) ->
   budget:int ->
   base:Schedule.t ->
   unit ->
   outcome
 (** Pilot + up to [budget] single-point runs.  When the boundary count
-    exceeds the budget the points are strided evenly (reported via
-    [progress], never silently). *)
+    exceeds the budget the points are strided evenly. *)
 
 val replay : Harness.run -> (unit, string) result
 (** Re-run the run's schedule and compare trace hashes: [Error] describes

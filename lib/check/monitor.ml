@@ -1,8 +1,10 @@
 module Hw = Uintr.Hw_thread
 module Worker = Preemptdb.Worker
 
+(* Violations kept; any beyond this many only count as dropped. *)
+let cap = 200
+
 type t = {
-  cap : int;
   mutable switches_ : int;
   mutable passive_ : int;
   mutable active_ : int;
@@ -12,9 +14,8 @@ type t = {
   suspended : (int * int, int) Hashtbl.t;  (* (worker, ctx) -> rip at suspension *)
 }
 
-let create ?(cap = 200) () =
+let create () =
   {
-    cap;
     switches_ = 0;
     passive_ = 0;
     active_ = 0;
@@ -25,7 +26,7 @@ let create ?(cap = 200) () =
   }
 
 let add t v =
-  if t.n_violations < t.cap then begin
+  if t.n_violations < cap then begin
     t.violations_rev <- v :: t.violations_rev;
     t.n_violations <- t.n_violations + 1
   end

@@ -14,9 +14,9 @@
 
 type t
 
-val create : ?cap:int -> unit -> t
-(** [cap] bounds recorded violations (default 200); excess switches still
-    count but only increment {!dropped}. *)
+val create : unit -> t
+(** At most 200 violations are recorded; excess ones still count but only
+    increment {!dropped}. *)
 
 val install :
   t ->

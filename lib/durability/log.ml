@@ -46,13 +46,12 @@ let dummy_record : record =
     bytes = 0;
   }
 
-let create ?(buffer_records = 4096) ~n_workers () =
+let create ~n_workers () =
   if n_workers < 1 then invalid_arg "Log.create: need n_workers >= 1";
   {
     n_workers;
     buffers =
-      Array.init n_workers (fun _ ->
-          Log_buffer.create ~capacity_records:buffer_records ());
+      Array.init n_workers (fun _ -> Log_buffer.create ());
     entries = Array.make 1024 dummy_record;
     next = 0;
     durable = 0;

@@ -22,8 +22,9 @@ type image = (string * (int * Storage.Value.t option * int64) list) list
 
 type t
 
-val create : ?buffer_records:int -> n_workers:int -> unit -> t
-(** @raise Invalid_argument when [n_workers < 1]. *)
+val create : n_workers:int -> unit -> t
+(** One {!Log_buffer} ring of the default capacity per worker.
+    @raise Invalid_argument when [n_workers < 1]. *)
 
 val set_kick : t -> (unit -> unit) option -> unit
 (** Hook invoked after each commit's records land, so the {!Daemon} can

@@ -1,4 +1,22 @@
-(** Scheduling-engine configuration. *)
+(** Scheduling-engine configuration.
+
+    A field lives here only when some caller (a CLI flag, a bench or
+    perfbench cell, or a test that pushes it past any default run) sets
+    it.  Fixed model constants live in the module that uses them, once:
+    - micro-op cycle costs: {!Op_costs.default}, read by {!Worker};
+    - retry backoff (500 cycles, doubling, 100 000 cap): {!Worker};
+    - watchdog deadline, resend budget and backoff cap, and the
+      degradation scores and cooperative interval: {!Sched_thread};
+    - log-device setup and bandwidth cost, log ring capacity and
+      checkpoint chunk size: the defaults of [Durability.Device.create],
+      [Durability.Log_buffer.create] and [Storage.Sweep.create];
+    - the standby's log device: [Durability.Device.create ()] in
+      {!Runner};
+    - the post-promotion probe count: the default of
+      [Replication.Failover.create];
+    - replication and inter-shard link costs: [Uintr.Channel.create];
+    - the 2PC prepare timeout and participant latch budget:
+      [Shard.Cluster]. *)
 
 type policy =
   | Wait
@@ -17,48 +35,6 @@ type policy =
           prevention *)
 
 val policy_to_string : policy -> string
-
-type retry_policy = {
-  retry_max_attempts : int;
-      (** per-request budget: a conflict-class abort on the last attempt
-          becomes a terminal [Txn_exhausted] abort *)
-  retry_backoff_base : int;  (** cycles; doubled per attempt *)
-  retry_backoff_cap : int;  (** cycles; ceiling on the doubled backoff *)
-}
-
-val default_retry : retry_policy
-(** The historical hardcoded worker formula:
-    [min (500 * 2^min(attempts,7)) 100_000], 1000 attempts. *)
-
-type watchdog_policy = {
-  wd_deadline_us : float;
-      (** a dispatched batch's [senduipi] must reach the receiver's UPID
-          within this deadline, else the watchdog re-sends *)
-  wd_max_resends : int;  (** resend budget per dispatch episode *)
-  wd_backoff_cap_us : float;  (** cap on the doubled resend deadline *)
-}
-
-val default_watchdog : watchdog_policy
-(** 5 µs deadline, 3 resends, 50 µs backoff cap. *)
-
-type degrade_policy = {
-  dg_enter_score : int;
-      (** per-worker failure score at (or above) which the worker falls
-          back from [Preempt] to [Cooperative] *)
-  dg_exit_score : int;
-      (** score at (or below) which a degraded worker recovers; keeping it
-          well under [dg_enter_score] provides the hysteresis band *)
-  dg_fail_weight : int;
-      (** score added per missed delivery deadline; the score saturates at
-          twice [dg_enter_score] so a long outage cannot push recovery out
-          of reach once the fabric heals *)
-  dg_coop_interval : int;  (** [Cooperative] yield interval while degraded *)
-}
-
-val default_degrade : degrade_policy
-(** Enter at 6, exit at 0, +2 per miss, −1 per on-time delivery: at least
-    three consecutive misses to fall back, six clean deliveries to
-    recover. *)
 
 type reclaim_policy = {
   rc_chunk_tuples : int;  (** tuples scanned per background GC chunk *)
@@ -83,25 +59,18 @@ type durability_policy = {
   du_group_interval_us : float;
       (** sweep cadence: pending redo is flushed at least this often, so a
           lone commit's ack latency is bounded *)
-  du_setup_cycles : int;  (** per-flush device setup cost *)
-  du_per_byte_cycles_x100 : int;
-      (** bandwidth term, in cycles per 100 bytes (60 ≈ 4 GB/s at
-          2.4 GHz) *)
   du_fsync_floor_us : float;  (** minimum latency of any flush *)
-  du_buffer_records : int;  (** per-worker log ring capacity *)
   du_blocking : bool;
       (** ablation: a committing context holds its hardware thread until
           its LSN is durable instead of parking and freeing it *)
   du_ckpt_interval_us : float;
       (** fuzzy-checkpoint chunk dispatch cadence; 0 disables
           checkpointing *)
-  du_ckpt_chunk_tuples : int;  (** tuples per checkpoint chunk *)
 }
 
 val default_durability : durability_policy
-(** 16 KiB groups, 10 µs sweep, 4 µs fsync floor, ≈ 4 GB/s bandwidth,
-    4096-record buffers, preemptible (non-blocking) commit waits,
-    checkpointing off. *)
+(** 16 KiB groups, 10 µs sweep, 4 µs fsync floor, preemptible
+    (non-blocking) commit waits, checkpointing off. *)
 
 type replication_mode =
   | Repl_async
@@ -123,18 +92,13 @@ type replication_policy = {
   rp_degrade_timeout_us : float;
       (** semi-sync degrades to async when the replica acks nothing for
           this long while shipped data is outstanding *)
-  rp_ship_base_cycles : int;  (** ship-channel per-message cost *)
-  rp_ship_per_byte_cycles : int;  (** ship-channel per-byte cost *)
-  rp_replica_fsync_floor_us : float;  (** standby log-device fsync floor *)
   rp_failover : bool;
       (** promote the replica when the detector declares the primary dead *)
-  rp_probes : int;  (** post-promotion probe commits *)
 }
 
 val default_replication : replication_policy
 (** Semi-sync; 20 µs heartbeats, 60 µs timeout, 3-miss budget, 200 µs
-    degrade timeout; ~0.5 µs + 1 cycle/byte ship channel; 4 µs standby
-    fsync floor; failover armed with 8 probes. *)
+    degrade timeout; failover armed. *)
 
 type shard_policy = {
   sh_shards : int;
@@ -143,23 +107,13 @@ type shard_policy = {
   sh_cross_pct : int;
       (** percent of NewOrder/Payment transactions touching a remote
           warehouse (TPC-C spec: ~10) — those run 2PC over the fabric *)
-  sh_link_base_cycles : int;  (** inter-shard channel per-message cost *)
-  sh_link_per_byte_cycles : int;  (** inter-shard channel per-byte cost *)
-  sh_prepare_timeout_us : float;
-      (** coordinator abandons vote collection (aborts) after this long *)
-  sh_latch_budget : int;
-      (** participant prepare-latch spins before voting no — 2PC holds
-          remote latches across a fabric round trip, so unbounded spinning
-          would let one straggler wedge a shard *)
   sh_blocking : bool;
       (** ablation: 2PC gate waits spin holding the context instead of
           parking (the [du_blocking] analogue for prepare/decision waits) *)
 }
 
 val default_shard : shard_policy
-(** 2 shards, 10 % cross-shard, replication-grade links (~0.5 µs + 1
-    cycle/byte), 200 µs prepare timeout, 64-spin latch budget,
-    preemptible (non-blocking) gate waits. *)
+(** 2 shards, 10 % cross-shard, preemptible (non-blocking) gate waits. *)
 
 type t = {
   policy : policy;
@@ -169,7 +123,6 @@ type t = {
           the [Urgent] level of the §5 multi-level extension *)
   hp_queue_size : int;  (** per worker and per level ≥ 1 (paper default: 4) *)
   lp_queue_size : int;  (** per worker (paper default: 1) *)
-  op_costs : Op_costs.t;
   uintr_costs : Uintr.Costs.t;
   regions_enabled : bool;
       (** non-preemptible regions honored (§4.4); disable only for the
@@ -180,13 +133,13 @@ type t = {
   hp_backlog_cap : int;
       (** admission-control bound on undispatched high-priority requests;
           beyond it new arrivals are dropped (counted) *)
-  retry : retry_policy;
-  watchdog : watchdog_policy option;
-      (** [None] disables the delivery/stuck-worker watchdog (seed
-          behavior); only meaningful under [Preempt] *)
-  degrade : degrade_policy option;
-      (** graceful degradation to cooperative scheduling; requires
-          [watchdog] (the failure scores live there) *)
+  retry_max_attempts : int;
+      (** per-request budget: a conflict-class abort on the last attempt
+          becomes a terminal [Txn_exhausted] abort *)
+  watchdog : bool;
+      (** arm the delivery/stuck-worker watchdog and, fed by its failure
+          scores, graceful degradation to cooperative scheduling ([false]
+          = seed behavior); only meaningful under [Preempt] *)
   shed_deadline_us : float option;
       (** deadline-based load shedding: backlog entries whose sojourn
           exceeds this are dropped (counted per class); [None] sheds only
@@ -209,14 +162,10 @@ type t = {
 
 val default : ?policy:policy -> ?n_workers:int -> unit -> t
 (** Paper defaults: 16 workers, hp queue 4, lp queue 1, policy
-    [Preempt 1.0], regions on, watchdog/degrade/shedding off. *)
+    [Preempt 1.0], regions on, 1000 retry attempts, watchdog and shedding
+    off. *)
 
-val with_resilience :
-  ?watchdog:watchdog_policy ->
-  ?degrade:degrade_policy ->
-  ?shed_deadline_us:float ->
-  t ->
-  t
+val with_resilience : ?shed_deadline_us:float -> t -> t
 (** Arm the full overload-resilience stack: delivery watchdog, graceful
     degradation and deadline shedding (default 20 ms). *)
 

@@ -171,11 +171,8 @@ let config_json (r : Runner.result) =
       ("regions_enabled", J.Bool cfg.Config.regions_enabled);
       ("empty_interrupts", J.Bool cfg.Config.empty_interrupts);
       ("hp_backlog_cap", J.Int cfg.Config.hp_backlog_cap);
-      ("retry_max_attempts", J.Int cfg.Config.retry.Config.retry_max_attempts);
-      ("retry_backoff_base", J.Int cfg.Config.retry.Config.retry_backoff_base);
-      ("retry_backoff_cap", J.Int cfg.Config.retry.Config.retry_backoff_cap);
-      ("watchdog", J.Bool (cfg.Config.watchdog <> None));
-      ("degrade", J.Bool (cfg.Config.degrade <> None));
+      ("retry_max_attempts", J.Int cfg.Config.retry_max_attempts);
+      ("watchdog", J.Bool cfg.Config.watchdog);
       ( "shed_deadline_us",
         match cfg.Config.shed_deadline_us with Some d -> J.Float d | None -> J.Null );
       ( "durability",
@@ -186,13 +183,9 @@ let config_json (r : Runner.result) =
             [
               ("group_bytes", J.Int dp.Config.du_group_bytes);
               ("group_interval_us", J.Float dp.Config.du_group_interval_us);
-              ("setup_cycles", J.Int dp.Config.du_setup_cycles);
-              ("per_byte_cycles_x100", J.Int dp.Config.du_per_byte_cycles_x100);
               ("fsync_floor_us", J.Float dp.Config.du_fsync_floor_us);
-              ("buffer_records", J.Int dp.Config.du_buffer_records);
               ("blocking", J.Bool dp.Config.du_blocking);
               ("ckpt_interval_us", J.Float dp.Config.du_ckpt_interval_us);
-              ("ckpt_chunk_tuples", J.Int dp.Config.du_ckpt_chunk_tuples);
             ] );
       ( "replication",
         match cfg.Config.replication with
@@ -205,11 +198,7 @@ let config_json (r : Runner.result) =
               ("hb_timeout_us", J.Float rp.Config.rp_hb_timeout_us);
               ("hb_miss_budget", J.Int rp.Config.rp_hb_miss_budget);
               ("degrade_timeout_us", J.Float rp.Config.rp_degrade_timeout_us);
-              ("ship_base_cycles", J.Int rp.Config.rp_ship_base_cycles);
-              ("ship_per_byte_cycles", J.Int rp.Config.rp_ship_per_byte_cycles);
-              ("replica_fsync_floor_us", J.Float rp.Config.rp_replica_fsync_floor_us);
               ("failover", J.Bool rp.Config.rp_failover);
-              ("probes", J.Int rp.Config.rp_probes);
             ] );
       ( "reclaim",
         match cfg.Config.reclaim with

@@ -279,15 +279,11 @@ let assemble ?obs ?host:h (cfg : Config.t) =
     | Some dp ->
       let clock = Sim.Des.clock des in
       let dur_device =
-        Durability.Device.create ~setup_cycles:dp.Config.du_setup_cycles
-          ~per_byte_cycles_x100:dp.Config.du_per_byte_cycles_x100
+        Durability.Device.create
           ~fsync_floor_cycles:(Sim.Clock.cycles_of_us clock dp.Config.du_fsync_floor_us)
           ()
       in
-      let dur_log =
-        Durability.Log.create ~buffer_records:dp.Config.du_buffer_records
-          ~n_workers:cfg.Config.n_workers ()
-      in
+      let dur_log = Durability.Log.create ~n_workers:cfg.Config.n_workers () in
       Durability.Log.attach dur_log eng;
       let dur_daemon =
         Durability.Daemon.create ~des ~log:dur_log ~device:dur_device
@@ -302,10 +298,7 @@ let assemble ?obs ?host:h (cfg : Config.t) =
       Durability.Daemon.set_emit dur_daemon (track Obs.Sink.dur_track);
       let dur_ckpt =
         if dp.Config.du_ckpt_interval_us > 0. then begin
-          let c =
-            Durability.Checkpoint.create ~chunk_tuples:dp.Config.du_ckpt_chunk_tuples
-              ~eng ~log:dur_log ()
-          in
+          let c = Durability.Checkpoint.create ~eng ~log:dur_log () in
           Durability.Checkpoint.set_emit c (track Obs.Sink.maint_track);
           Some c
         end
@@ -314,28 +307,14 @@ let assemble ?obs ?host:h (cfg : Config.t) =
       Some { dur_log; dur_daemon; dur_device; dur_ckpt }
   in
   let repl =
-    match (cfg.Config.replication, dur, cfg.Config.durability) with
-    | Some rp, Some d, Some dp ->
+    match (cfg.Config.replication, dur) with
+    | Some rp, Some d ->
       let clock = Sim.Des.clock des in
-      (* The standby's log device shares the primary's cost model except
-         for its own fsync floor. *)
-      let repl_device =
-        Durability.Device.create ~setup_cycles:dp.Config.du_setup_cycles
-          ~per_byte_cycles_x100:dp.Config.du_per_byte_cycles_x100
-          ~fsync_floor_cycles:
-            (Sim.Clock.cycles_of_us clock rp.Config.rp_replica_fsync_floor_us)
-          ()
-      in
-      let repl_ship_ch =
-        Uintr.Channel.create des ~fabric ~name:"ship"
-          ~base_latency:rp.Config.rp_ship_base_cycles
-          ~per_byte:rp.Config.rp_ship_per_byte_cycles
-      in
-      let repl_ack_ch =
-        Uintr.Channel.create des ~fabric ~name:"ack"
-          ~base_latency:rp.Config.rp_ship_base_cycles
-          ~per_byte:rp.Config.rp_ship_per_byte_cycles
-      in
+      (* The standby's log device is a default one, whatever the
+         primary's fsync floor. *)
+      let repl_device = Durability.Device.create () in
+      let repl_ship_ch = Uintr.Channel.create des ~fabric ~name:"ship" in
+      let repl_ack_ch = Uintr.Channel.create des ~fabric ~name:"ack" in
       let repl_replica =
         Replication.Replica.create ?obs des ~clock ~primary_log:d.dur_log
           ~device:repl_device ~ack_ch:repl_ack_ch ()
@@ -360,8 +339,8 @@ let assemble ?obs ?host:h (cfg : Config.t) =
       let repl_failover =
         if rp.Config.rp_failover then
           Some
-            (Replication.Failover.create ?obs ~probes:rp.Config.rp_probes des
-               ~clock ~replica:repl_replica ~detector:repl_detector ())
+            (Replication.Failover.create ?obs des ~clock ~replica:repl_replica
+               ~detector:repl_detector ())
         else None
       in
       Uintr.Channel.set_on_deliver repl_ship_ch (fun m ->
@@ -789,13 +768,13 @@ let run_tiered ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 10
         urgent = Some (urgent, batch, interval);
       })
 
-let run_ledger ~cfg ?(ledger_cfg = Workload.Ledger.default) ?obs ?prepare
+let run_ledger ~cfg ?obs ?prepare
     ?(arrival_interval_us = 200.) ?(horizon_sec = 0.05) ?hp_batch () =
   let ledger = ref None in
   let result =
     drive ~cfg ?obs ?prepare ?hp_batch ~arrival_interval_us ~horizon_sec
       (fun a ~load_rng ~gen_rng ->
-        let l = Workload.Ledger.create a.eng ledger_cfg in
+        let l = Workload.Ledger.create a.eng Workload.Ledger.default in
         Workload.Ledger.load l load_rng;
         ledger := Some l;
         let request label priority prog ~submitted_at =

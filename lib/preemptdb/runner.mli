@@ -345,7 +345,6 @@ val run_tiered :
 
 val run_ledger :
   cfg:Config.t ->
-  ?ledger_cfg:Workload.Ledger.config ->
   ?obs:Obs.Sink.t ->
   ?prepare:(assembly -> unit) ->
   ?arrival_interval_us:float ->
@@ -354,7 +353,7 @@ val run_ledger :
   unit ->
   result * int
 (** Serializable ledger workload ("Audit" low priority, "Transfer" high
-    priority) — the read-set-latching regime where non-preemptible regions
+    priority) over {!Workload.Ledger.default} — the read-set-latching regime where non-preemptible regions
     matter (§4.4).  Also returns the post-run total balance, which every
     committed transaction conserves (initial: accounts × 1000). *)
 

@@ -16,6 +16,21 @@ type stream = {
   interval : int64 option;  (* None: generated on the main arrival tick *)
 }
 
+(* Watchdog: a dispatch's senduipi must reach the receiver's UPID within
+   the deadline, else it is re-sent, the deadline doubling per resend up
+   to the cap. *)
+let wd_deadline_us = 5.0
+let wd_max_resends = 3
+let wd_backoff_cap_us = 50.0
+
+(* Degradation scores, -1 per on-time delivery: at least three
+   consecutive misses to fall back to cooperative mode, six clean
+   deliveries to recover. *)
+let dg_enter_score = 6
+let dg_exit_score = 0
+let dg_fail_weight = 2
+let dg_coop_interval = 1000
+
 (* Per-worker delivery-watchdog / graceful-degradation state.  The health
    signal is delivery-level ([Receiver.posted_count] advancing), not
    recognition-level: a worker degraded to cooperative mode never
@@ -64,6 +79,16 @@ type t = {
 let create ~des ~cfg ~fabric ~metrics ~workers ?obs ?lp_gen ?epoch ?(lanes = []) ?hp_gen
     ?hp_batch ?urgent_gen ?urgent_batch ?urgent_interval ?(empty_interrupt_ticks = 1)
     ?lp_interval ~arrival_interval () =
+  (* A zero interval would reschedule its loop at the same instant
+     forever. *)
+  let check_interval name = function
+    | Some i when Int64.compare i 1L < 0 ->
+      invalid_arg (Printf.sprintf "Sched_thread.create: %s < 1" name)
+    | _ -> ()
+  in
+  check_interval "arrival_interval" (Some arrival_interval);
+  check_interval "lp_interval" lp_interval;
+  check_interval "urgent_interval" urgent_interval;
   let n = Array.length workers in
   let default_batch = n * cfg.Config.hp_queue_size in
   let mk_stream level gen batch interval =
@@ -93,12 +118,8 @@ let create ~des ~cfg ~fabric ~metrics ~workers ?obs ?lp_gen ?epoch ?(lanes = [])
   let clock = Sim.Des.clock des in
   (* The delivery watchdog only makes sense when senduipi is in use. *)
   let wd_enabled =
-    cfg.Config.watchdog <> None
+    cfg.Config.watchdog
     && match cfg.Config.policy with Config.Preempt _ -> true | _ -> false
-  in
-  let wd_us f = match cfg.Config.watchdog with
-    | Some wp -> Sim.Clock.cycles_of_us clock (f wp)
-    | None -> 0L
   in
   {
     des;
@@ -132,8 +153,8 @@ let create ~des ~cfg ~fabric ~metrics ~workers ?obs ?lp_gen ?epoch ?(lanes = [])
          Array.init n (fun _ ->
              { episode = false; resends = 0; score = 0; degraded = false })
        else [||]);
-    wd_deadline = wd_us (fun wp -> wp.Config.wd_deadline_us);
-    wd_cap = wd_us (fun wp -> wp.Config.wd_backoff_cap_us);
+    wd_deadline = Sim.Clock.cycles_of_us clock wd_deadline_us;
+    wd_cap = Sim.Clock.cycles_of_us clock wd_backoff_cap_us;
     shed_deadline =
       Option.map (Sim.Clock.cycles_of_us clock) cfg.Config.shed_deadline_us;
     rr = 0;
@@ -178,35 +199,28 @@ let posted_count t i =
    unchanged), which the worker ignores but the watchdog uses as health
    probes — so the fabric healing is observed and the worker restored. *)
 let wd_success t i =
-  match t.cfg.Config.degrade with
-  | None -> ()
-  | Some dg ->
-    let s = t.wd.(i) in
-    s.score <- max 0 (s.score - 1);
-    if s.degraded && s.score <= dg.Config.dg_exit_score then begin
-      s.degraded <- false;
-      t.degrade_exits_ <- t.degrade_exits_ + 1;
-      Worker.set_mode t.workers.(i) t.cfg.Config.policy;
-      emit t (Obs.Event.Degrade_exit { worker = i; score = s.score });
-      Worker.wake t.workers.(i)
-    end
+  let s = t.wd.(i) in
+  s.score <- max 0 (s.score - 1);
+  if s.degraded && s.score <= dg_exit_score then begin
+    s.degraded <- false;
+    t.degrade_exits_ <- t.degrade_exits_ + 1;
+    Worker.set_mode t.workers.(i) t.cfg.Config.policy;
+    emit t (Obs.Event.Degrade_exit { worker = i; score = s.score });
+    Worker.wake t.workers.(i)
+  end
 
 let wd_failure t i =
-  match t.cfg.Config.degrade with
-  | None -> ()
-  | Some dg ->
-    let s = t.wd.(i) in
-    (* Saturate at twice the enter threshold: a long outage must not push
-       the score so high that a healed fabric can never earn recovery. *)
-    s.score <- min (2 * dg.Config.dg_enter_score) (s.score + dg.Config.dg_fail_weight);
-    if (not s.degraded) && s.score >= dg.Config.dg_enter_score then begin
-      s.degraded <- true;
-      t.degrade_enters_ <- t.degrade_enters_ + 1;
-      Worker.set_mode t.workers.(i)
-        (Config.Cooperative dg.Config.dg_coop_interval);
-      emit t (Obs.Event.Degrade_enter { worker = i; score = s.score });
-      Worker.wake t.workers.(i)
-    end
+  let s = t.wd.(i) in
+  (* Saturate at twice the enter threshold: a long outage must not push
+     the score so high that a healed fabric can never earn recovery. *)
+  s.score <- min (2 * dg_enter_score) (s.score + dg_fail_weight);
+  if (not s.degraded) && s.score >= dg_enter_score then begin
+    s.degraded <- true;
+    t.degrade_enters_ <- t.degrade_enters_ + 1;
+    Worker.set_mode t.workers.(i) (Config.Cooperative dg_coop_interval);
+    emit t (Obs.Event.Degrade_enter { worker = i; score = s.score });
+    Worker.wake t.workers.(i)
+  end
 
 (* Delivery watchdog: after a dispatch episode's senduipi, the receiver's
    UPID must see a post within the deadline, else re-send with a doubled
@@ -227,8 +241,7 @@ let rec wd_check t i ~expect ~deadline =
       end
       else begin
         wd_failure t i;
-        let wp = match t.cfg.Config.watchdog with Some wp -> wp | None -> assert false in
-        if s.resends < wp.Config.wd_max_resends then begin
+        if s.resends < wd_max_resends then begin
           s.resends <- s.resends + 1;
           t.wd_resends_ <- t.wd_resends_ + 1;
           emit t (Obs.Event.Watchdog_resend { worker = i; attempt = s.resends });

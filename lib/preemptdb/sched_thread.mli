@@ -14,13 +14,13 @@
 
     Overload resilience (all off by default, armed via {!Config}):
     - a {e delivery watchdog} ([cfg.watchdog]) checks that each dispatch
-      episode's [senduipi] reaches the worker's UPID within a deadline and
-      re-sends with capped exponential backoff, giving up after a resend
-      budget;
-    - {e graceful degradation} ([cfg.degrade]) tracks a per-worker failure
-      score fed by the watchdog and flips persistently failing workers
-      from [Preempt] to [Cooperative] mode (and back, with hysteresis,
-      once deliveries flow again);
+      episode's [senduipi] reaches the worker's UPID within 5 µs and
+      re-sends with exponential backoff capped at 50 µs, giving up after
+      3 resends;
+    - {e graceful degradation}, armed with the watchdog, tracks a
+      per-worker failure score fed by it and flips persistently failing
+      workers from [Preempt] to [Cooperative] mode (and back, with
+      hysteresis, once deliveries flow again);
     - {e deadline shedding} ([cfg.shed_deadline_us]) drops backlog entries
       whose sojourn exceeds the deadline, counted per class in
       {!Metrics}. *)
@@ -73,7 +73,9 @@ val create :
     are preempted by arriving high-priority work like any other
     low-priority transaction.  [epoch], when [cfg.reclaim] is also set, is
     advanced every [rc_epoch_interval_us] on this thread, first scheduled
-    ahead of the lanes. *)
+    ahead of the lanes.
+    @raise Invalid_argument when [arrival_interval], [lp_interval] or
+    [urgent_interval] is below one cycle. *)
 
 val start : t -> unit
 (** Schedule the first tick at the current virtual time. *)

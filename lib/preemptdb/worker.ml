@@ -219,12 +219,12 @@ let count_wait t kind what =
   | Wait_lsn _, `Park -> st.dur_parks <- st.dur_parks + 1
   | Wait_lsn _, `Unpark -> st.dur_unparks <- st.dur_unparks + 1
   | Wait_lsn _, `Spin ->
-    st.dur_block_cycles <- st.dur_block_cycles + t.cfg.Config.op_costs.Op_costs.commit_wait_spin
+    st.dur_block_cycles <- st.dur_block_cycles + Op_costs.default.commit_wait_spin
   | Wait_gate _, `Immediate -> st.gate_immediate <- st.gate_immediate + 1
   | Wait_gate _, `Park -> st.gate_parks <- st.gate_parks + 1
   | Wait_gate _, `Unpark -> st.gate_unparks <- st.gate_unparks + 1
   | Wait_gate _, `Spin ->
-    st.gate_block_cycles <- st.gate_block_cycles + t.cfg.Config.op_costs.Op_costs.commit_wait_spin
+    st.gate_block_cycles <- st.gate_block_cycles + Op_costs.default.commit_wait_spin
 
 let wait_key = function Wait_lsn lsn -> lsn | Wait_gate g -> g
 
@@ -368,16 +368,15 @@ let start_request t ctx (req : Request.t) =
          });
   slot.step <- Some (P.start req.Request.prog env)
 
-(* Exponential backoff before a retry: base * 2^attempts, capped. *)
-let retry_backoff t ~attempts =
-  let rp = t.cfg.Config.retry in
-  min rp.Config.retry_backoff_cap (rp.Config.retry_backoff_base * (1 lsl min attempts 20))
+(* Exponential backoff before a retry: 500 cycles doubled per attempt,
+   capped at 100 000. *)
+let retry_backoff ~attempts = min 100_000 (500 * (1 lsl min attempts 20))
 
 let finish_request t ctx outcome =
   let slot = t.slots.(ctx) in
   match slot.req, slot.env with
   | Some req, Some env
-    when retryable outcome && slot.attempts < t.cfg.Config.retry.Config.retry_max_attempts
+    when retryable outcome && slot.attempts < t.cfg.Config.retry_max_attempts
     ->
     (* Conflict abort: back off (exponentially, capped) then restart the
        program; latency keeps accumulating on the original request.
@@ -408,7 +407,7 @@ let finish_request t ctx outcome =
       slot.attempts <- 0
     end
     else begin
-      let backoff = retry_backoff t ~attempts:slot.attempts in
+      let backoff = retry_backoff ~attempts:slot.attempts in
       if has_obs t then
         emit t
           (Obs.Event.Txn_retry
@@ -480,7 +479,7 @@ let execute_op t op k =
       ~time:(Int64.of_int t.local);
     t.resume_flow <- -1
   end;
-  let cost = Op_costs.cycles t.cfg.Config.op_costs op in
+  let cost = Op_costs.cycles Op_costs.default op in
   let ctx = Hw.current_index t.hw in
   (match t.slots.(ctx).req with
   | Some r when r.Request.maintenance ->
@@ -676,7 +675,7 @@ and wait t des ctx kind k =
     (* Publish the wait — charged once, at the first encounter;
        blocking-mode re-checks only pay the spin quantum. *)
     let op = match kind with Wait_lsn lsn -> P.Commit_wait lsn | Wait_gate g -> P.Gate_wait g in
-    charge_b t Obs.Profiler.Commit_publish (Op_costs.cycles t.cfg.Config.op_costs op);
+    charge_b t Obs.Profiler.Commit_publish (Op_costs.cycles Op_costs.default op);
     let tcb = Hw.current t.hw in
     tcb.Tcb.rip <- tcb.Tcb.rip + 1;
     (match t.op_probe with Some f -> f t op | None -> ());
@@ -701,7 +700,7 @@ and wait t des ctx kind k =
   end
   else if (match kind with Wait_lsn _ -> t.dur_blocking | Wait_gate _ -> t.gate_blocking)
   then begin
-    charge_b t Obs.Profiler.Commit_spin t.cfg.Config.op_costs.Op_costs.commit_wait_spin;
+    charge_b t Obs.Profiler.Commit_spin Op_costs.default.commit_wait_spin;
     count_wait t kind `Spin;
     step_loop t des
   end
@@ -762,7 +761,7 @@ and unpark t des ctx (p : parked) =
   let slot = t.slots.(ctx) in
   t.parked_count <- t.parked_count - 1;
   count_wait t p.pkind `Unpark;
-  charge_b t Obs.Profiler.Commit_unpark t.cfg.Config.op_costs.Op_costs.commit_unpark;
+  charge_b t Obs.Profiler.Commit_unpark Op_costs.default.commit_unpark;
   let waited = max 0 (t.local - p.parked_at) in
   Metrics.record_commit_wait t.metrics p.preq.Request.label (Int64.of_int waited);
   if has_obs t then

@@ -23,6 +23,16 @@ open Storage.Value
 let gid_base = 0x4000_0000
 let decision_ts gid = Int64.of_int (1_000_000_000 + (gid - gid_base))
 
+(* The prepare timeout sits an order of magnitude above a healthy round
+   trip (~2-6 µs) so only real failures trip it, and well under the
+   horizon so orphaned coordinators drain. *)
+let prepare_timeout_us = 200.0
+
+(* Participant prepare-latch spins before voting no: 2PC holds remote
+   latches across a fabric round trip, so unbounded spinning would let
+   one straggler wedge a shard. *)
+let latch_budget = 64
+
 type shard = {
   sid : int;
   node : Runner.assembly;  (* engine, metrics, workers, log + daemon *)
@@ -206,7 +216,7 @@ let run_2pc t s env ~groups ~body =
   let txn = P.begin_txn env in
   try
     body txn;
-    (match prepare_txn env ~budget:t.sp.Config.sh_latch_budget txn with
+    (match prepare_txn env ~budget:latch_budget txn with
     | Error r -> raise (P.Txn_failed r)
     | Ok () -> ());
     let plsn = Durability.Log.append_prepare s.log ~worker:env.P.worker ~gid txn in
@@ -373,7 +383,7 @@ let participant_body t s ~gid ~origin ~ops env =
   let res =
     try
       List.iter (apply_rop env s.db txn) ops;
-      prepare_txn env ~budget:t.sp.Config.sh_latch_budget txn
+      prepare_txn env ~budget:latch_budget txn
     with P.Txn_failed r -> Error r
   in
   match res with
@@ -517,7 +527,7 @@ let handle_msg t ~dst msg =
 (* -- assembly ------------------------------------------------------------ *)
 
 let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_us = 40.)
-    ?(hp_batch = 1) () =
+    () =
   let sp =
     match cfg.Config.shard with
     | Some sp -> sp
@@ -595,10 +605,7 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
   let links =
     Array.init n (fun src ->
         Array.init n (fun dst ->
-            Uintr.Channel.create des ~fabric
-              ~name:(Printf.sprintf "link-%d-%d" src dst)
-              ~base_latency:sp.Config.sh_link_base_cycles
-              ~per_byte:sp.Config.sh_link_per_byte_cycles))
+            Uintr.Channel.create des ~fabric ~name:(Printf.sprintf "link-%d-%d" src dst)))
   in
   let origins_arr = Array.make n true in
   (match origins with
@@ -618,7 +625,7 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
       links;
       origins = origins_arr;
       bug_early_vote;
-      timeout_cycles = Int64.to_int (Sim.Clock.cycles_of_us clock sp.Config.sh_prepare_timeout_us);
+      timeout_cycles = Int64.to_int (Sim.Clock.cycles_of_us clock prepare_timeout_us);
       next_gid = gid_base;
       next_req = 0;
       horizon = 0L;
@@ -655,7 +662,7 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
       in
       let sched =
         Sched_thread.create ~des ~cfg ~fabric ~metrics:s.node.Runner.metrics
-          ~workers:s.node.Runner.workers ~hp_gen ~hp_batch
+          ~workers:s.node.Runner.workers ~hp_gen ~hp_batch:1
           ~arrival_interval:(Sim.Clock.cycles_of_us clock arrival_interval_us)
           ()
       in

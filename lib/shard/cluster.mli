@@ -40,7 +40,6 @@ val create :
   ?origins:int list ->
   ?bug_early_vote:bool ->
   ?arrival_interval_us:float ->
-  ?hp_batch:int ->
   unit ->
   t
 (** Assemble the cluster described by [cfg.shard] (and [cfg.durability],
@@ -51,7 +50,9 @@ val create :
     [remote_pct] forced to 0 (remote supply is the 2PC path's job).
     [origins] restricts which shards originate cross-shard transactions
     (default: all) — the crash-role grid uses a single origin so
-    coordinator-crash and participant-crash cells stay distinct.
+    coordinator-crash and participant-crash cells stay distinct.  Each
+    shard's scheduling thread generates one high-priority request every
+    [arrival_interval_us] (default 40).
     [bug_early_vote] arms the intentional protocol bug (participants vote
     {e before} their prepare record is durable) that the atomicity
     oracle's self-test must catch.

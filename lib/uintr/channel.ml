@@ -43,7 +43,7 @@ type 'a t = {
   lat_hist : Sim.Histogram.t;
 }
 
-let create des ~fabric ~name ~base_latency ~per_byte =
+let create ?(base_latency = 1200) ?(per_byte = 1) des ~fabric ~name =
   {
     des;
     fab = fabric;

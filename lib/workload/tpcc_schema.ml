@@ -33,7 +33,8 @@ let max_order = (1 lsl o_bits) - 1
 let validate cfg =
   let check name v bits =
     if v < 1 || v >= 1 lsl bits then
-      invalid_arg (Printf.sprintf "Tpcc_schema.validate: %s = %d exceeds %d bits" name v bits)
+      invalid_arg
+        (Printf.sprintf "Tpcc_schema.validate: %s = %d is outside [1, 2^%d)" name v bits)
   in
   check "warehouses" cfg.warehouses w_bits;
   check "districts" cfg.districts d_bits;

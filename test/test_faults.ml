@@ -245,6 +245,42 @@ let test_shed_under_straggler_overload () =
   checki "metrics agree" r.Runner.shed (Metrics.shed_total r.Runner.metrics);
   checkb "conservation holds" true (conservation_ok r)
 
+(* The watchdog and degradation constants pinned through a total outage
+   and its healing: DES events, commits per class, an FNV-1a hash of the
+   (time, seq) event stream, and the resilience counters.  Moving any of
+   the constants moves the schedule. *)
+let test_golden_degrade_and_recover () =
+  let h = ref 0x811c9dc5 in
+  let mix x = h := (!h lxor x) * 0x100000001b3 in
+  let plan = { Plan.none with Plan.seed = 31L; drop_pct = 100; until_us = 1500. } in
+  let prepare (a : Runner.assembly) =
+    Sim.Des.set_probe a.Runner.des
+      (Some
+         (fun ~time ~seq ->
+           mix (Int64.to_int time);
+           mix seq));
+    Injector.install plan a
+  in
+  let cfg =
+    Config.with_resilience (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 ())
+  in
+  let r =
+    Runner.run_mixed ~cfg ~prepare ~tpch_cfg:small_tpch ~arrival_interval_us:250.
+      ~horizon_sec:0.005 ()
+  in
+  let commits =
+    List.map
+      (fun (label, cs) -> Printf.sprintf "%s=%d" label cs.Metrics.committed)
+      (Metrics.classes r.Runner.metrics)
+  in
+  checki "DES events" 123301 r.Runner.events;
+  checks "commits per class" "NewOrder=89 Payment=69 Q2=24" (String.concat " " commits);
+  checks "(time, seq) stream hash" "268d7a85ad2e3549" (Printf.sprintf "%x" !h);
+  checki "watchdog resends" 36 r.Runner.watchdog_resends;
+  checki "watchdog give-ups" 12 r.Runner.watchdog_giveups;
+  checki "degrade enters" 2 r.Runner.degrade_enters;
+  checki "degrade exits" 2 r.Runner.degrade_exits
+
 let test_plan_describe_stable () =
   (* The serialized plan is what CI archives next to a reproducer — keep
      the document deterministic. *)
@@ -282,5 +318,7 @@ let () =
             test_degrade_to_cooperative_and_recover;
           Alcotest.test_case "shed under straggler overload" `Slow
             test_shed_under_straggler_overload;
+          Alcotest.test_case "golden: degrade and recover" `Slow
+            test_golden_degrade_and_recover;
         ] );
     ]

@@ -407,7 +407,7 @@ let test_worker_retry_budget_exhausted () =
   let cfg =
     {
       (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:1 ()) with
-      Config.retry = { Config.default_retry with Config.retry_max_attempts = 2 };
+      Config.retry_max_attempts = 2;
     }
   in
   let obs = Obs.Sink.create () in
@@ -712,6 +712,26 @@ let test_integration_resilience_defaults_off () =
   checki "no degradation" 0 r.Runner.degrade_enters;
   check_conservation r
 
+let test_integration_zero_intervals_rejected () =
+  (* A loop rescheduled after 0 cycles fires at the same instant forever,
+     so every scheduler cadence must be at least one cycle. *)
+  let cfg = Config.default ~n_workers:1 () in
+  let des = Sim.Des.create () in
+  let fabric = Uintr.Fabric.create des ~costs:cfg.Config.uintr_costs in
+  let metrics = Metrics.create () in
+  let create ?lp_interval ?urgent_interval arrival_interval () =
+    ignore
+      (Preemptdb.Sched_thread.create ~des ~cfg ~fabric ~metrics ~workers:[||] ?lp_interval
+         ?urgent_interval ~arrival_interval ())
+  in
+  let rejects name f =
+    Alcotest.check_raises name (Invalid_argument ("Sched_thread.create: " ^ name ^ " < 1")) f
+  in
+  rejects "arrival_interval" (create 0L);
+  rejects "lp_interval" (create ~lp_interval:0L 100L);
+  rejects "urgent_interval" (create ~urgent_interval:0L 100L);
+  create ~lp_interval:1L ~urgent_interval:1L 1L ()
+
 let test_integration_sched_latency_recorded () =
   let r = quick_mixed (Config.Preempt 1.0) in
   match Runner.sched_latency_us r "NewOrder" ~pct:50. with
@@ -880,6 +900,8 @@ let () =
             test_integration_backlog_cap_drops;
           Alcotest.test_case "resilience stack defaults off" `Slow
             test_integration_resilience_defaults_off;
+          Alcotest.test_case "zero scheduler intervals rejected" `Quick
+            test_integration_zero_intervals_rejected;
         ] );
       ( "golden",
         [

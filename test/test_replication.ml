@@ -211,6 +211,48 @@ let test_total_hb_loss_triggers_failover () =
   checkb "detector fired" true rs.Runner.rs_detector_suspected;
   checkb "replica promoted" true (o.Check.Failover.fv_failover <> None)
 
+(* A promotion pinned to the exact schedule it produces: DES events,
+   commits per class, an FNV-1a hash of the (time, seq) event stream, and
+   the failover outcome.  The standby's log device and the probe count
+   are fixed constants; moving either moves these values. *)
+let test_golden_crash_through_promotion () =
+  let h = ref 0x811c9dc5 in
+  let mix x = h := (!h lxor x) * 0x100000001b3 in
+  let prepare (a : Runner.assembly) =
+    Sim.Des.set_probe a.Runner.des
+      (Some
+         (fun ~time ~seq ->
+           mix (Int64.to_int time);
+           mix seq));
+    Faults.Injector.install { Plan.none with Plan.seed = 11L; crash_at_us = 2500. } a
+  in
+  let cfg =
+    Config.with_replication (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 ())
+  in
+  let r =
+    Runner.run_mixed ~cfg ~prepare ~tpch_cfg:small_tpch ~arrival_interval_us:250.
+      ~horizon_sec:0.005 ()
+  in
+  let commits =
+    List.map
+      (fun (label, cs) -> Printf.sprintf "%s=%d" label cs.Metrics.committed)
+      (Metrics.classes r.Runner.metrics)
+  in
+  checki "DES events" 63660 r.Runner.events;
+  Alcotest.(check string) "commits per class" "NewOrder=42 Payment=37 Q2=10"
+    (String.concat " " commits);
+  Alcotest.(check string) "(time, seq) stream hash" "23ea36de7b355ebb" (Printf.sprintf "%x" !h);
+  let rs = repl r in
+  (match rs.Runner.rs_failover with
+  | None -> Alcotest.fail "primary crash did not promote the replica"
+  | Some fo ->
+    Alcotest.(check string) "RTO (us)" "99.9"
+      (Printf.sprintf "%.1f" fo.Replication.Failover.fo_rto_us);
+    checki "applied LSN" 1211 fo.Replication.Failover.fo_applied_lsn;
+    checki "torn" 0 fo.Replication.Failover.fo_torn;
+    checki "probe commits" 8 fo.Replication.Failover.fo_probe_commits);
+  checki "RPO" 0 rs.Runner.rs_acked_lost
+
 (* -- Replica crash ------------------------------------------------------------ *)
 
 let test_replica_crash_degrades () =
@@ -257,6 +299,8 @@ let () =
             test_total_hb_loss_triggers_failover;
           Alcotest.test_case "replica crash degrades semi-sync" `Slow
             test_replica_crash_degrades;
+          Alcotest.test_case "golden: crash through promotion" `Slow
+            test_golden_crash_through_promotion;
         ] );
       ( "oracle",
         [ Alcotest.test_case "early-ack self-test caught" `Slow test_early_ack_caught ] );
