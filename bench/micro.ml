@@ -19,9 +19,9 @@ let make_chain n =
     else
       let v = Storage.Version.committed ~ts:(Int64.of_int (i * 10)) (Some [| Storage.Value.Int i |]) in
       v.Storage.Version.next <- next;
-      build (i - 1) (Some v)
+      build (i - 1) v
   in
-  build n None
+  build n Storage.Version.nil
 
 (* -- event-queue steady state: wheel vs reference heap ----------------------
    The DES's rhythm at a fixed backlog: each step pops the minimum and

@@ -108,10 +108,9 @@ let actual_state ?exclude (eng : Storage.Engine.t) =
       let name = Table.name table in
       if Some name <> exclude then
         Table.iter table (fun tuple ->
-            match Version.latest_committed (Tuple.head tuple) with
-            | Some v ->
-              Hashtbl.replace act (name, tuple.Tuple.oid) (v.Version.begin_ts, v.Version.data)
-            | None -> ()))
+            let v = Version.latest_committed (Tuple.head tuple) in
+            if not (Version.is_nil v) then
+              Hashtbl.replace act (name, tuple.Tuple.oid) (v.Version.begin_ts, v.Version.data)))
     (Storage.Engine.tables eng);
   act
 

@@ -77,12 +77,11 @@ let chunk_program t : P.t =
     for oid = first to first + count - 1 do
       P.charge P.Gc_scan;
       t.tuples_ <- t.tuples_ + 1;
-      let tuple = Table.get table oid in
-      match Version.latest_committed (Tuple.head tuple) with
-      | Some v ->
+      let v = Version.latest_committed (Tuple.head (Table.get table oid)) in
+      if not (Version.is_nil v) then begin
         P.charge (P.Compute copy_cycles);
         t.acc_rows <- (oid, v.Version.data, v.Version.begin_ts) :: t.acc_rows
-      | None -> ()
+      end
     done;
     t.chunks_ <- t.chunks_ + 1;
     match t.emit with

@@ -277,10 +277,9 @@ let snapshot_base t eng =
       (fun table ->
         let rows = ref [] in
         Table.iter table (fun tuple ->
-            match Version.latest_committed (Tuple.head tuple) with
-            | Some v ->
-              rows := (tuple.Tuple.oid, v.Version.data, v.Version.begin_ts) :: !rows
-            | None -> ());
+            let v = Version.latest_committed (Tuple.head tuple) in
+            if not (Version.is_nil v) then
+              rows := (tuple.Tuple.oid, v.Version.data, v.Version.begin_ts) :: !rows);
         (Table.name table, List.rev !rows))
       (Engine.tables eng)
 

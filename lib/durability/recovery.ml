@@ -37,10 +37,9 @@ module Applier = struct
         (* gid → (commit ts, participant shards) from -6 records *)
   }
 
-  let create ?eng () =
-    let eng = match eng with Some e -> e | None -> Engine.create () in
+  let create () =
     {
-      eng;
+      eng = Engine.create ();
       tables_created = 0;
       max_ts = 0L;
       replayed = 0;
@@ -68,14 +67,19 @@ module Applier = struct
       ignore (Table.alloc table)
     done;
     let tuple = Table.get table oid in
-    (match Version.latest_committed (Tuple.head tuple) with
-    | Some v when Int64.compare v.Version.begin_ts ts > 0 -> ()
-    | Some v when Int64.compare v.Version.begin_ts ts = 0 ->
-      (* same transaction seen twice (image + replay, or a re-write):
-         later replay wins in place, keeping timestamps strictly
-         decreasing along the chain *)
-      v.Version.data <- payload
-    | _ -> Tuple.install tuple (Version.committed ~ts payload));
+    let v = Version.latest_committed (Tuple.head tuple) in
+    (* No transaction runs on an applier's engine before [finish], so every
+       chain here is empty or one committed version.  A newer commit
+       overwrites that version in place: the applied state is the latest
+       committed one, and the promoted engine's first snapshot lies past
+       [max_ts], so no reader could ask for an older version.  The same
+       transaction seen twice (image + replay, or a re-write) lands in
+       place too, the later replay winning; an older one is ignored. *)
+    if Version.is_nil v then Tuple.install tuple (Version.committed ~ts payload)
+    else if Int64.compare v.Version.begin_ts ts <= 0 then begin
+      v.Version.data <- payload;
+      v.Version.begin_ts <- ts
+    end;
     if Int64.compare ts t.max_ts > 0 then t.max_ts <- ts
 
   let load_image t image =

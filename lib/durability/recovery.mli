@@ -27,8 +27,10 @@ type stats = {
 module Applier : sig
   type t
 
-  val create : ?eng:Storage.Engine.t -> unit -> t
-  (** Start an applier over a fresh (or caller-supplied) engine. *)
+  val create : unit -> t
+  (** Start an applier over a fresh engine that it owns: no transaction
+      may run on {!engine} before {!finish}, because applying keeps one
+      version per tuple, overwriting it in place with each newer commit. *)
 
   val engine : t -> Storage.Engine.t
   val create_table : t -> string -> unit

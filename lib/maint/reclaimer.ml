@@ -58,15 +58,15 @@ let audits t = List.rev t.audits_
    a user interrupt landing mid-unlink is rejected and recognized at the
    next boundary, exactly like the staged-commit critical section. *)
 let reclaim_tuple t env table tuple ~boundary =
-  let rec find_kept = function
-    | None -> None
-    | Some v ->
-      if Version.is_committed v && Int64.compare v.Version.begin_ts boundary <= 0 then
-        Some v
-      else find_kept v.Version.next
+  let rec find_kept v =
+    if
+      Version.is_nil v
+      || (Version.is_committed v && Int64.compare v.Version.begin_ts boundary <= 0)
+    then v
+    else find_kept v.Version.next
   in
-  match find_kept (Tuple.head tuple) with
-  | Some kept when kept.Version.next <> None ->
+  let kept = find_kept (Tuple.head tuple) in
+  if not (Version.is_nil kept || Version.is_nil kept.Version.next) then
     P.non_preemptible env (fun () ->
         let dropped =
           if t.audit_enabled then
@@ -91,7 +91,6 @@ let reclaim_tuple t env table tuple ~boundary =
             }
             :: t.audits_;
         P.charge (P.Gc_unlink n))
-  | _ -> ()
 
 let chunk_program t : P.t =
  fun env ->

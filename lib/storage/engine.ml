@@ -169,24 +169,25 @@ let read t txn table ~oid =
     match txn.Txn.iso with
     | Txn.Read_committed -> (
       match Txn.find_write txn tuple with
-      | Some w -> Some w.Txn.wversion
-      | None -> (
-        match Version.latest_committed (Tuple.head tuple) with
-        | Some v ->
-          track_read txn table tuple v;
-          Some v
-        | None -> None))
-    | Txn.Si | Txn.Serializable -> (
-      match Version.snapshot_read (Tuple.head tuple) ~snapshot:txn.Txn.begin_ts ~reader:txn.Txn.id with
-      | Some v ->
-        if Version.is_committed v then track_read txn table tuple v;
-        Some v
-      | None -> None)
+      | Some w -> w.Txn.wversion
+      | None ->
+        let v = Version.latest_committed (Tuple.head tuple) in
+        if not (Version.is_nil v) then track_read txn table tuple v;
+        v)
+    | Txn.Si | Txn.Serializable ->
+      let v =
+        Version.snapshot_read (Tuple.head tuple) ~snapshot:txn.Txn.begin_ts ~reader:txn.Txn.id
+      in
+      if (not (Version.is_nil v)) && Version.is_committed v then track_read txn table tuple v;
+      v
   in
   (match t.observer with
-  | Some o -> o.obs_read ~txn ~table ~oid ~version
+  | Some o ->
+    o.obs_read ~txn ~table ~oid
+      ~version:(if Version.is_nil version then None else Some version)
   | None -> ());
-  match version with Some v -> v.Version.data | None -> None
+  (* [Version.nil.data] is [None]: an invisible record reads as absent *)
+  version.Version.data
 
 let install_write t txn table tuple data =
   let version = Version.in_flight_of t.pool ~writer:txn.Txn.id data in
@@ -195,6 +196,10 @@ let install_write t txn table tuple data =
 
 let notify_write t txn table oid =
   match t.observer with Some o -> o.obs_write ~txn ~table ~oid | None -> ()
+
+(* [v], a committed version or [Version.nil], postdates [txn]'s snapshot *)
+let committed_after v txn =
+  (not (Version.is_nil v)) && Int64.compare v.Version.begin_ts txn.Txn.begin_ts > 0
 
 let write_internal t txn table ~oid data op =
   require_active txn op;
@@ -214,33 +219,28 @@ let write_internal t txn table ~oid data op =
     install_write t txn table tuple data;
     notify_write t txn table oid;
     Ok ()
-  | None -> (
-    match Tuple.head tuple with
-    | Some head when not (Version.is_committed head) ->
+  | None ->
+    let head = Tuple.head tuple in
+    if not (Version.is_committed head) then
       (* First-updater-wins: someone else's in-flight version is at the
-         head. *)
+         head.  ([Version.nil] counts as committed.) *)
       Error Err.Write_conflict
-    | head ->
-      let committed_too_new =
-        match txn.Txn.iso with
-        | Txn.Read_committed -> false
-        | Txn.Si | Txn.Serializable -> (
-          match Version.latest_committed head with
-          | Some v -> Int64.compare v.Version.begin_ts txn.Txn.begin_ts > 0
-          | None -> false)
-      in
-      if committed_too_new then Error Err.Write_conflict
-      else if
-        (* A serializable certifier may hold this latch across commit
-           stages; a write squeezing in would fail its validation anyway. *)
-        not (Latch.try_acquire tuple.Tuple.latch ~owner:txn.Txn.id)
-      then Error Err.Write_conflict
-      else begin
-        install_write t txn table tuple data;
-        Latch.release tuple.Tuple.latch ~owner:txn.Txn.id;
-        notify_write t txn table oid;
-        Ok ()
-      end)
+    else if
+      match txn.Txn.iso with
+      | Txn.Read_committed -> false
+      | Txn.Si | Txn.Serializable -> committed_after (Version.latest_committed head) txn
+    then Error Err.Write_conflict
+    else if
+      (* A serializable certifier may hold this latch across commit
+         stages; a write squeezing in would fail its validation anyway. *)
+      not (Tuple.try_latch tuple ~owner:txn.Txn.id)
+    then Error Err.Write_conflict
+    else begin
+      install_write t txn table tuple data;
+      Tuple.unlatch tuple ~owner:txn.Txn.id;
+      notify_write t txn table oid;
+      Ok ()
+    end
 
 let update t txn table ~oid data =
   t.st.updates <- t.st.updates + 1;
@@ -266,18 +266,20 @@ let commit_begin t txn =
      their final commit/abort; an abort on any path must release this. *)
   (match t.durability with Some d -> d.dur_reserve txn | None -> ());
   txn.Txn.state <- Txn.Preparing;
-  let add acc table tuple =
-    let key = (Table.id table, tuple.Tuple.oid) in
-    if List.mem_assoc key acc then acc else (key, tuple) :: acc
+  (* One entry per (table id, oid), in that order: a tuple read and written,
+     or read twice, is latched once. *)
+  let plan =
+    List.rev_map (fun w -> (Table.id w.Txn.wtable, w.Txn.wtuple)) txn.Txn.writes
   in
-  let acc = List.fold_left (fun acc w -> add acc w.Txn.wtable w.Txn.wtuple) [] txn.Txn.writes in
-  let acc =
+  let plan =
     if txn.Txn.iso = Txn.Serializable then
-      List.fold_left (fun acc r -> add acc r.Txn.rtable r.Txn.rtuple) acc txn.Txn.reads
-    else acc
+      List.fold_left (fun acc r -> (Table.id r.Txn.rtable, r.Txn.rtuple) :: acc) plan txn.Txn.reads
+    else plan
   in
-  let sorted = List.sort (fun (k1, _) (k2, _) -> compare k1 k2) acc in
-  txn.Txn.latch_plan <- Array.of_list (List.map snd sorted);
+  let by_key (t1, (u1 : Tuple.t)) (t2, (u2 : Tuple.t)) =
+    if t1 <> t2 then Int.compare t1 t2 else Int.compare u1.Tuple.oid u2.Tuple.oid
+  in
+  txn.Txn.latch_plan <- Array.of_list (List.map snd (List.sort_uniq by_key plan));
   txn.Txn.latched <- 0
 
 let commit_latch_next t txn =
@@ -287,12 +289,12 @@ let commit_latch_next t txn =
   if txn.Txn.latched >= Array.length txn.Txn.latch_plan then `Done
   else begin
     let tuple = txn.Txn.latch_plan.(txn.Txn.latched) in
-    if Latch.try_acquire tuple.Tuple.latch ~owner:txn.Txn.id then begin
+    if Tuple.try_latch tuple ~owner:txn.Txn.id then begin
       txn.Txn.latched <- txn.Txn.latched + 1;
       `Acquired
     end
     else
-      match Latch.holder tuple.Tuple.latch with
+      match Tuple.latch_holder tuple with
       | Some owner -> `Busy owner
       | None -> assert false
   end
@@ -306,17 +308,14 @@ let commit_validate t txn =
   | Txn.Serializable ->
     let stale =
       List.exists
-        (fun r ->
-          match Version.latest_committed (Tuple.head r.Txn.rtuple) with
-          | Some v -> Int64.compare v.Version.begin_ts txn.Txn.begin_ts > 0
-          | None -> false)
+        (fun r -> committed_after (Version.latest_committed (Tuple.head r.Txn.rtuple)) txn)
         txn.Txn.reads
     in
     if stale then Error Err.Read_validation else Ok ()
 
 let release_latches txn =
   for i = txn.Txn.latched - 1 downto 0 do
-    Latch.release txn.Txn.latch_plan.(i).Tuple.latch ~owner:txn.Txn.id
+    Tuple.unlatch txn.Txn.latch_plan.(i) ~owner:txn.Txn.id
   done;
   txn.Txn.latched <- 0
 

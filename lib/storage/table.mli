@@ -2,7 +2,10 @@
 
     Indexes (primary and secondary) are {!Btree} instances owned by the
     workload layer and map keys to OIDs; the table itself is the indirection
-    array mapping OIDs to version chains, as in ERMIA's OID arrays. *)
+    array mapping OIDs to version chains, as in ERMIA's OID arrays.  Slot
+    [oid] holds its {!Tuple.t} directly, with no option box; the capacity
+    slack past {!size} holds one shared placeholder tuple that {!get} and
+    {!iter} never return. *)
 
 type t
 
@@ -18,7 +21,6 @@ val alloc : t -> Tuple.t
 val get : t -> int -> Tuple.t
 (** @raise Invalid_argument on an unknown OID. *)
 
-val mem : t -> int -> bool
 val size : t -> int
 
 val iter : t -> (Tuple.t -> unit) -> unit

@@ -2,29 +2,30 @@ type t = {
   mutable data : Value.t option;
   mutable begin_ts : int64;
   mutable writer : int option;
-  mutable next : t option;
+  mutable next : t;
 }
+
+(* The one chain terminator: every chain ends here and nothing ever writes
+   to it, so it can stand in for "no version" without an option box. *)
+let rec nil = { data = None; begin_ts = 0L; writer = None; next = nil }
+
+let is_nil v = v == nil
 
 let in_flight_ts = Int64.max_int
 
 let committed ?(ts = Timestamp.bootstrap) data =
-  { data; begin_ts = ts; writer = None; next = None }
+  { data; begin_ts = ts; writer = None; next = nil }
 
-let in_flight ~writer data = { data; begin_ts = in_flight_ts; writer = Some writer; next = None }
+let in_flight ~writer data = { data; begin_ts = in_flight_ts; writer = Some writer; next = nil }
 
 (* Version nodes churn fast (every write installs one, every abort or GC
    unlink retires one) and live just long enough to be promoted out of the
    minor heap, which is the worst case for the GC.  The pool threads retired
    nodes into a freelist through their [next] field; recycling a node costs
    two mutations instead of a fresh five-word block plus promotion. *)
-type pool = {
-  mutable free_list : t option;
-  mutable fresh_ : int;
-  mutable recycled_ : int;
-  mutable released_ : int;
-}
+type pool = { mutable free_list : t }
 
-let pool_create () = { free_list = None; fresh_ = 0; recycled_ = 0; released_ = 0 }
+let pool_create () = { free_list = nil }
 
 let release p v =
   (* Drop the payload and writer so the pool retains no row data and no
@@ -34,28 +35,21 @@ let release p v =
   v.writer <- None;
   v.begin_ts <- 0L;
   v.next <- p.free_list;
-  p.free_list <- Some v;
-  p.released_ <- p.released_ + 1
+  p.free_list <- v
 
 let in_flight_of p ~writer data =
-  match p.free_list with
-  | Some v ->
+  let v = p.free_list in
+  if is_nil v then in_flight ~writer data
+  else begin
     p.free_list <- v.next;
-    p.recycled_ <- p.recycled_ + 1;
     v.data <- data;
     v.begin_ts <- in_flight_ts;
     v.writer <- Some writer;
-    v.next <- None;
+    v.next <- nil;
     v
-  | None ->
-    p.fresh_ <- p.fresh_ + 1;
-    in_flight ~writer data
+  end
 
-let pool_fresh p = p.fresh_
-let pool_recycled p = p.recycled_
-let pool_released p = p.released_
-
-let is_committed v = v.writer = None
+let is_committed v = match v.writer with None -> true | Some _ -> false
 
 let stamp v ts =
   if is_committed v then invalid_arg "Version.stamp: already committed";
@@ -67,20 +61,14 @@ let visible v ~snapshot ~reader =
   | Some w -> w = reader
   | None -> Int64.compare v.begin_ts snapshot <= 0
 
-let rec latest_committed = function
-  | None -> None
-  | Some v -> if is_committed v then Some v else latest_committed v.next
+let rec latest_committed v =
+  if is_nil v || is_committed v then v else latest_committed v.next
 
-let rec snapshot_read chain ~snapshot ~reader =
-  match chain with
-  | None -> None
-  | Some v ->
-    if visible v ~snapshot ~reader then Some v
-    else snapshot_read v.next ~snapshot ~reader
+let rec snapshot_read v ~snapshot ~reader =
+  if is_nil v || visible v ~snapshot ~reader then v
+  else snapshot_read v.next ~snapshot ~reader
 
-let rec fold f acc = function
-  | None -> acc
-  | Some v -> fold f (f acc v) v.next
+let rec fold f acc v = if is_nil v then acc else fold f (f acc v) v.next
 
 let chain_length chain = fold (fun n _ -> n + 1) 0 chain
 
@@ -88,41 +76,38 @@ let committed_length chain =
   fold (fun n v -> if is_committed v then n + 1 else n) 0 chain
 
 let rec truncate_older_than ?release chain ~boundary =
-  match chain with
-  | None -> 0
-  | Some v ->
-    if is_committed v && Int64.compare v.begin_ts boundary <= 0 then begin
-      (* [v] is the newest version visible at [boundary]: every snapshot at
-         or above the boundary reads [v] or newer, so everything older is
-         dead.  Cut here, handing each dropped node to [release] (which may
-         repurpose its [next] field — hence the older-link read first). *)
-      let dropped =
-        match release with
-        | None -> chain_length v.next
-        | Some rel ->
-          let rec free n = function
-            | None -> n
-            | Some d ->
-              let older = d.next in
-              rel d;
-              free (n + 1) older
-          in
-          free 0 v.next
-      in
-      v.next <- None;
-      dropped
-    end
-    else truncate_older_than ?release v.next ~boundary
+  if is_nil chain then 0
+  else if is_committed chain && Int64.compare chain.begin_ts boundary <= 0 then begin
+    (* [chain] is the newest version visible at [boundary]: every snapshot
+       at or above the boundary reads it or newer, so everything older is
+       dead.  Cut here, handing each dropped node to [release] (which may
+       repurpose its [next] field — hence the older-link read first). *)
+    let dropped =
+      match release with
+      | None -> chain_length chain.next
+      | Some rel ->
+        let rec free n d =
+          if is_nil d then n
+          else begin
+            let older = d.next in
+            rel d;
+            free (n + 1) older
+          end
+        in
+        free 0 chain.next
+    in
+    chain.next <- nil;
+    dropped
+  end
+  else truncate_older_than ?release chain.next ~boundary
 
 let well_formed chain =
-  let rec check ~at_head ~prev_ts = function
-    | None -> true
-    | Some v ->
-      if not (is_committed v) then at_head && check ~at_head:false ~prev_ts v.next
-      else begin
-        (match prev_ts with
-        | Some p when Int64.compare v.begin_ts p >= 0 -> false
-        | _ -> check ~at_head:false ~prev_ts:(Some v.begin_ts) v.next)
-      end
+  let rec check ~at_head ~prev_ts v =
+    if is_nil v then true
+    else if not (is_committed v) then at_head && check ~at_head:false ~prev_ts v.next
+    else
+      match prev_ts with
+      | Some p when Int64.compare v.begin_ts p >= 0 -> false
+      | _ -> check ~at_head:false ~prev_ts:(Some v.begin_ts) v.next
   in
   check ~at_head:true ~prev_ts:None chain

@@ -8,6 +8,7 @@ module Value = Storage.Value
 module Engine = Storage.Engine
 module Table = Storage.Table
 module Tuple = Storage.Tuple
+module Version = Storage.Version
 module Txn = Storage.Txn
 module Device = Durability.Device
 module Log_buffer = Durability.Log_buffer
@@ -434,6 +435,54 @@ let test_recovery_ddl_replay () =
     | exception Not_found -> false);
   checkb "states equal with late table" true (Recovery.durable_state_equal eng recovered)
 
+(* A standby's applier overwrites a tuple's one committed version with each
+   newer commit instead of prepending.  Re-fed records (a duplicated
+   delivery, or the overlap a NAK re-request resends) must land in place,
+   and the applied state must still match recovery and the primary. *)
+let test_recovery_applier_one_version () =
+  let eng, table, log = mk_logged_engine () in
+  let oid1 = seed_row eng table 1 in
+  let oid2 = seed_row eng table 2 in
+  for v = 3 to 6 do
+    ignore (commit_update eng table oid1 v)
+  done;
+  let t = Engine.begin_txn eng ~worker:0 ~ctx:0 in
+  (match Engine.delete eng t table ~oid:oid2 with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "delete");
+  (match Engine.commit eng t with Ok _ -> () | Error _ -> Alcotest.fail "commit");
+  (* re-insert over the tombstone *)
+  ignore (commit_update eng table oid2 7);
+  ignore (commit_update eng table oid1 8);
+  flush_all log;
+  let records = Log.durable_entries log in
+  let from k = List.filteri (fun i _ -> i >= k) records in
+  let upto k = List.filteri (fun i _ -> i < k) records in
+  let half = List.length records / 2 in
+  let recovered = Recovery.recover log in
+  List.iter
+    (fun (name, feed) ->
+      let ap = Recovery.Applier.create () in
+      List.iter (Recovery.Applier.create_table ap) (Log.catalog log);
+      ignore (Recovery.Applier.load_image ap (Log.base log));
+      List.iter (Recovery.Applier.feed ap) feed;
+      Recovery.Applier.finish ap;
+      let applied = Recovery.Applier.engine ap in
+      List.iter
+        (fun tb ->
+          Table.iter tb (fun tuple ->
+              checkb
+                (Printf.sprintf "%s: oid %d holds at most one version" name tuple.Tuple.oid)
+                true
+                (Version.chain_length (Tuple.head tuple) <= 1)))
+        (Engine.tables applied);
+      checkb (name ^ ": equals recovery") true (Recovery.durable_state_equal applied recovered);
+      checkb (name ^ ": equals the primary") true (Recovery.durable_state_equal applied eng))
+    [
+      ("duplicated prefix", upto half @ records);
+      ("overlapping re-feed", upto (half + 3) @ from half);
+    ]
+
 (* -- Fuzzy checkpoint ------------------------------------------------------------ *)
 
 let drive prog env =
@@ -687,7 +736,11 @@ let () =
           Alcotest.test_case "state-equal: table after checkpoint" `Quick
             test_state_equal_table_after_checkpoint;
         ]
-        @ qsuite [ prop_recovery_roundtrip; prop_fuzzed_crash_point ] );
+        @ qsuite [ prop_recovery_roundtrip; prop_fuzzed_crash_point ]
+        @ [
+            Alcotest.test_case "applier keeps one version per tuple" `Quick
+              test_recovery_applier_one_version;
+          ] );
       ( "checkpoint",
         [
           Alcotest.test_case "fuzzy pass + recovery" `Quick

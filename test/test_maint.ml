@@ -91,8 +91,8 @@ let chain_of tss =
       (fun ts below ->
         let v = Version.committed ~ts (Some (row (Int64.to_int ts))) in
         v.Version.next <- below;
-        Some v)
-      tss None
+        v)
+      tss Version.nil
   in
   checkb "fixture chain well-formed" true (Version.well_formed chain);
   chain
@@ -103,9 +103,9 @@ let test_truncate_mid_chain () =
     (Version.truncate_older_than chain ~boundary:30L);
   checki "kept prefix intact" 2 (Version.chain_length chain);
   checkb "still well-formed" true (Version.well_formed chain);
-  match Version.latest_committed chain with
-  | Some v -> check64 "newest untouched" 40L v.Version.begin_ts
-  | None -> Alcotest.fail "chain emptied"
+  let v = Version.latest_committed chain in
+  if Version.is_nil v then Alcotest.fail "chain emptied"
+  else check64 "newest untouched" 40L v.Version.begin_ts
 
 let test_truncate_no_qualifying_version () =
   let chain = chain_of [ 40L; 30L ] in
@@ -121,23 +121,24 @@ let test_truncate_boundary_above_all () =
 let test_truncate_keeps_tombstone () =
   let dead = Version.committed ~ts:30L None in
   let live = Version.committed ~ts:10L (Some (row 1)) in
-  dead.Version.next <- Some live;
-  let chain = Some dead in
+  dead.Version.next <- live;
+  let chain = dead in
   checki "cuts below the tombstone" 1 (Version.truncate_older_than chain ~boundary:50L);
-  (match Version.latest_committed chain with
-  | Some v ->
-    check64 "tombstone is the kept boundary version" 30L v.Version.begin_ts;
-    checkb "deletion still observable" true (v.Version.data = None)
-  | None -> Alcotest.fail "tombstone pruned away");
+  (let v = Version.latest_committed chain in
+   if Version.is_nil v then Alcotest.fail "tombstone pruned away"
+   else begin
+     check64 "tombstone is the kept boundary version" 30L v.Version.begin_ts;
+     checkb "deletion still observable" true (v.Version.data = None)
+   end);
   checki "never pruned to nothing" 1 (Version.chain_length chain)
 
 let test_truncate_skips_in_flight_head () =
   let head = Version.in_flight ~writer:7 (Some (row 9)) in
   let v2 = Version.committed ~ts:20L (Some (row 2)) in
   let v1 = Version.committed ~ts:10L (Some (row 1)) in
-  head.Version.next <- Some v2;
-  v2.Version.next <- Some v1;
-  let chain = Some head in
+  head.Version.next <- v2;
+  v2.Version.next <- v1;
+  let chain = head in
   checki "kept = newest committed at or below boundary" 1
     (Version.truncate_older_than chain ~boundary:25L);
   checki "in-flight head preserved" 2 (Version.chain_length chain);
@@ -146,7 +147,7 @@ let test_truncate_skips_in_flight_head () =
 let test_truncate_all_in_flight () =
   let head = Version.in_flight ~writer:7 (Some (row 9)) in
   checki "nothing committed: nothing cut" 0
-    (Version.truncate_older_than (Some head) ~boundary:100L)
+    (Version.truncate_older_than head ~boundary:100L)
 
 (* -- Reclaimer chunk programs ------------------------------------------------- *)
 

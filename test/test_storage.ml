@@ -4,7 +4,6 @@
 
 module Value = Storage.Value
 module Timestamp = Storage.Timestamp
-module Latch = Storage.Latch
 module Version = Storage.Version
 module Tuple = Storage.Tuple
 module Table = Storage.Table
@@ -55,22 +54,21 @@ let test_timestamp_monotonic () =
 (* -- Latch ------------------------------------------------------------------------ *)
 
 let test_latch_reentrant () =
-  let l = Latch.create ~name:"t" () in
-  checkb "acquire" true (Latch.try_acquire l ~owner:1);
-  checkb "reentrant" true (Latch.try_acquire l ~owner:1);
-  checkb "other blocked" false (Latch.try_acquire l ~owner:2);
-  checki "contention counted" 1 (Latch.contended_count l);
-  Latch.release l ~owner:1;
-  Alcotest.(check (option int)) "still held" (Some 1) (Latch.holder l);
-  Latch.release l ~owner:1;
-  Alcotest.(check (option int)) "free" None (Latch.holder l);
-  checkb "other can take now" true (Latch.try_acquire l ~owner:2)
+  let l = Tuple.create ~oid:0 in
+  checkb "acquire" true (Tuple.try_latch l ~owner:1);
+  checkb "reentrant" true (Tuple.try_latch l ~owner:1);
+  checkb "other blocked" false (Tuple.try_latch l ~owner:2);
+  Tuple.unlatch l ~owner:1;
+  Alcotest.(check (option int)) "still held" (Some 1) (Tuple.latch_holder l);
+  Tuple.unlatch l ~owner:1;
+  Alcotest.(check (option int)) "free" None (Tuple.latch_holder l);
+  checkb "other can take now" true (Tuple.try_latch l ~owner:2)
 
 let test_latch_release_errors () =
-  let l = Latch.create () in
-  checkb "acquired" true (Latch.try_acquire l ~owner:1);
+  let l = Tuple.create ~oid:0 in
+  checkb "acquired" true (Tuple.try_latch l ~owner:1);
   checkb "wrong owner release raises" true
-    (match Latch.release l ~owner:2 with
+    (match Tuple.unlatch l ~owner:2 with
     | () -> false
     | exception Invalid_argument _ -> true)
 
@@ -82,14 +80,13 @@ let test_version_visibility () =
   let v3 = Version.committed ~ts:30L (Some (row 3)) in
   let v2 = Version.committed ~ts:20L (Some (row 2)) in
   let v1 = Version.committed ~ts:10L (Some (row 1)) in
-  v3.Version.next <- Some v2;
-  v2.Version.next <- Some v1;
-  let chain = Some v3 in
+  v3.Version.next <- v2;
+  v2.Version.next <- v1;
+  let chain = v3 in
   checkb "well formed" true (Version.well_formed chain);
   let read snap =
-    match Version.snapshot_read chain ~snapshot:snap ~reader:99 with
-    | Some v -> Value.int_exn (Option.get v.Version.data) 0
-    | None -> -1
+    let v = Version.snapshot_read chain ~snapshot:snap ~reader:99 in
+    if Version.is_nil v then -1 else Value.int_exn (Option.get v.Version.data) 0
   in
   checki "snapshot 30 sees v3" 3 (read 30L);
   checki "snapshot 25 sees v2" 2 (read 25L);
@@ -99,15 +96,15 @@ let test_version_visibility () =
 let test_version_own_write_visible () =
   let inflight = Version.in_flight ~writer:7 (Some (row 42)) in
   let v1 = Version.committed ~ts:10L (Some (row 1)) in
-  inflight.Version.next <- Some v1;
-  let chain = Some inflight in
+  inflight.Version.next <- v1;
+  let chain = inflight in
   checkb "well formed with in-flight head" true (Version.well_formed chain);
-  (match Version.snapshot_read chain ~snapshot:100L ~reader:7 with
-  | Some v -> checki "writer sees own" 42 (Value.int_exn (Option.get v.Version.data) 0)
-  | None -> Alcotest.fail "writer must see own write");
-  match Version.snapshot_read chain ~snapshot:100L ~reader:8 with
-  | Some v -> checki "others skip in-flight" 1 (Value.int_exn (Option.get v.Version.data) 0)
-  | None -> Alcotest.fail "reader must see committed version"
+  (let v = Version.snapshot_read chain ~snapshot:100L ~reader:7 in
+   if Version.is_nil v then Alcotest.fail "writer must see own write"
+   else checki "writer sees own" 42 (Value.int_exn (Option.get v.Version.data) 0));
+  let v = Version.snapshot_read chain ~snapshot:100L ~reader:8 in
+  if Version.is_nil v then Alcotest.fail "reader must see committed version"
+  else checki "others skip in-flight" 1 (Value.int_exn (Option.get v.Version.data) 0)
 
 let test_version_stamp () =
   let v = Version.in_flight ~writer:1 (Some (row 1)) in
@@ -121,63 +118,111 @@ let test_version_stamp () =
 let test_version_latest_committed () =
   let inflight = Version.in_flight ~writer:1 (Some (row 9)) in
   let v = Version.committed ~ts:3L (Some (row 1)) in
-  inflight.Version.next <- Some v;
-  (match Version.latest_committed (Some inflight) with
-  | Some got -> check64 "skips in-flight" 3L got.Version.begin_ts
-  | None -> Alcotest.fail "expected committed version");
-  checki "chain length" 2 (Version.chain_length (Some inflight))
+  inflight.Version.next <- v;
+  (let got = Version.latest_committed inflight in
+   if Version.is_nil got then Alcotest.fail "expected committed version"
+   else check64 "skips in-flight" 3L got.Version.begin_ts);
+  checki "chain length" 2 (Version.chain_length inflight)
 
 let test_version_ill_formed_detected () =
   (* timestamps must strictly decrease *)
   let v1 = Version.committed ~ts:10L (Some (row 1)) in
   let v2 = Version.committed ~ts:10L (Some (row 2)) in
-  v1.Version.next <- Some v2;
-  checkb "equal timestamps rejected" false (Version.well_formed (Some v1));
+  v1.Version.next <- v2;
+  checkb "equal timestamps rejected" false (Version.well_formed v1);
   (* in-flight below head is ill-formed *)
   let top = Version.committed ~ts:20L (Some (row 3)) in
   let mid = Version.in_flight ~writer:1 (Some (row 4)) in
-  top.Version.next <- Some mid;
-  checkb "buried in-flight rejected" false (Version.well_formed (Some top))
+  top.Version.next <- mid;
+  checkb "buried in-flight rejected" false (Version.well_formed top)
 
 let test_version_all_in_flight_chain () =
   (* a chain holding only an uncommitted head: invisible to everyone but
      its writer, and "nothing committed" for every committed-state reader *)
   let head = Version.in_flight ~writer:7 (Some (row 42)) in
-  let chain = Some head in
-  (match Version.snapshot_read chain ~snapshot:100L ~reader:8 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "other readers must not see the in-flight version");
-  checkb "no committed version" true (Version.latest_committed chain = None);
+  let chain = head in
+  if not (Version.is_nil (Version.snapshot_read chain ~snapshot:100L ~reader:8)) then
+    Alcotest.fail "other readers must not see the in-flight version";
+  checkb "no committed version" true (Version.is_nil (Version.latest_committed chain));
   checki "committed length 0" 0 (Version.committed_length chain);
   checki "raw length 1" 1 (Version.chain_length chain);
   (* the writer sees its own write even with a snapshot below everything *)
-  match Version.snapshot_read chain ~snapshot:0L ~reader:7 with
-  | Some v -> checki "own uncommitted visible" 42 (Value.int_exn (Option.get v.Version.data) 0)
-  | None -> Alcotest.fail "writer must see its own in-flight version"
+  let v = Version.snapshot_read chain ~snapshot:0L ~reader:7 in
+  if Version.is_nil v then Alcotest.fail "writer must see its own in-flight version"
+  else checki "own uncommitted visible" 42 (Value.int_exn (Option.get v.Version.data) 0)
 
 let test_version_tombstone_head () =
   let dead = Version.committed ~ts:30L None in
   let live = Version.committed ~ts:10L (Some (row 1)) in
-  dead.Version.next <- Some live;
-  let chain = Some dead in
+  dead.Version.next <- live;
+  let chain = dead in
   checkb "well formed" true (Version.well_formed chain);
-  (match Version.snapshot_read chain ~snapshot:35L ~reader:9 with
-  | Some v -> checkb "deletion observed, not skipped" true (v.Version.data = None)
-  | None -> Alcotest.fail "tombstone must be returned as the visible version");
-  (match Version.snapshot_read chain ~snapshot:15L ~reader:9 with
-  | Some v -> checki "pre-delete snapshot sees the old row" 1 (Value.int_exn (Option.get v.Version.data) 0)
-  | None -> Alcotest.fail "old snapshot must see the pre-delete version");
-  (match Version.latest_committed chain with
-  | Some v -> checkb "latest committed is the tombstone" true (v.Version.data = None)
-  | None -> Alcotest.fail "latest_committed must return the tombstone");
+  (let v = Version.snapshot_read chain ~snapshot:35L ~reader:9 in
+   if Version.is_nil v then Alcotest.fail "tombstone must be returned as the visible version"
+   else checkb "deletion observed, not skipped" true (v.Version.data = None));
+  (let v = Version.snapshot_read chain ~snapshot:15L ~reader:9 in
+   if Version.is_nil v then Alcotest.fail "old snapshot must see the pre-delete version"
+   else
+     checki "pre-delete snapshot sees the old row" 1 (Value.int_exn (Option.get v.Version.data) 0));
+  (let v = Version.latest_committed chain in
+   if Version.is_nil v then Alcotest.fail "latest_committed must return the tombstone"
+   else checkb "latest committed is the tombstone" true (v.Version.data = None));
   checki "committed length counts the tombstone" 2 (Version.committed_length chain)
 
 let test_version_committed_length_skips_in_flight () =
   let head = Version.in_flight ~writer:3 (Some (row 9)) in
   let v = Version.committed ~ts:5L (Some (row 1)) in
-  head.Version.next <- Some v;
-  checki "raw length" 2 (Version.chain_length (Some head));
-  checki "committed length" 1 (Version.committed_length (Some head))
+  head.Version.next <- v;
+  checki "raw length" 2 (Version.chain_length head);
+  checki "committed length" 1 (Version.committed_length head)
+
+(* A loaded tuple costs its slot, its tuple record, one version and the
+   version's [Some row] box: 1 + 5 + 5 + 2 words.  The row itself is shared
+   here, so only the per-tuple layout is counted. *)
+let test_version_tuple_footprint () =
+  let shared = row 1 in
+  let loaded n =
+    let table = Table.create ~id:0 ~name:"t" in
+    for _ = 1 to n do
+      Tuple.install (Table.alloc table) (Version.committed (Some shared))
+    done;
+    Obj.reachable_words (Obj.repr table)
+  in
+  checki "13 words per loaded tuple" (13 * 1024) (loaded 2048 - loaded 1024)
+
+(* Every chain in every engine ends at the one shared [Version.nil], so a
+   write to it would corrupt them all.  A run with reclamation exercises
+   the paths that rewrite links: installs, GC truncation, aborts splicing
+   out in-flight versions, and the version pool recycling both. *)
+let test_version_nil_never_mutated () =
+  let cfg =
+    Preemptdb.Config.with_reclaim
+      ~reclaim:
+        {
+          Preemptdb.Config.rc_chunk_tuples = 512;
+          rc_epoch_interval_us = 20.;
+          rc_gc_interval_us = 50.;
+          rc_chunks_per_tick = 4;
+          rc_non_preemptible = false;
+        }
+      {
+        (Preemptdb.Config.default ~policy:(Preemptdb.Config.Preempt 1.0) ~n_workers:2 ()) with
+        Preemptdb.Config.seed = 11L;
+      }
+  in
+  let r =
+    Preemptdb.Runner.run_maintenance ~cfg ~horizon_sec:0.01 ~arrival_interval_us:100. ()
+  in
+  (match r.Preemptdb.Runner.maint with
+  | Some m -> checkb "GC unlinked versions" true (m.Preemptdb.Runner.ms_versions_reclaimed > 0)
+  | None -> Alcotest.fail "maint summary missing");
+  checkb "transactions aborted" true (Engine.total_aborts (Engine.stats r.Preemptdb.Runner.eng) > 0);
+  let nil = Version.nil in
+  checkb "is_nil nil" true (Version.is_nil nil);
+  checkb "data still None" true (nil.Version.data = None);
+  check64 "begin_ts still 0" 0L nil.Version.begin_ts;
+  checkb "writer still None" true (nil.Version.writer = None);
+  checkb "nil.next == nil" true (nil.Version.next == nil)
 
 (* -- B+tree ------------------------------------------------------------------------ *)
 
@@ -450,7 +495,8 @@ let test_engine_abort_unlinks_buried_in_flight () =
   checki "aborted version spliced out from mid-chain" 2
     (Version.chain_length (Tuple.head tuple));
   checkb "no in-flight garbage left" true
-    (match Tuple.head tuple with Some v -> Version.is_committed v | None -> false);
+    (let v = Tuple.head tuple in
+     (not (Version.is_nil v)) && Version.is_committed v);
   checkb "chain well-formed after the splice" true
     (Version.well_formed (Tuple.head tuple))
 
@@ -527,7 +573,7 @@ let test_engine_staged_commit_busy_latch () =
   checkb "a committed" true (Int64.compare ts 0L > 0);
   checki "deadlock abort counted" 1 (Engine.stats eng).Engine.aborts_deadlock;
   (* the latch must be free again after both paths *)
-  checkb "latch released" true (Latch.holder (Table.get table oid).Tuple.latch = None)
+  checkb "latch released" true (Tuple.latch_holder (Table.get table oid) = None)
 
 let test_engine_commit_releases_latches_on_validation_failure () =
   let eng, table = mk_engine () in
@@ -541,7 +587,7 @@ let test_engine_commit_releases_latches_on_validation_failure () =
   | Error Err.Read_validation -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected validation failure");
   checkb "latch released after failed commit" true
-    (Latch.holder (Table.get table oid).Tuple.latch = None)
+    (Tuple.latch_holder (Table.get table oid) = None)
 
 let test_engine_table_registry () =
   let eng = Engine.create () in
@@ -615,11 +661,51 @@ let prop_si_interleavings =
         (fun oid ->
           let chain = Tuple.head (Table.get table oid) in
           if not (Version.well_formed chain) then ok := false;
-          match chain with
-          | Some head when not (Version.is_committed head) -> ok := false
-          | Some _ | None -> ())
+          if not (Version.is_committed chain) then ok := false)
         oids;
       !ok)
+
+(* The commit latch plan as it was first written: a quadratic dedup with
+   [List.mem_assoc], then a polymorphic sort by (table id, oid).  Kept as
+   the reference the production plan must match entry for entry. *)
+let reference_latch_plan (txn : Txn.t) =
+  let add acc table tuple =
+    let key = (Table.id table, tuple.Tuple.oid) in
+    if List.mem_assoc key acc then acc else (key, tuple) :: acc
+  in
+  let acc = List.fold_left (fun acc w -> add acc w.Txn.wtable w.Txn.wtuple) [] txn.Txn.writes in
+  let acc =
+    if txn.Txn.iso = Txn.Serializable then
+      List.fold_left (fun acc r -> add acc r.Txn.rtable r.Txn.rtuple) acc txn.Txn.reads
+    else acc
+  in
+  Array.of_list (List.map snd (List.sort (fun (k1, _) (k2, _) -> compare k1 k2) acc))
+
+let prop_latch_plan_matches_reference =
+  QCheck2.Test.make ~name:"latch plan matches the quadratic reference" ~count:200
+    QCheck2.Gen.(
+      pair bool (list_size (int_range 0 40) (triple (int_bound 2) (int_bound 5) bool)))
+    (fun (serializable, ops) ->
+      let eng = Engine.create () in
+      let tables =
+        Array.init 3 (fun i ->
+            let table = Engine.create_table eng (Printf.sprintf "t%d" i) in
+            for v = 0 to 5 do
+              ignore (seed_row eng table v)
+            done;
+            table)
+      in
+      let iso = if serializable then Txn.Serializable else Txn.Si in
+      let txn = Engine.begin_txn ~iso eng ~worker:0 ~ctx:0 in
+      List.iter
+        (fun (ti, oid, write) ->
+          if write then ignore (Engine.update eng txn tables.(ti) ~oid (row oid))
+          else ignore (Engine.read eng txn tables.(ti) ~oid))
+        ops;
+      Engine.commit_begin eng txn;
+      let plan = txn.Txn.latch_plan and reference = reference_latch_plan txn in
+      Engine.abort eng txn;
+      Array.length plan = Array.length reference && Array.for_all2 ( == ) plan reference)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -648,6 +734,8 @@ let () =
           Alcotest.test_case "tombstone head" `Quick test_version_tombstone_head;
           Alcotest.test_case "committed length" `Quick
             test_version_committed_length_skips_in_flight;
+          Alcotest.test_case "tuple footprint" `Quick test_version_tuple_footprint;
+          Alcotest.test_case "nil is never mutated" `Quick test_version_nil_never_mutated;
         ] );
       ( "btree",
         [
@@ -680,5 +768,5 @@ let () =
             test_engine_commit_releases_latches_on_validation_failure;
           Alcotest.test_case "table registry" `Quick test_engine_table_registry;
         ]
-        @ qsuite [ prop_si_interleavings ] );
+        @ qsuite [ prop_si_interleavings; prop_latch_plan_matches_reference ] );
     ]
