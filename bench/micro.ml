@@ -17,7 +17,7 @@ let make_chain n =
   let rec build i next =
     if i = 0 then next
     else
-      let v = Storage.Version.committed ~ts:(Int64.of_int (i * 10)) (Some [| Storage.Value.Int i |]) in
+      let v = Storage.Version.committed ~ts:(Int64.of_int (i * 10)) (Some (Storage.Value.of_fields [| Storage.Value.Int i |])) in
       v.Storage.Version.next <- next;
       build (i - 1) v
   in

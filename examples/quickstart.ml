@@ -48,8 +48,8 @@ let () =
   let oids = ref [] in
   let setup env =
     P.run_txn env (fun txn ->
-        let a = P.insert env txn accounts [| Value.Str "alice"; Value.Int 100 |] in
-        let b = P.insert env txn accounts [| Value.Str "bob"; Value.Int 50 |] in
+        let a = P.insert env txn accounts (Value.of_fields [| Value.Str "alice"; Value.Int 100 |]) in
+        let b = P.insert env txn accounts (Value.of_fields [| Value.Str "bob"; Value.Int 50 |]) in
         oids := [ a.Tuple.oid, "alice"; b.Tuple.oid, "bob" ])
   in
   ignore (drive "setup" setup env);
@@ -90,7 +90,7 @@ let () =
         (* a concurrent writer (a second transaction on another worker) *)
         let writer = Engine.begin_txn eng ~worker:1 ~ctx:0 in
         (match
-            Engine.update eng writer accounts ~oid:alice [| Value.Str "alice"; Value.Int 0 |]
+            Engine.update eng writer accounts ~oid:alice (Value.of_fields [| Value.Str "alice"; Value.Int 0 |])
           with
         | Ok () -> ()
         | Error _ -> failwith "unexpected conflict");

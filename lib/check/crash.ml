@@ -116,7 +116,8 @@ let actual_state ?exclude (eng : Storage.Engine.t) =
 
 let payload_to_string = function
   | None -> "<tombstone>"
-  | Some v -> Printf.sprintf "%d fields, %d bytes" (Array.length v) (Storage.Value.size_bytes v)
+  | Some v ->
+    Printf.sprintf "%d fields, %d bytes" (Storage.Value.length v) (Storage.Value.size_bytes v)
 
 let survival ~oracle ~(dur : R.dur_parts) ~audits ~prefix ~acked_bound ?exclude survivor =
   let dm = dur.R.dur_daemon in

@@ -100,7 +100,8 @@ let setup_selftest (a : R.Runner.assembly) (s : Schedule.t) =
   for i = 0 to selftest_rows - 1 do
     let tuple = Storage.Table.alloc table in
     Storage.Tuple.install tuple
-      (Storage.Version.committed (Some [| Storage.Value.Int i; Storage.Value.Int 0 |]))
+      (Storage.Version.committed
+         (Some (Storage.Value.of_fields [| Storage.Value.Int i; Storage.Value.Int 0 |])))
   done;
   let next_id = ref 0 in
   let fresh_id () =

@@ -228,7 +228,7 @@ let append_twopc_install t ~worker ~gid ~commit_ts =
 
 let append_decision t ~worker ~gid ~commit_ts ~participants =
   let payload =
-    Some (Array.of_list (List.map (fun p -> Value.Int p) participants))
+    Some (Value.of_fields (Array.of_list (List.map (fun p -> Value.Int p) participants)))
   in
   let lsn =
     append t ~worker (fun ~lsn ->
@@ -313,8 +313,8 @@ let durable_entries t =
 
 let value_to_json (v : Value.t) =
   J.List
-    (Array.to_list v
-    |> List.map (function
+    (List.init (Value.length v) (fun k ->
+         match Value.get v k with
          | Value.Int i -> J.Obj [ ("i", J.Int i) ]
          | Value.Float f -> J.Obj [ ("f", J.Float f) ]
          | Value.Str s -> J.Obj [ ("s", J.String s) ]))
@@ -332,7 +332,7 @@ let value_of_json json =
     in
     let parsed = List.map parse fields in
     if List.exists Option.is_none parsed then None
-    else Some (Array.of_list (List.map Option.get parsed))
+    else Some (Value.of_fields (Array.of_list (List.map Option.get parsed)))
 
 let payload_to_json = function None -> J.Null | Some v -> value_to_json v
 

@@ -115,7 +115,7 @@ module Applier = struct
       let participants =
         match r.Log_buffer.payload with
         | Some vals ->
-          Array.to_list vals
+          List.init (Value.length vals) (Value.get vals)
           |> List.filter_map (function Value.Int p -> Some p | _ -> None)
         | None -> []
       in

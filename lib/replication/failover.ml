@@ -42,7 +42,7 @@ let run_probes eng n =
   let ok = ref 0 in
   for i = 1 to n do
     let txn = Storage.Engine.begin_txn eng ~worker:0 ~ctx:0 in
-    ignore (Storage.Engine.insert eng txn table [| Storage.Value.Int i |]);
+    ignore (Storage.Engine.insert eng txn table (Storage.Value.of_fields [| Storage.Value.Int i |]));
     match Storage.Engine.commit eng txn with
     | Ok _ -> incr ok
     | Error _ -> Storage.Engine.abort eng txn

@@ -299,14 +299,14 @@ let sharded_new_order t s ~home_w env =
     let c_discount = Value.float_exn crow Sc.C.discount in
     let otuple =
       P.insert env txn db.orders
-        [| Int w; Int d; Int o_id; Int c; Int (-1); Int ol_cnt; Int 0; Int 0 |]
+        (Value.of_fields [| Int w; Int d; Int o_id; Int c; Int (-1); Int ol_cnt; Int 0; Int 0 |])
     in
     Idx.insert_int env txn db.orders_idx ~key:(Sc.order_key ~w ~d ~o:o_id)
       ~oid:otuple.Storage.Tuple.oid;
     Idx.insert_int env txn db.orders_by_customer_idx
       ~key:(Sc.order_by_customer_key ~w ~d ~c ~o:o_id)
       ~oid:otuple.Storage.Tuple.oid;
-    let ntuple = P.insert env txn db.new_order [| Int w; Int d; Int o_id |] in
+    let ntuple = P.insert env txn db.new_order (Value.of_fields [| Int w; Int d; Int o_id |]) in
     Idx.insert_int env txn db.new_order_idx
       ~key:(Sc.new_order_key ~w ~d ~o:o_id)
       ~oid:ntuple.Storage.Tuple.oid;
@@ -321,18 +321,19 @@ let sharded_new_order t s ~home_w env =
         let n = idx + 1 in
         let oltuple =
           P.insert env txn db.order_line
-            [|
-              Int w;
-              Int d;
-              Int o_id;
-              Int n;
-              Int i;
-              Int supply_w;
-              Int qty;
-              Float (amount *. (1.0 +. w_tax +. d_tax) *. (1.0 -. c_discount));
-              Int (-1);
-              Str "dist-info-dist-info-dist";
-            |]
+            (Value.of_fields
+               [|
+                 Int w;
+                 Int d;
+                 Int o_id;
+                 Int n;
+                 Int i;
+                 Int supply_w;
+                 Int qty;
+                 Float (amount *. (1.0 +. w_tax +. d_tax) *. (1.0 -. c_discount));
+                 Int (-1);
+                 Str "dist-info-dist-info-dist";
+               |])
         in
         Idx.insert_int env txn db.order_line_idx
           ~key:(Sc.order_line_key ~w ~d ~o:o_id ~n)
@@ -365,7 +366,9 @@ let sharded_payment t s ~home_w env =
       read_via env txn db.district db.district_idx (Sc.district_key ~w ~d) "district"
     in
     P.update env txn db.district ~oid:doid (Value.add_float drow Sc.D.ytd amount);
-    ignore (P.insert env txn db.history [| Int c_w; Int c_d; Int 0; Float amount; Int 0 |]);
+    ignore
+      (P.insert env txn db.history
+         (Value.of_fields [| Int c_w; Int c_d; Int 0; Float amount; Int 0 |]));
     P.compute 300
   in
   run_2pc t s env ~groups ~body

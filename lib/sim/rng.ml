@@ -1,10 +1,9 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-  mutable draws_ : int;
-}
+(* The xoshiro256** state, s0..s3, as four native-endian 64-bit words in
+   one 32-byte buffer.  Loads and stores through [Bytes.get_int64_ne] and
+   [set_int64_ne] stay unboxed, where a mutable [int64] field would box a
+   fresh value on every store (21 words a draw), so a draw that [int],
+   [int_in], [float] or [bool] consume allocates nothing. *)
+type t = { s : Bytes.t; mutable draws_ : int }
 
 (* splitmix64, used only for seeding so that nearby seeds give unrelated
    xoshiro states. *)
@@ -18,31 +17,34 @@ let splitmix64 state =
 
 let create seed =
   let state = ref seed in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3; draws_ = 0 }
+  let s = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne s (8 * i) (splitmix64 state)
+  done;
+  { s; draws_ = 0 }
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* xoshiro256** step *)
-let next_int64 t =
+let[@inline] next_int64 t =
   t.draws_ <- t.draws_ + 1;
+  let b = t.s in
+  let s0 = Bytes.get_int64_ne b 0 and s1 = Bytes.get_int64_ne b 8 in
+  let s2 = Bytes.get_int64_ne b 16 and s3 = Bytes.get_int64_ne b 24 in
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_ne b 0 (logxor s0 s3);
+  Bytes.set_int64_ne b 8 (logxor s1 s2);
+  Bytes.set_int64_ne b 16 (logxor s2 tmp);
+  Bytes.set_int64_ne b 24 (rotl s3 45);
   result
 
 let split t = create (next_int64 t)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3; draws_ = t.draws_ }
+let copy t = { s = Bytes.copy t.s; draws_ = t.draws_ }
 let draws t = t.draws_
 
 let int t bound =

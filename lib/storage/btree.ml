@@ -60,11 +60,16 @@ module Make (K : KEY) = struct
 
   let array_insert a i x =
     let n = Array.length a in
-    Array.init (n + 1) (fun j -> if j < i then a.(j) else if j = i then x else a.(j - 1))
+    let b = Array.make (n + 1) x in
+    Array.blit a 0 b 0 i;
+    Array.blit a i b (i + 1) (n - i);
+    b
 
   let array_remove a i =
     let n = Array.length a in
-    Array.init (n - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
+    let b = Array.sub a 0 (n - 1) in
+    Array.blit a (i + 1) b i (n - 1 - i);
+    b
 
   let sub a lo len = Array.sub a lo len
 

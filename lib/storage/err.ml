@@ -5,7 +5,3 @@ let abort_reason_to_string = function
   | Read_validation -> "read-validation"
   | Latch_deadlock -> "latch-deadlock"
   | User_abort -> "user-abort"
-
-let pp_abort_reason ppf r = Format.pp_print_string ppf (abort_reason_to_string r)
-
-exception Deadlock of string

@@ -14,8 +14,3 @@ type abort_reason =
   | User_abort  (** the transaction logic requested rollback *)
 
 val abort_reason_to_string : abort_reason -> string
-val pp_abort_reason : Format.formatter -> abort_reason -> unit
-
-exception Deadlock of string
-(** Raised by latch acquisition when a wait-for cycle within a single
-    hardware thread is detected (the bug class §4.4 prevents). *)

@@ -48,12 +48,12 @@ let load t rng =
   for branch = 0 to t.cfg_.branches - 1 do
     let tuple = Table.alloc t.branch_table_ in
     Tuple.install tuple
-      (Storage.Version.committed (Some [| Value.Int branch; Value.Str "open" |]))
+      (Storage.Version.committed (Some (Value.of_fields [| Value.Int branch; Value.Str "open" |])))
   done;
   for account = 0 to t.cfg_.accounts - 1 do
     let tuple = Table.alloc t.table_ in
     Tuple.install tuple
-      (Storage.Version.committed (Some [| Value.Int account; Value.Int 1000 |]));
+      (Storage.Version.committed (Some (Value.of_fields [| Value.Int account; Value.Int 1000 |])));
     ignore (Idx.IT.insert t.index_ account tuple.Tuple.oid)
   done
 

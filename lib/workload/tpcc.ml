@@ -75,23 +75,24 @@ let new_order (db : Tpcc_db.t) ~home_w env =
       let all_local = List.for_all (fun (_, sw, _) -> sw = w) lines in
       let otuple =
         P.insert env txn db.orders
-          [|
-            Int w;
-            Int d;
-            Int o_id;
-            Int c;
-            Int (-1);
-            Int ol_cnt;
-            Int (if all_local then 1 else 0);
-            Int 0;
-          |]
+          (Value.of_fields
+             [|
+               Int w;
+               Int d;
+               Int o_id;
+               Int c;
+               Int (-1);
+               Int ol_cnt;
+               Int (if all_local then 1 else 0);
+               Int 0;
+             |])
       in
       Idx.insert_int env txn db.orders_idx ~key:(Sc.order_key ~w ~d ~o:o_id)
         ~oid:otuple.Storage.Tuple.oid;
       Idx.insert_int env txn db.orders_by_customer_idx
         ~key:(Sc.order_by_customer_key ~w ~d ~c ~o:o_id)
         ~oid:otuple.Storage.Tuple.oid;
-      let ntuple = P.insert env txn db.new_order [| Int w; Int d; Int o_id |] in
+      let ntuple = P.insert env txn db.new_order (Value.of_fields [| Int w; Int d; Int o_id |]) in
       Idx.insert_int env txn db.new_order_idx
         ~key:(Sc.new_order_key ~w ~d ~o:o_id)
         ~oid:ntuple.Storage.Tuple.oid;
@@ -114,18 +115,19 @@ let new_order (db : Tpcc_db.t) ~home_w env =
           let n = idx + 1 in
           let oltuple =
             P.insert env txn db.order_line
-              [|
-                Int w;
-                Int d;
-                Int o_id;
-                Int n;
-                Int i;
-                Int supply_w;
-                Int qty;
-                Float (amount *. (1.0 +. w_tax +. d_tax) *. (1.0 -. c_discount));
-                Int (-1);
-                Str "dist-info-dist-info-dist";
-              |]
+              (Value.of_fields
+                 [|
+                   Int w;
+                   Int d;
+                   Int o_id;
+                   Int n;
+                   Int i;
+                   Int supply_w;
+                   Int qty;
+                   Float (amount *. (1.0 +. w_tax +. d_tax) *. (1.0 -. c_discount));
+                   Int (-1);
+                   Str "dist-info-dist-info-dist";
+                 |])
           in
           Idx.insert_int env txn db.order_line_idx
             ~key:(Sc.order_line_key ~w ~d ~o:o_id ~n)
@@ -195,7 +197,8 @@ let payment (db : Tpcc_db.t) ~home_w env =
       in
       P.update env txn db.customer ~oid:coid crow;
       let htuple =
-        P.insert env txn db.history [| Int c_w; Int c_d; Int 0; Float amount; Int 0 |]
+        P.insert env txn db.history
+          (Value.of_fields [| Int c_w; Int c_d; Int 0; Float amount; Int 0 |])
       in
       ignore htuple;
       P.compute 300)

@@ -58,9 +58,9 @@ let create eng cfg =
 
 (* Bootstrap rows bypass the transaction layer: install a committed version
    directly, as a recovery-style load would. *)
-let load_row table row =
+let load_row table fields =
   let tuple = Table.alloc table in
-  Tuple.install tuple (Version.committed (Some row));
+  Tuple.install tuple (Version.committed (Some (of_fields fields)));
   tuple.Tuple.oid
 
 let load ?(owns = fun _ -> true) t rng =

@@ -37,9 +37,9 @@ let create eng cfg =
     partsupp_idx = Idx.IT.create ();
   }
 
-let load_row table row =
+let load_row table fields =
   let tuple = Table.alloc table in
-  Tuple.install tuple (Version.committed (Some row));
+  Tuple.install tuple (Version.committed (Some (of_fields fields)));
   tuple.Tuple.oid
 
 let load t rng =

@@ -20,7 +20,7 @@ module P = Workload.Program
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-let row i = [| Value.Int i |]
+let row i = Value.of_fields [| Value.Int i |]
 
 let mk_engine () =
   let eng = Engine.create () in
@@ -225,11 +225,21 @@ let test_log_json_roundtrip () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "delete");
   (match Engine.commit eng t with Ok _ -> () | Error _ -> Alcotest.fail "commit");
+  (* a row whose first field is a Float, with a Str *)
+  let flat = Value.of_fields [| Value.Float 0.1; Value.Str "flat \"row\""; Value.Int (-3) |] in
+  let t = Engine.begin_txn eng ~worker:0 ~ctx:0 in
+  ignore (Engine.insert eng t table flat);
+  (match Engine.commit eng t with Ok _ -> () | Error _ -> Alcotest.fail "commit");
   flush_all log;
   let s = Log.to_string log in
   match Log.of_string s with
   | Error e -> Alcotest.fail ("of_string: " ^ e)
   | Ok log' ->
+    let payloads l = List.map (fun r -> r.Log_buffer.payload) (Log.durable_entries l) in
+    checkb "the flat row was logged" true
+      (List.exists (Option.equal Value.equal (Some flat)) (payloads log));
+    checkb "payloads reload equal" true
+      (List.equal (Option.equal Value.equal) (payloads log) (payloads log'));
     checki "durable lsn" (Log.durable_lsn log) (Log.durable_lsn log');
     checki "next lsn" (Log.next_lsn log) (Log.next_lsn log');
     checki "durable entries"

@@ -82,7 +82,7 @@ let test_epoch_attach_engine_lifecycle () =
 
 (* -- Version.truncate_older_than --------------------------------------------- *)
 
-let row i = [| Value.Int i |]
+let row i = Value.of_fields [| Value.Int i |]
 
 (* A committed chain, newest first. *)
 let chain_of tss =

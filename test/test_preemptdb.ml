@@ -210,7 +210,7 @@ let test_program_commit_detects_same_thread_deadlock () =
   let table = Engine.create_table eng "t" in
   (* seed *)
   let seeder = Engine.begin_txn eng ~worker:9 ~ctx:0 in
-  let tuple = Engine.insert eng seeder table [| Value.Int 1 |] in
+  let tuple = Engine.insert eng seeder table (Value.of_fields [| Value.Int 1 |]) in
   (match Engine.commit eng seeder with Ok _ -> () | Error _ -> Alcotest.fail "seed");
   let oid = tuple.Tuple.oid in
   (* A: paused mid-commit on worker 0 context 0, holding its read latch *)
@@ -228,7 +228,7 @@ let test_program_commit_detects_same_thread_deadlock () =
   let prog env =
     P.run_txn env ~iso:Txn.Serializable (fun txn ->
         ignore (P.read env txn table ~oid);
-        ignore (P.insert env txn table [| Value.Int 2 |]))
+        ignore (P.insert env txn table (Value.of_fields [| Value.Int 2 |])))
   in
   let rec go = function
     | P.Finished outcome -> outcome

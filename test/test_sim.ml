@@ -152,6 +152,111 @@ let test_rng_alpha_string () =
     String.iter (fun ch -> checkb "letter" true (ch >= 'a' && ch <= 'z')) s
   done
 
+(* The generator as it was with four mutable [int64] fields (one boxed
+   value per store), kept as the reference the byte-buffer state must
+   reproduce draw for draw. *)
+module Boxed_rng = struct
+  type t = {
+    mutable s0 : int64;
+    mutable s1 : int64;
+    mutable s2 : int64;
+    mutable s3 : int64;
+    mutable draws_ : int;
+  }
+
+  let splitmix64 state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let create seed =
+    let state = ref seed in
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3; draws_ = 0 }
+
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let next_int64 t =
+    t.draws_ <- t.draws_ + 1;
+    let open Int64 in
+    let result = mul (rotl (mul t.s1 5L) 7) 9L in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let split t = create (next_int64 t)
+  let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3; draws_ = t.draws_ }
+  let int t bound = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) mod bound
+  let int_in t lo hi = lo + int t (hi - lo + 1)
+
+  let float t bound =
+    Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) /. 9007199254740992.0 *. bound
+
+  let bool t = Int64.logand (next_int64 t) 1L = 1L
+end
+
+let test_rng_known_answers () =
+  let r = Rng.create 42L in
+  List.iter
+    (fun want -> check64 "seed 42" want (Rng.next_int64 r))
+    [
+      1546998764402558742L;
+      6990951692964543102L;
+      -5902157311460992607L;
+      -1389169964527427423L;
+      -151191095644234140L;
+      -4247557243643801032L;
+      -5178765164775350862L;
+      -2766855848391737209L;
+    ]
+
+let test_rng_matches_boxed_reference () =
+  List.iter
+    (fun seed ->
+      let r = ref (Rng.create seed) and b = ref (Boxed_rng.create seed) in
+      for i = 0 to 99_999 do
+        let bound = 1 + (i * 7919 mod 1_000_003) in
+        (match i mod 7 with
+         | 0 -> checki "int" (Boxed_rng.int !b bound) (Rng.int !r bound)
+         | 1 -> checki "int_in" (Boxed_rng.int_in !b (-bound) bound) (Rng.int_in !r (-bound) bound)
+         | 2 ->
+           Alcotest.(check (float 0.)) "float" (Boxed_rng.float !b 2.5) (Rng.float !r 2.5)
+         | 3 -> checkb "bool" (Boxed_rng.bool !b) (Rng.bool !r)
+         | 4 -> check64 "next_int64" (Boxed_rng.next_int64 !b) (Rng.next_int64 !r)
+         | 5 when i mod 3 = 0 ->
+           (* continue on the child, leaving the parent advanced *)
+           b := Boxed_rng.split !b;
+           r := Rng.split !r
+         | 5 -> checki "int max_int" (Boxed_rng.int !b max_int) (Rng.int !r max_int)
+         | _ ->
+           b := Boxed_rng.copy !b;
+           r := Rng.copy !r);
+        checki "draws" !b.Boxed_rng.draws_ (Rng.draws !r)
+      done)
+    [ 0L; 1L; 42L; -1L ]
+
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 42L in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    acc := !acc + Rng.int r i
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb "draws happened" true (!acc > 0);
+  Alcotest.(check (float 0.)) "minor words over 10k draws" 0. words
+
 (* -- Histogram ------------------------------------------------------------ *)
 
 let test_hist_basics () =
@@ -482,6 +587,9 @@ let () =
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "errors" `Quick test_rng_errors;
           Alcotest.test_case "alpha strings" `Quick test_rng_alpha_string;
+          Alcotest.test_case "known answers at seed 42" `Quick test_rng_known_answers;
+          Alcotest.test_case "matches the boxed reference" `Quick test_rng_matches_boxed_reference;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "histogram",
         [

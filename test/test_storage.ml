@@ -20,7 +20,7 @@ let check64 = Alcotest.(check int64)
 (* -- Value ------------------------------------------------------------------- *)
 
 let test_value_accessors () =
-  let row = [| Value.Int 5; Value.Float 1.5; Value.Str "x" |] in
+  let row = Value.of_fields [| Value.Int 5; Value.Float 1.5; Value.Str "x" |] in
   checki "int" 5 (Value.int_exn row 0);
   Alcotest.(check (float 0.)) "float" 1.5 (Value.float_exn row 1);
   Alcotest.(check string) "str" "x" (Value.str_exn row 2);
@@ -30,7 +30,7 @@ let test_value_accessors () =
     (match Value.int_exn row 9 with _ -> false | exception Invalid_argument _ -> true)
 
 let test_value_functional_update () =
-  let row = [| Value.Int 5; Value.Float 1.0 |] in
+  let row = Value.of_fields [| Value.Int 5; Value.Float 1.0 |] in
   let row' = Value.add_int row 0 3 in
   checki "original untouched" 5 (Value.int_exn row 0);
   checki "updated" 8 (Value.int_exn row' 0);
@@ -39,6 +39,138 @@ let test_value_functional_update () =
   checkb "equal" true (Value.equal row row);
   checkb "not equal" false (Value.equal row row');
   checkb "size positive" true (Value.size_bytes row > 0)
+
+(* Every kind on one row whose first field is a [Float]: a row built by
+   [Array.init] or a literal over its words would be a flat float array. *)
+let flat_fields =
+  [|
+    Value.Float nan;
+    Value.Int min_int;
+    Value.Int max_int;
+    Value.Int (-7);
+    Value.Float (-0.);
+    Value.Float infinity;
+    Value.Str "";
+    Value.Str "abc";
+  |]
+
+let same_field a b =
+  match a, b with
+  | Value.Int x, Value.Int y -> x = y
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Str x, Value.Str y -> String.equal x y
+  | _ -> false
+
+let check_fields what fields row =
+  checki (what ^ ": length") (Array.length fields) (Value.length row);
+  Array.iteri
+    (fun i f -> checkb (Printf.sprintf "%s: field %d" what i) true (same_field f (Value.get row i)))
+    fields
+
+let test_value_flat_round_trip () =
+  let row = Value.of_fields flat_fields in
+  check_fields "row" flat_fields row;
+  checkb "not a flat float array" true (Obj.tag (Obj.repr row) <> Obj.double_array_tag);
+  checki "min_int" min_int (Value.int_exn row 1);
+  checki "max_int" max_int (Value.int_exn row 2);
+  checki "negative" (-7) (Value.int_exn row 3);
+  checkb "nan" true (Float.is_nan (Value.float_exn row 0));
+  checkb "-0." true (Int64.equal (Int64.bits_of_float (-0.)) (Int64.bits_of_float (Value.float_exn row 4)));
+  Alcotest.(check (float 0.)) "infinity" infinity (Value.float_exn row 5);
+  Alcotest.(check string) "empty string" "" (Value.str_exn row 6);
+  Alcotest.(check string) "string" "abc" (Value.str_exn row 7);
+  let set = Value.set row 0 (Value.Str "was a float") in
+  let bumped = Value.add_int row 1 1 in
+  let shifted = Value.add_float row 4 1.5 in
+  check_fields "source after updates" flat_fields row;
+  Alcotest.(check string) "set changes kind" "was a float" (Value.str_exn set 0);
+  checki "add_int" (min_int + 1) (Value.int_exn bumped 1);
+  Alcotest.(check (float 0.)) "add_float" 1.5 (Value.float_exn shifted 4);
+  Array.iteri
+    (fun i f -> if i <> 1 then checkb "add_int keeps the rest" true (same_field f (Value.get bumped i)))
+    flat_fields;
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ())) in
+  raises "Value.int_exn: field 0 is Float" (fun () -> Value.int_exn row 0);
+  raises "Value.float_exn: field 1 is Int" (fun () -> Value.float_exn row 1);
+  raises "Value.str_exn: field 5 is Float" (fun () -> Value.str_exn row 5);
+  raises "Value.int_exn: field 7 is Str" (fun () -> Value.int_exn row 7);
+  raises "Value.float_exn: field 6 is Str" (fun () -> Value.float_exn row 6);
+  raises "Value.float_exn: field 2 is Int" (fun () -> Value.add_float row 2 1.0);
+  raises "Value.int_exn: field 8 out of bounds (row has 8)" (fun () -> Value.int_exn row 8);
+  raises "Value.get: field -1 out of bounds (row has 8)" (fun () -> Value.get row (-1));
+  raises "Value.set: field 8 out of bounds (row has 8)" (fun () ->
+      Value.set row 8 (Value.Int 0))
+
+let test_value_row_footprint () =
+  let n = Sys.opaque_identity 4 in
+  let ints = Value.of_fields (Array.init n (fun i -> Value.Int (1000 + i))) in
+  checki "four ints: header + 4 words" 5 (Obj.reachable_words (Obj.repr ints));
+  let mixed =
+    Value.of_fields [| Value.Int (Sys.opaque_identity 7); Value.Float (Sys.opaque_identity 2.5) |]
+  in
+  checki "[| Int; Float |]: header + 2 words + one boxed double" 5
+    (Obj.reachable_words (Obj.repr mixed))
+
+(* [size_bytes] and [equal] over the boxed-field rows they replaced, kept as
+   the reference: log-record sizes, and so device time, must not move. *)
+module Boxed_value = struct
+  let field_equal a b =
+    match a, b with
+    | Value.Int x, Value.Int y -> x = y
+    | Value.Float x, Value.Float y -> Float.equal x y
+    | Value.Str x, Value.Str y -> String.equal x y
+    | (Value.Int _ | Value.Float _ | Value.Str _), _ -> false
+
+  let equal a b =
+    Array.length a = Array.length b
+    && (let ok = ref true in
+        Array.iteri (fun i f -> if not (field_equal f b.(i)) then ok := false) a;
+        !ok)
+
+  let size_bytes row =
+    Array.fold_left
+      (fun acc -> function
+        | Value.Int _ | Value.Float _ -> acc + 8
+        | Value.Str s -> acc + 8 + String.length s)
+      8 row
+end
+
+let gen_field =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun i -> Value.Int i) (oneof [ small_signed_int; int ]);
+        map (fun f -> Value.Float f) (oneof [ float; oneofl [ nan; -0.; 0.; infinity ] ]);
+        map (fun s -> Value.Str s) (string_size ~gen:printable (int_bound 6));
+      ])
+
+(* Pairs of rows that are often equal or one field apart. *)
+let gen_row_pair =
+  QCheck2.Gen.(
+    let* a = array_size (int_bound 8) gen_field in
+    let+ b =
+      oneof
+        [
+          return (Array.copy a);
+          (if Array.length a = 0 then return a
+           else
+             let+ i = int_bound (Array.length a - 1) and+ f = gen_field in
+             let b = Array.copy a in
+             b.(i) <- f;
+             b);
+          array_size (int_bound 8) gen_field;
+        ]
+    in
+    a, b)
+
+let prop_value_matches_boxed =
+  QCheck2.Test.make ~name:"size_bytes/equal match boxed rows" ~count:500 gen_row_pair
+    (fun (a, b) ->
+      let ra = Value.of_fields a and rb = Value.of_fields b in
+      let before = Gc.minor_words () in
+      let eq = Value.equal ra rb and size = Value.size_bytes ra in
+      let words = Gc.minor_words () -. before in
+      eq = Boxed_value.equal a b && size = Boxed_value.size_bytes a && words = 0.)
 
 (* -- Timestamp ------------------------------------------------------------------ *)
 
@@ -74,7 +206,7 @@ let test_latch_release_errors () =
 
 (* -- Version chains ---------------------------------------------------------------- *)
 
-let row i = [| Value.Int i |]
+let row i = Value.of_fields [| Value.Int i |]
 
 let test_version_visibility () =
   let v3 = Version.committed ~ts:30L (Some (row 3)) in
@@ -328,29 +460,60 @@ let test_btree_cursor_survives_mutation () =
   done
 
 let prop_btree_matches_map =
+  (* Each case bulk-loads 1100-1500 distinct keys in a scrambled order
+     (a*i+b mod the prime 4001).  A leaf holds at most 32 keys, so 1100 keys
+     need at least 35 leaves, more than one internal node's 33 children: the
+     root internal node has split and the tree is at least 3 high.  Random
+     inserts, removes and finds follow.  Then 70 consecutive present keys
+     are removed: at least one whole leaf lies among them, so some removal
+     takes a leaf's only key, and the emptied leaves are refilled and
+     scanned. *)
   QCheck2.Test.make ~name:"btree agrees with Map on random op sequences" ~count:60
-    QCheck2.Gen.(list_size (int_range 1 400) (pair (int_bound 2) (int_bound 500)))
-    (fun ops ->
+    QCheck2.Gen.(
+      quad
+        (triple (int_range 1100 1500) (int_range 1 4000) (int_bound 4000))
+        (list_size (int_range 1 400) (pair (int_bound 2) (int_bound 4001)))
+        nat
+        (list_size (int_range 0 40) (int_bound 69)))
+    (fun ((bulk, a, b), ops, cut, refill) ->
       let t = IT.create () in
       let module M = Map.Make (Int) in
       let reference = ref M.empty in
+      let insert k =
+        ignore (IT.insert t k k);
+        reference := M.add k k !reference
+      in
+      let remove k =
+        ignore (IT.remove t k);
+        reference := M.remove k !reference
+      in
+      for i = 0 to bulk - 1 do
+        insert (((a * i) + b) mod 4001)
+      done;
+      let tall = IT.height t >= 3 in
       List.iter
         (fun (op, k) ->
           match op with
-          | 0 ->
-            ignore (IT.insert t k k);
-            reference := M.add k k !reference
-          | 1 ->
-            ignore (IT.remove t k);
-            reference := M.remove k !reference
+          | 0 -> insert k
+          | 1 -> remove k
           | _ -> (
             match IT.find t k, M.find_opt k !reference with
             | Some a, Some b when a = b -> ()
             | None, None -> ()
             | _ -> failwith "find mismatch"))
         ops;
+      let present = Array.of_list (List.map fst (M.bindings !reference)) in
+      let start = cut mod (Array.length present - 70) in
+      let gone = Array.sub present start 70 in
+      Array.iter remove gone;
       IT.check_invariants t;
-      IT.length t = M.cardinal !reference
+      List.iter (fun i -> insert gone.(i)) refill;
+      IT.check_invariants t;
+      let scanned = IT.fold_range t ~lo:0 ~hi:4001 ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
+      tall
+      && IT.length t = M.cardinal !reference
+      && List.rev scanned = M.bindings !reference
+      && Array.for_all (fun k -> IT.find t k = M.find_opt k !reference) gone
       && M.for_all (fun k v -> IT.find t k = Some v) !reference)
 
 (* -- Engine: basic transaction lifecycle -------------------------------------------- *)
@@ -716,7 +879,10 @@ let () =
         [
           Alcotest.test_case "accessors" `Quick test_value_accessors;
           Alcotest.test_case "functional update" `Quick test_value_functional_update;
-        ] );
+          Alcotest.test_case "flat row round trip" `Quick test_value_flat_round_trip;
+          Alcotest.test_case "row footprint" `Quick test_value_row_footprint;
+        ]
+        @ qsuite [ prop_value_matches_boxed ] );
       ("timestamp", [ Alcotest.test_case "monotonic" `Quick test_timestamp_monotonic ]);
       ( "latch",
         [

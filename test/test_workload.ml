@@ -52,7 +52,7 @@ let test_program_runs_to_completion () =
   let env = mk_env eng in
   let prog env =
     P.run_txn env (fun txn ->
-        let tuple = P.insert env txn table [| Value.Int 7 |] in
+        let tuple = P.insert env txn table (Value.of_fields [| Value.Int 7 |]) in
         P.compute 100;
         match P.read env txn table ~oid:tuple.Tuple.oid with
         | Some r -> checki "read back" 7 (Value.int_exn r 0)
@@ -74,7 +74,7 @@ let test_program_user_abort_path () =
   let env = mk_env eng in
   let prog env =
     P.run_txn env (fun txn ->
-        ignore (P.insert env txn table [| Value.Int 1 |]);
+        ignore (P.insert env txn table (Value.of_fields [| Value.Int 1 |]));
         raise (P.Txn_failed Storage.Err.User_abort))
   in
   let outcome, _ = drive prog env in
@@ -126,7 +126,7 @@ let test_idx_rollback_on_abort () =
   let env = mk_env eng in
   let prog env =
     P.run_txn env (fun txn ->
-        let tuple = P.insert env txn table [| Value.Int 1 |] in
+        let tuple = P.insert env txn table (Value.of_fields [| Value.Int 1 |]) in
         Idx.insert_int env txn tree ~key:5 ~oid:tuple.Tuple.oid;
         Idx.remove_int env txn tree ~key:99;
         raise (P.Txn_failed Storage.Err.User_abort))
