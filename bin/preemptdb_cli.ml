@@ -51,9 +51,28 @@ let policy_term =
   in
   Term.(const combine $ policy $ yield_interval $ block_interval $ threshold)
 
-let workers_term = Arg.(value & opt int 16 & info [ "workers" ] ~doc:"worker threads")
-let horizon_term = Arg.(value & opt float 0.1 & info [ "horizon" ] ~doc:"virtual seconds")
-let arrival_term = Arg.(value & opt float 1000. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
+(* Worker counts, horizons and intervals must be positive: zero or less
+   is a usage error (cmdliner exits 124 and names the flag) rather than a
+   vacuous run or an exception after the database load. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some f when f > 0. && Float.is_finite f -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive number" s))
+  in
+  Arg.conv (parse, fun ppf f -> Format.fprintf ppf "%g" f)
+
+let workers_term = Arg.(value & opt positive_int 16 & info [ "workers" ] ~doc:"worker threads")
+let horizon_term = Arg.(value & opt positive_float 0.1 & info [ "horizon" ] ~doc:"virtual seconds")
+let arrival_term = Arg.(value & opt positive_float 1000. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
 let seed_term = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"random seed")
 let empty_intr_term =
   Arg.(value & flag & info [ "empty-interrupts" ] ~doc:"send periodic empty interrupts (Fig 8 mode)")
@@ -503,7 +522,7 @@ let tpcc_cmd =
   Cmd.v (Cmd.info "tpcc" ~doc:"full TPC-C mix, all low-priority (Fig 8 overhead mode)")
     Term.(
       const run $ policy_term $ workers_term $ horizon_term
-      $ Arg.(value & opt float 50. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
+      $ Arg.(value & opt positive_float 50. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
       $ seed_term $ empty_intr_term $ no_regions_term $ reclaim_term $ durability_term
       $ replication_term $ dump_log_term)
 
@@ -531,9 +550,9 @@ let maintenance_cmd =
            low-priority work; pass --reclaim to bound the chains")
     Term.(
       const run $ policy_term
-      $ Arg.(value & opt int 8 & info [ "workers" ] ~doc:"worker threads")
-      $ Arg.(value & opt float 0.04 & info [ "horizon" ] ~doc:"virtual seconds")
-      $ Arg.(value & opt float 100. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
+      $ Arg.(value & opt positive_int 8 & info [ "workers" ] ~doc:"worker threads")
+      $ Arg.(value & opt positive_float 0.04 & info [ "horizon" ] ~doc:"virtual seconds")
+      $ Arg.(value & opt positive_float 100. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
       $ seed_term $ reclaim_term)
 
 let htap_cmd =
@@ -578,7 +597,7 @@ let ledger_cmd =
     (Cmd.info "ledger" ~doc:"serializable ledger workload (read-set latching, §4.4 regime)")
     Term.(
       const run $ policy_term $ workers_term $ horizon_term
-      $ Arg.(value & opt float 200. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
+      $ Arg.(value & opt positive_float 200. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
       $ seed_term $ empty_intr_term $ no_regions_term)
 
 let trace_cmd =
@@ -606,9 +625,9 @@ let trace_cmd =
            Perfetto/Chrome trace-event timeline")
     Term.(
       const run $ policy_term
-      $ Arg.(value & opt int 2 & info [ "workers" ] ~doc:"worker threads")
-      $ Arg.(value & opt float 0.004 & info [ "horizon" ] ~doc:"virtual seconds")
-      $ Arg.(value & opt float 500. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
+      $ Arg.(value & opt positive_int 2 & info [ "workers" ] ~doc:"worker threads")
+      $ Arg.(value & opt positive_float 0.004 & info [ "horizon" ] ~doc:"virtual seconds")
+      $ Arg.(value & opt positive_float 500. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
       $ seed_term $ reclaim_term $ durability_term
       $ Arg.(
           value
@@ -963,9 +982,9 @@ let check_cmd =
           & info [ "replay" ] ~doc:"re-run a recorded reproducer and verify its trace hash")
       $ Arg.(value & opt int 25 & info [ "budget" ] ~doc:"schedules to explore")
       $ seed_term
-      $ Arg.(value & opt int 2 & info [ "workers" ] ~doc:"worker threads")
-      $ Arg.(value & opt float 3000. & info [ "horizon-us" ] ~doc:"virtual microseconds per run")
-      $ Arg.(value & opt float 25. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
+      $ Arg.(value & opt positive_int 2 & info [ "workers" ] ~doc:"worker threads")
+      $ Arg.(value & opt positive_float 3000. & info [ "horizon-us" ] ~doc:"virtual microseconds per run")
+      $ Arg.(value & opt positive_float 25. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
       $ Arg.(value & opt int 20 & info [ "jitter" ] ~doc:"delivery jitter spread (percent)")
       $ Arg.(
           value & flag

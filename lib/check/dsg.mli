@@ -17,8 +17,6 @@
 
 type edge = Ww | Wr | Rw
 
-val edge_to_string : edge -> string
-
 type cycle = (int * edge * int) list
 (** A closed path [(a, e, b); (b, e', c); ...; (z, e'', a)] of txn ids. *)
 

@@ -18,12 +18,10 @@ type txn_rec = {
 type t = {
   live : (int, txn_rec) Hashtbl.t;
   mutable committed_rev : txn_rec list;
-  mutable n_committed_ : int;
-  mutable n_aborted_ : int;
 }
 
 let create () =
-  { live = Hashtbl.create 256; committed_rev = []; n_committed_ = 0; n_aborted_ = 0 }
+  { live = Hashtbl.create 256; committed_rev = [] }
 
 let rec_of t (txn : Txn.t) =
   match Hashtbl.find_opt t.live txn.Txn.id with
@@ -81,14 +79,8 @@ let observer t : Storage.Engine.observer =
         let r = rec_of t txn in
         r.ft_commit <- commit_ts;
         Hashtbl.remove t.live txn.Txn.id;
-        t.committed_rev <- r :: t.committed_rev;
-        t.n_committed_ <- t.n_committed_ + 1);
-    obs_abort =
-      (fun ~txn ~reason:_ ->
-        Hashtbl.remove t.live txn.Txn.id;
-        t.n_aborted_ <- t.n_aborted_ + 1);
+        t.committed_rev <- r :: t.committed_rev);
+    obs_abort = (fun ~txn ~reason:_ -> Hashtbl.remove t.live txn.Txn.id);
   }
 
 let committed t = List.rev t.committed_rev
-let n_committed t = t.n_committed_
-let n_aborted t = t.n_aborted_

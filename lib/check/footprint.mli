@@ -38,6 +38,3 @@ val observer : t -> Storage.Engine.observer
 
 val committed : t -> txn_rec list
 (** Committed transactions in commit order. *)
-
-val n_committed : t -> int
-val n_aborted : t -> int

@@ -22,9 +22,6 @@ type workload =
           fast high-priority) plus a conservation oracle: the canonical
           lost-update workload for fault-injection self-tests *)
 
-val workload_to_string : workload -> string
-val workload_of_string : string -> workload option
-
 type run = {
   schedule : Schedule.t;
   workload : workload;

@@ -7,7 +7,6 @@ let cap = 200
 type t = {
   mutable switches_ : int;
   mutable passive_ : int;
-  mutable active_ : int;
   mutable n_violations : int;
   mutable violations_rev : Violation.t list;
   mutable dropped_ : int;
@@ -18,7 +17,6 @@ let create () =
   {
     switches_ = 0;
     passive_ = 0;
-    active_ = 0;
     n_violations = 0;
     violations_rev = [];
     dropped_ = 0;
@@ -36,9 +34,7 @@ let kind_str = function `Passive -> "passive" | `Active -> "active"
 
 let on_switch t ~regions_enabled ~wid ~hw (r : Hw.switch_record) =
   t.switches_ <- t.switches_ + 1;
-  (match r.Hw.sw_kind with
-  | `Passive -> t.passive_ <- t.passive_ + 1
-  | `Active -> t.active_ <- t.active_ + 1);
+  if r.Hw.sw_kind = `Passive then t.passive_ <- t.passive_ + 1;
   if regions_enabled && r.Hw.sw_region_depth > 0 then
     add t
       (Violation.make "region-discipline"
@@ -100,4 +96,3 @@ let violations t = List.rev t.violations_rev
 let dropped t = t.dropped_
 let switches t = t.switches_
 let passive t = t.passive_
-let active t = t.active_

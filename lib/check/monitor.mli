@@ -33,4 +33,3 @@ val violations : t -> Violation.t list
 val dropped : t -> int
 val switches : t -> int
 val passive : t -> int
-val active : t -> int

@@ -7,7 +7,6 @@ let max_sample = 64
 type t = {
   mutable h : int64;
   mutable des_events_ : int;
-  mutable deliveries_ : int;
   mutable switches_ : int;
   mutable commits_ : int;
   mutable forced_rev : int list;
@@ -19,7 +18,6 @@ let create () =
   {
     h = fnv_offset;
     des_events_ = 0;
-    deliveries_ = 0;
     switches_ = 0;
     commits_ = 0;
     forced_rev = [];
@@ -52,7 +50,6 @@ let on_delivery t ~flow ~latency =
   mix_int t 2;
   mix_int t flow;
   mix_int t latency;
-  t.deliveries_ <- t.deliveries_ + 1;
   note t (Printf.sprintf "deliver flow=%d latency=%d" flow latency)
 
 let on_switch t (r : Hw.switch_record) =
@@ -86,7 +83,6 @@ let on_forced t idx =
 let hash t = t.h
 let hash_hex t = Printf.sprintf "%016Lx" t.h
 let des_events t = t.des_events_
-let deliveries t = t.deliveries_
 let switches t = t.switches_
 let commits t = t.commits_
 let forced t = List.rev t.forced_rev

@@ -24,7 +24,6 @@ val hash : t -> int64
 val hash_hex : t -> string
 
 val des_events : t -> int
-val deliveries : t -> int
 val switches : t -> int
 val commits : t -> int
 val forced : t -> int list

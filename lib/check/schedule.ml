@@ -23,8 +23,6 @@ let default =
     forced = None;
   }
 
-let forced_points t = match t.forced with Some (At l) -> l | _ -> []
-
 let describe t =
   let forced =
     match t.forced with

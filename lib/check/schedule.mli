@@ -32,8 +32,5 @@ val default : t
 val describe : t -> string
 (** One-line summary for logs and progress output. *)
 
-val forced_points : t -> int list
-(** The explicit point list, or [[]] for [None]/[Every]. *)
-
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result

@@ -45,4 +45,3 @@ let submit t ~now ~bytes =
 let flushes t = t.flushes
 let bytes_written t = t.bytes_written
 let busy_cycles t = t.busy_cycles
-let busy_until t = t.busy_until

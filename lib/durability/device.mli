@@ -4,9 +4,9 @@
     latency — the floor dominates for small group-commit batches (an
     NVMe-class sync write is a few µs no matter how little is written),
     the bandwidth term for large ones.  The device serializes flushes:
-    a submission while busy queues behind {!busy_until}, which is how the
-    group-commit daemon pipelines (at most one flush in flight, the next
-    batch accumulating meanwhile). *)
+    a submission while busy queues behind the flush in progress, which is
+    how the group-commit daemon pipelines (at most one flush in flight,
+    the next batch accumulating meanwhile). *)
 
 type t
 
@@ -20,17 +20,13 @@ val create :
     (≈ 4 GB/s), 9600-cycle fsync floor (4 µs).
     @raise Invalid_argument on negative parameters. *)
 
-val cost : t -> bytes:int -> int64
-(** Cycles one flush of [bytes] takes: [max fsync_floor (setup + bytes *
-    per_byte)].  Pure. *)
-
 val submit : t -> now:int64 -> bytes:int -> int64
-(** Start a flush at [max now busy_until]; returns its completion time and
-    advances {!busy_until} to it. *)
+(** Start a flush at [max now busy_until], where [busy_until] is the
+    previous flush's completion time; returns this flush's completion time.
+    A flush of [bytes] takes [max fsync_floor (setup + bytes * per_byte)]
+    cycles. *)
 
 val flushes : t -> int
 val bytes_written : t -> int64
 val busy_cycles : t -> int64
 (** Total cycles the device spent writing. *)
-
-val busy_until : t -> int64

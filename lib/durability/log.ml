@@ -6,7 +6,26 @@ module Version = Storage.Version
 module Value = Storage.Value
 module J = Obs.Json
 
-type record = Log_buffer.record
+type record = {
+  lsn : int;
+  txn_id : int;
+  commit_ts : int64;
+  rtable : string;
+  oid : int;
+  payload : Value.t option;
+  bytes : int;
+}
+
+(* Special oids, all payload-free except the decision record:
+   -1 DDL, -2 commit marker, -3 2PC prepare marker (txn_id = the global
+   transaction id), -4 2PC install marker (the prepared writes were
+   committed in memory), -6 coordinator decision record (txn_id = gid,
+   payload = the participant shard ids as an Int array). *)
+let is_ddl r = r.oid = -1
+let is_marker r = r.oid = -2
+let is_prepare r = r.oid = -3
+let is_twopc_install r = r.oid = -4
+let is_decision r = r.oid = -6
 
 (* Modeled on-device sizes: a fixed header per record, payload bytes on
    top; commit markers and DDL records are header-only. *)
@@ -14,44 +33,40 @@ let record_header_bytes = 24
 let marker_bytes = 16
 let ddl_bytes = 32
 
+(* Records a worker may append between two drains before the append
+   counts as a buffer overflow (an emergency drain of that worker's
+   redo buffer, ERMIA-style). *)
+let buffer_records = 4096
+
 type image = (string * (int * Value.t option * int64) list) list
 
 type t = {
   n_workers : int;
-  buffers : Log_buffer.t array;
+  fill : int array;  (* per worker: records appended since the last drain *)
+  mutable overflows : int;
   mutable entries : record array;  (* indexed by LSN, dense *)
   mutable next : int;
   mutable durable : int;
-  mutable drained_upto : int;  (* LSNs below are out of the worker buffers *)
+  mutable drained_upto : int;  (* LSNs below were handed to the daemon *)
   mutable pending_bytes_ : int;
   mutable pending_markers_ : int;
   mutable base : image;
   mutable catalog : string list;  (* creation order at snapshot time *)
   mutable ckpt : (int * image) option;  (* start LSN of the completed pass *)
   reservations : (int, unit) Hashtbl.t;
-  mutable reserved_ : int;
-  mutable released_ : int;
   mutable committed_ : int;
   mutable kick : (unit -> unit) option;
 }
 
-let dummy_record : record =
-  {
-    Log_buffer.lsn = -1;
-    txn_id = 0;
-    commit_ts = 0L;
-    rtable = "";
-    oid = 0;
-    payload = None;
-    bytes = 0;
-  }
+let dummy_record =
+  { lsn = -1; txn_id = 0; commit_ts = 0L; rtable = ""; oid = 0; payload = None; bytes = 0 }
 
 let create ~n_workers () =
   if n_workers < 1 then invalid_arg "Log.create: need n_workers >= 1";
   {
     n_workers;
-    buffers =
-      Array.init n_workers (fun _ -> Log_buffer.create ());
+    fill = Array.make n_workers 0;
+    overflows = 0;
     entries = Array.make 1024 dummy_record;
     next = 0;
     durable = 0;
@@ -62,8 +77,6 @@ let create ~n_workers () =
     catalog = [];
     ckpt = None;
     reservations = Hashtbl.create 64;
-    reserved_ = 0;
-    released_ = 0;
     committed_ = 0;
     kick = None;
   }
@@ -73,19 +86,12 @@ let set_kick t f = t.kick <- f
 let next_lsn t = t.next
 let durable_lsn t = t.durable
 let pending_bytes t = t.pending_bytes_
-let pending_markers t = t.pending_markers_
-let buffer t w = t.buffers.(w mod t.n_workers)
-let buffers t = t.buffers
 let catalog t = t.catalog
 let base t = t.base
 let checkpoint t = t.ckpt
-let reserved t = t.reserved_
-let released t = t.released_
+let buffer_overflows t = t.overflows
 let committed t = t.committed_
 let open_reservations t = Hashtbl.length t.reservations
-
-let buffer_overflows t =
-  Array.fold_left (fun acc b -> acc + Log_buffer.overflows b) 0 t.buffers
 
 let entry t lsn =
   if lsn < 0 || lsn >= t.next then invalid_arg "Log.entry: LSN out of range";
@@ -101,33 +107,22 @@ let store t (r : record) =
   t.entries.(t.next) <- r;
   t.next <- t.next + 1
 
-(* Append one record through a worker's ring buffer.  A full ring forces
-   an emergency drain (the records are all in [entries] already — the ring
-   only models buffering), counted by the buffer as an overflow. *)
+(* Append one record on behalf of a worker.  A worker that has already
+   appended [buffer_records] since the last drain has a full redo buffer:
+   the append forces an emergency drain of it (the records are all in
+   [entries] already), counted as an overflow. *)
 let append t ~worker (mk : lsn:int -> record) =
   let r = mk ~lsn:t.next in
   store t r;
-  t.pending_bytes_ <- t.pending_bytes_ + r.Log_buffer.bytes;
-  if Log_buffer.is_marker r then t.pending_markers_ <- t.pending_markers_ + 1;
-  let buf = t.buffers.(worker mod t.n_workers) in
-  if not (Log_buffer.append buf r) then begin
-    ignore (Log_buffer.drain buf);
-    let ok = Log_buffer.append buf r in
-    assert ok
+  t.pending_bytes_ <- t.pending_bytes_ + r.bytes;
+  if is_marker r then t.pending_markers_ <- t.pending_markers_ + 1;
+  let w = worker mod t.n_workers in
+  if t.fill.(w) = buffer_records then begin
+    t.overflows <- t.overflows + 1;
+    t.fill.(w) <- 0
   end;
-  r.Log_buffer.lsn
-
-let reserve t (txn : Txn.t) =
-  Hashtbl.replace t.reservations txn.Txn.id ();
-  t.reserved_ <- t.reserved_ + 1
-
-(* Idempotent: aborts from [Active] never reserved; double release (abort
-   after a failed validate already released) is harmless. *)
-let release t (txn : Txn.t) =
-  if Hashtbl.mem t.reservations txn.Txn.id then begin
-    Hashtbl.remove t.reservations txn.Txn.id;
-    t.released_ <- t.released_ + 1
-  end
+  t.fill.(w) <- t.fill.(w) + 1;
+  r.lsn
 
 let record_bytes payload =
   match payload with
@@ -144,7 +139,7 @@ let on_commit t (txn : Txn.t) ~commit_ts =
       ignore
         (append t ~worker (fun ~lsn ->
              {
-               Log_buffer.lsn;
+               lsn;
                txn_id = txn.Txn.id;
                commit_ts;
                rtable = Table.name w.Txn.wtable;
@@ -156,7 +151,7 @@ let on_commit t (txn : Txn.t) ~commit_ts =
   let marker =
     append t ~worker (fun ~lsn ->
         {
-          Log_buffer.lsn;
+          lsn;
           txn_id = txn.Txn.id;
           commit_ts;
           rtable = "";
@@ -176,8 +171,8 @@ let on_commit t (txn : Txn.t) ~commit_ts =
    (-4) records that the prepared writes were later committed in memory at
    [commit_ts].  The coordinator's decision record (-6) carries the
    participant shard ids; its durability is the distributed commit point
-   (presumed abort).  All three ride the worker ring buffers and the
-   group-commit flush like ordinary commits. *)
+   (presumed abort).  All three are appended, counted against the
+   worker's buffer and flushed by group commit like ordinary commits. *)
 
 let append_prepare t ~worker ~gid (txn : Txn.t) =
   List.iter
@@ -186,7 +181,7 @@ let append_prepare t ~worker ~gid (txn : Txn.t) =
       ignore
         (append t ~worker (fun ~lsn ->
              {
-               Log_buffer.lsn;
+               lsn;
                txn_id = gid;
                commit_ts = 0L;
                rtable = Table.name w.Txn.wtable;
@@ -198,7 +193,7 @@ let append_prepare t ~worker ~gid (txn : Txn.t) =
   let marker =
     append t ~worker (fun ~lsn ->
         {
-          Log_buffer.lsn;
+          lsn;
           txn_id = gid;
           commit_ts = 0L;
           rtable = "";
@@ -214,7 +209,7 @@ let append_twopc_install t ~worker ~gid ~commit_ts =
   let lsn =
     append t ~worker (fun ~lsn ->
         {
-          Log_buffer.lsn;
+          lsn;
           txn_id = gid;
           commit_ts;
           rtable = "";
@@ -233,7 +228,7 @@ let append_decision t ~worker ~gid ~commit_ts ~participants =
   let lsn =
     append t ~worker (fun ~lsn ->
         {
-          Log_buffer.lsn;
+          lsn;
           txn_id = gid;
           commit_ts;
           rtable = "";
@@ -249,7 +244,7 @@ let on_table_created t name =
   ignore
     (append t ~worker:0 (fun ~lsn ->
          {
-           Log_buffer.lsn;
+           lsn;
            txn_id = 0;
            commit_ts = 0L;
            rtable = name;
@@ -262,8 +257,9 @@ let attach t eng =
   Engine.set_durability eng
     (Some
        {
-         Engine.dur_reserve = (fun txn -> reserve t txn);
-         dur_release = (fun txn -> release t txn);
+         Engine.dur_reserve = (fun txn -> Hashtbl.replace t.reservations txn.Txn.id ());
+         (* Aborts from [Active] never reserved, so this may find nothing. *)
+         dur_release = (fun txn -> Hashtbl.remove t.reservations txn.Txn.id);
          dur_commit = (fun txn ~commit_ts -> on_commit t txn ~commit_ts);
          dur_table_created = (fun name -> on_table_created t name);
        })
@@ -289,10 +285,10 @@ let install_checkpoint t ~start_lsn image =
   t.ckpt <- Some (start_lsn, image)
 
 (* Hand the un-flushed suffix to the daemon as one batch: all LSNs in
-   [drained_upto, next), contiguous because every append lands in exactly
-   one buffer.  Returns (first, upto, bytes, commit markers). *)
+   [drained_upto, next), which empties every worker's buffer.  Returns
+   (first, upto, bytes, commit markers). *)
 let drain_all t =
-  Array.iter (fun b -> ignore (Log_buffer.drain b)) t.buffers;
+  Array.fill t.fill 0 t.n_workers 0;
   let first = t.drained_upto and upto = t.next in
   let bytes = t.pending_bytes_ and markers = t.pending_markers_ in
   t.drained_upto <- t.next;
@@ -339,12 +335,12 @@ let payload_to_json = function None -> J.Null | Some v -> value_to_json v
 let record_to_json (r : record) =
   J.Obj
     [
-      ("lsn", J.Int r.Log_buffer.lsn);
-      ("txn", J.Int r.Log_buffer.txn_id);
-      ("ts", J.Int (Int64.to_int r.Log_buffer.commit_ts));
-      ("table", J.String r.Log_buffer.rtable);
-      ("oid", J.Int r.Log_buffer.oid);
-      ("payload", payload_to_json r.Log_buffer.payload);
+      ("lsn", J.Int r.lsn);
+      ("txn", J.Int r.txn_id);
+      ("ts", J.Int (Int64.to_int r.commit_ts));
+      ("table", J.String r.rtable);
+      ("oid", J.Int r.oid);
+      ("payload", payload_to_json r.payload);
     ]
 
 let record_of_json json =
@@ -363,7 +359,7 @@ let record_of_json json =
     in
     Some
       {
-        Log_buffer.lsn;
+        lsn;
         txn_id;
         commit_ts = Int64.of_int ts;
         rtable;

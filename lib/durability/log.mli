@@ -1,4 +1,5 @@
-(** The global redo log: dense LSNs, per-worker buffers, durable prefix.
+(** The global redo log: dense LSNs, per-worker buffer accounting, durable
+    prefix.
 
     Commits append their write records plus a trailing commit marker in one
     atomic step (inside the engine's commit protocol), so a transaction's
@@ -11,11 +12,27 @@
     optional fuzzy {!checkpoint}; {!Recovery} starts from whichever is
     newer and replays the durable suffix. *)
 
-type record = Log_buffer.record
+type record = {
+  lsn : int;
+  txn_id : int;
+  commit_ts : int64;
+  rtable : string;
+  oid : int;
+      (** -1 = DDL (table created), -2 = commit marker, -3 = 2PC prepare
+          marker, -4 = 2PC install marker, -6 = 2PC coordinator decision
+          record ([txn_id] = the global transaction id for the 2PC kinds) *)
+  payload : Storage.Value.t option;  (** [None] = tombstone (or no payload) *)
+  bytes : int;  (** modeled on-device size *)
+}
 
-val record_header_bytes : int
-val marker_bytes : int
-val ddl_bytes : int
+val is_ddl : record -> bool
+val is_marker : record -> bool
+val is_prepare : record -> bool
+val is_twopc_install : record -> bool
+
+val is_decision : record -> bool
+(** Coordinator commit-decision record; its durability is the distributed
+    commit point (presumed abort: no durable decision ⟹ abort). *)
 
 (** Per table: rows as [(oid, payload, commit_ts)], OID order. *)
 type image = (string * (int * Storage.Value.t option * int64) list) list
@@ -23,8 +40,8 @@ type image = (string * (int * Storage.Value.t option * int64) list) list
 type t
 
 val create : n_workers:int -> unit -> t
-(** One {!Log_buffer} ring of the default capacity per worker.
-    @raise Invalid_argument when [n_workers < 1]. *)
+(** Each worker's redo buffer holds 4096 records between drains; see
+    {!buffer_overflows}.  @raise Invalid_argument when [n_workers < 1]. *)
 
 val set_kick : t -> (unit -> unit) option -> unit
 (** Hook invoked after each commit's records land, so the {!Daemon} can
@@ -51,26 +68,15 @@ val durable_entries : t -> record list
 val pending_bytes : t -> int
 (** Bytes appended but not yet handed to the device. *)
 
-val pending_markers : t -> int
-
 val drain_all : t -> int * int * int * int
 (** Hand the whole un-flushed suffix to the daemon as one batch:
     [(first_lsn, upto_lsn, bytes, commit_markers)] covering LSNs
-    [first, upto). *)
+    [first, upto).  Empties every worker's buffer. *)
 
 val set_durable : t -> int -> unit
 (** Advance the durable prefix (flush completion, or a crash's torn-tail
     resolution).  @raise Invalid_argument when moving backwards or past
     {!next_lsn}. *)
-
-val reserve : t -> Storage.Txn.t -> unit
-val release : t -> Storage.Txn.t -> unit
-(** Idempotent — abort paths may release a reservation twice or one that
-    was never made. *)
-
-val on_commit : t -> Storage.Txn.t -> commit_ts:int64 -> int
-(** Append the transaction's redo records and commit marker; returns the
-    marker's LSN (the transaction's durability point). *)
 
 (** {1 2PC records} — cross-shard transactions (see {e lib/shard}). *)
 
@@ -92,8 +98,6 @@ val append_decision :
     commit point: recovery commits an in-doubt [gid] iff some shard's
     durable log holds its decision (presumed abort otherwise). *)
 
-val on_table_created : t -> string -> unit
-
 val install_checkpoint : t -> start_lsn:int -> image -> unit
 (** Replace the checkpoint with a completed pass's image; recovery replays
     from [start_lsn] (the log position when the pass began). *)
@@ -102,12 +106,10 @@ val base : t -> image
 val catalog : t -> string list
 val checkpoint : t -> (int * image) option
 
-val buffer : t -> int -> Log_buffer.t
-val buffers : t -> Log_buffer.t array
 val buffer_overflows : t -> int
+(** Appends that found their worker's buffer full (4096 records since the
+    last {!drain_all}) and forced an emergency drain of it. *)
 
-val reserved : t -> int
-val released : t -> int
 val committed : t -> int
 val open_reservations : t -> int
 (** Transactions past commit-begin that have neither committed nor
@@ -115,7 +117,5 @@ val open_reservations : t -> int
 
 (** {1 Dump / load} — the crash artifact consumed by [preemptdb recover]. *)
 
-val to_json : t -> Obs.Json.t
-val of_json : Obs.Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result

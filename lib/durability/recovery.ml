@@ -100,33 +100,33 @@ module Applier = struct
      stay invisible (torn tail / un-shipped suffix). *)
   let feed t (r : Log.record) =
     t.replayed <- t.replayed + 1;
-    if Log_buffer.is_ddl r then ignore (table_of t r.Log_buffer.rtable)
-    else if Log_buffer.is_prepare r then begin
+    if Log.is_ddl r then ignore (table_of t r.Log.rtable)
+    else if Log.is_prepare r then begin
       (* Seal the buffered writes as in-doubt: durable enough to survive
          the crash, but only a decision record may install them. *)
-      let gid = r.Log_buffer.txn_id in
+      let gid = r.Log.txn_id in
       let writes = try Hashtbl.find t.pending gid with Not_found -> [] in
       Hashtbl.remove t.pending gid;
       Hashtbl.replace t.prepared_ gid writes
     end
-    else if Log_buffer.is_twopc_install r then
-      Hashtbl.replace t.installed_ r.Log_buffer.txn_id r.Log_buffer.commit_ts
-    else if Log_buffer.is_decision r then begin
+    else if Log.is_twopc_install r then
+      Hashtbl.replace t.installed_ r.Log.txn_id r.Log.commit_ts
+    else if Log.is_decision r then begin
       let participants =
-        match r.Log_buffer.payload with
+        match r.Log.payload with
         | Some vals ->
           List.init (Value.length vals) (Value.get vals)
           |> List.filter_map (function Value.Int p -> Some p | _ -> None)
         | None -> []
       in
-      Hashtbl.replace t.decisions_ r.Log_buffer.txn_id
-        (r.Log_buffer.commit_ts, participants)
+      Hashtbl.replace t.decisions_ r.Log.txn_id
+        (r.Log.commit_ts, participants)
     end
-    else if Log_buffer.is_marker r then begin
+    else if Log.is_marker r then begin
       let writes =
-        try Hashtbl.find t.pending r.Log_buffer.txn_id with Not_found -> []
+        try Hashtbl.find t.pending r.Log.txn_id with Not_found -> []
       in
-      Hashtbl.remove t.pending r.Log_buffer.txn_id;
+      Hashtbl.remove t.pending r.Log.txn_id;
       List.iter
         (fun (table, oid, payload, ts) -> install_row t table ~oid ~ts payload)
         (List.rev writes);
@@ -134,13 +134,13 @@ module Applier = struct
     end
     else begin
       let prev =
-        try Hashtbl.find t.pending r.Log_buffer.txn_id with Not_found -> []
+        try Hashtbl.find t.pending r.Log.txn_id with Not_found -> []
       in
-      Hashtbl.replace t.pending r.Log_buffer.txn_id
-        (( table_of t r.Log_buffer.rtable,
-           r.Log_buffer.oid,
-           r.Log_buffer.payload,
-           r.Log_buffer.commit_ts )
+      Hashtbl.replace t.pending r.Log.txn_id
+        (( table_of t r.Log.rtable,
+           r.Log.oid,
+           r.Log.payload,
+           r.Log.commit_ts )
         :: prev)
     end
 
@@ -148,7 +148,6 @@ module Applier = struct
   let applied t = t.applied
   let pending_txns t = Hashtbl.length t.pending
   let tables_created t = t.tables_created
-  let max_ts t = t.max_ts
   let prepared_count t = Hashtbl.length t.prepared_
   let prepared_gids t = Hashtbl.fold (fun gid _ acc -> gid :: acc) t.prepared_ []
   let prepared t gid = Hashtbl.mem t.prepared_ gid
@@ -216,7 +215,7 @@ let replay log =
   let image_rows = Applier.load_image ap image in
   List.iter
     (fun (r : Log.record) ->
-      if r.Log_buffer.lsn >= from_lsn then Applier.feed ap r)
+      if r.Log.lsn >= from_lsn then Applier.feed ap r)
     (Log.durable_entries log);
   (ap, image_rows)
 

@@ -42,10 +42,7 @@ module Applier : sig
   (** Feed one log record in LSN order (re-feeding already-applied records
       is harmless; skipping one is not — callers own gap detection). *)
 
-  val replayed : t -> int
   val applied : t -> int
-  val pending_txns : t -> int
-  (** Transactions with buffered records but no marker yet. *)
 
   val discard_pending : t -> int
   (** Drop buffered markerless transactions (torn tail at promotion);
@@ -55,15 +52,11 @@ module Applier : sig
   (** Resume the engine's commit-timestamp counter past the replayed
       maximum — required before the engine serves new transactions. *)
 
-  val tables_created : t -> int
-  val max_ts : t -> int64
-
   (** {2 2PC in-doubt handling} (cross-shard recovery, {e lib/shard}) *)
 
   val prepared_count : t -> int
   (** In-doubt transactions: prepare marker durable, unresolved. *)
 
-  val prepared_gids : t -> int list
   val prepared : t -> int -> bool
   (** [prepared t gid]: gid's prepare marker was fed and is unresolved. *)
 

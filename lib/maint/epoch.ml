@@ -30,7 +30,6 @@ let create ts =
 let current t = t.current_
 let advances t = t.advances_
 let max_lag t = t.max_lag_
-let active_count t = Hashtbl.length t.txn_epoch
 
 let register t ~txn_id =
   let e = t.current_ in

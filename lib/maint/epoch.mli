@@ -25,11 +25,6 @@ val attach : t -> Storage.Engine.t -> unit
 (** Install the engine lifecycle hooks that register/deregister
     transactions (replaces any previous lifecycle). *)
 
-val register : t -> txn_id:int -> unit
-val deregister : t -> txn_id:int -> unit
-(** Manual registration, for tests; {!attach} is the production path.
-    Deregistering an unknown id is a no-op. *)
-
 val advance : t -> int
 (** Open the next epoch, recording its boundary timestamp; returns the new
     current epoch.  Prunes boundaries below the safe epoch. *)
@@ -55,5 +50,3 @@ val reclaim_boundary : t -> int64
     before this are invisible to every live and future snapshot. *)
 
 val advances : t -> int
-val active_count : t -> int
-(** Live registered transactions. *)

@@ -300,9 +300,6 @@ let parse s =
   | v -> Ok v
   | exception Parse_error (pos, msg) -> Error (Printf.sprintf "at byte %d: %s" pos msg)
 
-let parse_exn s =
-  match parse s with Ok v -> v | Error msg -> invalid_arg ("Json.parse_exn: " ^ msg)
-
 (* -- accessors ---------------------------------------------------------------- *)
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None

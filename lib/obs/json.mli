@@ -27,9 +27,6 @@ val parse : string -> (t, string) result
     [int] become [Int], everything else [Float].  On error, returns a
     message with the byte offset. *)
 
-val parse_exn : string -> t
-(** @raise Invalid_argument on malformed input. *)
-
 (** {1 Accessors} — total, for walking parsed documents in tests. *)
 
 val member : string -> t -> t option

@@ -31,10 +31,6 @@ type bucket =
   | Ckpt  (** fuzzy-checkpoint chunk micro-ops *)
   | Idle  (** horizon − busy, accounted at run end *)
 
-val bucket_name : bucket -> string
-(** Stable identifier ("switch:passive", "gc_chunk", "idle", ...).
-    Transaction buckets render as ["txn:<label>"]. *)
-
 type t
 type worker
 

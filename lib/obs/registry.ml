@@ -1,13 +1,10 @@
 type labels = (string * string) list
 
 type counter = { mutable c : int }
-type gauge = { mutable g : float }
-type histogram = Sim.Histogram.t
 
 type instrument =
   | Counter of counter
-  | Gauge of gauge
-  | Histogram of histogram
+  | Histogram of Sim.Histogram.t
 
 (* Insertion-ordered: snapshots list metrics in registration order, which
    keeps JSON/CSV output deterministic. *)
@@ -33,24 +30,7 @@ let counter t ?(labels = []) name =
   | Counter c -> c
   | _ -> invalid_arg (Printf.sprintf "Registry.counter: %S is not a counter" name)
 
-let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
-let counter_value c = c.c
-
-let gauge t ?(labels = []) name =
-  match find_or_add t name labels (fun () -> Gauge { g = 0. }) with
-  | Gauge g -> g
-  | _ -> invalid_arg (Printf.sprintf "Registry.gauge: %S is not a gauge" name)
-
-let set_gauge g v = g.g <- v
-let gauge_value g = g.g
-
-let histogram t ?(labels = []) name =
-  match find_or_add t name labels (fun () -> Histogram (Sim.Histogram.create ())) with
-  | Histogram h -> h
-  | _ -> invalid_arg (Printf.sprintf "Registry.histogram: %S is not a histogram" name)
-
-let observe h v = Sim.Histogram.record h v
 
 let attach_histogram t ?(labels = []) name h =
   ignore (find_or_add t name labels (fun () -> Histogram h))
@@ -88,19 +68,19 @@ let hist_fields ?clock h =
   end
 
 let to_json ?clock t =
-  let counters = ref [] and gauges = ref [] and hists = ref [] in
+  let counters = ref [] and hists = ref [] in
   List.iter
     (fun ((name, labels), inst) ->
       let head = [ "name", Json.String name; "labels", labels_json labels ] in
       match inst with
       | Counter c -> counters := Json.Obj (head @ [ "value", Json.Int c.c ]) :: !counters
-      | Gauge g -> gauges := Json.Obj (head @ [ "value", Json.Float g.g ]) :: !gauges
       | Histogram h -> hists := Json.Obj (head @ hist_fields ?clock h) :: !hists)
     (snapshot t);
   Json.Obj
     [
       "counters", Json.List (List.rev !counters);
-      "gauges", Json.List (List.rev !gauges);
+      (* no instrument is a gauge; the key stays for readers of the format *)
+      "gauges", Json.List [];
       "histograms", Json.List (List.rev !hists);
     ]
 
@@ -125,7 +105,6 @@ let to_csv t =
       in
       match inst with
       | Counter c -> row "counter" (string_of_int c.c) ",,,,"
-      | Gauge g -> row "gauge" (Printf.sprintf "%g" g.g) ",,,,"
       | Histogram h ->
         if Sim.Histogram.is_empty h then row "histogram" "" "0,,,,"
         else

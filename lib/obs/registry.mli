@@ -1,4 +1,4 @@
-(** Metrics registry: named counters, gauges and histograms with labels,
+(** Metrics registry: named counters and histograms with labels,
     snapshotted to JSON or CSV.
 
     The registry is the machine-readable half of the observability layer:
@@ -16,20 +16,9 @@ val create : unit -> t
 (** {1 Instruments} *)
 
 type counter
-type gauge
-type histogram
 
 val counter : t -> ?labels:labels -> string -> counter
-val incr : counter -> unit
 val add : counter -> int -> unit
-val counter_value : counter -> int
-
-val gauge : t -> ?labels:labels -> string -> gauge
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-val histogram : t -> ?labels:labels -> string -> histogram
-val observe : histogram -> int64 -> unit
 
 val attach_histogram : t -> ?labels:labels -> string -> Sim.Histogram.t -> unit
 (** Register an externally-owned histogram (e.g. the fabric's delivery
@@ -38,10 +27,11 @@ val attach_histogram : t -> ?labels:labels -> string -> Sim.Histogram.t -> unit
 (** {1 Snapshots} *)
 
 val to_json : ?clock:Sim.Clock.t -> t -> Json.t
-(** [{"counters": [...], "gauges": [...], "histograms": [...]}], each entry
-    [{"name", "labels", ...}].  Histogram entries carry count/min/mean/max
-    and p50/p90/p99/p99.9 in raw units (cycles); when [clock] is given,
-    [_us] variants converted to microseconds are added. *)
+(** [{"counters": [...], "gauges": [], "histograms": [...]}], each entry
+    [{"name", "labels", ...}]; [gauges] is always empty.  Histogram
+    entries carry count/min/mean/max and p50/p90/p99/p99.9 in raw units
+    (cycles); when [clock] is given, [_us] variants converted to
+    microseconds are added. *)
 
 val to_csv : t -> string
 (** One row per instrument:

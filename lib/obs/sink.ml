@@ -49,9 +49,6 @@ let ring_entries t r =
       | Some e -> e
       | None -> assert false)
 
-let dump_track t ~wid =
-  match Hashtbl.find_opt t.tracks wid with None -> [] | Some r -> ring_entries t r
-
 let dump t =
   Hashtbl.fold (fun _ r acc -> List.rev_append (ring_entries t r) acc) t.tracks []
   |> List.sort (fun a b ->

@@ -47,9 +47,6 @@ val dropped : t -> int
 val dump : t -> entry list
 (** Every retained entry, sorted by [(time, seq)]. *)
 
-val dump_track : t -> wid:int -> entry list
-(** One track's retained entries, oldest first. *)
-
 val clear : t -> unit
 
 val pp : Sim.Clock.t -> Format.formatter -> t -> unit

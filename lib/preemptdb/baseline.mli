@@ -24,7 +24,6 @@ val collect : unit -> t
     Takes a few seconds of wall time. *)
 
 val to_json : t -> Obs.Json.t
-val of_json : Obs.Json.t -> (t, string) result
 val write : path:string -> t -> unit
 val read : path:string -> (t, string) result
 
@@ -40,12 +39,11 @@ type verdict = {
   informational : bool;  (** [info_]-prefixed: shown, never gates *)
 }
 
-val higher_is_better : string -> bool
-(** Metric direction, by name: [..._ktps] counts up, [..._us] counts down. *)
-
 val diff : base:t -> fresh:t -> tolerance_pct:float -> verdict list
 (** Union of both metric sets, in the base's order (fresh-only metrics
-    appended).  @raise Invalid_argument on a schema-version mismatch. *)
+    appended).  Direction is by name: a [..._us] metric regresses when it
+    rises past the tolerance, any other ([..._ktps], counts) when it falls.
+    @raise Invalid_argument on a schema-version mismatch. *)
 
 val regressions : verdict list -> verdict list
 

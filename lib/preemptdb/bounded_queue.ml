@@ -33,8 +33,6 @@ let pop t =
     x
   end
 
-let peek t = if t.len = 0 then None else t.buf.(t.head)
-
 let clear t =
   Array.fill t.buf 0 t.cap None;
   t.head <- 0;

@@ -9,12 +9,10 @@ val create : capacity:int -> 'a t
 val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 val free_slots : 'a t -> int
 
 val push : 'a t -> 'a -> bool
 (** [false] when full. *)
 
 val pop : 'a t -> 'a option
-val peek : 'a t -> 'a option
 val clear : 'a t -> unit

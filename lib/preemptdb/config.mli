@@ -7,9 +7,10 @@
     - retry backoff (500 cycles, doubling, 100 000 cap): {!Worker};
     - watchdog deadline, resend budget and backoff cap, and the
       degradation scores and cooperative interval: {!Sched_thread};
-    - log-device setup and bandwidth cost, log ring capacity and
-      checkpoint chunk size: the defaults of [Durability.Device.create],
-      [Durability.Log_buffer.create] and [Storage.Sweep.create];
+    - log-device setup and bandwidth cost: the defaults of
+      [Durability.Device.create]; the per-worker redo buffer (4096
+      records): [Durability.Log]; checkpoint chunk size: the default of
+      [Storage.Sweep.create];
     - the standby's log device: [Durability.Device.create ()] in
       {!Runner};
     - the post-promotion probe count: the default of

@@ -413,22 +413,3 @@ let to_json ?(name = "result") (r : Runner.result) =
     ]
 
 let to_csv (r : Runner.result) = Registry.to_csv (registry_of_result r)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    (* tolerate a concurrent create *)
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
-  end
-
-let write_string path s =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
-
-let write_files ?(name = "result") ~dir (r : Runner.result) =
-  mkdir_p dir;
-  write_string
-    (Filename.concat dir (name ^ ".json"))
-    (J.to_string (to_json ~name r) ^ "\n");
-  write_string (Filename.concat dir (name ^ ".csv")) (to_csv r)

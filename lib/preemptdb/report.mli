@@ -6,11 +6,10 @@
     plotting script needs no knowledge of the simulator.  The flat metric
     sections (counters / histograms) are built on an {!Obs.Registry}
     snapshot; the CSV export is that same registry rendered row-per-metric
-    for spreadsheet import. *)
+    for spreadsheet import.
 
-val registry_of_result : Runner.result -> Obs.Registry.t
-(** Pour the run's totals into a fresh registry: [worker_*] counters (all
-    ten {!Runner.worker_totals} fields), [uintr_sends], [drops] /
+    The registry holds the run's totals: [worker_*] counters (all ten
+    {!Runner.worker_totals} fields), [uintr_sends], [drops] /
     [backlog_left] / [skipped_starved] / [des_events], [engine_*] storage
     counters, per-class [txn_committed] / [txn_aborted] counters and
     latency histograms ([latency_e2e] / [latency_sched], labelled
@@ -23,13 +22,8 @@ val to_json : ?name:string -> Runner.result -> Obs.Json.t
     Each class entry carries committed/aborted, throughput_ktps, and
     p50/p90/p99/p999 end-to-end + scheduling latencies in µs (plus the
     geometric mean); [timeseries] holds the per-window series from
-    {!Metrics.timelines}; [metrics] is the {!registry_of_result}
-    snapshot. *)
+    {!Metrics.timelines}; [metrics] is the registry snapshot. *)
 
 val to_csv : Runner.result -> string
-(** The {!registry_of_result} snapshot as CSV
+(** The registry snapshot as CSV
     ([kind,name,labels,value,count,p50,p90,p99,p999,max]). *)
-
-val write_files : ?name:string -> dir:string -> Runner.result -> unit
-(** Write [<dir>/<name>.json] and [<dir>/<name>.csv], creating [dir] (and
-    parents) if needed.  [name] defaults to ["result"]. *)

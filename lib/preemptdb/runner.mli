@@ -383,7 +383,4 @@ val lanes : assembly -> Config.t -> Sched_thread.lane list
     [cfg.durability] asked for checkpointing.  Each lane mints requests
     from its own random stream (seed + 77 and seed + 79). *)
 
-val tpcc_labels : string list
-(** Labels of the five TPC-C classes, for aggregating total throughput. *)
-
 val total_tpcc_ktps : result -> float

@@ -173,7 +173,6 @@ let create ~des ~cfg ~fabric ~metrics ~workers ?obs ?lp_gen ?epoch ?(lanes = [])
   }
 
 let halt t = t.halted <- true
-let halted t = t.halted
 
 let starvation_threshold t =
   match t.cfg.Config.policy with Config.Preempt l -> l | _ -> infinity
@@ -504,6 +503,3 @@ let watchdog_resends t = t.wd_resends_
 let watchdog_giveups t = t.wd_giveups_
 let degrade_enters t = t.degrade_enters_
 let degrade_exits t = t.degrade_exits_
-
-let degraded_workers t =
-  Array.fold_left (fun acc s -> if s.degraded then acc + 1 else acc) 0 t.wd

@@ -86,8 +86,6 @@ val halt : t -> unit
     retries, the epoch advance, maintenance lanes, watchdog rechecks —
     unwinds at its next firing instead of rescheduling.  Irreversible. *)
 
-val halted : t -> bool
-
 val backlog_length : t -> int
 val generated_hp : t -> int
 val generated_lp : t -> int
@@ -111,6 +109,3 @@ val watchdog_giveups : t -> int
 val degrade_enters : t -> int
 val degrade_exits : t -> int
 (** Preempt→Cooperative fallbacks and recoveries across all workers. *)
-
-val degraded_workers : t -> int
-(** Workers currently running in degraded (cooperative) mode. *)

@@ -188,7 +188,6 @@ let uitt_index t = t.uitt_index_
 let hw t = t.hw
 let stats t = t.st
 let n_levels t = Array.length t.queues
-let local_time t = Int64.of_int t.local
 let set_op_probe t f = t.op_probe <- f
 let mode t = t.mode
 let set_mode t p = t.mode <- p
@@ -272,12 +271,9 @@ let enqueue t ~level req =
       (Obs.Event.Enqueue { level; req = req.Request.id });
   ok
 
-let hp_free_slots t = free_slots t ~level:1
 let lp_free_slots t = free_slots t ~level:0
 let enqueue_hp t req = enqueue t ~level:1 req
 let enqueue_lp t req = enqueue t ~level:0 req
-
-let lp_busy t = t.slots.(0).req <> None
 
 let running_level t =
   match t.slots.(Hw.current_index t.hw).req with

@@ -84,11 +84,6 @@ val uitt_index : t -> int
 
 val hw : t -> Uintr.Hw_thread.t
 val stats : t -> stats
-val n_levels : t -> int
-
-val local_time : t -> int64
-(** The worker's run-ahead local clock (≥ the DES global time while an
-    activation is in progress). *)
 
 val set_op_probe : t -> (t -> Workload.Program.op -> unit) option -> unit
 (** Install (or clear) a hook called after every executed micro-op — the
@@ -103,7 +98,6 @@ val enqueue : t -> level:int -> Request.t -> bool
 (** [false] when the queue is full.  The caller must {!wake} the worker.
     @raise Invalid_argument on an unknown level. *)
 
-val hp_free_slots : t -> int
 val lp_free_slots : t -> int
 val enqueue_hp : t -> Request.t -> bool
 val enqueue_lp : t -> Request.t -> bool
@@ -124,17 +118,10 @@ val dropped_at_kill : t -> int
 (** Requests discarded by {!kill} — they died with the primary and are
     excluded from conservation ledgers. *)
 
-val running_level : t -> int
-(** Priority rank of the currently running request, or -1 when between
-    requests. *)
-
 val starvation_level : t -> now:int -> float
 (** L = Th / (T1 − T0) of the paper (Figure 7), anchored at the most recent
     low-priority transaction start; cycles spent on requests above level 0
     accumulate into Th. *)
-
-val lp_busy : t -> bool
-(** A low-priority transaction is running or paused on this worker. *)
 
 val mode : t -> Config.policy
 (** The worker's live policy.  Starts as [cfg.policy]; the scheduling

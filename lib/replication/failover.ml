@@ -34,7 +34,6 @@ type t = {
   probes : int;
   mutable crash_time : int64 option;
   mutable outcome_ : outcome option;
-  mutable on_promoted : (Storage.Engine.t -> outcome -> unit) option;
 }
 
 let run_probes eng n =
@@ -83,7 +82,6 @@ let promote t =
     emit t
       (Obs.Event.Failover_promoted
          { applied_lsn; torn; rto_us = int_of_float o.fo_rto_us });
-    (match t.on_promoted with Some f -> f eng o | None -> ());
     o
 
 let create ?obs ?(probes = 8) des ~clock ~replica ~detector () =
@@ -97,14 +95,11 @@ let create ?obs ?(probes = 8) des ~clock ~replica ~detector () =
       probes;
       crash_time = None;
       outcome_ = None;
-      on_promoted = None;
     }
   in
   Failure_detector.set_on_suspect detector (Some (fun () -> ignore (promote t)));
   t
 
 let note_primary_crash t = t.crash_time <- Some (Sim.Des.now t.des)
-let set_on_promoted t f = t.on_promoted <- f
 let outcome t = t.outcome_
 let promoted t = t.outcome_ <> None
-let crash_time t = t.crash_time

@@ -39,7 +39,5 @@ val note_primary_crash : t -> unit
 val promote : t -> outcome
 (** Promote now (idempotent; normally driven by the detector). *)
 
-val set_on_promoted : t -> (Storage.Engine.t -> outcome -> unit) option -> unit
 val outcome : t -> outcome option
 val promoted : t -> bool
-val crash_time : t -> int64 option

@@ -87,5 +87,4 @@ let start t =
 let halt t = t.halted_ <- true
 let suspected t = t.suspected_
 let suspected_at t = t.suspected_at_
-let consecutive_misses t = t.misses_
 let total_misses t = t.total_misses_

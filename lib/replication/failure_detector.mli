@@ -26,11 +26,7 @@ val set_on_suspect : t -> (unit -> unit) option -> unit
 val note_alive : t -> unit
 (** Primary traffic observed: stamp the deadline, clear the miss count. *)
 
-val check : t -> unit
-(** One detector tick (normally driven by the internal loop). *)
-
 val halt : t -> unit
 val suspected : t -> bool
 val suspected_at : t -> int64 option
-val consecutive_misses : t -> int
 val total_misses : t -> int

@@ -22,7 +22,7 @@ let control_bytes = 16
 
 let records_bytes records =
   List.fold_left
-    (fun acc (r : Durability.Log.record) -> acc + r.Durability.Log_buffer.bytes)
+    (fun acc (r : Durability.Log.record) -> acc + r.Durability.Log.bytes)
     0 records
 
 let to_replica_bytes = function

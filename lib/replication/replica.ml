@@ -116,7 +116,7 @@ let handle t (msg : Msg.to_replica) =
         let fresh =
           List.filter
             (fun (r : Durability.Log.record) ->
-              r.Durability.Log_buffer.lsn >= t.expected_next)
+              r.Durability.Log.lsn >= t.expected_next)
             records
         in
         t.dup_records_ <-
@@ -127,7 +127,7 @@ let handle t (msg : Msg.to_replica) =
           let upto =
             List.fold_left
               (fun acc (r : Durability.Log.record) ->
-                max acc (r.Durability.Log_buffer.lsn + 1))
+                max acc (r.Durability.Log.lsn + 1))
               t.expected_next rs
           in
           t.expected_next <- upto;
@@ -172,7 +172,6 @@ let halt t = t.halted_ <- true
 let engine t = Applier.engine t.ap
 let persisted_lsn t = t.persisted_
 let applied_lsn t = t.applied_
-let expected_lsn t = t.expected_next
 let promoted t = t.promoted_
 let batches t = t.batches_
 let gaps t = t.gaps_

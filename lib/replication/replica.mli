@@ -46,9 +46,6 @@ val engine : t -> Storage.Engine.t
 val persisted_lsn : t -> int
 val applied_lsn : t -> int
 
-val expected_lsn : t -> int
-(** Next LSN a fresh record must carry (contiguity cursor). *)
-
 val promoted : t -> bool
 val batches : t -> int
 

@@ -28,7 +28,6 @@ type t = {
   degrade_timeout : int64;
   mutable shipped_upto : int;
   mutable replica_persisted_ : int;
-  mutable replica_applied_ : int;
   mutable last_progress : int64;
   mutable degraded_ : bool;
   mutable halted_ : bool;
@@ -56,7 +55,6 @@ let create ?obs des ~clock ~log ~daemon ~ship_ch ~mode ~hb_interval_us
     degrade_timeout = Sim.Clock.cycles_of_us clock degrade_timeout_us;
     shipped_upto = 0;
     replica_persisted_ = 0;
-    replica_applied_ = 0;
     last_progress = 0L;
     degraded_ = false;
     halted_ = false;
@@ -108,7 +106,6 @@ let handle t (msg : Msg.to_primary) =
     | Msg.Ack { persisted; applied } ->
       t.acks_ <- t.acks_ + 1;
       t.last_progress <- Sim.Des.now t.des;
-      if applied > t.replica_applied_ then t.replica_applied_ <- applied;
       if persisted > t.replica_persisted_ then begin
         t.replica_persisted_ <- persisted;
         emit t (Obs.Event.Repl_ack { persisted; applied });
@@ -157,8 +154,6 @@ let halt t =
 
 let mode t = t.mode
 let shipped_upto t = t.shipped_upto
-let replica_persisted t = t.replica_persisted_
-let replica_applied t = t.replica_applied_
 let degraded t = t.degraded_
 let batches t = t.batches_
 let records_shipped t = t.records_

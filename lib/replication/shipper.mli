@@ -32,10 +32,6 @@ val start : t -> unit
 (** Install the flush hook (and, in semi-sync, the ack gate) and begin
     the heartbeat/watchdog loop. *)
 
-val ship : t -> unit
-(** Ship the un-shipped durable suffix now (normally driven by the flush
-    hook). *)
-
 val handle : t -> Msg.to_primary -> unit
 (** Process a replica ack or NAK (wired as the ack channel's receiver). *)
 
@@ -46,9 +42,6 @@ val mode : t -> mode
 
 val shipped_upto : t -> int
 (** Next LSN the replica is expected to receive. *)
-
-val replica_persisted : t -> int
-val replica_applied : t -> int
 
 val degraded : t -> bool
 (** Semi-sync fell back to async (replica silent past the timeout). *)

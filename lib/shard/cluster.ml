@@ -82,7 +82,6 @@ type t = {
 let des t = t.des
 let clock t = t.clock
 let n_shards t = Array.length t.shards
-let router t = t.router
 let policy t = t.sp
 let horizon t = t.horizon
 let wall_s t = t.wall_s

@@ -64,7 +64,6 @@ val create :
 val des : t -> Sim.Des.t
 val clock : t -> Sim.Clock.t
 val n_shards : t -> int
-val router : t -> Router.t
 val policy : t -> Config.shard_policy
 
 val run : t -> horizon_sec:float -> unit

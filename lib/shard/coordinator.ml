@@ -7,8 +7,6 @@ type entry = {
 type t = {
   gates : Uintr.Gate.t;
   tbl : (int, entry) Hashtbl.t;
-  mutable decided_commit_ : int;
-  mutable decided_abort_ : int;
   mutable timeouts_ : int;
   mutable late_votes_ : int;
   mutable dup_votes_ : int;
@@ -18,8 +16,6 @@ let create ~gates =
   {
     gates;
     tbl = Hashtbl.create 64;
-    decided_commit_ = 0;
-    decided_abort_ = 0;
     timeouts_ = 0;
     late_votes_ = 0;
     dup_votes_ = 0;
@@ -35,8 +31,6 @@ let register t ~gid ~participants =
 
 let decide t gid (e : entry) ~commit =
   Hashtbl.remove t.tbl gid;
-  if commit then t.decided_commit_ <- t.decided_commit_ + 1
-  else t.decided_abort_ <- t.decided_abort_ + 1;
   Uintr.Gate.resolve t.gates e.gate ~value:(if commit then 1 else 0)
 
 let on_vote t ~gid ~shard ~yes =
@@ -60,8 +54,6 @@ let timeout t ~gid =
 
 let cancel t ~gid = Hashtbl.remove t.tbl gid
 let pending t = Hashtbl.length t.tbl
-let decided_commit t = t.decided_commit_
-let decided_abort t = t.decided_abort_
 let timeouts t = t.timeouts_
 let late_votes t = t.late_votes_
 let dup_votes t = t.dup_votes_

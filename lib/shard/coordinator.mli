@@ -32,8 +32,6 @@ val cancel : t -> gid:int -> unit
     failed: the coordinator is not parked and will not be). *)
 
 val pending : t -> int
-val decided_commit : t -> int
-val decided_abort : t -> int
 val timeouts : t -> int
 val late_votes : t -> int
 val dup_votes : t -> int

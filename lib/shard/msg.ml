@@ -1,5 +1,3 @@
-module J = Obs.Json
-
 type rop =
   | Stock_deduct of { w : int; i : int; qty : int; remote : bool }
   | Customer_pay of { w : int; d : int; c : int; amount : float }
@@ -17,129 +15,3 @@ let rop_bytes = 24
 let bytes = function
   | Prepare p -> header_bytes + (rop_bytes * List.length p.ops)
   | Vote _ | Commit _ | Abort _ -> control_bytes
-
-let gid_of = function
-  | Prepare { gid; _ } | Vote { gid; _ } | Commit { gid; _ } | Abort { gid } -> gid
-
-let to_string = function
-  | Prepare p ->
-    Printf.sprintf "prepare(gid=%d origin=%d ops=%d)" p.gid p.origin (List.length p.ops)
-  | Vote v -> Printf.sprintf "vote(gid=%d shard=%d %s)" v.gid v.shard (if v.yes then "yes" else "no")
-  | Commit c -> Printf.sprintf "commit(gid=%d ts=%Ld)" c.gid c.ts
-  | Abort a -> Printf.sprintf "abort(gid=%d)" a.gid
-
-(* -- JSON round-trip ----------------------------------------------------- *)
-
-let rop_to_json = function
-  | Stock_deduct s ->
-    J.Obj
-      [
-        ("op", J.String "stock_deduct");
-        ("w", J.Int s.w);
-        ("i", J.Int s.i);
-        ("qty", J.Int s.qty);
-        ("remote", J.Bool s.remote);
-      ]
-  | Customer_pay p ->
-    J.Obj
-      [
-        ("op", J.String "customer_pay");
-        ("w", J.Int p.w);
-        ("d", J.Int p.d);
-        ("c", J.Int p.c);
-        ("amount", J.Float p.amount);
-      ]
-
-let int_field name json =
-  match Option.bind (J.member name json) J.to_int_opt with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing int field %S" name)
-
-let flt_field name json =
-  match Option.bind (J.member name json) J.to_float_opt with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing float field %S" name)
-
-let bool_field name json =
-  match J.member name json with
-  | Some (J.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "missing bool field %S" name)
-
-let str_field name json =
-  match Option.bind (J.member name json) J.to_string_opt with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing string field %S" name)
-
-let ( let* ) = Result.bind
-
-let rop_of_json json =
-  let* op = str_field "op" json in
-  match op with
-  | "stock_deduct" ->
-    let* w = int_field "w" json in
-    let* i = int_field "i" json in
-    let* qty = int_field "qty" json in
-    let* remote = bool_field "remote" json in
-    Ok (Stock_deduct { w; i; qty; remote })
-  | "customer_pay" ->
-    let* w = int_field "w" json in
-    let* d = int_field "d" json in
-    let* c = int_field "c" json in
-    let* amount = flt_field "amount" json in
-    Ok (Customer_pay { w; d; c; amount })
-  | other -> Error (Printf.sprintf "unknown rop %S" other)
-
-let to_json = function
-  | Prepare p ->
-    J.Obj
-      [
-        ("kind", J.String "prepare");
-        ("gid", J.Int p.gid);
-        ("origin", J.Int p.origin);
-        ("ops", J.List (List.map rop_to_json p.ops));
-      ]
-  | Vote v ->
-    J.Obj
-      [
-        ("kind", J.String "vote");
-        ("gid", J.Int v.gid);
-        ("shard", J.Int v.shard);
-        ("yes", J.Bool v.yes);
-      ]
-  | Commit c ->
-    J.Obj
-      [ ("kind", J.String "commit"); ("gid", J.Int c.gid); ("ts", J.Int (Int64.to_int c.ts)) ]
-  | Abort a -> J.Obj [ ("kind", J.String "abort"); ("gid", J.Int a.gid) ]
-
-let of_json json =
-  match json with
-  | J.Obj _ -> (
-    let* kind = str_field "kind" json in
-    let* gid = int_field "gid" json in
-    match kind with
-    | "prepare" ->
-      let* origin = int_field "origin" json in
-      let* items =
-        match Option.bind (J.member "ops" json) J.to_list_opt with
-        | Some l -> Ok l
-        | None -> Error "missing list field \"ops\""
-      in
-      let* ops =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* op = rop_of_json item in
-            Ok (op :: acc))
-          (Ok []) items
-      in
-      Ok (Prepare { gid; origin; ops = List.rev ops })
-    | "vote" ->
-      let* shard = int_field "shard" json in
-      let* yes = bool_field "yes" json in
-      Ok (Vote { gid; shard; yes })
-    | "commit" ->
-      let* ts = int_field "ts" json in
-      Ok (Commit { gid; ts = Int64.of_int ts })
-    | "abort" -> Ok (Abort { gid })
-    | other -> Error (Printf.sprintf "unknown message kind %S" other))
-  | _ -> Error "shard message must be a JSON object"

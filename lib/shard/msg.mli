@@ -33,17 +33,4 @@ type t =
       (** Coordinator → participant: local failure, a no vote, or the
           vote-collection timeout. *)
 
-val header_bytes : int
-val control_bytes : int
-val rop_bytes : int
 val bytes : t -> int
-
-val gid_of : t -> int
-val to_string : t -> string
-
-(** {1 JSON round-trip} — artifact/debug encoding, property-tested. *)
-
-val rop_to_json : rop -> Obs.Json.t
-val rop_of_json : Obs.Json.t -> (rop, string) result
-val to_json : t -> Obs.Json.t
-val of_json : Obs.Json.t -> (t, string) result

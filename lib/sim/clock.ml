@@ -9,7 +9,6 @@ let default = create ()
 let cycles_of_sec t s = Int64.of_float (s *. t.hz)
 let cycles_of_ms t ms = cycles_of_sec t (ms *. 1e-3)
 let cycles_of_us t us = cycles_of_sec t (us *. 1e-6)
-let cycles_of_ns t ns = cycles_of_sec t (ns *. 1e-9)
 
 let sec_of_cycles t c = Int64.to_float c /. t.hz
 let ms_of_cycles t c = sec_of_cycles t c *. 1e3

@@ -16,7 +16,6 @@ val create : ?ghz:float -> unit -> t
 val default : t
 (** A 2.4 GHz clock. *)
 
-val cycles_of_ns : t -> float -> int64
 val cycles_of_us : t -> float -> int64
 val cycles_of_ms : t -> float -> int64
 val cycles_of_sec : t -> float -> int64

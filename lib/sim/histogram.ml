@@ -66,19 +66,14 @@ let bucket_high t idx =
     Int64.sub (Int64.add low slice) 1L
   end
 
-let record_n t v n =
-  if n < 0 then invalid_arg "Histogram.record_n: negative count";
-  if n > 0 then begin
-    let v = if Int64.compare v 0L < 0 then 0L else v in
-    let idx = index_of t v in
-    t.counts.(idx) <- t.counts.(idx) + n;
-    t.n <- t.n + n;
-    if Int64.compare v t.minv < 0 then t.minv <- v;
-    if Int64.compare v t.maxv > 0 then t.maxv <- v;
-    t.sum <- t.sum +. (Int64.to_float v *. float_of_int n)
-  end
-
-let record t v = record_n t v 1
+let record t v =
+  let v = if Int64.compare v 0L < 0 then 0L else v in
+  let idx = index_of t v in
+  t.counts.(idx) <- t.counts.(idx) + 1;
+  t.n <- t.n + 1;
+  if Int64.compare v t.minv < 0 then t.minv <- v;
+  if Int64.compare v t.maxv > 0 then t.maxv <- v;
+  t.sum <- t.sum +. Int64.to_float v
 let count t = t.n
 let is_empty t = t.n = 0
 
@@ -119,16 +114,3 @@ let reset t =
   t.minv <- Int64.max_int;
   t.maxv <- Int64.min_int;
   t.sum <- 0.
-
-let pp_summary clock ppf t =
-  if t.n = 0 then Format.fprintf ppf "(empty)"
-  else begin
-    let pc p = percentile t p in
-    Format.fprintf ppf "n=%d mean=%a p50=%a p90=%a p99=%a p99.9=%a max=%a" t.n
-      (Clock.pp_cycles clock) (Int64.of_float (mean t))
-      (Clock.pp_cycles clock) (pc 50.)
-      (Clock.pp_cycles clock) (pc 90.)
-      (Clock.pp_cycles clock) (pc 99.)
-      (Clock.pp_cycles clock) (pc 99.9)
-      (Clock.pp_cycles clock) t.maxv
-  end

@@ -15,9 +15,6 @@ val create : ?sub_buckets:int -> unit -> t
 val record : t -> int64 -> unit
 (** Record one sample.  Negative samples are clamped to 0. *)
 
-val record_n : t -> int64 -> int -> unit
-(** Record the same value [n] times. *)
-
 val count : t -> int
 val min_value : t -> int64
 (** @raise Invalid_argument if empty *)
@@ -43,6 +40,3 @@ val merge_into : src:t -> dst:t -> unit
 val reset : t -> unit
 
 val is_empty : t -> bool
-
-val pp_summary : Clock.t -> Format.formatter -> t -> unit
-(** One-line summary: count, mean, p50/p90/p99/p99.9, max — in time units. *)

@@ -170,10 +170,6 @@ module Make (K : KEY) = struct
     | Leaf l -> l
     | Internal nd -> leftmost_leaf nd.children.(0)
 
-  let rec rightmost_leaf = function
-    | Leaf l -> l
-    | Internal nd -> rightmost_leaf nd.children.(Array.length nd.children - 1)
-
   (* Leftmost leaf that can contain a key >= k, with the in-leaf index. *)
   let rec seek_node node k =
     match node with
@@ -186,40 +182,6 @@ module Make (K : KEY) = struct
     | None -> None
     | Some l ->
       if idx < Array.length l.lkeys then Some (l, idx) else advance l.next 0
-
-  let min_binding t =
-    match advance (Some (leftmost_leaf t.root)) 0 with
-    | Some (l, i) -> Some (l.lkeys.(i), l.lvals.(i))
-    | None -> None
-
-  let max_binding t =
-    (* The rightmost non-empty leaf is not directly addressable; walk from
-       the rightmost and fall back to a scan only in the lazy-deletion edge
-       case. *)
-    let l = rightmost_leaf t.root in
-    let n = Array.length l.lkeys in
-    if n > 0 then Some (l.lkeys.(n - 1), l.lvals.(n - 1))
-    else begin
-      let best = ref None in
-      let rec walk leaf =
-        let n = Array.length leaf.lkeys in
-        if n > 0 then best := Some (leaf.lkeys.(n - 1), leaf.lvals.(n - 1));
-        match leaf.next with Some nxt -> walk nxt | None -> ()
-      in
-      walk (leftmost_leaf t.root);
-      !best
-    end
-
-  let fold_range t ~lo ~hi ~init ~f =
-    let rec loop acc leaf idx =
-      match advance leaf idx with
-      | None -> acc
-      | Some (l, i) ->
-        let k = l.lkeys.(i) in
-        if K.compare k hi > 0 then acc else loop (f acc k l.lvals.(i)) (Some l) (i + 1)
-    in
-    let l, i = seek_node t.root lo in
-    loop init (Some l) i
 
   let iter t f =
     let rec loop leaf idx =

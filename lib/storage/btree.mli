@@ -36,13 +36,6 @@ module Make (K : KEY) : sig
   val remove : t -> K.t -> int option
   (** Remove the binding, returning it if present. *)
 
-  val min_binding : t -> (K.t * int) option
-  val max_binding : t -> (K.t * int) option
-
-  val fold_range : t -> lo:K.t -> hi:K.t -> init:'a -> f:('a -> K.t -> int -> 'a) -> 'a
-  (** Fold over bindings with [lo <= k <= hi], ascending.  Must not be used
-      when the fold body mutates the tree — use a cursor for that. *)
-
   val iter : t -> (K.t -> int -> unit) -> unit
 
   type cursor

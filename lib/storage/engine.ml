@@ -86,13 +86,6 @@ let set_lifecycle t lc = t.lifecycle <- lc
 let active_snapshots t =
   Hashtbl.fold (fun _ txn acc -> txn.Txn.begin_ts :: acc) t.active []
 
-let min_active_snapshot t =
-  Hashtbl.fold
-    (fun _ txn acc ->
-      match acc with
-      | None -> Some txn.Txn.begin_ts
-      | Some m -> Some (if Int64.compare txn.Txn.begin_ts m < 0 then txn.Txn.begin_ts else m))
-    t.active None
 let inject_fault t fault = t.fault <- fault
 let fault t = t.fault
 

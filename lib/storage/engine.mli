@@ -75,11 +75,6 @@ val active_snapshots : t -> int64 list
     unlink, whether any concurrent snapshot could have needed a dropped
     version. *)
 
-val min_active_snapshot : t -> int64 option
-(** Smallest begin timestamp over the live transaction table ([None] when
-    idle) — the ground truth any reclamation boundary must stay at or
-    below, used by the check-layer reclaim oracle. *)
-
 type fault =
   | Skip_write_lock
       (** {!update}/{!delete} install in-flight versions without the

@@ -43,7 +43,6 @@ type t = {
   mutable latched : int;  (** how many of [latch_plan] are held *)
 }
 
-val iso_to_string : iso -> string
 val state_to_string : state -> string
 
 val make : id:int -> begin_ts:int64 -> iso:iso -> worker:int -> ctx:int -> t

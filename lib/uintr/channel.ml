@@ -40,7 +40,6 @@ type 'a t = {
   mutable bytes_ : int;
   pending : (int, 'a inflight list ref) Hashtbl.t;
       (* delivery time → same-instant copies, newest first *)
-  lat_hist : Sim.Histogram.t;
 }
 
 let create ?(base_latency = 1200) ?(per_byte = 1) des ~fabric ~name =
@@ -60,7 +59,6 @@ let create ?(base_latency = 1200) ?(per_byte = 1) des ~fabric ~name =
     duplicated_ = 0;
     bytes_ = 0;
     pending = Hashtbl.create 16;
-    lat_hist = Sim.Histogram.create ();
   }
 
 let set_on_deliver t f = t.on_deliver <- Some f
@@ -80,7 +78,6 @@ let send t ~bytes msg =
       List.iter
         (fun lat ->
           let lat = max 1 lat in
-          Sim.Histogram.record t.lat_hist (Int64.of_int lat);
           let at = Sim.Des.now_int t.des + lat in
           let seq = t.seq_ in
           t.seq_ <- t.seq_ + 1;
@@ -106,10 +103,8 @@ let send t ~bytes msg =
   end
 
 let sever t = t.severed_ <- true
-let severed t = t.severed_
 let sends t = t.sends_
 let delivered t = t.delivered_
 let lost t = t.lost_
 let duplicated t = t.duplicated_
 let bytes_sent t = t.bytes_
-let latency_histogram t = t.lat_hist

@@ -45,7 +45,6 @@ val sever : 'a t -> unit
 (** Crash the channel: refuse subsequent sends and drop in-flight
     messages at their delivery time.  Irreversible. *)
 
-val severed : 'a t -> bool
 val sends : 'a t -> int
 val delivered : 'a t -> int
 
@@ -55,6 +54,3 @@ val lost : 'a t -> int
 
 val duplicated : 'a t -> int
 val bytes_sent : 'a t -> int
-
-val latency_histogram : 'a t -> Sim.Histogram.t
-(** Per-delivery modeled latency (cycles). *)

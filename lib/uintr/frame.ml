@@ -5,10 +5,6 @@ let bytes = 40 + (15 * 8) + 832
 
 let make ~rip ~rsp ~rflags ~gprs ~xstate = { rip; rsp; rflags; gprs; xstate }
 
-let equal a b =
-  a.rip = b.rip && a.rsp = b.rsp && a.rflags = b.rflags && a.gprs = b.gprs
-  && a.xstate = b.xstate
-
 let pp ppf t =
   Format.fprintf ppf "{rip=%d; rsp=%d; rflags=%#x; gprs=%#x; xstate=%#x}" t.rip t.rsp
     t.rflags t.gprs t.xstate

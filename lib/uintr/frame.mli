@@ -20,5 +20,4 @@ val bytes : int
 
 val make : rip:int -> rsp:int -> rflags:int -> gprs:int -> xstate:int -> t
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

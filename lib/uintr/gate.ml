@@ -17,15 +17,12 @@ type cell = {
 type t = {
   mutable cells : cell array;
   mutable n : int;
-  mutable resolves_ : int;
-  mutable dup_resolves_ : int;
-  mutable parked_ : int;
 }
 
 let dummy = { value = None; waiters = [] }
 
 let create () =
-  { cells = Array.make 64 dummy; n = 0; resolves_ = 0; dup_resolves_ = 0; parked_ = 0 }
+  { cells = Array.make 64 dummy; n = 0 }
 
 let fresh t =
   if t.n >= Array.length t.cells then begin
@@ -52,29 +49,15 @@ let value t id =
 let resolve t id ~value =
   let c = cell t id in
   match c.value with
-  | Some _ -> t.dup_resolves_ <- t.dup_resolves_ + 1
+  | Some _ -> ()
   | None ->
     c.value <- Some value;
-    t.resolves_ <- t.resolves_ + 1;
     let ws = List.rev c.waiters in
     c.waiters <- [];
     List.iter (fun f -> f ()) ws
 
 let park t id ~notify =
   let c = cell t id in
-  t.parked_ <- t.parked_ + 1;
   match c.value with
   | Some _ -> notify ()
   | None -> c.waiters <- notify :: c.waiters
-
-let count t = t.n
-let resolves t = t.resolves_
-let dup_resolves t = t.dup_resolves_
-let parks t = t.parked_
-
-let unresolved t =
-  let n = ref 0 in
-  for i = 0 to t.n - 1 do
-    if t.cells.(i).value = None then incr n
-  done;
-  !n

@@ -33,12 +33,3 @@ val value : t -> int -> int
 val park : t -> int -> notify:(unit -> unit) -> unit
 (** Register a waiter; fires at resolve time, or immediately when the
     gate is already resolved.  @raise Invalid_argument on unknown id. *)
-
-val count : t -> int
-val resolves : t -> int
-val dup_resolves : t -> int
-val parks : t -> int
-
-val unresolved : t -> int
-(** Gates never resolved — at end of run, coordinator/participant waits
-    orphaned by a crash. *)

@@ -21,8 +21,6 @@ let set_sp t v =
   if v < 0 || v > t.size then invalid_arg "Stack_model.set_sp: out of range";
   t.sp_ <- v
 
-let remaining t = t.sp_
-
 let push_frame t frame =
   let need = red_zone_bytes + Frame.bytes in
   if t.sp_ < need then

@@ -23,8 +23,6 @@ val sp : t -> int
 
 val set_sp : t -> int -> unit
 
-val remaining : t -> int
-
 val push_frame : t -> Frame.t -> unit
 (** Push a uintr frame, skipping the red zone.
     @raise Overflow when the frame does not fit. *)

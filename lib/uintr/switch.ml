@@ -1,8 +1,5 @@
 type outcome = Switched of int | Rejected_region of int | Rejected_window of int
 
-let cycles_of_outcome = function
-  | Switched c | Rejected_region c | Rejected_window c -> c
-
 let resume_target t ~target =
   let tcb = Hw_thread.context t target in
   (match Stack_model.top_frame tcb.Tcb.stack with
@@ -65,7 +62,7 @@ let passive_switch ?(honor_regions = true) ?now t ~target =
     (* Hardware pushed the uintr frame; the handler saved registers and
        called the C++ helper — all folded into [handler_entry]. *)
     let entry = costs.Costs.handler_entry in
-    if honor_regions && Cls.get (Hw_thread.current_cls t) Region.lock_counter > 0 then begin
+    if honor_regions && Region.in_region t then begin
       (* Helper sees a non-zero lock counter: hand the current rsp straight
          back so the handler pops and uirets into the same context. *)
       Receiver.stui recv;
@@ -74,13 +71,13 @@ let passive_switch ?(honor_regions = true) ?now t ~target =
       Rejected_region cycles
     end
     else begin
-      let region_depth = Cls.get (Hw_thread.current_cls t) Region.lock_counter in
+      let region_depth = Region.depth t in
       let from_rip = (Hw_thread.current t).Tcb.rip in
       let restored_frame = Stack_model.top_frame (Hw_thread.context t target).Tcb.stack <> None in
       suspend_current t;
       resume_target t ~target;
       Receiver.stui recv;
-      let cycles = entry + costs.Costs.cls_swap + costs.Costs.handler_exit in
+      let cycles = Costs.passive_switch_total costs in
       emit t now (Obs.Event.Passive_switch { from_ctx; to_ctx = target; cycles });
       monitor t ~kind:`Passive ~from_ctx ~target ~retire:false ~region_depth ~from_rip
         ~restored_frame;

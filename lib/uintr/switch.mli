@@ -24,8 +24,6 @@ type outcome =
           [uiret]s immediately without touching the stack (Algorithm 1,
           lines 2–6) *)
 
-val cycles_of_outcome : outcome -> int
-
 val passive_switch : ?honor_regions:bool -> ?now:int64 -> Hw_thread.t -> target:int -> outcome
 (** Run the user-interrupt handler on [t], attempting to preempt the current
     context in favor of context [target].  Must be called only after
@@ -46,7 +44,3 @@ val active_switch : ?retire:bool -> ?now:int64 -> Hw_thread.t -> target:int -> i
     A paused target resumes from its saved frame; a fresh target starts at
     its current [rip].
     @raise Invalid_argument if [target] is the current context. *)
-
-val resume_target : Hw_thread.t -> target:int -> unit
-(** Internal state transition shared by both switch directions; exposed for
-    white-box tests. *)

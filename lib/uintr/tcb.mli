@@ -23,8 +23,6 @@ type t = {
 
 val create : ?stack_size:int -> id:int -> unit -> t
 
-val state_to_string : state -> string
-
 val snapshot : t -> Frame.t
 (** Capture the current register state as a frame (rsp from the stack). *)
 

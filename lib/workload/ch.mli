@@ -6,13 +6,17 @@
     analytical scan is paused {e over data being written}, and snapshot
     isolation is what makes that pause safe (§1.2, observation 1).
 
-    Queries emit a {!Program.yield_hint} every {!block_rows} scanned rows,
-    so the handcrafted cooperative baseline can be tuned for them too. *)
+    Queries emit a {!Program.yield_hint} every 256 scanned rows, so the
+    handcrafted cooperative baseline can be tuned for them too. *)
 
-val block_rows : int
-(** Rows per nested block for yield-hint purposes (256). *)
-
-type kind = Q1 | Q4 | Q6
+type kind =
+  | Q1
+      (** Pricing summary: full order-line scan, grouped by line number,
+          delivered lines only. *)
+  | Q4
+      (** Order-priority count: for orders in an id window, count those
+          with at least one late line (semi-join orders ⋉ order_line). *)
+  | Q6  (** Revenue-change forecast: filtered sum over the full order-line scan. *)
 
 val kind_to_string : kind -> string
 
@@ -27,18 +31,7 @@ type q1_row = {
   count_lines : int;
 }
 
-val q1 : Tpcc_db.t -> Program.t
-(** Pricing summary: full order-line scan, grouped by line number,
-    delivered lines only. *)
-
 val q1_collect : Tpcc_db.t -> (q1_row list -> unit) -> Program.t
-
-val q4 : Tpcc_db.t -> Program.t
-(** Order-priority count: for orders in an id window, count those with at
-    least one late line (semi-join orders ⋉ order_line). *)
-
-val q6 : Tpcc_db.t -> Program.t
-(** Revenue-change forecast: filtered sum over the full order-line scan. *)
 
 val q6_collect : Tpcc_db.t -> (float -> unit) -> Program.t
 

@@ -6,23 +6,12 @@ let probe_int tree k =
   Program.charge Program.Index_probe;
   IT.find tree k
 
-let probe_str tree k =
-  Program.charge Program.Index_probe;
-  ST.find tree k
-
 let insert_int env txn tree ~key ~oid =
   Program.non_preemptible env (fun () ->
       Program.charge Program.Index_insert;
       match IT.insert tree key oid with
       | None -> Txn.on_abort txn (fun () -> ignore (IT.remove tree key))
       | Some _ -> invalid_arg "Idx.insert_int: duplicate key")
-
-let insert_str env txn tree ~key ~oid =
-  Program.non_preemptible env (fun () ->
-      Program.charge Program.Index_insert;
-      match ST.insert tree key oid with
-      | None -> Txn.on_abort txn (fun () -> ignore (ST.remove tree key))
-      | Some _ -> invalid_arg "Idx.insert_str: duplicate key")
 
 let remove_int env txn tree ~key =
   Program.non_preemptible env (fun () ->
@@ -56,13 +45,6 @@ let scan_str env tree ~lo ~hi ?(limit = max_int) f =
     end
   in
   loop limit
-
-let collect_int env tree ~lo ~hi =
-  let acc = ref [] in
-  scan_int env tree ~lo ~hi (fun k oid ->
-      acc := (k, oid) :: !acc;
-      true);
-  List.rev !acc
 
 let collect_str env tree ~lo ~hi =
   let acc = ref [] in

@@ -8,12 +8,9 @@ module IT = Storage.Btree.Int_tree
 module ST = Storage.Btree.Str_tree
 
 val probe_int : IT.t -> int -> int option
-val probe_str : ST.t -> string -> int option
 
 val insert_int : Program.env -> Storage.Txn.t -> IT.t -> key:int -> oid:int -> unit
 (** @raise Invalid_argument on a duplicate key (TPC-C keys are unique). *)
-
-val insert_str : Program.env -> Storage.Txn.t -> ST.t -> key:string -> oid:int -> unit
 
 val remove_int : Program.env -> Storage.Txn.t -> IT.t -> key:int -> unit
 (** Removes the binding, restoring it if the transaction aborts.
@@ -27,12 +24,6 @@ val scan_int :
     [Scan_step] per binding, calling [f key oid] on each; stop early when
     [f] returns [false] or after [limit] bindings.  Preemption-safe: the
     underlying cursor re-seeks after structural changes. *)
-
-val scan_str :
-  Program.env -> ST.t -> lo:string -> hi:string -> ?limit:int -> (string -> int -> bool) -> unit
-
-val collect_int : Program.env -> IT.t -> lo:int -> hi:int -> (int * int) list
-(** Charged scan collecting every [(key, oid)] in range, ascending. *)
 
 val collect_str : Program.env -> ST.t -> lo:string -> hi:string -> (string * int) list
 

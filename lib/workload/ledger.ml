@@ -27,8 +27,6 @@ type t = {
 
 let cfg t = t.cfg_
 let table t = t.table_
-let branch_table t = t.branch_table_
-let index t = t.index_
 
 let create eng cfg_ =
   if cfg_.accounts < 2 then invalid_arg "Ledger.create: need at least 2 accounts";

@@ -29,8 +29,6 @@ type t
 
 val cfg : t -> config
 val table : t -> Storage.Table.t
-val branch_table : t -> Storage.Table.t
-val index : t -> Idx.IT.t
 
 val create : Storage.Engine.t -> config -> t
 val load : t -> Sim.Rng.t -> unit

@@ -32,27 +32,6 @@ type op =
          delivery); served by the worker with the same park/unpark or
          blocking-spin machinery as Commit_wait *)
 
-let op_to_string = function
-  | Index_probe -> "index-probe"
-  | Index_insert -> "index-insert"
-  | Index_remove -> "index-remove"
-  | Scan_step -> "scan-step"
-  | Record_read -> "record-read"
-  | Record_write -> "record-write"
-  | Record_insert -> "record-insert"
-  | Compute n -> Printf.sprintf "compute(%d)" n
-  | Spin n -> Printf.sprintf "spin(%d)" n
-  | Txn_begin -> "txn-begin"
-  | Commit_latch -> "commit-latch"
-  | Commit_validate -> "commit-validate"
-  | Commit_install n -> Printf.sprintf "commit-install(%d)" n
-  | Txn_abort -> "txn-abort"
-  | Yield_hint -> "yield-hint"
-  | Gc_scan -> "gc-scan"
-  | Gc_unlink n -> Printf.sprintf "gc-unlink(%d)" n
-  | Commit_wait lsn -> Printf.sprintf "commit-wait(%d)" lsn
-  | Gate_wait g -> Printf.sprintf "gate-wait(%d)" g
-
 let is_record_access = function
   | Record_read | Record_write | Record_insert | Scan_step -> true
   | Index_probe | Index_insert | Index_remove | Compute _ | Spin _ | Txn_begin

@@ -51,8 +51,6 @@ type op =
           park/unpark or blocking-spin machinery as [Commit_wait]; must
           likewise be charged outside non-preemptible regions. *)
 
-val op_to_string : op -> string
-
 val is_record_access : op -> bool
 (** The accesses counted against the cooperative yield interval (§6.1:
     "yield after accessing every 10,000 records"). *)

@@ -19,8 +19,6 @@ val program : Tpcc_db.t -> kind -> home_w:int -> Program.t
 
 val new_order : Tpcc_db.t -> home_w:int -> Program.t
 val payment : Tpcc_db.t -> home_w:int -> Program.t
-val order_status : Tpcc_db.t -> home_w:int -> Program.t
-val delivery : Tpcc_db.t -> home_w:int -> Program.t
 val stock_level : Tpcc_db.t -> home_w:int -> Program.t
 
 val balance_check : Tpcc_db.t -> home_w:int -> Program.t

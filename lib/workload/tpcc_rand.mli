@@ -1,25 +1,16 @@
 (** TPC-C random-input helpers (TPC-C spec §2.1.5–2.1.6, §4.3.2).
 
-    [NURand] is the non-uniform distribution used to pick customer ids,
-    item ids and last names; [c_last] builds the syllable-based last
-    names. *)
-
-val c_for_c_last : int
-(** The run constant C used for customer-last-name NURand(255, ..). *)
-
-val c_for_c_id : int
-val c_for_ol_i_id : int
-
-val nurand : Sim.Rng.t -> a:int -> c:int -> x:int -> y:int -> int
-(** NURand(A, x, y) = (((random(0,A) | random(x,y)) + C) % (y - x + 1)) + x *)
-
-val customer_id : Sim.Rng.t -> int
-(** NURand(1023, 1, 3000) when customers-per-district is the spec's 3000;
-    use {!customer_id_scaled} for scaled-down databases. *)
+    [NURand(A, x, y) = (((random(0,A) | random(x,y)) + C) % (y - x + 1)) + x]
+    is the non-uniform distribution used to pick customer ids, item ids
+    and last names, with a run constant [C] per use; [c_last] builds the
+    syllable-based last names. *)
 
 val customer_id_scaled : Sim.Rng.t -> customers:int -> int
+(** NURand(1023, 1, customers): the spec's customer-id rule, over
+    [customers] per district. *)
 
 val item_id_scaled : Sim.Rng.t -> items:int -> int
+(** NURand(8191, 1, items). *)
 
 val c_last : int -> string
 (** [c_last n] for [n] in [\[0, 999\]]: the spec's syllable concatenation. *)

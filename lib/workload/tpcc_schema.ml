@@ -7,16 +7,6 @@ type config = {
   remote_pct : int;
 }
 
-let spec ~warehouses =
-  {
-    warehouses;
-    districts = 10;
-    customers = 3000;
-    items = 100_000;
-    init_orders = 3000;
-    remote_pct = 15 (* the paper's setup: 15 % remote-warehouse probability *);
-  }
-
 let small ~warehouses =
   { warehouses; districts = 10; customers = 300; items = 2000; init_orders = 30; remote_pct = 15 }
 
@@ -111,11 +101,8 @@ module C = struct
 end
 
 module H = struct
-  let c_w_id = 0
-  let c_d_id = 1
   let c_id = 2
   let amount = 3
-  let date = 4
   let width = 5
 end
 
@@ -134,7 +121,6 @@ module O = struct
   let carrier_id = 4
   let ol_cnt = 5
   let all_local = 6
-  let entry_d = 7
   let width = 8
 end
 
@@ -144,17 +130,14 @@ module OL = struct
   let o_id = 2
   let number = 3
   let i_id = 4
-  let supply_w_id = 5
   let quantity = 6
   let amount = 7
   let delivery_d = 8
-  let dist_info = 9
   let width = 10
 end
 
 module I = struct
   let id = 0
-  let im_id = 1
   let name = 2
   let price = 3
   let data = 4

@@ -16,7 +16,6 @@ type config = {
   remote_pct : int;  (** % of NewOrder lines from a remote warehouse (spec: 1; the paper's setup: 15) *)
 }
 
-val spec : warehouses:int -> config
 val small : warehouses:int -> config
 (** Scaled-down preset for tests and simulation benches:
     10 districts, 300 customers, 2000 items, 30 initial orders. *)
@@ -87,11 +86,8 @@ module C : sig
 end
 
 module H : sig
-  val c_w_id : int
-  val c_d_id : int
   val c_id : int
   val amount : int
-  val date : int
   val width : int
 end
 
@@ -111,7 +107,6 @@ module O : sig
   val carrier_id : int
   val ol_cnt : int
   val all_local : int
-  val entry_d : int
   val width : int
 end
 
@@ -121,18 +116,15 @@ module OL : sig
   val o_id : int
   val number : int
   val i_id : int
-  val supply_w_id : int
   val quantity : int
   val amount : int
   (* -1 when not yet delivered *)
   val delivery_d : int
-  val dist_info : int
   val width : int
 end
 
 module I : sig
   val id : int
-  val im_id : int
   val name : int
   val price : int
   val data : int

@@ -58,7 +58,6 @@ module Su = struct
   let n_id = 1
   let name = 2
   let acctbal = 3
-  let comment = 4
   let width = 5
 end
 
@@ -74,6 +73,5 @@ module Ps = struct
   let p_id = 0
   let s_id = 1
   let supplycost = 2
-  let availqty = 3
   let width = 4
 end

@@ -45,7 +45,6 @@ module Su : sig
   val n_id : int
   val name : int
   val acctbal : int
-  val comment : int
   val width : int
 end
 
@@ -61,6 +60,5 @@ module Ps : sig
   val p_id : int
   val s_id : int
   val supplycost : int
-  val availqty : int
   val width : int
 end

@@ -85,7 +85,7 @@ let test_snapshot_oracle () =
 
 let roundtrip s =
   let j = Obs.Json.to_string (S.to_json s) in
-  match S.of_json (Obs.Json.parse_exn j) with
+  match S.of_json (Result.get_ok (Obs.Json.parse j)) with
   | Ok s' -> checks "roundtrip" (S.describe s) (S.describe s')
   | Error e -> Alcotest.fail e
 
@@ -112,7 +112,8 @@ let test_replay () =
 
 let test_report_roundtrip () =
   let r = H.run ~workload:H.Selftest ~fault:Storage.Engine.Skip_write_lock base in
-  match H.of_report_json (Obs.Json.parse_exn (Obs.Json.to_string (H.report_json r))) with
+  let json = Result.get_ok (Obs.Json.parse (Obs.Json.to_string (H.report_json r))) in
+  match H.of_report_json json with
   | Error e -> Alcotest.fail e
   | Ok (s, w, fault, plan, reclaim, hash) ->
     checks "schedule" (S.describe base) (S.describe s);
@@ -194,7 +195,8 @@ let test_fault_plan_deterministic_and_replayable () =
     (Obs.Json.to_string (H.report_json r1))
     (Obs.Json.to_string (H.report_json r2));
   (* the plan rides inside the report: replay re-arms it automatically *)
-  match H.of_report_json (Obs.Json.parse_exn (Obs.Json.to_string (H.report_json r1))) with
+  let json = Result.get_ok (Obs.Json.parse (Obs.Json.to_string (H.report_json r1))) in
+  match H.of_report_json json with
   | Error e -> Alcotest.fail e
   | Ok (s, w, fault, plan, reclaim, hash) -> (
     checkb "plan preserved in the report" true (plan = Some accept_plan);
@@ -266,7 +268,8 @@ let test_reclaim_oracle_self_test () =
 
 let test_reclaim_replayable () =
   let r = H.run ~reclaim:true base in
-  match H.of_report_json (Obs.Json.parse_exn (Obs.Json.to_string (H.report_json r))) with
+  let json = Result.get_ok (Obs.Json.parse (Obs.Json.to_string (H.report_json r))) in
+  match H.of_report_json json with
   | Error e -> Alcotest.fail e
   | Ok (_, _, _, _, reclaim, hash) -> (
     checkb "reclaim flag preserved in the report" true reclaim;

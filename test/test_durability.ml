@@ -1,6 +1,6 @@
 (* Tests for the durability subsystem: the simulated log device's cost
-   model, per-worker log-buffer rings (wraparound + LSN monotonicity), the
-   global redo log and its engine hooks, the pipelined group-commit daemon
+   model, the global redo log (per-worker buffer overflows) and its engine
+   hooks, the pipelined group-commit daemon
    (batching bounds, park/ack, torn-tail crash), fuzzy checkpoints and
    ARIES-lite recovery. *)
 
@@ -11,7 +11,6 @@ module Tuple = Storage.Tuple
 module Version = Storage.Version
 module Txn = Storage.Txn
 module Device = Durability.Device
-module Log_buffer = Durability.Log_buffer
 module Log = Durability.Log
 module Daemon = Durability.Daemon
 module Checkpoint = Durability.Checkpoint
@@ -59,10 +58,11 @@ let flush_all log =
 
 let test_device_cost_model () =
   let d = Device.create ~setup_cycles:1000 ~per_byte_cycles_x100:100 ~fsync_floor_cycles:5000L () in
-  (* small flush: the fsync floor dominates *)
-  Alcotest.(check int64) "floor dominates" 5000L (Device.cost d ~bytes:100);
-  (* large flush: setup + bytes * 1 cycle/byte *)
-  Alcotest.(check int64) "bandwidth term" 11000L (Device.cost d ~bytes:10_000);
+  (* small flush on an idle device: the fsync floor dominates *)
+  Alcotest.(check int64) "floor dominates" 5000L (Device.submit d ~now:0L ~bytes:100);
+  (* large flush once idle again: setup + bytes * 1 cycle/byte *)
+  Alcotest.(check int64) "bandwidth term" 11000L
+    (Int64.sub (Device.submit d ~now:5000L ~bytes:10_000) 5000L);
   checkb "negative param rejected" true
     (match Device.create ~setup_cycles:(-1) () with
     | _ -> false
@@ -82,79 +82,6 @@ let test_device_serializes_flushes () =
   Alcotest.(check int64) "bytes counted" 30L (Device.bytes_written d);
   Alcotest.(check int64) "busy cycles" 300L (Device.busy_cycles d)
 
-(* -- Log buffer --------------------------------------------------------------- *)
-
-let mk_record lsn =
-  {
-    Log_buffer.lsn;
-    txn_id = 1;
-    commit_ts = Int64.of_int lsn;
-    rtable = "t";
-    oid = 0;
-    payload = None;
-    bytes = 8;
-  }
-
-let test_log_buffer_wraparound () =
-  let b = Log_buffer.create ~capacity_records:4 () in
-  let lsn = ref 0 in
-  for _round = 1 to 5 do
-    for _ = 1 to 3 do
-      checkb "append accepted" true (Log_buffer.append b (mk_record !lsn));
-      incr lsn
-    done;
-    let drained = List.map (fun r -> r.Log_buffer.lsn) (Log_buffer.drain b) in
-    checkb "drain strictly increasing" true
-      (List.for_all2 ( = ) drained (List.sort compare drained));
-    checki "drain count" 3 (List.length drained)
-  done;
-  checkb "physical position wrapped" true (Log_buffer.wraps b > 0);
-  checki "nothing lost" (Log_buffer.appended_count b) (Log_buffer.drained_count b)
-
-let test_log_buffer_overflow_and_monotonicity () =
-  let b = Log_buffer.create ~capacity_records:2 () in
-  checkb "1" true (Log_buffer.append b (mk_record 0));
-  checkb "2" true (Log_buffer.append b (mk_record 1));
-  checkb "full refuses" false (Log_buffer.append b (mk_record 2));
-  checki "overflow counted" 1 (Log_buffer.overflows b);
-  checkb "still full" true (Log_buffer.is_full b);
-  ignore (Log_buffer.drain b);
-  (* the LSN guard survives the drain: regressions are rejected *)
-  checkb "stale lsn raises" true
-    (match Log_buffer.append b (mk_record 1) with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  checkb "fresh lsn fine" true (Log_buffer.append b (mk_record 7))
-
-let prop_log_buffer_wrap_order =
-  QCheck2.Test.make ~name:"ring drains in strict LSN order across wraps" ~count:100
-    QCheck2.Gen.(
-      pair (int_range 1 8) (list_size (int_range 1 80) (int_range 0 2)))
-    (fun (cap, script) ->
-      let b = Log_buffer.create ~capacity_records:cap () in
-      let lsn = ref 0 in
-      let appended = ref [] in
-      let drained = ref [] in
-      List.iter
-        (fun op ->
-          if op < 2 then begin
-            if Log_buffer.append b (mk_record !lsn) then
-              appended := !lsn :: !appended;
-            incr lsn
-          end
-          else
-            drained :=
-              List.rev_append
-                (List.map (fun r -> r.Log_buffer.lsn) (Log_buffer.drain b))
-                !drained)
-        script;
-      drained :=
-        List.rev_append
-          (List.map (fun r -> r.Log_buffer.lsn) (Log_buffer.drain b))
-          !drained;
-      (* every accepted append comes back out, in order *)
-      List.rev !appended = List.rev !drained)
-
 (* -- Log + engine hooks -------------------------------------------------------- *)
 
 let mk_logged_engine () =
@@ -173,12 +100,12 @@ let test_log_commit_marker_contiguity () =
   let check_txn (t : Txn.t) =
     let marker = Option.get t.Txn.commit_lsn in
     let m = Log.entry log marker in
-    checkb "marker record" true (Log_buffer.is_marker m);
-    checki "marker txn id" t.Txn.id m.Log_buffer.txn_id;
+    checkb "marker record" true (Log.is_marker m);
+    checki "marker txn id" t.Txn.id m.Log.txn_id;
     (* the record just before the marker belongs to the same txn: the
        append is atomic, so records + marker are contiguous *)
     let prev = Log.entry log (marker - 1) in
-    checki "contiguous records" t.Txn.id prev.Log_buffer.txn_id
+    checki "contiguous records" t.Txn.id prev.Log.txn_id
   in
   check_txn t1;
   check_txn t2;
@@ -200,9 +127,10 @@ let test_log_abort_releases_reservation () =
   checki "reservation open" 1 (Log.open_reservations log);
   Engine.abort eng t;
   checki "abort released it" 0 (Log.open_reservations log);
-  (* release is idempotent: a second abort of the same txn is harmless *)
-  Log.release log t;
-  checki "double release harmless" 0 (Log.open_reservations log);
+  (* an abort before commit-begin never reserved: releasing is harmless *)
+  let t' = Engine.begin_txn eng ~worker:0 ~ctx:0 in
+  Engine.abort eng t';
+  checki "unreserved abort harmless" 0 (Log.open_reservations log);
   (* first-committer-wins loser also releases on its error path *)
   let a = Engine.begin_txn eng ~worker:0 ~ctx:0 in
   let b = Engine.begin_txn eng ~worker:0 ~ctx:0 in
@@ -215,6 +143,39 @@ let test_log_abort_releases_reservation () =
   (match Engine.commit eng a with Ok _ -> () | Error _ -> Alcotest.fail "commit a");
   checki "loser left nothing open" 0 (Log.open_reservations log);
   checkb "winner logged" true (Log.committed log >= 2)
+
+let test_log_buffer_overflows () =
+  (* Each worker's redo buffer holds 4096 records between drains; the
+     append that finds it full forces an emergency drain, counted once. *)
+  let eng = Engine.create () in
+  let log = Log.create ~n_workers:2 () in
+  Log.attach log eng;
+  (* one DDL record, on worker 0 *)
+  let table = Engine.create_table eng "accounts" in
+  (* two records per commit: the insert and its marker *)
+  let commits ~worker n =
+    for i = 1 to n do
+      let t = Engine.begin_txn eng ~worker ~ctx:0 in
+      ignore (Engine.insert eng t table (row i));
+      match Engine.commit eng t with Ok _ -> () | Error _ -> Alcotest.fail "commit"
+    done
+  in
+  commits ~worker:0 2047;
+  checki "4095 records fit" 0 (Log.buffer_overflows log);
+  commits ~worker:0 1;
+  checki "the 4097th overflows" 1 (Log.buffer_overflows log);
+  commits ~worker:1 2047;
+  checki "worker 1 has its own buffer" 1 (Log.buffer_overflows log);
+  commits ~worker:0 2048;
+  checki "an overflow restarts the count" 2 (Log.buffer_overflows log);
+  ignore (Log.drain_all log);
+  commits ~worker:1 2048;
+  checki "a drain empties every buffer" 2 (Log.buffer_overflows log);
+  commits ~worker:1 1;
+  checki "the next append overflows" 3 (Log.buffer_overflows log);
+  (* the record that overflowed starts the emptied buffer *)
+  commits ~worker:1 2047;
+  checki "4096 records since the overflow fit" 3 (Log.buffer_overflows log)
 
 let test_log_json_roundtrip () =
   let eng, table, log = mk_logged_engine () in
@@ -235,7 +196,7 @@ let test_log_json_roundtrip () =
   match Log.of_string s with
   | Error e -> Alcotest.fail ("of_string: " ^ e)
   | Ok log' ->
-    let payloads l = List.map (fun r -> r.Log_buffer.payload) (Log.durable_entries l) in
+    let payloads l = List.map (fun r -> r.Log.payload) (Log.durable_entries l) in
     checkb "the flat row was logged" true
       (List.exists (Option.equal Value.equal (Some flat)) (payloads log));
     checkb "payloads reload equal" true
@@ -708,19 +669,13 @@ let () =
           Alcotest.test_case "cost model" `Quick test_device_cost_model;
           Alcotest.test_case "serializes flushes" `Quick test_device_serializes_flushes;
         ] );
-      ( "log_buffer",
-        [
-          Alcotest.test_case "wraparound" `Quick test_log_buffer_wraparound;
-          Alcotest.test_case "overflow + monotonicity" `Quick
-            test_log_buffer_overflow_and_monotonicity;
-        ]
-        @ qsuite [ prop_log_buffer_wrap_order ] );
       ( "log",
         [
           Alcotest.test_case "marker contiguity" `Quick test_log_commit_marker_contiguity;
           Alcotest.test_case "abort releases reservation" `Quick
             test_log_abort_releases_reservation;
           Alcotest.test_case "json roundtrip" `Quick test_log_json_roundtrip;
+          Alcotest.test_case "buffer overflows per worker" `Quick test_log_buffer_overflows;
         ] );
       ( "daemon",
         [

@@ -32,11 +32,23 @@ let test_epoch_advance_and_boundaries () =
   checki "idle lag is 0" 0 (Epoch.lag ep);
   checki "advances counted" 1 (Epoch.advances ep)
 
+(* An epoch manager on an engine's lifecycle: each begun transaction
+   registers at the current epoch, and its commit or abort deregisters it. *)
+let attached_epoch () =
+  let eng = Engine.create () in
+  let ep = Epoch.create (Engine.timestamp eng) in
+  Epoch.attach ep eng;
+  (eng, ep)
+
+let begin_txn eng = Engine.begin_txn eng ~worker:0 ~ctx:0
+
 let test_epoch_registration_pins_safe () =
-  let ts = Timestamp.create () in
-  let ep = Epoch.create ts in
-  Epoch.register ep ~txn_id:1;
-  checki "one live txn" 1 (Epoch.active_count ep);
+  let eng = Engine.create () in
+  let ep = Epoch.create (Engine.timestamp eng) in
+  (* begun before the manager was attached: never registered *)
+  let t0 = begin_txn eng in
+  Epoch.attach ep eng;
+  let t1 = begin_txn eng in
   ignore (Epoch.advance ep);
   ignore (Epoch.advance ep);
   checki "current moved to 2" 2 (Epoch.current ep);
@@ -44,21 +56,21 @@ let test_epoch_registration_pins_safe () =
   checki "lag grows while pinned" 2 (Epoch.lag ep);
   check64 "reclaim boundary is the pinned epoch's" (Epoch.boundary ep 0)
     (Epoch.reclaim_boundary ep);
-  Epoch.register ep ~txn_id:2;
-  Epoch.deregister ep ~txn_id:1;
+  let t2 = begin_txn eng in
+  Engine.abort eng t1;
   checki "safe jumps to the younger registration" 2 (Epoch.safe_epoch ep);
-  Epoch.deregister ep ~txn_id:2;
-  Epoch.deregister ep ~txn_id:99;
+  Engine.abort eng t2;
+  checki "no live txns left" (Epoch.current ep) (Epoch.safe_epoch ep);
   (* unknown id: no-op *)
-  checki "no live txns left" 0 (Epoch.active_count ep);
+  Engine.abort eng t0;
+  checki "unregistered end is a no-op" (Epoch.current ep) (Epoch.safe_epoch ep);
   checkb "max lag recorded" true (Epoch.max_lag ep >= 2)
 
 let test_epoch_prunes_old_boundaries () =
-  let ts = Timestamp.create () in
-  let ep = Epoch.create ts in
-  Epoch.register ep ~txn_id:1;
+  let eng, ep = attached_epoch () in
+  let t = begin_txn eng in
   ignore (Epoch.advance ep);
-  Epoch.deregister ep ~txn_id:1;
+  Engine.abort eng t;
   ignore (Epoch.advance ep);
   (* safe is current again; boundaries below it are gone *)
   checkb "pruned boundary raises" true
@@ -69,16 +81,16 @@ let test_epoch_prunes_old_boundaries () =
     (Epoch.boundary ep (Epoch.safe_epoch ep))
 
 let test_epoch_attach_engine_lifecycle () =
-  let eng = Engine.create () in
-  let ep = Epoch.create (Engine.timestamp eng) in
-  Epoch.attach ep eng;
-  let txn = Engine.begin_txn eng ~worker:0 ~ctx:0 in
-  checki "begin registers" 1 (Epoch.active_count ep);
+  let eng, ep = attached_epoch () in
+  let txn = begin_txn eng in
   ignore (Epoch.advance ep);
   checki "live txn pins safe" 0 (Epoch.safe_epoch ep);
   Engine.abort eng txn;
-  checki "abort deregisters" 0 (Epoch.active_count ep);
-  checki "safe released" 1 (Epoch.safe_epoch ep)
+  checki "safe released" 1 (Epoch.safe_epoch ep);
+  let txn = begin_txn eng in
+  ignore (Epoch.advance ep);
+  (match Engine.commit eng txn with Ok _ -> () | Error _ -> Alcotest.fail "commit");
+  checki "commit deregisters" 2 (Epoch.safe_epoch ep)
 
 (* -- Version.truncate_older_than --------------------------------------------- *)
 

@@ -225,7 +225,7 @@ let test_report_schema_golden () =
   let r = run (Config.Preempt 1.0) in
   (* round-trip through the serializer: the schema the perfdiff gate and
      downstream tooling see is the parsed form, not the in-memory tree *)
-  let doc = J.parse_exn (J.to_string (Report.to_json ~name:"golden" r)) in
+  let doc = Result.get_ok (J.parse (J.to_string (Report.to_json ~name:"golden" r))) in
   let paths = key_paths "" doc in
   let expected =
     [
@@ -285,14 +285,21 @@ let sample_baseline =
   }
 
 let test_baseline_roundtrip () =
+  (* the document [to_json] prints is the one [read] parses *)
   let b = sample_baseline in
-  match Baseline.of_json (J.parse_exn (J.to_string (Baseline.to_json b))) with
-  | Error e -> Alcotest.fail e
-  | Ok b' ->
-    checki "version" b.Baseline.version b'.Baseline.version;
-    check
-      Alcotest.(list (pair string (float 1e-9)))
-      "metrics preserved in order" b.Baseline.metrics b'.Baseline.metrics
+  let path = Filename.temp_file "baseline" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (J.to_string (Baseline.to_json b)));
+      match Baseline.read ~path with
+      | Error e -> Alcotest.fail e
+      | Ok b' ->
+        checki "version" b.Baseline.version b'.Baseline.version;
+        check
+          Alcotest.(list (pair string (float 1e-9)))
+          "metrics preserved in order" b.Baseline.metrics b'.Baseline.metrics)
 
 let test_baseline_file_roundtrip () =
   let path = Filename.temp_file "baseline" ".json" in
@@ -308,10 +315,15 @@ let test_baseline_file_roundtrip () =
           "file roundtrip" sample_baseline.Baseline.metrics b.Baseline.metrics)
 
 let test_baseline_direction () =
-  checkb "ktps up" true (Baseline.higher_is_better "mixed_preempt.NewOrder_ktps");
-  checkb "latency down" false (Baseline.higher_is_better "mixed_preempt.NewOrder_p99_us");
-  checkb "stage latency down" false
-    (Baseline.higher_is_better "mixed_preempt.stage_send_to_resume_p99_us")
+  (* a 20 % rise gates exactly the metrics where lower is better *)
+  let rise_gates name =
+    let base = { sample_baseline with Baseline.metrics = [ (name, 100.) ] } in
+    let fresh = { base with Baseline.metrics = [ (name, 120.) ] } in
+    Baseline.regressions (Baseline.diff ~base ~fresh ~tolerance_pct:15.) <> []
+  in
+  checkb "ktps up" false (rise_gates "mixed_preempt.NewOrder_ktps");
+  checkb "latency down" true (rise_gates "mixed_preempt.NewOrder_p99_us");
+  checkb "stage latency down" true (rise_gates "mixed_preempt.stage_send_to_resume_p99_us")
 
 let test_diff_identical () =
   let vs =

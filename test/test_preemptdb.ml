@@ -25,9 +25,8 @@ let test_bq_fifo () =
   checkb "push a" true (BQ.push q "a");
   checkb "push b" true (BQ.push q "b");
   checkb "push c" true (BQ.push q "c");
-  checkb "full" true (BQ.is_full q);
+  checki "full" 0 (BQ.free_slots q);
   checkb "push rejected" false (BQ.push q "d");
-  Alcotest.(check (option string)) "peek" (Some "a") (BQ.peek q);
   Alcotest.(check (option string)) "pop a" (Some "a") (BQ.pop q);
   checkb "push after pop" true (BQ.push q "e");
   Alcotest.(check (list string)) "order"
@@ -55,7 +54,7 @@ let test_bq_clear () =
 
 (* Drive the queue across every full/empty boundary many times so the ring
    indices wrap repeatedly, asserting the state predicates (is_empty,
-   is_full, length, free_slots, peek) at each transition, and that a clear
+   length, free_slots) at each transition, and that a clear
    taken mid-wrap leaves a fully usable queue. *)
 let test_bq_transitions () =
   let q = BQ.create ~capacity:3 in
@@ -63,12 +62,10 @@ let test_bq_transitions () =
   let expect_state ~len msg =
     checki (msg ^ ": length") len (BQ.length q);
     checki (msg ^ ": free slots") (3 - len) (BQ.free_slots q);
-    checkb (msg ^ ": is_empty") (len = 0) (BQ.is_empty q);
-    checkb (msg ^ ": is_full") (len = 3) (BQ.is_full q)
+    checkb (msg ^ ": is_empty") (len = 0) (BQ.is_empty q)
   in
   for round = 1 to 25 do
     expect_state ~len:0 "round start";
-    Alcotest.(check (option int)) "peek on empty" None (BQ.peek q);
     Alcotest.(check (option int)) "pop on empty" None (BQ.pop q);
     (* empty -> full *)
     let first = !next in
@@ -79,7 +76,6 @@ let test_bq_transitions () =
     expect_state ~len:3 "after fill";
     checkb "push at capacity rejected" false (BQ.push q (-1));
     expect_state ~len:3 "rejected push is a no-op";
-    Alcotest.(check (option int)) "peek sees oldest" (Some (first + 1)) (BQ.peek q);
     (* partial drain + refill crosses the wrap point on most rounds *)
     Alcotest.(check (option int)) "pop oldest" (Some (first + 1)) (BQ.pop q);
     expect_state ~len:2 "after partial drain";
@@ -117,9 +113,7 @@ let prop_bq_matches_queue =
             if oracle_accepts then Queue.push !counter oracle;
             accepted = oracle_accepts
           | 1 -> BQ.pop q = (if Queue.is_empty oracle then None else Some (Queue.pop oracle))
-          | _ ->
-            BQ.length q = Queue.length oracle
-            && BQ.peek q = (if Queue.is_empty oracle then None else Some (Queue.peek oracle)))
+          | _ -> BQ.length q = Queue.length oracle)
         ops)
 
 (* -- Op costs ----------------------------------------------------------------- *)

@@ -1,10 +1,9 @@
-(* Shard subsystem tests: router placement edges, 2PC wire-message JSON
-   round-trips, the channel's same-instant delivery order, and the
-   atomicity oracle driven end-to-end (clean run, crash runs, the armed
-   early-vote bug, and same-seed determinism). *)
+(* Shard subsystem tests: router placement edges, the channel's
+   same-instant delivery order, and the atomicity oracle driven end-to-end
+   (clean run, crash runs, the armed early-vote bug, and same-seed
+   determinism). *)
 
 module Config = Preemptdb.Config
-module Msg = Shard.Msg
 module Router = Shard.Router
 
 let checki = Alcotest.(check int)
@@ -62,43 +61,6 @@ let test_router_balanced_blocks () =
           checki "round-trips through shard_of" s (Router.shard_of r w))
         ws)
     (Array.init 4 (Router.warehouses_of r))
-
-(* -- Msg JSON round-trip ------------------------------------------------------ *)
-
-let msg_gen =
-  let open QCheck.Gen in
-  let rop =
-    oneof
-      [
-        (let* w = int_range 1 64 and* i = int_range 1 100_000 in
-         let* qty = int_range 1 10 and* remote = bool in
-         return (Msg.Stock_deduct { w; i; qty; remote }));
-        (let* w = int_range 1 64 and* d = int_range 1 10 in
-         let* c = int_range 1 3000 in
-         (* quarters: exact in binary, so structural equality survives the
-            JSON float round-trip *)
-         let* amount = map (fun n -> float_of_int n /. 4.) (int_range 0 20_000) in
-         return (Msg.Customer_pay { w; d; c; amount }));
-      ]
-  in
-  let* gid = int_range 0x4000_0000 0x4000_ffff in
-  oneof
-    [
-      (let* origin = int_range 0 31 and* ops = list_size (int_range 1 8) rop in
-       return (Msg.Prepare { gid; origin; ops }));
-      (let* shard = int_range 0 31 and* yes = bool in
-       return (Msg.Vote { gid; shard; yes }));
-      (let* ts = map Int64.of_int (int_range 1 1_000_000) in
-       return (Msg.Commit { gid; ts }));
-      return (Msg.Abort { gid });
-    ]
-
-let prop_msg_roundtrip =
-  QCheck.Test.make ~count:500 ~name:"2PC message JSON round-trip"
-    (QCheck.make ~print:Msg.to_string msg_gen) (fun m ->
-      match Msg.of_json (Msg.to_json m) with
-      | Ok m' -> m' = m
-      | Error e -> QCheck.Test.fail_reportf "rejected its own output: %s" e)
 
 (* -- Channel same-instant tie-break ------------------------------------------- *)
 
@@ -290,7 +252,6 @@ let () =
           Alcotest.test_case "one warehouse per shard" `Quick test_router_one_to_one;
           Alcotest.test_case "balanced dense blocks" `Quick test_router_balanced_blocks;
         ] );
-      ("msg", [ QCheck_alcotest.to_alcotest prop_msg_roundtrip ]);
       ( "channel",
         [
           Alcotest.test_case "same-instant delivery order" `Quick

@@ -264,7 +264,8 @@ let test_hist_basics () =
   checkb "empty" true (Histogram.is_empty h);
   Histogram.record h 100L;
   Histogram.record h 200L;
-  Histogram.record_n h 300L 2;
+  Histogram.record h 300L;
+  Histogram.record h 300L;
   checki "count" 4 (Histogram.count h);
   check64 "min" 100L (Histogram.min_value h);
   check64 "max" 300L (Histogram.max_value h);

@@ -392,21 +392,31 @@ let test_btree_bulk_and_invariants () =
   IT.check_invariants t;
   checki "removals counted" (n - ((n + 2) / 3)) (IT.length t)
 
+(* Bindings in [lo, hi], ascending, through the public cursor. *)
+let bindings_in t ~lo ~hi =
+  let c = IT.cursor t ~lo ~hi in
+  let rec go acc = match IT.cursor_next c with Some b -> go (b :: acc) | None -> List.rev acc in
+  go []
+
 let test_btree_range_fold () =
   let t = IT.create () in
   List.iter (fun k -> ignore (IT.insert t k k)) [ 1; 3; 5; 7; 9; 11 ];
-  let collected = IT.fold_range t ~lo:3 ~hi:9 ~init:[] ~f:(fun acc k _ -> k :: acc) in
-  Alcotest.(check (list int)) "inclusive range" [ 3; 5; 7; 9 ] (List.rev collected);
-  let all = IT.fold_range t ~lo:0 ~hi:max_int ~init:0 ~f:(fun acc _ _ -> acc + 1) in
-  checki "full range" 6 all
+  Alcotest.(check (list int)) "inclusive range" [ 3; 5; 7; 9 ]
+    (List.map fst (bindings_in t ~lo:3 ~hi:9));
+  checki "full range" 6 (List.length (bindings_in t ~lo:0 ~hi:max_int))
 
 let test_btree_min_max () =
   let t = IT.create () in
-  Alcotest.(check (option (pair int int))) "empty min" None (IT.min_binding t);
-  Alcotest.(check (option (pair int int))) "empty max" None (IT.max_binding t);
+  let ends () =
+    match bindings_in t ~lo:min_int ~hi:max_int with
+    | [] -> (None, None)
+    | first :: _ as all -> (Some first, Some (List.nth all (List.length all - 1)))
+  in
+  Alcotest.(check (option (pair int int))) "empty min" None (fst (ends ()));
+  Alcotest.(check (option (pair int int))) "empty max" None (snd (ends ()));
   List.iter (fun k -> ignore (IT.insert t k (10 * k))) [ 42; 7; 99; 13 ];
-  Alcotest.(check (option (pair int int))) "min" (Some (7, 70)) (IT.min_binding t);
-  Alcotest.(check (option (pair int int))) "max" (Some (99, 990)) (IT.max_binding t)
+  Alcotest.(check (option (pair int int))) "min" (Some (7, 70)) (fst (ends ()));
+  Alcotest.(check (option (pair int int))) "max" (Some (99, 990)) (snd (ends ()))
 
 let test_btree_cursor_plain () =
   let t = IT.create () in
@@ -509,10 +519,10 @@ let prop_btree_matches_map =
       IT.check_invariants t;
       List.iter (fun i -> insert gone.(i)) refill;
       IT.check_invariants t;
-      let scanned = IT.fold_range t ~lo:0 ~hi:4001 ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
+      let scanned = bindings_in t ~lo:0 ~hi:4001 in
       tall
       && IT.length t = M.cardinal !reference
-      && List.rev scanned = M.bindings !reference
+      && scanned = M.bindings !reference
       && Array.for_all (fun k -> IT.find t k = M.find_opt k !reference) gone
       && M.for_all (fun k v -> IT.find t k = Some v) !reference)
 

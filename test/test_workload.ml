@@ -174,7 +174,7 @@ let test_zipf () =
 let test_nurand_bounds () =
   let rng = Sim.Rng.create 5L in
   for _ = 1 to 10_000 do
-    let v = TR.nurand rng ~a:1023 ~c:7 ~x:1 ~y:3000 in
+    let v = TR.customer_id_scaled rng ~customers:3000 in
     checkb "in [1,3000]" true (v >= 1 && v <= 3000);
     let w = TR.customer_id_scaled rng ~customers:300 in
     checkb "scaled in [1,300]" true (w >= 1 && w <= 300);
@@ -327,7 +327,9 @@ let test_new_order_order_lines_consistent () =
         let o = Value.int_exn orow Sc.O.id in
         let cnt = Value.int_exn orow Sc.O.ol_cnt in
         let lo, hi = Sc.order_line_bounds ~w ~d ~o in
-        let found = IT.fold_range db.Tpcc_db.order_line_idx ~lo ~hi ~init:0 ~f:(fun a _ _ -> a + 1) in
+        let lines = IT.cursor db.Tpcc_db.order_line_idx ~lo ~hi in
+        let rec count n = if IT.cursor_next lines = None then n else count (n + 1) in
+        let found = count 0 in
         if found <> cnt then ok := false);
   checkb "ol_cnt matches order_line entries for every order" true !ok
 
@@ -352,7 +354,7 @@ let test_order_status_read_only () =
   let env = mk_env eng in
   let commits_before = (Engine.stats eng).Engine.commits in
   for _ = 1 to 20 do
-    let outcome, _ = drive (Tpcc.order_status db ~home_w:1) env in
+    let outcome, _ = drive (Tpcc.program db Tpcc.Order_status ~home_w:1) env in
     checkb "commits" true (committed outcome)
   done;
   checki "20 commits" (commits_before + 20) (Engine.stats eng).Engine.commits;
@@ -363,7 +365,7 @@ let test_delivery_consumes_new_orders () =
   let eng, _, db = load_small_tpcc ~warehouses:1 () in
   let env = mk_env eng in
   let no_before = IT.length db.Tpcc_db.new_order_idx in
-  let outcome, _ = drive (Tpcc.delivery db ~home_w:1) env in
+  let outcome, _ = drive (Tpcc.program db Tpcc.Delivery ~home_w:1) env in
   checkb "commits" true (committed outcome);
   let no_after = IT.length db.Tpcc_db.new_order_idx in
   (* one undelivered order per district consumed (districts with none skip) *)
@@ -586,7 +588,7 @@ let test_ch_q4_commits () =
   let eng, _, db = load_small_tpcc () in
   let env = mk_env eng in
   for _ = 1 to 3 do
-    let outcome, ops = drive (Ch.q4 db) env in
+    let outcome, ops = drive (Ch.program db Ch.Q4) env in
     checkb "commits" true (committed outcome);
     checkb "substantial scan" true (ops > 500)
   done
@@ -601,7 +603,7 @@ let test_ch_yield_hints () =
       if op = P.Yield_hint then incr hints;
       go (P.resume k)
   in
-  go (P.start (Ch.q1 db) env);
+  go (P.start (Ch.program db Ch.Q1) env);
   checkb "hints emitted every block" true (!hints > 5)
 
 (* -- Ledger ---------------------------------------------------------------------------- *)
@@ -616,7 +618,7 @@ let test_ledger_load_and_balance () =
   let l = Ledger.create eng small_ledger in
   Ledger.load l (Sim.Rng.create 1L);
   checki "initial balance" (500 * 1000) (Ledger.total_balance l);
-  checki "branch rows" 4 (Table.size (Ledger.branch_table l));
+  checki "branch rows" 4 (Table.size (Engine.table eng "ledger_branch"));
   checki "account rows" 500 (Table.size (Ledger.table l))
 
 let test_ledger_conserves_balance () =
