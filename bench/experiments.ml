@@ -903,20 +903,26 @@ let perf () =
     line "  des: %d events (max queue %d), %.0f virtual us per wall second" r.Runner.events
       r.Runner.des_max_queue
       (Sim.Clock.us_of_cycles clock r.Runner.horizon /. r.Runner.wall_s);
-  (* event-queue steady-state microbenchmark: the timing wheel vs the
-     reference binary heap it replaced, at a shallow and deep backlog.
-     Informational (host-dependent), recorded with the info_ prefix. *)
+  (* event-queue steady-state microbenchmark: the production flat heap vs
+     the boxed reference heap, from the simulator's depths to a deep
+     backlog.  Informational (host-dependent), recorded with the info_
+     prefix. *)
   let rates = Micro.queue_rates () in
   line "  event queue steady state (ns per push+pop):";
-  let rate name = List.assoc name rates in
-  line "    depth 1k:   wheel %6.1f   heap %6.1f" (rate "eq_wheel_d1k_ns")
-    (rate "eq_heap_d1k_ns");
-  line "    depth 100k: wheel %6.1f   heap %6.1f" (rate "eq_wheel_d100k_ns")
-    (rate "eq_heap_d100k_ns");
+  List.iter
+    (fun (depth, heap, reference) ->
+      line "    depth %6d: heap %6.1f   reference %6.1f" depth heap reference)
+    rates;
   record_json ~experiment:"perf" ~variant:"event-queue-micro"
     (J.Obj
        (("name", J.String "event-queue-micro")
-       :: List.map (fun (k, v) -> ("info_" ^ k, J.Float v)) rates))
+       :: List.concat_map
+            (fun (depth, heap, reference) ->
+              [
+                (Printf.sprintf "info_eq_heap_d%d_ns" depth, J.Float heap);
+                (Printf.sprintf "info_eq_ref_d%d_ns" depth, J.Float reference);
+              ])
+            rates))
 
 (* -- Sharded scale-out: 2PC over the uintr fabric ---------------------------- *)
 

@@ -23,13 +23,16 @@ let make_chain n =
   in
   build n Storage.Version.nil
 
-(* -- event-queue steady state: wheel vs reference heap ----------------------
+(* -- event-queue steady state: production heap vs reference heap -----------
    The DES's rhythm at a fixed backlog: each step pops the minimum and
    pushes a replacement a little ahead of the cursor, so the queue holds
-   [depth] events throughout.  Measured for the production timing wheel
-   and the reference binary heap it replaced, at a shallow and a deep
-   backlog; the perf experiment prints these and records them as [info_]
-   fields in its JSON report. *)
+   [depth] events throughout.  Measured for the production flat heap and
+   the boxed reference heap at the depths the simulator runs (its
+   high-water marks are 18 on [mixed], 44 on [shard] and 266 in the
+   32-shard cluster) and at two deep backlogs; the perf experiment prints these and records them as
+   [info_] fields in its JSON report. *)
+
+let queue_depths = [ 16; 44; 266; 1_000; 100_000 ]
 
 let steady_rate_ns ~depth ~iters ~push ~pop =
   let tick = ref 0 in
@@ -52,26 +55,24 @@ let steady_rate_ns ~depth ~iters ~push ~pop =
   done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
 
-let wheel_rate ~depth ~iters =
+let heap_rate ~depth ~iters =
   let q = Sim.Event_queue.create () in
   steady_rate_ns ~depth ~iters
     ~push:(fun t -> Sim.Event_queue.push_int q ~time:t ())
     ~pop:(fun () -> ignore (Sim.Event_queue.pop_exn_int q))
 
-let heap_rate ~depth ~iters =
+let ref_rate ~depth ~iters =
   let q = Sim.Event_queue_ref.create () in
   steady_rate_ns ~depth ~iters
     ~push:(fun t -> Sim.Event_queue_ref.push q ~time:(Int64.of_int t) ())
     ~pop:(fun () -> ignore (Sim.Event_queue_ref.pop_exn q))
 
+(* [(depth, heap ns, reference ns)] for each of [queue_depths]. *)
 let queue_rates () =
   let iters = 1_000_000 in
-  [
-    ("eq_wheel_d1k_ns", wheel_rate ~depth:1_000 ~iters);
-    ("eq_heap_d1k_ns", heap_rate ~depth:1_000 ~iters);
-    ("eq_wheel_d100k_ns", wheel_rate ~depth:100_000 ~iters);
-    ("eq_heap_d100k_ns", heap_rate ~depth:100_000 ~iters);
-  ]
+  List.map
+    (fun depth -> (depth, heap_rate ~depth ~iters, ref_rate ~depth ~iters))
+    queue_depths
 
 let tests () =
   let tree = make_btree 100_000 in
@@ -83,20 +84,31 @@ let tests () =
   let recv = Uintr.Hw_thread.receiver hw in
   let eq = Sim.Event_queue.create () in
   (* prefilled steady-state queues: each closure pops one and pushes one *)
-  let fill_wheel depth =
-    let q = Sim.Event_queue.create () and t = ref 0 in
-    for _ = 1 to depth do t := !t + 17; Sim.Event_queue.push_int q ~time:!t () done;
-    (q, t)
+  let steady name depth ~push ~pop =
+    let t = ref 0 in
+    for _ = 1 to depth do
+      t := !t + 17;
+      push !t
+    done;
+    Test.make ~name:(Printf.sprintf "%s-steady-%d" name depth) (Staged.stage (fun () ->
+        t := !t + 17;
+        push !t;
+        pop ()))
   in
-  let fill_heap depth =
-    let q = Sim.Event_queue_ref.create () and t = ref 0 in
-    for _ = 1 to depth do t := !t + 17; Sim.Event_queue_ref.push q ~time:(Int64.of_int !t) () done;
-    (q, t)
+  let steady_queues =
+    List.concat_map
+      (fun depth ->
+        let q = Sim.Event_queue.create () and r = Sim.Event_queue_ref.create () in
+        [
+          steady "eq-heap" depth
+            ~push:(fun t -> Sim.Event_queue.push_int q ~time:t ())
+            ~pop:(fun () -> ignore (Sim.Event_queue.pop_exn_int q));
+          steady "eq-ref" depth
+            ~push:(fun t -> Sim.Event_queue_ref.push r ~time:(Int64.of_int t) ())
+            ~pop:(fun () -> ignore (Sim.Event_queue_ref.pop_exn r));
+        ])
+      queue_depths
   in
-  let w1k, w1t = fill_wheel 1_000 in
-  let w100k, w100t = fill_wheel 100_000 in
-  let h1k, h1t = fill_heap 1_000 in
-  let h100k, h100t = fill_heap 100_000 in
   [
     Test.make ~name:"btree-probe-100k" (Staged.stage (fun () -> Storage.Btree.Int_tree.find tree 55_555));
     Test.make ~name:"version-chain-read-16" (Staged.stage (fun () ->
@@ -112,23 +124,8 @@ let tests () =
     Test.make ~name:"event-queue-push-pop" (Staged.stage (fun () ->
         Sim.Event_queue.push eq ~time:42L ();
         ignore (Sim.Event_queue.pop eq)));
-    Test.make ~name:"eq-wheel-steady-1k" (Staged.stage (fun () ->
-        w1t := !w1t + 17;
-        Sim.Event_queue.push_int w1k ~time:!w1t ();
-        ignore (Sim.Event_queue.pop_exn_int w1k)));
-    Test.make ~name:"eq-wheel-steady-100k" (Staged.stage (fun () ->
-        w100t := !w100t + 17;
-        Sim.Event_queue.push_int w100k ~time:!w100t ();
-        ignore (Sim.Event_queue.pop_exn_int w100k)));
-    Test.make ~name:"eq-heap-steady-1k" (Staged.stage (fun () ->
-        h1t := !h1t + 17;
-        Sim.Event_queue_ref.push h1k ~time:(Int64.of_int !h1t) ();
-        ignore (Sim.Event_queue_ref.pop_exn h1k)));
-    Test.make ~name:"eq-heap-steady-100k" (Staged.stage (fun () ->
-        h100t := !h100t + 17;
-        Sim.Event_queue_ref.push h100k ~time:(Int64.of_int !h100t) ();
-        ignore (Sim.Event_queue_ref.pop_exn h100k)));
   ]
+  @ steady_queues
 
 let run () =
   Format.printf "@.==================================================================@.";

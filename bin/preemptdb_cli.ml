@@ -440,11 +440,11 @@ let print_summary (r : Runner.result) =
     | Some fo ->
       Format.printf
         "failover: detected@%.1fus promoted@%.1fus RTO=%.1fus RPO=%d acked txns \
-         applied=%d torn-discarded=%d probes=%d@."
+         applied=%d torn-discarded=%d probes=%d dropped-at-kill=%d@."
         fo.Replication.Failover.fo_detected_us fo.Replication.Failover.fo_promoted_us
         fo.Replication.Failover.fo_rto_us rs.Runner.rs_acked_lost
         fo.Replication.Failover.fo_applied_lsn fo.Replication.Failover.fo_torn
-        fo.Replication.Failover.fo_probe_commits
+        fo.Replication.Failover.fo_probe_commits r.dropped_at_kill
     | None -> ())
   | None -> ());
   (match r.maint with

@@ -174,9 +174,10 @@ let tpcc_consistency (db : Workload.Tpcc_db.t) =
   List.rev !out
 
 (* Request conservation: every generated request must be in exactly one
-   terminal or pending bucket at the horizon.  Admission drops never create
-   a request (the generator is not called past the cap), so they are not a
-   ledger term — only a separate counter. *)
+   terminal or pending bucket at the horizon, or have died with a killed
+   primary.  Admission drops never create a request (the generator is not
+   called past the cap), so they are not a ledger term — only a separate
+   counter. *)
 let request_conservation (r : Preemptdb.Runner.result) =
   let out = ref [] in
   let add v = out := v :: !out in
@@ -192,14 +193,16 @@ let request_conservation (r : Preemptdb.Runner.result) =
   let accounted =
     committed + aborted + shed + r.Preemptdb.Runner.backlog_left
     + r.Preemptdb.Runner.queued_left + r.Preemptdb.Runner.inflight_left
+    + r.Preemptdb.Runner.dropped_at_kill
   in
   if accounted <> generated then
     add
       (Violation.make "request-conservation"
          "generated %d <> accounted %d (committed %d + aborted %d + shed %d + backlog %d \
-          + queued %d + inflight %d)"
+          + queued %d + inflight %d + dropped at kill %d)"
          generated accounted committed aborted shed r.Preemptdb.Runner.backlog_left
-         r.Preemptdb.Runner.queued_left r.Preemptdb.Runner.inflight_left);
+         r.Preemptdb.Runner.queued_left r.Preemptdb.Runner.inflight_left
+         r.Preemptdb.Runner.dropped_at_kill);
   if shed <> r.Preemptdb.Runner.shed then
     add
       (Violation.make "request-conservation"

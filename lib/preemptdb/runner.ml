@@ -104,6 +104,7 @@ type result = {
   backlog_left : int;
   queued_left : int;
   inflight_left : int;
+  dropped_at_kill : int;
   generated_hp : int;
   generated_lp : int;
   generated_gc : int;
@@ -504,6 +505,7 @@ let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
     backlog_left = Sched_thread.backlog_length sched;
     queued_left = sum Worker.queued_requests;
     inflight_left = sum Worker.inflight_requests;
+    dropped_at_kill = sum Worker.dropped_at_kill;
     generated_hp = Sched_thread.generated_hp sched;
     generated_lp = Sched_thread.generated_lp sched;
     generated_gc = Sched_thread.generated_gc sched;

@@ -133,6 +133,9 @@ type result = {
   backlog_left : int;
   queued_left : int;  (** requests still waiting in worker queues *)
   inflight_left : int;  (** requests still occupying a context slot *)
+  dropped_at_kill : int;
+      (** requests discarded when a primary crash killed the workers
+          ({!Worker.dropped_at_kill} summed); 0 without a kill *)
   generated_hp : int;
   generated_lp : int;
   generated_gc : int;  (** GC-chunk requests dispatched by the scheduler *)

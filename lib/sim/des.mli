@@ -29,8 +29,8 @@ val now_int : t -> int
 
 val next_event_time : t -> int64
 (** Time of the earliest pending event, or [Int64.max_int] if none.  The
-    run-ahead bound for actor activations.  Served from a cache maintained
-    on push/pop, so polling it never allocates. *)
+    run-ahead bound for actor activations, read from the queue's root in
+    O(1). *)
 
 val next_event_time_int : t -> int
 (** [next_event_time] as an unboxed native int ([max_int] if none) — the

@@ -1,426 +1,163 @@
-(* Hierarchical timing wheel (calendar queue), keyed on [(time, seq)] with
-   the same FIFO tie-break as the binary heap it replaces (the heap survives
-   as [Event_queue_ref], the oracle of the differential test suite).
+(* Binary min-heap keyed on [(time, seq)], [seq] a per-queue counter that
+   makes every key unique, so the pop order is the total order the
+   reference heap [Event_queue_ref] defines (the differential suite holds
+   the two to it pop for pop).
 
-   Layout: 5 levels x 256 slots, byte-indexed Linux-timer style.  A pending
-   entry with time [T] lives at the level of the highest byte in which [T]
-   differs from the cursor [C] (the low-water mark of the wheel):
+   Layout: three native-int arrays indexed by heap position — [times],
+   [seqs] and [cells] — sift by value, so no sift touches the write
+   barrier.  Payloads live in a separate cell store, [payloads], indexed
+   by cell id: written once when an entry is pushed and overwritten with
+   a filler when it is popped.  [cells] is a permutation of the cell ids:
+   positions [0, size) name the live entries' cells in heap order and
+   positions [size, capacity) the free cells, so a push takes the free
+   cell at [size] and a pop puts the root's cell back at the new [size].
 
-     level(T) = index of highest set byte of (T lxor C), overflow past 2^40
-
-   and within that level at slot [(T lsr (8*level)) land 0xff].  Level-0
-   slots therefore hold entries of ONE exact time each, so their FIFO list
-   is already seq order and popping the head is exact.  When level 0 drains,
-   [settle] takes the first occupied slot of the lowest occupied level,
-   rebases the cursor to that slot's base time and redistributes the slot's
-   entries into lower levels (cascade), preserving per-slot list order —
-   which preserves seq order for equal times, because equal times share
-   every slot on the way down.
-
-   Two index-heaps complete the structure: [bk] (backfill) holds entries
-   pushed with a time below the cursor, [ovf] (overflow) holds entries more
-   than 2^40 cycles ahead or of opposite sign to the cursor.  An overflow
-   entry can be SMALLER than every wheel entry (xor-distance bounds the
-   time-difference from below, not above: C = 2^40-1 and T = 2^40 differ in
-   byte 5 yet by one cycle), so every pop 3-way-compares the wheel head,
-   backfill top and overflow top by [(time, seq)].
-
-   Cells are unboxed: parallel native-int arrays for times, seqs and
-   intrusive next-links, one ['a array] for payloads (allocated lazily on
-   the first push so no dummy value is ever fabricated), recycled through a
-   freelist — zero allocation per push, one boxed [int64] per pop.  Times
-   are stored as native ints; [push] rejects int64 values outside the
-   63-bit range (unreachable in practice) rather than silently wrapping. *)
+   A pushed entry carries the largest seq in the queue, so on its way up
+   it passes exactly the parents with a strictly later time.  A pop moves
+   the last entry to the root and sifts it down by the full key.  Every
+   index a sift loop touches is a heap position no greater than [size],
+   and [size] is below the arrays' length when a sift runs, so those
+   loops skip the bounds checks. *)
 
 type trace_op = Op_push of int64 | Op_pop of int64 | Op_clear
 
-type heap = { mutable ha : int array; mutable hn : int }
-
 type 'a t = {
-  (* cell store: parallel arrays indexed by cell id *)
   mutable times : int array;
   mutable seqs : int array;
-  mutable nexts : int array; (* slot-list / freelist link, -1 = end *)
+  mutable cells : int array;
   mutable payloads : 'a array; (* [||] until the first push *)
-  mutable free : int; (* freelist head, -1 = full *)
-  mutable cap : int;
-  (* the wheel: 5 levels x 256 slots of FIFO lists *)
-  head : int array; (* index (level lsl 8) lor slot *)
-  tail : int array;
-  occ : int array; (* occupancy bitmap, 8 x 32-bit words per level *)
-  mutable cursor : int;
-  mutable wheel_n : int;
-  lvl_n : int array;
-  bk : heap; (* entries below the cursor *)
-  ovf : heap; (* entries >= 2^40 ahead, or of opposite sign *)
   mutable size : int;
   mutable next_seq : int;
-  (* cached global minimum, so the DES's peek-after-pop rhythm costs one
-     settle+scan per event instead of two.  [memo_cell] is -1 when unknown;
-     otherwise [memo_src] says which structure holds it (0 wheel L0 /
-     1 backfill / 2 overflow) and [memo_slot] its L0 slot for src 0.
-     A push can only move the memo to the new entry (strictly earlier time;
-     on a time tie the incumbent wins, having the smaller seq); a pop of the
-     memo invalidates it. *)
-  mutable memo_cell : int;
-  mutable memo_src : int;
-  mutable memo_slot : int;
   mutable tracer : (trace_op -> unit) option;
 }
 
-let levels = 5
-let slots = 256
-let num_slots = levels * slots
-
 let create ?(capacity = 256) () =
   let cap = max 1 capacity in
-  let nexts = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1) in
   {
     times = Array.make cap 0;
     seqs = Array.make cap 0;
-    nexts;
+    cells = Array.init cap Fun.id;
     payloads = [||];
-    free = 0;
-    cap;
-    head = Array.make num_slots (-1);
-    tail = Array.make num_slots (-1);
-    occ = Array.make (levels * 8) 0;
-    cursor = 0;
-    wheel_n = 0;
-    lvl_n = Array.make levels 0;
-    bk = { ha = Array.make 16 0; hn = 0 };
-    ovf = { ha = Array.make 16 0; hn = 0 };
     size = 0;
     next_seq = 0;
-    memo_cell = -1;
-    memo_src = 0;
-    memo_slot = 0;
     tracer = None;
   }
 
-let is_empty t = t.size = 0
+let[@inline] is_empty t = t.size = 0
 let length t = t.size
 let set_tracer t f = t.tracer <- f
 
-(* -- cell store --------------------------------------------------------- *)
-
+(* Double every array; the new cell ids join the free region. *)
 let grow t =
-  let ncap = 2 * t.cap in
-  let nt = Array.make ncap 0
-  and ns = Array.make ncap 0
-  and nn = Array.make ncap (-1) in
-  Array.blit t.times 0 nt 0 t.cap;
-  Array.blit t.seqs 0 ns 0 t.cap;
-  Array.blit t.nexts 0 nn 0 t.cap;
-  for i = t.cap to ncap - 2 do
-    nn.(i) <- i + 1
-  done;
-  t.free <- t.cap;
-  if Array.length t.payloads > 0 then begin
-    let np = Array.make ncap t.payloads.(0) in
-    Array.blit t.payloads 0 np 0 t.cap;
-    t.payloads <- np
-  end;
-  t.times <- nt;
-  t.seqs <- ns;
-  t.nexts <- nn;
-  t.cap <- ncap
-
-let alloc t ti payload =
-  if t.free < 0 then grow t;
-  let i = t.free in
-  t.free <- t.nexts.(i);
-  t.nexts.(i) <- -1;
-  t.times.(i) <- ti;
-  t.seqs.(i) <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  if Array.length t.payloads = 0 then t.payloads <- Array.make t.cap payload
-  else t.payloads.(i) <- payload;
-  i
-
-(* Freed payload slots are overwritten with payloads.(0) (an arbitrary valid
-   ['a]) so a dead closure is not retained until the cell is reused. *)
-let free_cell t i =
-  t.nexts.(i) <- t.free;
-  t.free <- i;
-  if i > 0 then t.payloads.(i) <- t.payloads.(0)
-
-(* [a] sorts before [b]: earlier time, or same time scheduled first. *)
-let cell_before t a b =
-  let ta = t.times.(a) and tb = t.times.(b) in
-  ta < tb || (ta = tb && t.seqs.(a) < t.seqs.(b))
-
-(* -- index min-heaps (backfill / overflow) ------------------------------ *)
-
-let hpush t h i =
-  if h.hn = Array.length h.ha then begin
-    let na = Array.make (2 * h.hn) 0 in
-    Array.blit h.ha 0 na 0 h.hn;
-    h.ha <- na
-  end;
-  h.ha.(h.hn) <- i;
-  h.hn <- h.hn + 1;
-  let j = ref (h.hn - 1) in
-  while !j > 0 && cell_before t h.ha.(!j) h.ha.((!j - 1) / 2) do
-    let p = (!j - 1) / 2 in
-    let tmp = h.ha.(!j) in
-    h.ha.(!j) <- h.ha.(p);
-    h.ha.(p) <- tmp;
-    j := p
-  done
-
-let hpop t h =
-  h.hn <- h.hn - 1;
-  h.ha.(0) <- h.ha.(h.hn);
-  let j = ref 0 and sifting = ref true in
-  while !sifting do
-    let l = (2 * !j) + 1 and r = (2 * !j) + 2 in
-    let m = ref !j in
-    if l < h.hn && cell_before t h.ha.(l) h.ha.(!m) then m := l;
-    if r < h.hn && cell_before t h.ha.(r) h.ha.(!m) then m := r;
-    if !m <> !j then begin
-      let tmp = h.ha.(!j) in
-      h.ha.(!j) <- h.ha.(!m);
-      h.ha.(!m) <- tmp;
-      j := !m
-    end
-    else sifting := false
-  done
-
-(* -- occupancy bitmap --------------------------------------------------- *)
-
-let set_occ t l s =
-  let w = (l lsl 3) + (s lsr 5) in
-  t.occ.(w) <- t.occ.(w) lor (1 lsl (s land 31))
-
-let clear_occ t l s =
-  let w = (l lsl 3) + (s lsr 5) in
-  t.occ.(w) <- t.occ.(w) land lnot (1 lsl (s land 31))
-
-(* Count-trailing-zeros of a 32-bit chunk via de Bruijn multiplication (the
-   product's bits 27..31 match the 32-bit-truncated product's, so the wider
-   native-int multiply is harmless). *)
-let ctz_table =
-  [|
-    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23;
-    21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
-  |]
-
-let ctz32 x = ctz_table.((((x land -x) * 0x077CB531) lsr 27) land 31)
-
-(* First occupied slot of level [l] at index >= [k], or -1. *)
-let find_slot t l k =
-  if k >= slots then -1
-  else begin
-    let base = l lsl 3 in
-    let w0 = k lsr 5 in
-    let m0 = t.occ.(base + w0) land ((-1) lsl (k land 31)) in
-    if m0 <> 0 then (w0 lsl 5) lor ctz32 m0
-    else begin
-      let r = ref (-1) and w = ref (w0 + 1) in
-      while !r < 0 && !w < 8 do
-        let m = t.occ.(base + !w) in
-        if m <> 0 then r := (!w lsl 5) lor ctz32 m;
-        incr w
-      done;
-      !r
-    end
-  end
-
-(* -- the wheel ---------------------------------------------------------- *)
-
-(* Precondition: 0 <= times.(i) lxor cursor < 2^40 (in range, same sign).
-   Returns the packed (level lsl 8) lor slot index the entry landed in. *)
-let wheel_insert t i =
-  let ti = t.times.(i) in
-  let x = ti lxor t.cursor in
-  let l =
-    if x < 0x100 then 0
-    else if x < 0x1_0000 then 1
-    else if x < 0x100_0000 then 2
-    else if x < 0x1_0000_0000 then 3
-    else 4
+  let cap = Array.length t.times in
+  let extend a =
+    let b = Array.make (2 * cap) 0 in
+    Array.blit a 0 b 0 cap;
+    b
   in
-  let s = (ti lsr (l lsl 3)) land 0xff in
-  let sl = (l lsl 8) lor s in
-  if t.tail.(sl) < 0 then begin
-    t.head.(sl) <- i;
-    set_occ t l s
-  end
-  else t.nexts.(t.tail.(sl)) <- i;
-  t.tail.(sl) <- i;
-  t.lvl_n.(l) <- t.lvl_n.(l) + 1;
-  t.wheel_n <- t.wheel_n + 1;
-  sl
-
-(* Cascade until level 0 is occupied (or the wheel is empty): take the first
-   occupied slot of the lowest occupied level, rebase the cursor to the
-   slot's base time and redistribute its entries into lower levels.  Walking
-   the slot list in order keeps equal-time entries in seq order.  Purely a
-   re-placement — safe to call from peek as well as pop. *)
-let rec settle t =
-  if t.wheel_n > 0 && t.lvl_n.(0) = 0 then begin
-    let lv = ref 1 in
-    while t.lvl_n.(!lv) = 0 do
-      incr lv
-    done;
-    let l = !lv in
-    let cb = (t.cursor lsr (l lsl 3)) land 0xff in
-    (* level-l entries have byte l strictly above the cursor's *)
-    let s = find_slot t l (cb + 1) in
-    assert (s >= 0);
-    t.cursor <-
-      (t.cursor land ((-1) lsl ((l + 1) lsl 3))) lor (s lsl (l lsl 3));
-    let sl = (l lsl 8) lor s in
-    let i = ref t.head.(sl) in
-    t.head.(sl) <- -1;
-    t.tail.(sl) <- -1;
-    clear_occ t l s;
-    while !i >= 0 do
-      let nxt = t.nexts.(!i) in
-      t.nexts.(!i) <- -1;
-      t.lvl_n.(l) <- t.lvl_n.(l) - 1;
-      t.wheel_n <- t.wheel_n - 1;
-      ignore (wheel_insert t !i);
-      i := nxt
-    done;
-    settle t
+  t.times <- extend t.times;
+  t.seqs <- extend t.seqs;
+  let cells = extend t.cells in
+  for i = cap to (2 * cap) - 1 do
+    cells.(i) <- i
+  done;
+  t.cells <- cells;
+  if Array.length t.payloads > 0 then begin
+    let p = Array.make (2 * cap) t.payloads.(0) in
+    Array.blit t.payloads 0 p 0 cap;
+    t.payloads <- p
   end
 
-(* Cell id of the global minimum (wheel head vs backfill vs overflow), or -1
-   if empty.  Does not remove.  Caches the answer (and where it lives) in
-   the memo, so the next [min_cell] or [pop] skips the scan. *)
-let min_cell t =
-  if t.size = 0 then -1
-  else if t.memo_cell >= 0 then t.memo_cell
-  else begin
-    settle t;
-    let s0 =
-      if t.wheel_n > 0 then find_slot t 0 (t.cursor land 0xff) else -1
-    in
-    let best = ref (if s0 >= 0 then t.head.(s0) else -1) in
-    let src = ref 0 in
-    if t.bk.hn > 0 then begin
-      let c = t.bk.ha.(0) in
-      if !best < 0 || cell_before t c !best then begin
-        best := c;
-        src := 1
-      end
-    end;
-    if t.ovf.hn > 0 then begin
-      let c = t.ovf.ha.(0) in
-      if !best < 0 || cell_before t c !best then begin
-        best := c;
-        src := 2
-      end
-    end;
-    t.memo_cell <- !best;
-    t.memo_src <- !src;
-    t.memo_slot <- s0;
-    !best
-  end
-
-(* -- public API --------------------------------------------------------- *)
+let push_int t ~time payload =
+  if t.size = Array.length t.times then grow t;
+  let times = t.times and seqs = t.seqs and cells = t.cells in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let cell = cells.(t.size) in
+  (* the payload array is made on the first push, so no dummy value is
+     ever fabricated *)
+  if Array.length t.payloads = 0 then t.payloads <- Array.make (Array.length times) payload
+  else t.payloads.(cell) <- payload;
+  let i = ref t.size in
+  while !i > 0 && Array.unsafe_get times ((!i - 1) lsr 1) > time do
+    let p = (!i - 1) lsr 1 in
+    Array.unsafe_set times !i (Array.unsafe_get times p);
+    Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+    Array.unsafe_set cells !i (Array.unsafe_get cells p);
+    i := p
+  done;
+  Array.unsafe_set times !i time;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set cells !i cell;
+  t.size <- t.size + 1;
+  match t.tracer with Some f -> f (Op_push (Int64.of_int time)) | None -> ()
 
 let max_time = Int64.of_int max_int
 let min_time = Int64.of_int min_int
-
-let push_int t ~time:ti payload =
-  let i = alloc t ti payload in
-  let was_empty = t.size = 0 in
-  if t.wheel_n = 0 then begin
-    (* empty wheel: rebase the cursor onto the entry, landing it at L0 *)
-    t.cursor <- ti;
-    let sl = wheel_insert t i in
-    if was_empty || (t.memo_cell >= 0 && ti < t.times.(t.memo_cell)) then begin
-      t.memo_cell <- i;
-      t.memo_src <- 0;
-      t.memo_slot <- sl
-    end
-  end
-  else if ti < t.cursor then begin
-    hpush t t.bk i;
-    if t.memo_cell >= 0 && ti < t.times.(t.memo_cell) then begin
-      t.memo_cell <- i;
-      t.memo_src <- 1
-    end
-  end
-  else begin
-    let x = ti lxor t.cursor in
-    if x < 0 || x >= 0x100_0000_0000 then begin
-      hpush t t.ovf i;
-      if t.memo_cell >= 0 && ti < t.times.(t.memo_cell) then begin
-        t.memo_cell <- i;
-        t.memo_src <- 2
-      end
-    end
-    else begin
-      let sl = wheel_insert t i in
-      if t.memo_cell >= 0 && ti < t.times.(t.memo_cell) then begin
-        (* A new strict minimum at or above the cursor always lands in L0
-           (its whole upper-byte prefix matches the cursor's, or it would
-           not sort below an L0 memo); guard anyway. *)
-        if sl < slots then begin
-          t.memo_cell <- i;
-          t.memo_src <- 0;
-          t.memo_slot <- sl
-        end
-        else t.memo_cell <- -1
-      end
-    end
-  end;
-  t.size <- t.size + 1;
-  match t.tracer with Some f -> f (Op_push (Int64.of_int ti)) | None -> ()
 
 let push t ~time payload =
   if Int64.compare time max_time > 0 || Int64.compare time min_time < 0 then
     invalid_arg "Event_queue.push: time outside native-int range";
   push_int t ~time:(Int64.to_int time) payload
 
-let peek_time_int t =
-  let c = min_cell t in
-  if c < 0 then invalid_arg "Event_queue.peek_time_int: empty queue"
-  else t.times.(c)
+(* Inlined, with [is_empty], into [Des.next_event_time_int] and from there
+   into the worker loop, which polls it once per micro-op. *)
+let[@inline] peek_time_int t =
+  if t.size = 0 then invalid_arg "Event_queue.peek_time_int: empty queue" else t.times.(0)
 
-let peek_time t =
-  let c = min_cell t in
-  if c < 0 then None else Some (Int64.of_int t.times.(c))
+let peek_time t = if t.size = 0 then None else Some (Int64.of_int t.times.(0))
 
-(* Pop the head of level-0 slot [s] (the wheel minimum) and advance the
-   cursor's low byte to it, so slot scans start where the action is. *)
-let remove_l0_head t s =
-  let i = t.head.(s) in
-  let nxt = t.nexts.(i) in
-  t.head.(s) <- nxt;
-  if nxt < 0 then begin
-    t.tail.(s) <- -1;
-    clear_occ t 0 s
-  end;
-  t.lvl_n.(0) <- t.lvl_n.(0) - 1;
-  t.wheel_n <- t.wheel_n - 1;
-  t.cursor <- (t.cursor land lnot 0xff) lor s
+(* Remove the root (size > 0): sift the last entry down from the top,
+   then hand the root's cell back to the free region.  Returns that cell;
+   the caller reads the time beforehand and the payload afterwards. *)
+let remove_root t =
+  let times = t.times and seqs = t.seqs and cells = t.cells in
+  let root = cells.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  let time = times.(n) and seq = seqs.(n) and cell = cells.(n) in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    if l >= n then sifting := false
+    else begin
+      let r = l + 1 in
+      let tl = Array.unsafe_get times l in
+      let m =
+        if r >= n then l
+        else
+          let tr = Array.unsafe_get times r in
+          if tr < tl || (tr = tl && Array.unsafe_get seqs r < Array.unsafe_get seqs l) then r
+          else l
+      in
+      let tm = Array.unsafe_get times m in
+      if tm < time || (tm = time && Array.unsafe_get seqs m < seq) then begin
+        Array.unsafe_set times !i tm;
+        Array.unsafe_set seqs !i (Array.unsafe_get seqs m);
+        Array.unsafe_set cells !i (Array.unsafe_get cells m);
+        i := m
+      end
+      else sifting := false
+    end
+  done;
+  Array.unsafe_set times !i time;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set cells !i cell;
+  cells.(n) <- root;
+  root
 
-(* Remove the minimum entry and return its cell index (still holding time
-   and payload; the caller reads them and then [free_cell]s).  Precondition:
-   size > 0.  The memo makes the peek-then-pop rhythm one scan: [min_cell]
-   either reuses or computes it, and removal just unhooks that cell. *)
-let pop_best t =
-  let i = min_cell t in
-  (match t.memo_src with
-  | 0 -> remove_l0_head t t.memo_slot
-  | 1 -> hpop t t.bk
-  | _ -> hpop t t.ovf);
-  t.memo_cell <- -1;
-  t.size <- t.size - 1;
-  i
+(* A popped cell's payload is overwritten with payloads.(0) (an arbitrary
+   valid ['a]) so the queue does not keep a dead closure alive. *)
+let take t cell =
+  let payload = t.payloads.(cell) in
+  if cell > 0 then t.payloads.(cell) <- t.payloads.(0);
+  payload
 
 let pop t =
   if t.size = 0 then None
   else begin
-    let i = pop_best t in
-    let time = Int64.of_int t.times.(i) in
-    let payload = t.payloads.(i) in
-    free_cell t i;
+    let time = Int64.of_int t.times.(0) in
+    let payload = take t (remove_root t) in
     (match t.tracer with Some f -> f (Op_pop time) | None -> ());
     Some (time, payload)
   end
@@ -430,39 +167,22 @@ let pop_exn t =
   | Some e -> e
   | None -> invalid_arg "Event_queue.pop_exn: empty queue"
 
-(* The DES inner loop's pop: same removal, but the time comes back as a
-   native int so the per-event [(int64_box, payload)] pair shrinks to one
-   unboxed pair. *)
+(* The DES inner loop's pop: the time comes back as a native int, so the
+   per-event [(int64_box, payload)] pair shrinks to one unboxed pair. *)
 let pop_exn_int t =
   if t.size = 0 then invalid_arg "Event_queue.pop_exn: empty queue"
   else begin
-    let i = pop_best t in
-    let time = t.times.(i) in
-    let payload = t.payloads.(i) in
-    free_cell t i;
+    let time = t.times.(0) in
+    let payload = take t (remove_root t) in
     (match t.tracer with Some f -> f (Op_pop (Int64.of_int time)) | None -> ());
     (time, payload)
   end
 
 let clear t =
-  Array.fill t.head 0 num_slots (-1);
-  Array.fill t.tail 0 num_slots (-1);
-  Array.fill t.occ 0 (levels * 8) 0;
-  for i = 0 to t.cap - 2 do
-    t.nexts.(i) <- i + 1
-  done;
-  t.nexts.(t.cap - 1) <- -1;
-  t.free <- 0;
-  if Array.length t.payloads > 0 && t.cap > 1 then
-    Array.fill t.payloads 1 (t.cap - 1) t.payloads.(0);
-  t.cursor <- 0;
-  t.wheel_n <- 0;
-  Array.fill t.lvl_n 0 levels 0;
-  t.bk.hn <- 0;
-  t.ovf.hn <- 0;
+  let cap = Array.length t.payloads in
+  if cap > 1 then Array.fill t.payloads 1 (cap - 1) t.payloads.(0);
   t.size <- 0;
   t.next_seq <- 0;
-  t.memo_cell <- -1;
   match t.tracer with Some f -> f Op_clear | None -> ()
 
 let drain t =

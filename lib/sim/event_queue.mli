@@ -1,16 +1,20 @@
 (** Priority queue of timestamped events.
 
-    A hierarchical timing wheel (5 levels x 256 byte-indexed slots, with a
-    sorted overflow level for far-future events) keyed on [(time, seq)]
-    where [seq] is a monotonically increasing tie-breaker, so events
-    scheduled for the same virtual time pop in insertion order
-    (deterministic replay).  Pop order is bit-identical to the reference
-    binary heap {!Event_queue_ref} — the differential suite in
-    [test/test_queue_diff.ml] holds both to that contract.
+    A binary min-heap keyed on [(time, seq)], where [seq] is a per-queue
+    counter that increases with every push, so events scheduled for the
+    same virtual time pop in insertion order (deterministic replay).  Pop
+    order is bit-identical to the reference heap {!Event_queue_ref} — the
+    differential suite in [test/test_queue_diff.ml] holds both to that
+    contract.
 
-    Cells live unboxed in parallel arrays recycled through a freelist:
-    pushing allocates nothing, popping allocates only the returned boxed
-    time. *)
+    The heap is three native-int arrays (time, seq, cell id) that sift by
+    value; payloads sit in a cell store written once per push and cleared
+    at pop.  Pushing allocates nothing (once the arrays have grown to the
+    queue's high-water mark); popping allocates only what it returns.
+    Push and pop cost O(log n), peek O(1).  The simulator's queue holds a
+    few dozen events (a few hundred in the largest cluster); on its own
+    push/pop sequence the heap takes half the time of the timing wheel it
+    replaced (EXPERIMENTS.md). *)
 
 type 'a t
 

@@ -1,13 +1,12 @@
 (* The original binary-heap event queue, kept verbatim as the reference
-   implementation for the timing-wheel differential test harness
+   implementation for the event-queue differential test harness
    (test/test_queue_diff.ml).  Do NOT delete: the differential suite links
    against this module statically, so removing it is a loud compile
    failure, not a silent skip.
 
    The only change from the historical implementation is the [clear] fix:
    [next_seq] is reset so a cleared-and-reused queue does not inherit stale
-   tie-break ordering (the same fix is applied to the production wheel —
-   both implementations must agree for the differential tests to pass). *)
+   tie-break ordering (the production queue resets it too). *)
 
 type 'a cell = { time : int64; seq : int; payload : 'a }
 

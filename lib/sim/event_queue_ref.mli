@@ -1,15 +1,15 @@
 (** Reference event queue: the original boxed-cell binary min-heap.
 
-    Kept solely as the oracle for the timing-wheel differential test
+    Kept solely as the oracle for the event-queue differential test
     harness ([test/test_queue_diff.ml] and the interleaving property in
     [test/test_sim.ml]): both implementations are driven through identical
     operation scripts and must produce identical [(time, payload)] pop
-    sequences.  The production queue is {!Event_queue}; this module must
-    never be used on a hot path.
+    sequences.  The production queue is {!Event_queue}, a flat heap over
+    unboxed arrays; this module must never be used on a hot path.
 
     Removing this module breaks the differential suite at compile time —
     deliberately.  Keyed on [(time, seq)] with FIFO tie-break, exactly like
-    the wheel; [clear] resets the tie-break counter in both. *)
+    the production queue; [clear] resets the tie-break counter in both. *)
 
 type 'a t
 

@@ -10,6 +10,12 @@ val lock_counter : int Cls.slot
 (** The CLS variable holding the nesting depth.  Exposed so tests can
     inspect it through the generic CLS interface. *)
 
+val within : Cls.area -> (unit -> 'a) -> 'a
+(** [within cls f] runs [f] inside a region opened on the context whose
+    CLS area is [cls], exiting on any exception.  The form a transaction
+    program uses: it holds its own context's area.
+    @raise Invalid_argument if [f] leaves the region unbalanced. *)
+
 val depth : Hw_thread.t -> int
 (** Nesting depth of the {e currently mapped} context. *)
 

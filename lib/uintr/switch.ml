@@ -96,7 +96,7 @@ let active_switch ?(retire = false) ?now t ~target =
      model by the swap_window flag being observable by [passive_switch]. *)
   Hw_thread.set_swap_window t true;
   Receiver.clui recv;
-  let region_depth = Cls.get (Hw_thread.current_cls t) Region.lock_counter in
+  let region_depth = Region.depth t in
   let from_rip = (Hw_thread.current t).Tcb.rip in
   let restored_frame = Stack_model.top_frame (Hw_thread.context t target).Tcb.stack <> None in
   let departing = Hw_thread.current t in

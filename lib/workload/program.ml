@@ -126,11 +126,7 @@ let begin_txn ?iso env =
   charge Txn_begin;
   Engine.begin_txn ?iso env.eng ~worker:env.worker ~ctx:env.ctx
 
-let non_preemptible env f =
-  Cls.update env.cls Region.lock_counter (fun d -> d + 1);
-  Fun.protect
-    ~finally:(fun () -> Cls.update env.cls Region.lock_counter (fun d -> d - 1))
-    f
+let non_preemptible env f = Region.within env.cls f
 
 let commit env txn =
   non_preemptible env (fun () ->

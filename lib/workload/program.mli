@@ -132,5 +132,6 @@ val run_txn :
 (** {1 Non-preemptible regions} *)
 
 val non_preemptible : env -> (unit -> 'a) -> 'a
-(** Bump the CLS lock counter around [f] — engine-internal critical
-    sections (index updates, allocator, commit). *)
+(** Run [f] inside a non-preemptible region on the program's own CLS area
+    ({!Uintr.Region.within}) — engine-internal critical sections (index
+    updates, allocator, commit). *)

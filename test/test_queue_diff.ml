@@ -1,17 +1,20 @@
-(* Differential proof harness for the timing-wheel event queue.
+(* Differential proof harness for the production event queue.
 
-   The wheel ([Sim.Event_queue]) replaced the boxed binary min-heap on the
-   simulator's hottest path.  Its contract is not "a correct priority
-   queue" but something stronger: *bit-identical pop order* to the heap it
-   replaced, because every schedule the simulator has ever produced —
-   baselines, regression traces, the 27 gated perf metrics — is defined by
-   that order.  This suite drives the wheel and the reference heap
+   The production queue ([Sim.Event_queue], a flat (time, seq) heap that
+   sifts unboxed ints) sits on the simulator's hottest path.  Its contract
+   is not "a correct priority queue" but something stronger: *bit-identical
+   pop order* to the boxed binary min-heap the simulator started with,
+   because every schedule the simulator has ever produced — baselines,
+   regression traces, the 27 gated perf metrics — is defined by that
+   order.  This suite drives the production queue and the reference heap
    ([Sim.Event_queue_ref], kept verbatim as the oracle) through:
 
    - 10,000+ randomized operation scripts covering duplicate timestamps,
-     same-tick bursts, far-future times beyond the 2^40 wheel horizon
-     (overflow promotion), pushes behind the cursor (backfill), byte-level
-     cursor rollover, and mid-script clears; and
+     same-tick bursts, far-future times, pushes behind the last popped
+     time, byte-boundary times and mid-script clears (the regimes the
+     timing wheel that preceded the flat heap treated specially);
+   - growth from a one-entry queue, regrowth after [clear], and long runs
+     of equal times interleaved with pops; and
    - a real bench-tpcc-shaped operation trace captured from a live
      [Runner.run_tpcc] via [Sim.Des.set_queue_tracer] and replayed against
      both implementations,
@@ -20,7 +23,7 @@
    is referenced statically below, so deleting [Event_queue_ref] breaks
    this file at compile time — deliberately. *)
 
-module Wheel = Sim.Event_queue
+module Event_queue = Sim.Event_queue
 module Ref_heap = Sim.Event_queue_ref
 module Des = Sim.Des
 module Config = Preemptdb.Config
@@ -34,41 +37,42 @@ let checkb = Alcotest.(check bool)
 (* Both queues driven through identical ops; payloads are push-order ids,
    so equal [(time, id)] streams prove the FIFO tie-break agrees too. *)
 type mirror = {
-  w : int Wheel.t;
+  w : int Event_queue.t;
   r : int Ref_heap.t;
   mutable next_id : int;
 }
 
-let mirror () = { w = Wheel.create (); r = Ref_heap.create (); next_id = 0 }
+let mirror ?capacity () =
+  { w = Event_queue.create ?capacity (); r = Ref_heap.create ?capacity (); next_id = 0 }
 
 let push m time =
-  Wheel.push m.w ~time m.next_id;
+  Event_queue.push m.w ~time m.next_id;
   Ref_heap.push m.r ~time m.next_id;
   m.next_id <- m.next_id + 1
 
 let pop_both ~ctx m =
-  match (Wheel.pop m.w, Ref_heap.pop m.r) with
+  match (Event_queue.pop m.w, Ref_heap.pop m.r) with
   | None, None -> None
   | Some (tw, vw), Some (tr, vr) ->
     if not (Int64.equal tw tr && vw = vr) then
-      Alcotest.failf "%s: wheel popped (%Ld, #%d) but reference popped (%Ld, #%d)"
+      Alcotest.failf "%s: queue popped (%Ld, #%d) but reference popped (%Ld, #%d)"
         ctx tw vw tr vr;
     Some (tw, vw)
   | Some (tw, vw), None ->
-    Alcotest.failf "%s: wheel popped (%Ld, #%d) but reference is empty" ctx tw vw
+    Alcotest.failf "%s: queue popped (%Ld, #%d) but reference is empty" ctx tw vw
   | None, Some (tr, vr) ->
-    Alcotest.failf "%s: wheel empty but reference popped (%Ld, #%d)" ctx tr vr
+    Alcotest.failf "%s: queue empty but reference popped (%Ld, #%d)" ctx tr vr
 
 let check_agree ~ctx m =
-  if Wheel.length m.w <> Ref_heap.length m.r then
-    Alcotest.failf "%s: length %d (wheel) vs %d (reference)" ctx
-      (Wheel.length m.w) (Ref_heap.length m.r);
-  match (Wheel.peek_time m.w, Ref_heap.peek_time m.r) with
+  if Event_queue.length m.w <> Ref_heap.length m.r then
+    Alcotest.failf "%s: length %d (queue) vs %d (reference)" ctx
+      (Event_queue.length m.w) (Ref_heap.length m.r);
+  match (Event_queue.peek_time m.w, Ref_heap.peek_time m.r) with
   | None, None -> ()
   | Some a, Some b when Int64.equal a b -> ()
   | a, b ->
     let s = function None -> "empty" | Some t -> Int64.to_string t in
-    Alcotest.failf "%s: peek %s (wheel) vs %s (reference)" ctx (s a) (s b)
+    Alcotest.failf "%s: peek %s (queue) vs %s (reference)" ctx (s a) (s b)
 
 let drain_both ~ctx m =
   let rec loop n =
@@ -81,10 +85,10 @@ let drain_both ~ctx m =
 (* -- randomized scripts --------------------------------------------------- *)
 
 (* Times are generated relative to an advancing [base] (mirroring the DES,
-   where the cursor follows popped event times), hitting every regime the
-   wheel treats specially: L0 ties and near clusters, higher-level slots,
-   far-future beyond the 2^40 horizon (overflow heap, later promoted back
-   into the wheel), and times behind the cursor (backfill heap). *)
+   where the clock follows popped event times): exact ties and near
+   clusters, mid-range and far-future times (beyond 2^40, the horizon of
+   the timing wheel the flat heap replaced), and times behind the last
+   pop. *)
 let gen_time st base =
   match Random.State.int st 100 with
   | n when n < 30 -> Int64.add base (Int64.of_int (Random.State.int st 8))
@@ -92,10 +96,10 @@ let gen_time st base =
   | n when n < 65 -> Int64.add base (Int64.of_int (Random.State.int st 65536))
   | n when n < 78 -> Int64.add base (Int64.of_int (Random.State.full_int st (1 lsl 30)))
   | n when n < 88 ->
-    (* beyond the wheel horizon: must land in overflow and promote back *)
+    (* far future: beyond 2^40 cycles ahead *)
     Int64.add base (Int64.of_int ((1 lsl 41) + Random.State.full_int st (1 lsl 42)))
   | _ ->
-    (* behind the cursor once pops have advanced it: backfill *)
+    (* behind the last popped time *)
     let back = Int64.sub base (Int64.of_int (1 + Random.State.int st 4096)) in
     if Int64.compare back 0L < 0 then 0L else back
 
@@ -114,7 +118,7 @@ let run_script seed =
       | None -> ())
     | n when n < 92 ->
       (* rare wholesale reset: also covers clear-resets-seq in lockstep *)
-      Wheel.clear m.w;
+      Event_queue.clear m.w;
       Ref_heap.clear m.r;
       base := 0L
     | _ -> check_agree ~ctx m
@@ -146,16 +150,16 @@ let test_duplicate_timestamps () =
   loop 0
 
 let test_horizon_rollover () =
-  (* times straddling every byte boundary of the wheel's five levels, pushed
-     in a shuffled order, must still drain identically *)
+  (* times straddling every byte boundary up to 2^40, pushed in a shuffled
+     order, must still drain identically *)
   let boundaries =
     [
       0L; 1L; 254L; 255L; 256L; 257L; 511L; 512L;
       65_535L; 65_536L; 65_537L;
       16_777_215L; 16_777_216L; 16_777_217L;
       4_294_967_295L; 4_294_967_296L; 4_294_967_297L;
-      1_099_511_627_775L (* 2^40 - 1: last in-wheel time from cursor 0 *);
-      1_099_511_627_776L (* 2^40: first overflow time *);
+      1_099_511_627_775L (* 2^40 - 1 *);
+      1_099_511_627_776L (* 2^40 *);
       1_099_511_627_777L;
     ]
   in
@@ -172,9 +176,9 @@ let test_horizon_rollover () =
   checki "drained all" (Array.length arr) (drain_both ~ctx:"rollover" m)
 
 let test_overflow_promotion () =
-  (* events pushed beyond the 2^40 horizon sit in the overflow heap; as pops
-     advance the cursor they must re-enter the wheel and interleave with
-     near events in exactly the order the reference heap reports *)
+  (* events pushed 2^40 cycles ahead, with more pushed as the near batch
+     drains, must interleave with near events in exactly the order the
+     reference heap reports *)
   let m = mirror () in
   let far k = Int64.of_int ((1 lsl 40) + (k * (1 lsl 20))) in
   for k = 9 downto 0 do
@@ -194,7 +198,7 @@ let test_overflow_promotion () =
 
 let test_backfill_behind_cursor () =
   (* the DES clamps past schedules, but the queue itself must handle raw
-     pushes below the cursor (the backfill heap) identically to the ref *)
+     pushes below the last popped time identically to the ref *)
   let m = mirror () in
   List.iter (fun t -> push m t) [ 100L; 200L; 300L ];
   ignore (pop_both ~ctx:"backfill warm" m);
@@ -226,19 +230,19 @@ let test_clear_resets_tie_break () =
     in
     drain []
   in
-  (* wheel *)
-  let fresh_w = Wheel.create () in
+  (* production queue *)
+  let fresh_w = Event_queue.create () in
   let ids = ref 0 in
-  let wpush q t = incr ids; Wheel.push q ~time:t !ids in
-  let expect = script fresh_w wpush Wheel.pop in
-  let used_w = Wheel.create () in
-  Wheel.push used_w ~time:9L 999;
-  Wheel.push used_w ~time:1L 998;
-  ignore (Wheel.pop used_w);
-  Wheel.clear used_w;
+  let wpush q t = incr ids; Event_queue.push q ~time:t !ids in
+  let expect = script fresh_w wpush Event_queue.pop in
+  let used_w = Event_queue.create () in
+  Event_queue.push used_w ~time:9L 999;
+  Event_queue.push used_w ~time:1L 998;
+  ignore (Event_queue.pop used_w);
+  Event_queue.clear used_w;
   ids := 0;
-  let got = script used_w wpush Wheel.pop in
-  Alcotest.(check (list (pair int64 int))) "wheel: cleared == fresh" expect got;
+  let got = script used_w wpush Event_queue.pop in
+  Alcotest.(check (list (pair int64 int))) "queue: cleared == fresh" expect got;
   (* reference heap: same contract *)
   let fresh_r = Ref_heap.create () in
   ids := 0;
@@ -251,13 +255,74 @@ let test_clear_resets_tie_break () =
   ids := 0;
   let got_r = script used_r rpush Ref_heap.pop in
   Alcotest.(check (list (pair int64 int))) "ref: cleared == fresh" expect_r got_r;
-  Alcotest.(check (list (pair int64 int))) "wheel == ref after clear" expect got_r
+  Alcotest.(check (list (pair int64 int))) "queue == ref after clear" expect got_r
+
+(* Growth: a one-entry queue doubles its arrays (and the reference its
+   heap) many times over while runs of equal times pile up, with pops
+   between the runs so the free region is reused mid-growth. *)
+let test_growth_from_one () =
+  let m = mirror ~capacity:1 () in
+  let st = Random.State.make [| 0x9a0 |] in
+  for run = 1 to 40 do
+    let time = Int64.of_int (Random.State.int st 50) in
+    for _ = 1 to run do
+      push m time
+    done;
+    for _ = 1 to run / 3 do
+      ignore (pop_both ~ctx:(Printf.sprintf "growth run %d" run) m)
+    done;
+    check_agree ~ctx:(Printf.sprintf "growth run %d" run) m
+  done;
+  checkb "grew past 512 entries" true (Event_queue.length m.w > 512);
+  ignore (drain_both ~ctx:"growth drain" m)
+
+(* [clear] on a grown queue, then growth again past the old size: the
+   cleared cells must come back into use with the pop order still the
+   reference's. *)
+let test_clear_then_regrow () =
+  let m = mirror ~capacity:2 () in
+  for i = 1 to 300 do
+    push m (Int64.of_int (i mod 7))
+  done;
+  for _ = 1 to 100 do
+    ignore (pop_both ~ctx:"before clear" m)
+  done;
+  Event_queue.clear m.w;
+  Ref_heap.clear m.r;
+  check_agree ~ctx:"after clear" m;
+  for i = 1 to 700 do
+    push m (Int64.of_int (i mod 5));
+    if i mod 4 = 0 then ignore (pop_both ~ctx:(Printf.sprintf "regrow %d" i) m)
+  done;
+  check_agree ~ctx:"regrown" m;
+  checki "regrown past the cleared size" 525 (drain_both ~ctx:"regrow drain" m)
+
+(* 1 000 pushes at one time with pops in between: every key compares on
+   seq alone, so this is the FIFO tie-break under sifting. *)
+let test_equal_times_interleaved () =
+  let m = mirror () in
+  let st = Random.State.make [| 0xe9 |] in
+  let pushed = ref 0 and popped = ref 0 in
+  while !pushed < 1_000 do
+    if Random.State.int st 3 = 0 then begin
+      match pop_both ~ctx:(Printf.sprintf "equal times pop %d" !popped) m with
+      | Some (t, _) ->
+        checkb "popped the one time" true (Int64.equal t 500L);
+        incr popped
+      | None -> ()
+    end
+    else begin
+      push m 500L;
+      incr pushed
+    end
+  done;
+  checki "everything popped" 1_000 (!popped + drain_both ~ctx:"equal times drain" m)
 
 (* -- workload-shaped trace ------------------------------------------------ *)
 
 (* Capture every queue operation of a real (small) TPC-C run through
-   [Des.set_queue_tracer], then replay the trace against a fresh wheel AND
-   the reference heap in lockstep.  Each recorded pop must match what both
+   [Des.set_queue_tracer], then replay the trace against a fresh production
+   queue AND the reference heap in lockstep.  Each recorded pop must match what both
    replicas produce — proving the production run's schedule is exactly the
    schedule the old heap would have computed. *)
 let test_tpcc_trace_replay () =
@@ -283,10 +348,10 @@ let test_tpcc_trace_replay () =
   List.iter
     (fun op ->
       match op with
-      | Wheel.Op_push t ->
+      | Event_queue.Op_push t ->
         incr pushes;
         push m t
-      | Wheel.Op_pop t -> (
+      | Event_queue.Op_pop t -> (
         incr pops;
         match pop_both ~ctx:(Printf.sprintf "trace pop %d" !pops) m with
         | Some (tr, _) ->
@@ -296,8 +361,8 @@ let test_tpcc_trace_replay () =
         | None ->
           Alcotest.failf "trace pop %d: live run popped %Ld on empty replicas"
             !pops t)
-      | Wheel.Op_clear ->
-        Wheel.clear m.w;
+      | Event_queue.Op_clear ->
+        Event_queue.clear m.w;
         Ref_heap.clear m.r)
     ops;
   (* every event the live run processed went through the traced queue *)
@@ -316,6 +381,9 @@ let () =
           Alcotest.test_case "overflow promotion" `Quick test_overflow_promotion;
           Alcotest.test_case "backfill behind cursor" `Quick test_backfill_behind_cursor;
           Alcotest.test_case "clear resets tie-break" `Quick test_clear_resets_tie_break;
+          Alcotest.test_case "growth from capacity 1" `Quick test_growth_from_one;
+          Alcotest.test_case "clear then regrowth" `Quick test_clear_then_regrow;
+          Alcotest.test_case "1000 equal times with pops" `Quick test_equal_times_interleaved;
         ] );
       ( "workload-trace",
         [ Alcotest.test_case "tpcc trace replay" `Quick test_tpcc_trace_replay ] );

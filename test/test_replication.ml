@@ -198,7 +198,8 @@ let test_crash_kills_primary_cleanly () =
     (Metrics.committed_total m + Metrics.aborted_total m + Metrics.shed_total m
     + r.Runner.backlog_left + r.Runner.queued_left + r.Runner.inflight_left
     + dropped);
-  checkb "something was in flight at the kill" true (dropped >= 0)
+  checkb "something was in flight at the kill" true (dropped >= 0);
+  checki "the run result carries the kill drops" dropped r.Runner.dropped_at_kill
 
 let test_total_hb_loss_triggers_failover () =
   (* 100 % channel loss is indistinguishable from a dead primary: after

@@ -490,11 +490,11 @@ let prop_eq_interleaved =
         ops
       && Event_queue.length q = List.length !reference)
 
-(* The timing wheel against the reference heap it replaced: identical pop
-   streams under random interleavings mixing duplicate timestamps, times
-   that straddle the wheel's byte-slot boundaries, and times beyond the
-   2^40 horizon (overflow heap, promoted back as the cursor advances).
-   The exhaustive version lives in test/test_queue_diff.ml; this keeps a
+(* The production queue against the reference heap: identical pop streams
+   under random interleavings mixing duplicate timestamps, times that
+   straddle byte boundaries, and times beyond 2^40.  The test keeps the
+   name it had when the production queue was a timing wheel.  The
+   exhaustive version lives in test/test_queue_diff.ml; this keeps a
    sentinel in the tier-1 sim suite. *)
 let prop_eq_vs_ref =
   QCheck2.Test.make ~name:"timing wheel matches reference heap pop for pop" ~count:500
@@ -542,6 +542,20 @@ let test_eq_clear_reuse () =
   Event_queue.clear used;
   check Alcotest.(list (pair int64 int)) "cleared replays like fresh" expect (script used)
 
+(* The DES pushes once per event: past its high-water mark, a push stores
+   unboxed ints and one payload and allocates nothing. *)
+let test_eq_push_allocates_nothing () =
+  let q = Event_queue.create ~capacity:16_384 () in
+  (* the first push makes the payload store *)
+  Event_queue.push_int q ~time:0 ();
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Event_queue.push_int q ~time:(i * 7_919 mod 1_000) ()
+  done;
+  let words = Gc.minor_words () -. before in
+  checki "pushed" 10_001 (Event_queue.length q);
+  Alcotest.(check (float 0.)) "minor words over 10k push_int" 0. words
+
 (* Quantiles are nondecreasing in p — the guarantee the latency tables in
    the bench reports rely on when printing p50 <= p90 <= p99. *)
 let prop_hist_percentile_monotone =
@@ -577,7 +591,9 @@ let () =
           Alcotest.test_case "basics and growth" `Quick test_eq_basics;
           Alcotest.test_case "clear resets tie-break" `Quick test_eq_clear_reuse;
         ]
-        @ qsuite [ prop_eq_sorted; prop_eq_interleaved; prop_eq_vs_ref ] );
+        @ qsuite [ prop_eq_sorted; prop_eq_interleaved; prop_eq_vs_ref ]
+        @ [ Alcotest.test_case "push_int allocates nothing" `Quick test_eq_push_allocates_nothing ]
+      );
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
