@@ -23,14 +23,21 @@ type t = {
   by_class : (string, internal) Hashtbl.t;
   timeline_window : int64 option;
   mutable drops_ : int;
+  mutable digest_ : int;
 }
+
+(* The schedule digest is a sum of per-record hashes, so it does not
+   depend on the host order in which records arrive. *)
+let mix h x = (h lxor x) * 0x100000001b3
+let opt = function Some v -> Int64.to_int v | None -> -1
+let add_digest t h = t.digest_ <- t.digest_ + h
 
 let create ?timeline_window () =
   (match timeline_window with
   | Some w when Int64.compare w 0L <= 0 ->
     invalid_arg "Metrics.create: timeline_window must be positive"
   | _ -> ());
-  { by_class = Hashtbl.create 8; timeline_window; drops_ = 0 }
+  { by_class = Hashtbl.create 8; timeline_window; drops_ = 0; digest_ = 0 }
 
 let intern t label =
   match Hashtbl.find_opt t.by_class label with
@@ -61,7 +68,28 @@ let intern t label =
     Hashtbl.replace t.by_class label i;
     i
 
+let request_hash ~exhausted (req : Request.t) =
+  let outcome =
+    match req.Request.outcome with
+    | Some (Workload.Program.Committed ts) -> Int64.to_int ts
+    | Some (Workload.Program.Aborted r) ->
+      -1 - Hashtbl.hash (Storage.Err.abort_reason_to_string r)
+    | None -> min_int
+  in
+  List.fold_left mix 0x811c9dc5
+    [
+      req.Request.id;
+      Hashtbl.hash req.Request.label;
+      Int64.to_int req.Request.submitted_at;
+      opt req.Request.started_at;
+      opt req.Request.finished_at;
+      outcome;
+      req.Request.preemptions;
+      Bool.to_int exhausted;
+    ]
+
 let record_finish ?(exhausted = false) t (req : Request.t) =
+  add_digest t (request_hash ~exhausted req);
   let i = intern t req.Request.label in
   (match Request.scheduling_latency req with
   | Some lat -> Sim.Histogram.record i.cs.scheduling lat
@@ -94,15 +122,21 @@ let record_finish ?(exhausted = false) t (req : Request.t) =
   end
 
 let record_shed t label =
+  add_digest t (mix 0x5eed (Hashtbl.hash label));
   let i = intern t label in
   i.cs.shed <- i.cs.shed + 1
 
 let record_commit_wait t label cycles =
+  add_digest t (mix (mix 0xc0117 (Hashtbl.hash label)) (Int64.to_int cycles));
   let i = intern t label in
   Sim.Histogram.record i.cs.commit_wait cycles
 
-let record_drop t = t.drops_ <- t.drops_ + 1
+let record_drop t =
+  add_digest t 0xd409;
+  t.drops_ <- t.drops_ + 1
+
 let drops t = t.drops_
+let digest t = t.digest_
 
 let classes t =
   Hashtbl.fold (fun k i acc -> (k, i.cs) :: acc) t.by_class []

@@ -40,6 +40,12 @@ val record_drop : t -> unit
 
 val drops : t -> int
 
+val digest : t -> int
+(** Order-independent hash of every record so far: per finished request
+    its id, class, arrival, first op, completion, outcome, preemptions and
+    retry exhaustion; every commit wait, shed and drop.  Half of the
+    virtual-schedule digest ({!Runner.schedule_digest}). *)
+
 val committed_total : t -> int
 val aborted_total : t -> int
 val exhausted_total : t -> int

@@ -15,6 +15,7 @@ type t = {
   mutable started_at : int64 option;
   mutable finished_at : int64 option;
   mutable outcome : Workload.Program.outcome option;
+  mutable preemptions : int;
 }
 
 let make ~id ~label ~priority ~prog ~rng ~submitted_at =
@@ -29,6 +30,7 @@ let make ~id ~label ~priority ~prog ~rng ~submitted_at =
     started_at = None;
     finished_at = None;
     outcome = None;
+    preemptions = 0;
   }
 
 let scheduling_latency t =

@@ -28,6 +28,7 @@ type t = {
   mutable started_at : int64 option;  (** first micro-op *)
   mutable finished_at : int64 option;
   mutable outcome : Workload.Program.outcome option;
+  mutable preemptions : int;  (** passive switches that paused it *)
 }
 
 val make :

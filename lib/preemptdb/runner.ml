@@ -118,6 +118,7 @@ type result = {
   degrade_enters : int;
   degrade_exits : int;
   events : int;
+  digest : string;
   profile : Obs.Profiler.t;
   stages : Uintr.Stages.t;
   des_max_queue : int;
@@ -485,6 +486,19 @@ let close_idle (a : assembly) ~horizon =
         Obs.Profiler.Idle idle)
     a.workers
 
+let schedule_digest metrics prof =
+  let mix h x = (h lxor x) * 0x100000001b3 in
+  let cells =
+    List.fold_left
+      (fun h wid ->
+        List.fold_left
+          (fun h (name, cycles) -> mix (mix (mix h wid) (Hashtbl.hash name)) (Int64.to_int cycles))
+          h
+          (List.sort compare (Obs.Profiler.worker_buckets prof ~wid)))
+      0x811c9dc5 (Obs.Profiler.worker_ids prof)
+  in
+  Printf.sprintf "%x" (List.fold_left (fun h m -> mix h (Metrics.digest m)) cells metrics)
+
 let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
   start a sched;
   let wall_s = run_des a.des ~horizon in
@@ -618,6 +632,7 @@ let finish (a : assembly) (cfg : Config.t) (sched : Sched_thread.t) ~horizon =
     degrade_enters = Sched_thread.degrade_enters sched;
     degrade_exits = Sched_thread.degrade_exits sched;
     events = Sim.Des.events_processed a.des;
+    digest = schedule_digest [ a.metrics ] a.prof;
     profile = a.prof;
     stages = Uintr.Fabric.stages a.fabric;
     des_max_queue = Sim.Des.max_queue_depth a.des;

@@ -148,7 +148,10 @@ type result = {
   watchdog_giveups : int;
   degrade_enters : int;
   degrade_exits : int;
-  events : int;  (** DES events processed (diagnostics) *)
+  events : int;  (** DES events and worker activations dispatched *)
+  digest : string;
+      (** the virtual-schedule digest ({!schedule_digest}): what must not
+          move when only the host-side cutting of activations changes *)
   profile : Obs.Profiler.t;
       (** every simulated cycle attributed to a (worker × phase) bucket;
           after the run each worker's buckets (idle included) sum to the
@@ -248,6 +251,13 @@ val crash_replica : assembly -> unit
 (** Fail-stop the standby: halt the replica and detector, sever both
     channels.  In semi-sync the primary's degrade watchdog later releases
     the gated commit waiters.  No-op without replication. *)
+
+val schedule_digest : Metrics.t list -> Obs.Profiler.t -> string
+(** Hex digest of a run's virtual schedule: every {!Metrics.digest} (per
+    request arrival, first op, preemptions, completion and outcome) and
+    every worker's profiler cells.  Unlike the event count and the
+    [(time, seq)] event hash, it does not depend on where worker
+    activations are cut. *)
 
 val finish : assembly -> Config.t -> Sched_thread.t -> horizon:int64 -> result
 (** {!start}, {!run_des} to [horizon] (virtual cycles), {!close_idle},

@@ -80,14 +80,13 @@ type t = {
       (* the worker-local clock, in cycles.  A native int on purpose: it is
          bumped by every micro-op charge, and boxed int64 arithmetic here
          dominated the simulator's allocation profile. *)
-  mutable scheduled : bool;
   mutable killed : bool;
       (* fail-stop (primary crash under failover): activations become
          no-ops, queued and in-flight requests are dropped *)
   mutable dropped_at_kill : int;
-  mutable activation : Sim.Des.t -> unit;
-      (* cached [fun des -> activate t des], built once at create: every
-         reschedule used to allocate a fresh closure per DES event *)
+  mutable actor : int;
+      (* this worker's actor id on [des], registered once at create with
+         the cached [fun des -> activate t des] *)
   mutable op_probe : (t -> P.op -> unit) option;
   mutable dur : Durability.Daemon.t option;
   mutable dur_blocking : bool;
@@ -145,10 +144,9 @@ let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
     record_accesses = 0;
     yield_hints = 0;
     local = 0;
-    scheduled = false;
     killed = false;
     dropped_at_kill = 0;
-    activation = ignore;
+    actor = -1;
     op_probe = None;
     dur = None;
     dur_blocking = false;
@@ -314,6 +312,8 @@ let charge_raw t cycles =
      work (and for its backoff waits — a uniformly slower machine). *)
   let cycles = if t.cost_mult_pct = 100 then cycles else cycles * t.cost_mult_pct / 100 in
   t.local <- t.local + cycles;
+  (* the step's clock: every virtual-time read inside the step sees it *)
+  Sim.Des.set_actor_clock t.des t.local;
   t.st.busy_cycles <- t.st.busy_cycles + cycles;
   if Hw.current_index t.hw > 0 then
     t.st.hp_context_cycles <- t.st.hp_context_cycles + cycles;
@@ -521,18 +521,18 @@ let execute_op t op k =
 let handle_uintr t ~flow ~target =
   t.st.uintr_recognized <- t.st.uintr_recognized + 1;
   let stages = Uintr.Fabric.stages t.fabric in
-  let preempting_gc =
-    match t.slots.(Hw.current_index t.hw).req with
-    | Some req -> req.Request.maintenance
-    | None -> false
-  in
+  let preempted = t.slots.(Hw.current_index t.hw).req in
   match
     Switch.passive_switch ~honor_regions:t.cfg.Config.regions_enabled
       ~now:(Int64.of_int t.local) t.hw ~target
   with
   | Switch.Switched cycles ->
     t.st.passive_switches <- t.st.passive_switches + 1;
-    if preempting_gc then t.st.gc_preempted <- t.st.gc_preempted + 1;
+    (match preempted with
+    | Some req ->
+      req.Request.preemptions <- req.Request.preemptions + 1;
+      if req.Request.maintenance then t.st.gc_preempted <- t.st.gc_preempted + 1
+    | None -> ());
     charge_b t Obs.Profiler.Switch_passive cycles;
     if flow >= 0 then begin
       Uintr.Stages.on_switch stages ~flow ~time:(Int64.of_int t.local);
@@ -566,24 +566,18 @@ let switch_back t ~from_ctx =
   charge_b t Obs.Profiler.Switch_active cycles
 
 let rec activate t des =
-  t.scheduled <- false;
   if not t.killed then begin
     t.local <- Sim.Des.now_int des;
     step_loop t des
   end
 
-and reschedule t des =
-  if not t.scheduled then begin
-    t.scheduled <- true;
-    Sim.Des.schedule_at_int des ~time:t.local t.activation
-  end
-
 and step_loop t des =
-  (* Run-ahead bound: defer only when strictly past the next event —
-     same-instant events (e.g. sibling workers woken by the same scheduler
-     tick) must not cause mutual deferral.  An event at exactly [local]
-     is observed one micro-op later, within instruction granularity. *)
-  if t.local > Sim.Des.next_event_time_int des then reschedule t des
+  (* Run-ahead bound (the tie rule, {!Sim.Des.may_step}): step only while
+     this step is the schedule's next item — an event at [local] runs
+     first, and so does a lower-id worker due at [local].  Otherwise
+     re-arm at [local] and let it run. *)
+  if not (Sim.Des.may_step des ~actor:t.actor ~local:t.local) then
+    Sim.Des.wake_actor des t.actor ~time:t.local
   else begin
     let recv = Hw.receiver t.hw in
     (* User-interrupt recognition at a micro-op boundary (preemptive policy
@@ -710,10 +704,7 @@ and wait t des ctx kind k =
          production interrupt path. *)
       Queue.push p t.resumes.(ctx);
       Uintr.Fabric.senduipi t.fabric t.uitt_index_;
-      if not t.scheduled then begin
-        t.scheduled <- true;
-        Sim.Des.schedule_at_int t.des ~time:(Sim.Des.now_int t.des) t.activation
-      end
+      Sim.Des.wake_actor t.des t.actor ~time:(Sim.Des.now_int t.des)
     in
     (match kind with
     | Wait_lsn lsn -> Durability.Daemon.park (Option.get t.dur) ~lsn ~notify
@@ -852,10 +843,7 @@ and acquire_work t des ctx =
   end
 
 let wake t =
-  if (not t.scheduled) && not t.killed then begin
-    t.scheduled <- true;
-    Sim.Des.schedule_at_int t.des ~time:(Sim.Des.now_int t.des) t.activation
-  end
+  if not t.killed then Sim.Des.wake_actor t.des t.actor ~time:(Sim.Des.now_int t.des)
 
 (* Fail-stop the worker (primary crash under failover): pending
    activations become no-ops, queued/in-flight/parked requests are
@@ -896,10 +884,11 @@ let kill t =
 let killed t = t.killed
 let dropped_at_kill t = t.dropped_at_kill
 
-(* Finish construction: the cached activation closure needs [activate],
-   defined above, so [create] is completed here.  One closure per worker,
-   reused for every DES event it ever schedules. *)
+(* Finish construction: the activation closure needs [activate], defined
+   above, so [create] is completed here.  One closure per worker, reused
+   for every activation it ever has; workers register in creation order,
+   which is the tie rule's worker-id order. *)
 let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
   let t = create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () in
-  t.activation <- (fun des -> activate t des);
+  t.actor <- Sim.Des.add_actor des (fun des -> activate t des);
   t

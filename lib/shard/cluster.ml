@@ -91,6 +91,12 @@ let metrics t ~sid = t.shards.(sid).node.Runner.metrics
 let workers t ~sid = t.shards.(sid).node.Runner.workers
 let crashed t ~sid = t.shards.(sid).crashed
 let events_processed t = Sim.Des.events_processed t.des
+
+(* Every shard's workers share the host's profiler. *)
+let schedule_digest t =
+  Runner.schedule_digest
+    (Array.to_list (Array.map (fun s -> s.node.Runner.metrics) t.shards))
+    t.shards.(0).node.Runner.prof
 let coord_pending t ~sid = Coordinator.pending t.shards.(sid).coord
 let decision_waits t ~sid = Hashtbl.length t.shards.(sid).decision_gates
 

@@ -93,6 +93,10 @@ val metrics : t -> sid:int -> Metrics.t
 val workers : t -> sid:int -> Worker.t array
 val events_processed : t -> int
 
+val schedule_digest : t -> string
+(** {!Runner.schedule_digest} over every shard's metrics, in shard order,
+    and the host's profiler. *)
+
 val coord_pending : t -> sid:int -> int
 (** 2PC rounds this shard coordinates that are still collecting votes. *)
 

@@ -6,10 +6,20 @@ type t = {
      int64 store per event was a measurable slice of the simulator's
      allocation.  Event times are guarded to fit 63 bits at push. *)
   mutable now_i : int;
+  mutable horizon : int;  (* no actor step starts past it *)
   mutable stopped : bool;
   mutable processed : int;
   mutable max_queue_len : int;
   mutable probe : (time:int64 -> seq:int -> unit) option;
+  (* Actors live beside the queue: the activation closure and pending
+     activation time ([-1] = none) of each, by id, and a binary min-heap of
+     the scheduled ids on [(time, id)].  At most one activation per actor
+     is pending, so the heap never holds more ids than there are actors. *)
+  mutable acts : (t -> unit) array;
+  mutable act_time : int array;
+  mutable heap : int array;
+  mutable hsize : int;
+  mutable n_actors : int;
 }
 
 let create ?(clock = Clock.default) ?(seed = 42L) () =
@@ -18,21 +28,28 @@ let create ?(clock = Clock.default) ?(seed = 42L) () =
     root_rng = Rng.create seed;
     q = Event_queue.create ~capacity:1024 ();
     now_i = 0;
+    horizon = max_int;
     stopped = false;
     processed = 0;
     max_queue_len = 0;
     probe = None;
+    acts = [||];
+    act_time = [||];
+    heap = [||];
+    hsize = 0;
+    n_actors = 0;
   }
 
 let clock t = t.clk
 let rng t = t.root_rng
 let now t = Int64.of_int t.now_i
 let now_int t = t.now_i
+let set_actor_clock t time = t.now_i <- time
 
-(* Workers poll this once per micro-op (the run-ahead bound), so it must not
-   allocate: the queue's minimum is the heap root, read in O(1).  Inlined
-   into the caller it is a few loads, where the cached field it replaced
-   cost a compare on every push and a peek on every pop. *)
+(* Workers poll this once per micro-op (inside the run-ahead bound), so it
+   must not allocate: the queue's minimum is the heap root, read in O(1).
+   Inlined into the caller it is a few loads, where the cached field it
+   replaced cost a compare on every push and a peek on every pop. *)
 let[@inline] next_event_time_int t =
   if Event_queue.is_empty t.q then max_int else Event_queue.peek_time_int t.q
 
@@ -59,6 +76,98 @@ let stop t = t.stopped <- true
 let set_probe t f = t.probe <- f
 let set_queue_tracer t f = Event_queue.set_tracer t.q f
 
+(* -- actors -------------------------------------------------------------- *)
+
+let[@inline] before t a b =
+  let ta = Array.unsafe_get t.act_time a and tb = Array.unsafe_get t.act_time b in
+  ta < tb || (ta = tb && a < b)
+
+let add_actor t f =
+  let id = t.n_actors in
+  if id = Array.length t.acts then begin
+    let cap = max 8 (2 * id) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 id;
+      b
+    in
+    t.acts <- grow t.acts f;
+    t.act_time <- grow t.act_time (-1);
+    t.heap <- grow t.heap 0
+  end;
+  t.acts.(id) <- f;
+  t.act_time.(id) <- -1;
+  t.n_actors <- id + 1;
+  id
+
+let wake_actor t id ~time =
+  if t.act_time.(id) < 0 then begin
+    t.act_time.(id) <- (if time < t.now_i then t.now_i else time);
+    (* sift up *)
+    let h = t.heap in
+    let rec up i =
+      if i > 0 then begin
+        let p = (i - 1) / 2 in
+        let pid = Array.unsafe_get h p in
+        if before t id pid then begin
+          Array.unsafe_set h i pid;
+          up p
+        end
+        else Array.unsafe_set h i id
+      end
+      else Array.unsafe_set h 0 id
+    in
+    up t.hsize;
+    t.hsize <- t.hsize + 1
+  end
+
+let pop_actor t =
+  let h = t.heap in
+  let top = h.(0) in
+  let n = t.hsize - 1 in
+  t.hsize <- n;
+  if n > 0 then begin
+    let last = h.(n) in
+    let rec down i =
+      let l = (2 * i) + 1 in
+      if l >= n then Array.unsafe_set h i last
+      else begin
+        let r = l + 1 in
+        let c = if r < n && before t (Array.unsafe_get h r) (Array.unsafe_get h l) then r else l in
+        let cid = Array.unsafe_get h c in
+        if before t cid last then begin
+          Array.unsafe_set h i cid;
+          down c
+        end
+        else Array.unsafe_set h i last
+      end
+    in
+    down 0
+  end;
+  top
+
+(* The tie rule, as the bound a running actor's next step must satisfy:
+   no step starts past the horizon; a pending non-actor event at the same
+   instant runs first; a pending actor at the same instant runs first when
+   its id is lower.  The running actor is never in the heap. *)
+let[@inline] may_step t ~actor ~local =
+  local <= t.horizon
+  && local < next_event_time_int t
+  && (t.hsize = 0
+     ||
+     let w = Array.unsafe_get t.heap 0 in
+     let tw = Array.unsafe_get t.act_time w in
+     local < tw || (local = tw && actor < w))
+
+(* -- the loop ------------------------------------------------------------ *)
+
+let dispatch t ~time =
+  t.now_i <- time;
+  t.processed <- t.processed + 1;
+  match t.probe with
+  | Some p -> p ~time:(Int64.of_int time) ~seq:t.processed
+  | None -> ()
+
 let run ?until t =
   t.stopped <- false;
   let horizon =
@@ -70,25 +179,35 @@ let run ?until t =
       if Int64.compare u (Int64.of_int max_int) >= 0 then max_int
       else Int64.to_int u
   in
+  t.horizon <- horizon;
   let rec loop () =
     if not t.stopped then begin
-      if Event_queue.is_empty t.q then ()
-      else if Event_queue.peek_time_int t.q > horizon then t.now_i <- horizon
+      let te = next_event_time_int t in
+      let ta = if t.hsize = 0 then max_int else t.act_time.(t.heap.(0)) in
+      if Event_queue.is_empty t.q && t.hsize = 0 then ()
+      else if (if te <= ta then te else ta) > horizon then t.now_i <- horizon
       else begin
-        let len = Event_queue.length t.q in
+        let len = Event_queue.length t.q + t.hsize in
         if len > t.max_queue_len then t.max_queue_len <- len;
-        let time, f = Event_queue.pop_exn_int t.q in
-        t.now_i <- time;
-        t.processed <- t.processed + 1;
-        (match t.probe with
-        | Some p -> p ~time:(Int64.of_int time) ~seq:t.processed
-        | None -> ());
-        f t;
+        if te <= ta then begin
+          (* at one instant, every pending non-actor event runs first *)
+          let time, f = Event_queue.pop_exn_int t.q in
+          dispatch t ~time;
+          f t
+        end
+        else begin
+          let id = pop_actor t in
+          t.act_time.(id) <- -1;
+          dispatch t ~time:ta;
+          t.acts.(id) t
+        end;
         loop ()
       end
     end
   in
-  loop ()
+  loop ();
+  (* an actor's last step may have run its clock past the horizon *)
+  if t.now_i > horizon then t.now_i <- horizon
 
 let events_processed t = t.processed
 let max_queue_depth t = t.max_queue_len

@@ -1,17 +1,31 @@
 (** Discrete-event simulation driver.
 
-    Virtual time is an absolute cycle count.  Events are callbacks scheduled
-    at absolute times; the driver pops them in [(time, insertion)] order, so
-    runs are fully deterministic.
+    Virtual time is an absolute cycle count.  Two kinds of work run on it:
+    {e events}, callbacks scheduled at absolute times, and {e actors}
+    (worker threads), which advance a private clock one {e step} (one
+    micro-op and the program code up to the next) at a time.  Runs are
+    fully deterministic.
 
-    {b Run-ahead protocol.}  Long-running actors (worker threads executing
-    transactions) do not schedule one event per micro-operation — that would
-    put the entire workload on the heap.  Instead an actor activation may
-    execute many micro-ops, advancing its private local time, as long as it
-    does not run past {!next_event_time}: no other actor can observe or
-    produce state changes inside that window because the event queue is
-    frozen while the activation runs.  When the actor reaches the window
-    edge (or blocks), it re-schedules its continuation at its local time. *)
+    {b The tie rule.}  The virtual schedule is the sequence of events and
+    actor steps in this order, whatever the host does:
+    - by time; at one virtual instant, every pending event runs before any
+      actor step, events in push order, and actors then step in actor-id
+      order (registration order; a runner registers workers in worker-id
+      order).  An actor whose step costs nothing steps again at the same
+      instant before any higher id;
+    - no step starts past the run's horizon;
+    - every virtual-time read inside an actor's step ({!now},
+      {!schedule_at}'s clamp, anything built on them) reads the step's own
+      clock, which the actor publishes with {!set_actor_clock}.
+
+    {b Run-ahead protocol.}  An actor does not return to the loop after
+    every step.  An activation keeps stepping while its next step is the
+    schedule's next item ({!may_step}): nothing else can then observe or
+    change state before it.  Its own steps may push events; the bound is
+    re-read at every step, so it stops before them.  When the bound
+    fails it re-arms itself at its clock ({!wake_actor}) and returns, and
+    the item in front of it runs.  Where an activation is cut is
+    therefore invisible: the schedule is the rule's order. *)
 
 type t
 
@@ -22,19 +36,15 @@ val rng : t -> Rng.t
 (** Root RNG for the run; actors should [Rng.split] their own streams. *)
 
 val now : t -> int64
-(** Time of the event being processed (or last processed). *)
+(** Time of the event being processed (or last processed); inside an
+    actor's step, the step's clock. *)
 
 val now_int : t -> int
 (** [now] as an unboxed native int (cycle counts fit comfortably). *)
 
 val next_event_time : t -> int64
-(** Time of the earliest pending event, or [Int64.max_int] if none.  The
-    run-ahead bound for actor activations, read from the queue's root in
-    O(1). *)
-
-val next_event_time_int : t -> int
-(** [next_event_time] as an unboxed native int ([max_int] if none) — the
-    form actor hot loops poll once per micro-op. *)
+(** Time of the earliest pending event (actors excluded), or
+    [Int64.max_int] if none, read from the queue's root in O(1). *)
 
 val schedule_at : t -> time:int64 -> (t -> unit) -> unit
 (** Schedule a callback at an absolute time.  Times in the past are clamped
@@ -46,6 +56,28 @@ val schedule_at_int : t -> time:int -> (t -> unit) -> unit
 
 val schedule_after : t -> delay:int64 -> (t -> unit) -> unit
 (** Schedule relative to [now].  Negative delays are clamped to zero. *)
+
+(** {1 Actors} *)
+
+val add_actor : t -> (t -> unit) -> int
+(** Register an actor with its activation callback; returns its id, which
+    orders it against other actors at equal times (ids count up from 0 in
+    registration order). *)
+
+val wake_actor : t -> int -> time:int -> unit
+(** Arm the actor's activation at [time] (clamped to [now]).  No-op when an
+    activation is already pending. *)
+
+val set_actor_clock : t -> int -> unit
+(** Publish the running actor's clock: until the next dispatch, {!now} and
+    the scheduling clamps read it. *)
+
+val may_step : t -> actor:int -> local:int -> bool
+(** Whether the running actor's next step, at clock [local], comes before
+    every pending event and every other pending actor under the tie rule
+    and does not start past the horizon. *)
+
+(** {1 Running} *)
 
 val stop : t -> unit
 (** Make {!run} return after the current event. *)
@@ -63,12 +95,14 @@ val set_queue_tracer : t -> (Event_queue.trace_op -> unit) option -> unit
     not mutate simulation state. *)
 
 val run : ?until:int64 -> t -> unit
-(** Process events until the queue is empty, {!stop} is called, or the next
-    event lies strictly beyond [until] (events at [until] still run).
-    After a bounded run, [now] is [min until (last event time)]. *)
+(** Process events and actor activations until none is pending, {!stop}
+    is called, or the next lies strictly beyond [until] (those at [until]
+    still run).  After a bounded run, [now] is [min until (last time)]. *)
 
 val events_processed : t -> int
+(** Events and actor activations dispatched. *)
 
 val max_queue_depth : t -> int
-(** High-water mark of the pending-event queue, sampled before each pop —
-    a load gauge for the event loop itself. *)
+(** High-water mark of pending events plus pending actor activations,
+    sampled before each dispatch — a load gauge for the event loop
+    itself. *)

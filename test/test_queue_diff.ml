@@ -339,7 +339,9 @@ let test_tpcc_trace_replay () =
     { (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:4 ()) with
       Config.seed = 7L }
   in
-  let r = Runner.run_tpcc ~cfg ~horizon_sec:0.005 ~prepare () in
+  (* 20 ms: worker activations no longer pass through the queue, so the
+     run needs this long to push a workload-sized trace *)
+  let r = Runner.run_tpcc ~cfg ~horizon_sec:0.02 ~prepare () in
   checkb "tracer installed" true !installed;
   checkb "run did work" true (r.Runner.events > 1_000);
   let ops = List.rev !trace in
@@ -365,8 +367,9 @@ let test_tpcc_trace_replay () =
         Event_queue.clear m.w;
         Ref_heap.clear m.r)
     ops;
-  (* every event the live run processed went through the traced queue *)
-  checki "replay saw every processed event" r.Runner.events !pops;
+  (* worker activations run beside the queue ([Des] actors), so the
+     traced pops are the run's events other than activations *)
+  checkb "replay saw the run's queued events" true (!pops > 100 && !pops < r.Runner.events);
   checkb "trace is workload-sized" true (!pushes > 1_000);
   ignore (drain_both ~ctx:"trace leftover" m)
 

@@ -239,10 +239,11 @@ let test_golden_crash_through_promotion () =
       (fun (label, cs) -> Printf.sprintf "%s=%d" label cs.Metrics.committed)
       (Metrics.classes r.Runner.metrics)
   in
-  checki "DES events" 63660 r.Runner.events;
+  checki "DES events" 65068 r.Runner.events;
   Alcotest.(check string) "commits per class" "NewOrder=42 Payment=37 Q2=10"
     (String.concat " " commits);
-  Alcotest.(check string) "(time, seq) stream hash" "23ea36de7b355ebb" (Printf.sprintf "%x" !h);
+  Alcotest.(check string) "(time, seq) stream hash" "3ba64886526e5bc7" (Printf.sprintf "%x" !h);
+  Alcotest.(check string) "virtual-schedule digest" "154049a9ccc528fb" r.Runner.digest;
   let rs = repl r in
   (match rs.Runner.rs_failover with
   | None -> Alcotest.fail "primary crash did not promote the replica"

@@ -202,7 +202,7 @@ let test_cluster_rejects_unsupported () =
    shard is assembled, started or run that moves one event breaks the
    hash. *)
 
-let check_golden_cluster ~shards ~seed ~horizon_sec ~events ~commits ~hash =
+let check_golden_cluster ~shards ~seed ~horizon_sec ~events ~commits ~hash ~digest =
   let cfg =
     Config.with_shard
       ~shard:{ Config.default_shard with Config.sh_shards = shards; sh_cross_pct = 10 }
@@ -231,15 +231,18 @@ let check_golden_cluster ~shards ~seed ~horizon_sec ~events ~commits ~hash =
   in
   checki "DES events" events (Shard.Cluster.events_processed cl);
   Alcotest.(check string) "commits per class" commits got;
-  Alcotest.(check string) "(time, seq) stream hash" hash (Printf.sprintf "%x" !h)
+  Alcotest.(check string) "(time, seq) stream hash" hash (Printf.sprintf "%x" !h);
+  Alcotest.(check string) "virtual-schedule digest" digest (Shard.Cluster.schedule_digest cl)
 
 let test_golden_two_shards () =
-  check_golden_cluster ~shards:2 ~seed:42L ~horizon_sec:0.005 ~events:20446
-    ~commits:"NewOrder=236 NewOrderX=34 Payment=258 PaymentX=24 XPart=58" ~hash:"1546f4fa477d3a0a"
+  check_golden_cluster ~shards:2 ~seed:42L ~horizon_sec:0.005 ~events:25189
+    ~commits:"NewOrder=236 NewOrderX=34 Payment=258 PaymentX=24 XPart=58" ~hash:"1af9712668e5487f"
+    ~digest:"25013fccb1c46653"
 
 let test_golden_four_shards () =
-  check_golden_cluster ~shards:4 ~seed:7L ~horizon_sec:0.01 ~events:126017
-    ~commits:"NewOrder=986 NewOrderX=132 Payment=1000 PaymentX=92 XPart=425" ~hash:"268a17a3b86286e"
+  check_golden_cluster ~shards:4 ~seed:7L ~horizon_sec:0.01 ~events:143812
+    ~commits:"NewOrder=986 NewOrderX=132 Payment=1000 PaymentX=92 XPart=425" ~hash:"7c31ab2dd7bf3c54"
+    ~digest:"71d288d4934b3315"
 
 let () =
   Alcotest.run "shard"
