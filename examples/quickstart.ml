@@ -44,10 +44,14 @@ let () =
     }
   in
 
+  (* Each transaction class declares the tables it writes; a write outside
+     the declaration fails loudly. *)
+  let writes = Storage.Txn.declare ~tables:[ accounts ] () in
+
   (* 1. Create two accounts. *)
   let oids = ref [] in
   let setup env =
-    P.run_txn env (fun txn ->
+    P.run_txn ~writes env (fun txn ->
         let a = P.insert env txn accounts (Value.of_fields [| Value.Str "alice"; Value.Int 100 |]) in
         let b = P.insert env txn accounts (Value.of_fields [| Value.Str "bob"; Value.Int 50 |]) in
         oids := [ a.Tuple.oid, "alice"; b.Tuple.oid, "bob" ])
@@ -57,7 +61,7 @@ let () =
 
   (* 2. Transfer 30 from alice to bob, transactionally. *)
   let transfer env =
-    P.run_txn env (fun txn ->
+    P.run_txn ~writes env (fun txn ->
         let read oid =
           match P.read env txn accounts ~oid with
           | Some row -> row
@@ -72,7 +76,7 @@ let () =
 
   (* 3. Show the committed state. *)
   let audit env =
-    P.run_txn env (fun txn ->
+    P.run_txn ~writes:P.read_only env (fun txn ->
         List.iter
           (fun (oid, name) ->
             match P.read env txn accounts ~oid with
@@ -85,7 +89,7 @@ let () =
   (* 4. Snapshot isolation: a long reader keeps its snapshot even while a
      writer commits underneath it. *)
   let snapshot_demo env =
-    P.run_txn env (fun txn ->
+    P.run_txn ~writes:P.read_only env (fun txn ->
         let before = Value.int_exn (Option.get (P.read env txn accounts ~oid:alice)) 1 in
         (* a concurrent writer (a second transaction on another worker) *)
         let writer = Engine.begin_txn eng ~worker:1 ~ctx:0 in

@@ -108,8 +108,9 @@ let setup_selftest (a : R.Runner.assembly) (s : Schedule.t) =
     incr next_id;
     !next_id
   in
+  let writes = Storage.Txn.declare ~tables:[ table ] () in
   let incr_prog ~slow env =
-    P.run_txn env (fun txn ->
+    P.run_txn ~writes env (fun txn ->
         let oid = Sim.Rng.int env.P.rng selftest_rows in
         match P.read env txn table ~oid with
         | None -> ()
@@ -181,6 +182,9 @@ let run ?fault ?plan ?(reclaim = false) ?(workload = Tpcc) (s : Schedule.t) =
   | None -> ());
   (match plan with Some p -> Faults.Injector.install p a | None -> ());
   let clock = Sim.Des.clock a.R.Runner.des in
+  (* The forced-preemption probe below counts micro-ops in their global
+     order, which lookahead would reorder across workers: lock-step. *)
+  Sim.Des.set_lookahead a.R.Runner.des false;
   (* recorder: DES event stream *)
   let rec_ = Recorder.create () in
   Sim.Des.set_probe a.R.Runner.des

@@ -76,9 +76,9 @@ let request_hash ~exhausted (req : Request.t) =
       -1 - Hashtbl.hash (Storage.Err.abort_reason_to_string r)
     | None -> min_int
   in
+  (* no request id: ids count across every run in the process *)
   List.fold_left mix 0x811c9dc5
     [
-      req.Request.id;
       Hashtbl.hash req.Request.label;
       Int64.to_int req.Request.submitted_at;
       opt req.Request.started_at;

@@ -42,7 +42,7 @@ val drops : t -> int
 
 val digest : t -> int
 (** Order-independent hash of every record so far: per finished request
-    its id, class, arrival, first op, completion, outcome, preemptions and
+    its class, arrival, first op, completion, outcome, preemptions and
     retry exhaustion; every commit wait, shed and drop.  Half of the
     virtual-schedule digest ({!Runner.schedule_digest}). *)
 

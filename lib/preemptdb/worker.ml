@@ -38,6 +38,9 @@ type slot = {
   mutable blocked_since : int; (* local cycles, -1 = not blocked *)
       (* set while the slot's transaction is at its Commit_wait op (before
          parking, or across blocking-mode re-checks) *)
+  mutable commutes : bool;
+      (* [step] is a pending op that commutes with every other worker's
+         steps ({!Workload.Program.pending_commutes}) *)
 }
 
 (* A transaction parked on commit durability or on a 2PC gate: everything
@@ -87,6 +90,14 @@ type t = {
   mutable actor : int;
       (* this worker's actor id on [des], registered once at create with
          the cached [fun des -> activate t des] *)
+  mutable stepper : (P.op -> bool) option;
+      (* [Some (fun op -> inline_step t op)], built once at create: offered
+         every charge of a program this worker resumes *)
+  mutable floor : int;  (* lookahead floor of the current activation *)
+  mutable coop_due : bool;
+      (* the last op paid owes a cooperative yield check at the next
+         boundary, after its program code ran *)
+  mutable coop_hint : bool;  (* ... and that op was a [Yield_hint] *)
   mutable op_probe : (t -> P.op -> unit) option;
   mutable dur : Durability.Daemon.t option;
   mutable dur_blocking : bool;
@@ -138,7 +149,14 @@ let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
     metrics;
     slots =
       Array.init levels (fun _ ->
-          { req = None; step = None; env = None; attempts = 0; blocked_since = -1 });
+          {
+            req = None;
+            step = None;
+            env = None;
+            attempts = 0;
+            blocked_since = -1;
+            commutes = false;
+          });
     lp_start = 0;
     hp_accum = 0;
     record_accesses = 0;
@@ -147,6 +165,10 @@ let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
     killed = false;
     dropped_at_kill = 0;
     actor = -1;
+    stepper = None;
+    floor = 0;
+    coop_due = false;
+    coop_hint = false;
     op_probe = None;
     dur = None;
     dur_blocking = false;
@@ -302,12 +324,13 @@ let starvation_level t ~now =
   if elapsed <= 0 then 0. else float_of_int t.hp_accum /. float_of_int elapsed
 
 (* Every simulated cycle is paid here, and every payment carries a
-   profiler attribution — splitting the old [charge] into a bucketed and a
-   per-transaction-label variant makes the compiler enforce that no call
-   site escapes cycle accounting (the conservation invariant: non-idle
-   bucket cycles sum exactly to [busy_cycles]).  Returns the cycles
-   actually paid, post straggler scaling, so attribution matches. *)
-let charge_raw t cycles =
+   profiler attribution: [charge_b] for a bucket, [op_head] for a
+   micro-op's class label, so no call site escapes cycle accounting (the
+   conservation invariant: non-idle bucket cycles sum exactly to
+   [busy_cycles]).  Returns the cycles actually paid, post straggler
+   scaling, so attribution matches.  [hp]: the work counts toward the
+   starvation level's Th (a preemptive context, or high-priority work). *)
+let pay t ~ctx ~hp cycles =
   (* Straggler fault model: a slowed core pays more cycles for the same
      work (and for its backoff waits — a uniformly slower machine). *)
   let cycles = if t.cost_mult_pct = 100 then cycles else cycles * t.cost_mult_pct / 100 in
@@ -315,14 +338,15 @@ let charge_raw t cycles =
   (* the step's clock: every virtual-time read inside the step sees it *)
   Sim.Des.set_actor_clock t.des t.local;
   t.st.busy_cycles <- t.st.busy_cycles + cycles;
-  if Hw.current_index t.hw > 0 then
-    t.st.hp_context_cycles <- t.st.hp_context_cycles + cycles;
-  if Hw.current_index t.hw > 0 || running_level t > 0 then
-    t.hp_accum <- t.hp_accum + cycles;
+  if ctx > 0 then t.st.hp_context_cycles <- t.st.hp_context_cycles + cycles;
+  if hp then t.hp_accum <- t.hp_accum + cycles;
   cycles
 
+let charge_raw t cycles =
+  let ctx = Hw.current_index t.hw in
+  pay t ~ctx ~hp:(ctx > 0 || running_level t > 0) cycles
+
 let charge_b t bucket cycles = Obs.Profiler.account t.prof bucket (charge_raw t cycles)
-let charge_txn t ~label cycles = Obs.Profiler.account_txn t.prof ~label (charge_raw t cycles)
 
 let in_region t = Region.depth t.hw > 0
 
@@ -339,6 +363,151 @@ let make_env t ctx (req : Request.t) =
     cls = (Hw.context t.hw ctx).Tcb.cls;
     rng = req.Request.rng;
   }
+
+(* Voluntary switch to a higher-priority context (cooperative yields). *)
+let coop_switch t ~target =
+  t.st.coop_yields_taken <- t.st.coop_yields_taken + 1;
+  t.st.active_switches <- t.st.active_switches + 1;
+  if has_obs t then emit t (Obs.Event.Coop_yield { target });
+  let cycles = Switch.active_switch ~now:(Int64.of_int t.local) t.hw ~target in
+  charge_b t Obs.Profiler.Switch_active cycles
+
+let maybe_coop_yield t =
+  t.st.coop_yield_checks <- t.st.coop_yield_checks + 1;
+  charge_b t Obs.Profiler.Coop_check t.cfg.Config.uintr_costs.Uintr.Costs.queue_op;
+  if not (in_region t) then
+    match highest_waiting t ~above:0 with
+    | Some level -> coop_switch t ~target:level
+    | None -> ()
+
+let is_cooperative = function
+  | Config.Cooperative _ | Config.Cooperative_handcrafted _ -> true
+  | Config.Wait | Config.Preempt _ -> false
+
+(* The part of a step before its program code runs: close a preemption's
+   switch->resume stage (this is its first post-switch op), pay the op,
+   advance the TCB, count toward the cooperative intervals, draw a fault
+   stall, call the op probe, and note the cooperative check the op owes
+   once its program code has run.  The running level is read once. *)
+let op_head t ctx op =
+  if t.resume_flow >= 0 then begin
+    Uintr.Stages.on_resume (Uintr.Fabric.stages t.fabric) ~flow:t.resume_flow
+      ~time:(Int64.of_int t.local);
+    t.resume_flow <- -1
+  end;
+  let cost = Op_costs.cycles Op_costs.default op in
+  let req = t.slots.(ctx).req in
+  let level = match req with Some r -> Request.rank r.Request.priority | None -> -1 in
+  let paid = pay t ~ctx ~hp:(ctx > 0 || level > 0) cost in
+  (match req with
+  | Some r when r.Request.maintenance ->
+    Obs.Profiler.account t.prof
+      (if r.Request.label = "GC" then Obs.Profiler.Gc else Obs.Profiler.Ckpt)
+      paid
+  | Some r -> Obs.Profiler.account_txn t.prof ~label:r.Request.label paid
+  | None -> Obs.Profiler.account_txn t.prof ~label:"?" paid);
+  let tcb = Hw.current t.hw in
+  tcb.Tcb.rip <- tcb.Tcb.rip + 1;
+  if P.is_record_access op then t.record_accesses <- t.record_accesses + 1;
+  let hint = match op with P.Yield_hint -> true | _ -> false in
+  if hint then t.yield_hints <- t.yield_hints + 1;
+  (* Fault injection: stalls charged only inside non-preemptible regions —
+     the worst place to be slow, since deliveries queue behind the region. *)
+  (match t.region_stall with
+  | Some f when in_region t ->
+    let extra = f () in
+    if extra > 0 then charge_b t Obs.Profiler.Fault_stall extra
+  | _ -> ());
+  (* Micro-op boundary hook: the schedule-exploration harness counts
+     instruction boundaries here and injects forced interrupt posts. *)
+  (match t.op_probe with Some f -> f t op | None -> ());
+  (* Cooperative yield checks happen only on the regular context and only
+     inside low-priority transactions (high-priority ones are processed
+     without interruption, §6.1). *)
+  t.coop_due <- ctx = 0 && level = 0 && is_cooperative t.mode;
+  t.coop_hint <- hint
+
+(* The cooperative check an op owes, taken at the boundary after its
+   program code ran (inside a region or not, as the code left it). *)
+let coop_boundary t =
+  if t.coop_due then begin
+    t.coop_due <- false;
+    match t.mode with
+    | Config.Cooperative interval when t.record_accesses >= interval ->
+      t.record_accesses <- 0;
+      maybe_coop_yield t
+    | Config.Cooperative_handcrafted blocks when t.coop_hint && t.yield_hints >= blocks ->
+      t.yield_hints <- 0;
+      maybe_coop_yield t
+    | Config.Cooperative _ | Config.Cooperative_handcrafted _ | Config.Wait
+    | Config.Preempt _ ->
+      ()
+  end
+
+(* Store what a program run returned, with the commute flag of a pending
+   op, then take the cooperative check its last inline op owes. *)
+let set_step t slot step =
+  slot.step <- Some step;
+  slot.commutes <- (match step with P.Pending _ -> P.pending_commutes () | P.Finished _ -> false);
+  coop_boundary t
+
+let clear_step slot =
+  slot.step <- None;
+  slot.commutes <- false
+
+(* A user interrupt will be recognized at this boundary (what
+   [Receiver.recognize] is about to find, without consuming it). *)
+let uintr_due t slot =
+  is_preempt t.mode && slot.req <> None
+  &&
+  let recv = Hw.receiver t.hw in
+  Receiver.pending recv && Receiver.uif recv
+
+let is_wait_op t = function
+  | P.Commit_wait _ -> t.dur <> None
+  | P.Gate_wait _ -> t.gates <> None
+  | _ -> false
+
+(* The step bound at this boundary: a commuting op (with no interrupt to
+   take first) may run ahead of other workers by less than the floor. *)
+let may_step t slot =
+  if slot.commutes && not (uintr_due t slot) then
+    Sim.Des.may_run_ahead t.des ~actor:t.actor ~local:t.local ~floor:t.floor
+  else Sim.Des.may_step t.des ~actor:t.actor ~local:t.local
+
+(* A charge reached a boundary while this worker runs the program: take
+   the step inline when [step_loop] would execute it at once — the owed
+   cooperative check switches nothing away, the bound holds, no interrupt
+   is due and the op is not a wait.  Otherwise decline: the program
+   suspends and [step_loop] takes the same boundary. *)
+let inline_step t op =
+  let ctx = Hw.current_index t.hw in
+  coop_boundary t;
+  Hw.current_index t.hw = ctx
+  &&
+  let slot = t.slots.(ctx) in
+  let commutes = P.pending_commutes () in
+  (not (is_wait_op t op))
+  && (not (uintr_due t slot))
+  && (if commutes then Sim.Des.may_run_ahead t.des ~actor:t.actor ~local:t.local ~floor:t.floor
+      else Sim.Des.may_step t.des ~actor:t.actor ~local:t.local)
+  &&
+  (op_head t ctx op;
+   true)
+
+let execute_op t ctx op k =
+  op_head t ctx op;
+  set_step t t.slots.(ctx) (P.resume ?stepper:t.stepper k)
+
+(* Lookahead needs every cross-worker effect to travel through the fabric
+   or an event: off with a durability daemon or 2PC gates (a flush or a
+   channel can reach another worker sooner than the fabric floor), a
+   region-stall fault (a shared RNG drawn by steps) or an event sink
+   (which records in host order). *)
+let lookahead_floor t =
+  if t.dur = None && t.gates = None && t.region_stall = None && t.obs = None then
+    Uintr.Fabric.lookahead_floor t.fabric
+  else 0
 
 let start_request t ctx (req : Request.t) =
   let slot = t.slots.(ctx) in
@@ -362,7 +531,7 @@ let start_request t ctx (req : Request.t) =
            prio = Request.priority_to_string req.Request.priority;
            attempt = 1;
          });
-  slot.step <- Some (P.start req.Request.prog env)
+  set_step t slot (P.start ?stepper:t.stepper req.Request.prog env)
 
 (* Exponential backoff before a retry: 500 cycles doubled per attempt,
    capped at 100 000. *)
@@ -399,7 +568,7 @@ let finish_request t ctx outcome =
       charge_b t Obs.Profiler.Queue_op t.cfg.Config.uintr_costs.Uintr.Costs.queue_op;
       slot.req <- None;
       slot.env <- None;
-      slot.step <- None;
+      clear_step slot;
       slot.attempts <- 0
     end
     else begin
@@ -415,7 +584,9 @@ let finish_request t ctx outcome =
              });
       charge_b t Obs.Profiler.Retry_backoff backoff;
       slot.attempts <- slot.attempts + 1;
-      slot.step <- Some (P.start req.Request.prog env)
+      (* no stepper: the restarted program's first op is a boundary of its
+         own, after this finish's starvation check *)
+      set_step t slot (P.start req.Request.prog env)
     end
   | Some req, _ ->
     (* Terminal: either a legitimate final outcome, or a retryable abort
@@ -447,74 +618,9 @@ let finish_request t ctx outcome =
     Metrics.record_finish ~exhausted t.metrics req;
     slot.req <- None;
     slot.env <- None;
-    slot.step <- None;
+    clear_step slot;
     slot.attempts <- 0
   | None, _ -> assert false
-
-(* Voluntary switch to a higher-priority context (cooperative yields). *)
-let coop_switch t ~target =
-  t.st.coop_yields_taken <- t.st.coop_yields_taken + 1;
-  t.st.active_switches <- t.st.active_switches + 1;
-  if has_obs t then emit t (Obs.Event.Coop_yield { target });
-  let cycles = Switch.active_switch ~now:(Int64.of_int t.local) t.hw ~target in
-  charge_b t Obs.Profiler.Switch_active cycles
-
-let maybe_coop_yield t =
-  t.st.coop_yield_checks <- t.st.coop_yield_checks + 1;
-  charge_b t Obs.Profiler.Coop_check t.cfg.Config.uintr_costs.Uintr.Costs.queue_op;
-  if not (in_region t) then
-    match highest_waiting t ~above:0 with
-    | Some level -> coop_switch t ~target:level
-    | None -> ()
-
-let execute_op t op k =
-  (* First post-switch micro-op: close the preemption's switch->resume
-     stage before paying this op's cost. *)
-  if t.resume_flow >= 0 then begin
-    Uintr.Stages.on_resume (Uintr.Fabric.stages t.fabric) ~flow:t.resume_flow
-      ~time:(Int64.of_int t.local);
-    t.resume_flow <- -1
-  end;
-  let cost = Op_costs.cycles Op_costs.default op in
-  let ctx = Hw.current_index t.hw in
-  (match t.slots.(ctx).req with
-  | Some r when r.Request.maintenance ->
-    charge_b t
-      (if r.Request.label = "GC" then Obs.Profiler.Gc else Obs.Profiler.Ckpt)
-      cost
-  | Some r -> charge_txn t ~label:r.Request.label cost
-  | None -> charge_txn t ~label:"?" cost);
-  let tcb = Hw.current t.hw in
-  tcb.Tcb.rip <- tcb.Tcb.rip + 1;
-  if P.is_record_access op then t.record_accesses <- t.record_accesses + 1;
-  if op = P.Yield_hint then t.yield_hints <- t.yield_hints + 1;
-  (* Fault injection: stalls charged only inside non-preemptible regions —
-     the worst place to be slow, since deliveries queue behind the region. *)
-  (match t.region_stall with
-  | Some f when in_region t ->
-    let extra = f () in
-    if extra > 0 then charge_b t Obs.Profiler.Fault_stall extra
-  | _ -> ());
-  (* Micro-op boundary hook: the schedule-exploration harness counts
-     instruction boundaries here and injects forced interrupt posts. *)
-  (match t.op_probe with Some f -> f t op | None -> ());
-  t.slots.(ctx).step <- Some (P.resume k);
-  (* Cooperative yield checks happen only on the regular context and only
-     inside low-priority transactions (high-priority ones are processed
-     without interruption, §6.1). *)
-  if ctx = 0 && running_level t = 0 then begin
-    match t.mode with
-    | Config.Cooperative interval when t.record_accesses >= interval ->
-      t.record_accesses <- 0;
-      maybe_coop_yield t
-    | Config.Cooperative_handcrafted blocks when op = P.Yield_hint && t.yield_hints >= blocks
-      ->
-      t.yield_hints <- 0;
-      maybe_coop_yield t
-    | Config.Cooperative _ | Config.Cooperative_handcrafted _ | Config.Wait
-    | Config.Preempt _ ->
-      ()
-  end
 
 (* A recognized user interrupt: run the handler (Algorithm 1), switching to
    the context of the highest waiting level. *)
@@ -568,16 +674,18 @@ let switch_back t ~from_ctx =
 let rec activate t des =
   if not t.killed then begin
     t.local <- Sim.Des.now_int des;
+    t.floor <- lookahead_floor t;
     step_loop t des
   end
 
 and step_loop t des =
-  (* Run-ahead bound (the tie rule, {!Sim.Des.may_step}): step only while
-     this step is the schedule's next item — an event at [local] runs
-     first, and so does a lower-id worker due at [local].  Otherwise
-     re-arm at [local] and let it run. *)
-  if not (Sim.Des.may_step des ~actor:t.actor ~local:t.local) then
-    Sim.Des.wake_actor des t.actor ~time:t.local
+  (* Run-ahead bound (the tie rule, {!Sim.Des.may_step}; a commuting op
+     may look ahead, {!Sim.Des.may_run_ahead}): step only while this step
+     is the schedule's next item — an event at [local] runs first, and so
+     does a lower-id worker due at [local].  Otherwise re-arm at [local]
+     and let it run. *)
+  let slot = t.slots.(Hw.current_index t.hw) in
+  if not (may_step t slot) then Sim.Des.wake_actor des t.actor ~time:t.local
   else begin
     let recv = Hw.receiver t.hw in
     (* User-interrupt recognition at a micro-op boundary (preemptive policy
@@ -591,7 +699,7 @@ and step_loop t des =
          switching (§4.1's no-nested-preemption rule, generalized —
          pausing a writer would also strand its in-flight versions and
          livelock the preempting context on write conflicts). *)
-    let busy = t.slots.(Hw.current_index t.hw).req <> None in
+    let busy = slot.req <> None in
     if is_preempt t.mode && busy && Receiver.recognize recv then begin
       let flow = Receiver.last_flow recv in
       if flow >= 0 then
@@ -624,7 +732,7 @@ and step_loop t des =
       | Some (P.Pending (P.Gate_wait g, k)) when t.gates <> None ->
         wait t des ctx (Wait_gate g) k
       | Some (P.Pending (op, k)) ->
-        execute_op t op k;
+        execute_op t ctx op k;
         step_loop t des
       | Some (P.Finished outcome) ->
         finish_request t ctx outcome;
@@ -685,7 +793,7 @@ and wait t des ctx kind k =
     slot.blocked_since <- -1;
     if first then count_wait t kind `Immediate;
     Metrics.record_commit_wait t.metrics label waited;
-    slot.step <- Some (P.resume k);
+    set_step t slot (P.resume ?stepper:t.stepper k);
     step_loop t des
   end
   else if (match kind with Wait_lsn _ -> t.dur_blocking | Wait_gate _ -> t.gate_blocking)
@@ -729,7 +837,7 @@ and park_slot t slot k ~kind =
   in
   slot.req <- None;
   slot.env <- None;
-  slot.step <- None;
+  clear_step slot;
   slot.attempts <- 0;
   slot.blocked_since <- -1;
   t.parked_count <- t.parked_count + 1;
@@ -756,7 +864,7 @@ and unpark t des ctx (p : parked) =
   slot.req <- Some p.preq;
   slot.env <- Some p.penv;
   slot.attempts <- p.pattempts;
-  slot.step <- Some (P.resume p.pk);
+  set_step t slot (P.resume ?stepper:t.stepper p.pk);
   step_loop t des
 
 and acquire_work t des ctx =
@@ -868,7 +976,7 @@ let kill t =
       (fun s ->
         if s.req <> None then incr dropped;
         s.req <- None;
-        s.step <- None;
+        clear_step s;
         s.env <- None;
         s.blocked_since <- -1)
       t.slots;
@@ -891,4 +999,5 @@ let dropped_at_kill t = t.dropped_at_kill
 let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
   let t = create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () in
   t.actor <- Sim.Des.add_actor des (fun des -> activate t des);
+  t.stepper <- Some (fun op -> inline_step t op);
   t

@@ -38,6 +38,7 @@ type shard = {
   node : Runner.assembly;  (* engine, metrics, workers, log + daemon *)
   log : Durability.Log.t;
   db : Tpcc_db.t;
+  part_writes : Storage.Txn.writes;  (* a participant slice's write set *)
   mutable sched : Sched_thread.t option;
   gates : Uintr.Gate.t;
   coord : Coordinator.t;
@@ -210,7 +211,7 @@ let group_lines t ~home lines =
    decision releases the participants with [Abort]s; conflict aborts keep
    their retryable reason (the worker's retry re-runs the program, which
    mints a fresh gid). *)
-let run_2pc t s env ~groups ~body =
+let run_2pc t s env ~writes ~groups ~body =
   let participants = List.map fst groups in
   let gid = fresh_gid t in
   let gate = Coordinator.register s.coord ~gid ~participants in
@@ -218,7 +219,7 @@ let run_2pc t s env ~groups ~body =
   List.iter
     (fun (p, ops) -> send t ~src:s.sid ~dst:p (Msg.Prepare { gid; origin = s.sid; ops }))
     groups;
-  let txn = P.begin_txn env in
+  let txn = P.begin_txn ~writes env in
   try
     body txn;
     (match prepare_txn env ~budget:latch_budget txn with
@@ -346,7 +347,7 @@ let sharded_new_order t s ~home_w env =
       lines;
     P.compute 500
   in
-  run_2pc t s env ~groups ~body
+  run_2pc t s env ~writes:db.Tpcc_db.new_order_writes ~groups ~body
 
 (* Cross-shard Payment: warehouse/district ytd at home, the customer side
    shipped to the shard owning the remote warehouse. *)
@@ -376,7 +377,7 @@ let sharded_payment t s ~home_w env =
          (Value.of_fields [| Int c_w; Int c_d; Int 0; Float amount; Int 0 |]));
     P.compute 300
   in
-  run_2pc t s env ~groups ~body
+  run_2pc t s env ~writes:db.Tpcc_db.payment_writes ~groups ~body
 
 (* -- participant program ------------------------------------------------- *)
 
@@ -387,7 +388,7 @@ let sharded_payment t s ~home_w env =
    the prepare-durability wait, the injected protocol violation the
    atomicity oracle's self-test must catch. *)
 let participant_body t s ~gid ~origin ~ops env =
-  let txn = P.begin_txn env in
+  let txn = P.begin_txn ~writes:s.part_writes env in
   let res =
     try
       List.iter (apply_rop env s.db txn) ops;
@@ -587,6 +588,8 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
           node;
           log = (Option.get node.Runner.dur).Runner.dur_log;
           db;
+          part_writes =
+            Storage.Txn.declare ~tables:[ db.Tpcc_db.stock; db.Tpcc_db.customer ] ();
           sched = None;
           gates;
           coord = Coordinator.create ~gates;

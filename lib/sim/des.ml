@@ -11,6 +11,7 @@ type t = {
   mutable processed : int;
   mutable max_queue_len : int;
   mutable probe : (time:int64 -> seq:int -> unit) option;
+  mutable lookahead : bool;
   (* Actors live beside the queue: the activation closure and pending
      activation time ([-1] = none) of each, by id, and a binary min-heap of
      the scheduled ids on [(time, id)].  At most one activation per actor
@@ -33,6 +34,7 @@ let create ?(clock = Clock.default) ?(seed = 42L) () =
     processed = 0;
     max_queue_len = 0;
     probe = None;
+    lookahead = true;
     acts = [||];
     act_time = [||];
     heap = [||];
@@ -45,6 +47,8 @@ let rng t = t.root_rng
 let now t = Int64.of_int t.now_i
 let now_int t = t.now_i
 let set_actor_clock t time = t.now_i <- time
+let lookahead t = t.lookahead
+let set_lookahead t on = t.lookahead <- on
 
 (* Workers poll this once per micro-op (inside the run-ahead bound), so it
    must not allocate: the queue's minimum is the heap root, read in O(1).
@@ -100,24 +104,38 @@ let add_actor t f =
   t.n_actors <- id + 1;
   id
 
+(* The sifts are top-level loops over explicit arguments: a local [let rec]
+   closing over the heap would allocate a closure per activation. *)
+let rec sift_up t h id i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    let pid = Array.unsafe_get h p in
+    if before t id pid then begin
+      Array.unsafe_set h i pid;
+      sift_up t h id p
+    end
+    else Array.unsafe_set h i id
+  end
+  else Array.unsafe_set h 0 id
+
+let rec sift_down t h n last i =
+  let l = (2 * i) + 1 in
+  if l >= n then Array.unsafe_set h i last
+  else begin
+    let r = l + 1 in
+    let c = if r < n && before t (Array.unsafe_get h r) (Array.unsafe_get h l) then r else l in
+    let cid = Array.unsafe_get h c in
+    if before t cid last then begin
+      Array.unsafe_set h i cid;
+      sift_down t h n last c
+    end
+    else Array.unsafe_set h i last
+  end
+
 let wake_actor t id ~time =
   if t.act_time.(id) < 0 then begin
     t.act_time.(id) <- (if time < t.now_i then t.now_i else time);
-    (* sift up *)
-    let h = t.heap in
-    let rec up i =
-      if i > 0 then begin
-        let p = (i - 1) / 2 in
-        let pid = Array.unsafe_get h p in
-        if before t id pid then begin
-          Array.unsafe_set h i pid;
-          up p
-        end
-        else Array.unsafe_set h i id
-      end
-      else Array.unsafe_set h 0 id
-    in
-    up t.hsize;
+    sift_up t t.heap id t.hsize;
     t.hsize <- t.hsize + 1
   end
 
@@ -126,24 +144,7 @@ let pop_actor t =
   let top = h.(0) in
   let n = t.hsize - 1 in
   t.hsize <- n;
-  if n > 0 then begin
-    let last = h.(n) in
-    let rec down i =
-      let l = (2 * i) + 1 in
-      if l >= n then Array.unsafe_set h i last
-      else begin
-        let r = l + 1 in
-        let c = if r < n && before t (Array.unsafe_get h r) (Array.unsafe_get h l) then r else l in
-        let cid = Array.unsafe_get h c in
-        if before t cid last then begin
-          Array.unsafe_set h i cid;
-          down c
-        end
-        else Array.unsafe_set h i last
-      end
-    in
-    down 0
-  end;
+  if n > 0 then sift_down t h n h.(n) 0;
   top
 
 (* The tie rule, as the bound a running actor's next step must satisfy:
@@ -158,6 +159,16 @@ let[@inline] may_step t ~actor ~local =
      let w = Array.unsafe_get t.heap 0 in
      let tw = Array.unsafe_get t.act_time w in
      local < tw || (local = tw && actor < w))
+
+(* A step that commutes with every other actor may pass the other actors'
+   pending activations by less than [floor]: whatever their next steps
+   send lands at least [floor] after those steps start. *)
+let[@inline] may_run_ahead t ~actor ~local ~floor =
+  if floor <= 0 || not t.lookahead then may_step t ~actor ~local
+  else
+    local <= t.horizon
+    && local < next_event_time_int t
+    && (t.hsize = 0 || local - floor < Array.unsafe_get t.act_time (Array.unsafe_get t.heap 0))
 
 (* -- the loop ------------------------------------------------------------ *)
 

@@ -25,7 +25,20 @@
     re-read at every step, so it stops before them.  When the bound
     fails it re-arms itself at its clock ({!wake_actor}) and returns, and
     the item in front of it runs.  Where an activation is cut is
-    therefore invisible: the schedule is the rule's order. *)
+    therefore invisible: the schedule is the rule's order.
+
+    {b Lookahead.}  A step that commutes with every other actor's steps
+    (it reads only its own state, a snapshot, or data no actor writes)
+    may also run ahead of other actors' pending activations, by less than
+    {!may_run_ahead}'s [floor]: the least latency with which any actor's
+    step can reach another actor (a fabric delivery).  Every pending
+    event still bounds it, so a delivery, tick or wake aimed at the actor
+    is never passed, and nothing another actor does before the floor can
+    reach it.  Non-commuting steps of all actors therefore still run in
+    the rule's order, and the commuting ones in between cannot tell: the
+    virtual schedule is the same with fewer activations.
+    {!set_lookahead} [false] turns it off for checks that count or
+    perturb steps in their global order. *)
 
 type t
 
@@ -76,6 +89,18 @@ val may_step : t -> actor:int -> local:int -> bool
 (** Whether the running actor's next step, at clock [local], comes before
     every pending event and every other pending actor under the tie rule
     and does not start past the horizon. *)
+
+val may_run_ahead : t -> actor:int -> local:int -> floor:int -> bool
+(** The bound for a step that commutes with every other actor: before
+    every pending event and the horizon, and less than [floor] past the
+    earliest pending actor.  {!may_step} when [floor <= 0] or lookahead is
+    off. *)
+
+val lookahead : t -> bool
+
+val set_lookahead : t -> bool -> unit
+(** On by default.  Off, {!may_run_ahead} is {!may_step}: every step keeps
+    the lock-step bound. *)
 
 (** {1 Running} *)
 

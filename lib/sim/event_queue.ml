@@ -182,7 +182,6 @@ let clear t =
   let cap = Array.length t.payloads in
   if cap > 1 then Array.fill t.payloads 1 (cap - 1) t.payloads.(0);
   t.size <- 0;
-  t.next_seq <- 0;
   match t.tracer with Some f -> f Op_clear | None -> ()
 
 let drain t =

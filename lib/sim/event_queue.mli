@@ -60,8 +60,9 @@ val pop_exn_int : 'a t -> int * 'a
     @raise Invalid_argument on an empty queue. *)
 
 val clear : 'a t -> unit
-(** Empty the queue and reset the tie-break counter, so a reused queue
-    replays exactly like a fresh one. *)
+(** Empty the queue.  The tie-break counter keeps counting: seqs only order
+    relative to each other, so a reused queue pops exactly like a fresh
+    one. *)
 
 val drain : 'a t -> (int64 * 'a) list
 (** Pop everything, earliest first. *)

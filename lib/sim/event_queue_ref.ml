@@ -4,9 +4,9 @@
    against this module statically, so removing it is a loud compile
    failure, not a silent skip.
 
-   The only change from the historical implementation is the [clear] fix:
-   [next_seq] is reset so a cleared-and-reused queue does not inherit stale
-   tie-break ordering (the production queue resets it too). *)
+   [clear] empties the heap and keeps [next_seq] counting: pop order
+   depends only on the relative order of unique, increasing seqs, so a
+   cleared-and-reused queue pops exactly like a fresh one either way. *)
 
 type 'a cell = { time : int64; seq : int; payload : 'a }
 
@@ -90,8 +90,7 @@ let pop_exn t =
 
 let clear t =
   Array.fill t.heap 0 t.size None;
-  t.size <- 0;
-  t.next_seq <- 0
+  t.size <- 0
 
 let drain t =
   let rec loop acc =

@@ -9,7 +9,7 @@
 
     Removing this module breaks the differential suite at compile time —
     deliberately.  Keyed on [(time, seq)] with FIFO tie-break, exactly like
-    the production queue; [clear] resets the tie-break counter in both. *)
+    the production queue; [clear] keeps the tie-break counter in both. *)
 
 type 'a t
 

@@ -25,10 +25,23 @@ module Make (K : KEY) = struct
     mutable children : node array;
   }
 
-  type t = { mutable root : node; mutable count : int; mutable version : int }
+  type t = {
+    mutable root : node;
+    mutable count : int;
+    mutable version : int;
+    mutable written : bool;  (* some transaction class declares writes to it *)
+  }
 
   let create () =
-    { root = Leaf { lkeys = [||]; lvals = [||]; next = None }; count = 0; version = 0 }
+    {
+      root = Leaf { lkeys = [||]; lvals = [||]; next = None };
+      count = 0;
+      version = 0;
+      written = false;
+    }
+
+  let mark_written t = t.written <- true
+  let written t = t.written
 
   let length t = t.count
 

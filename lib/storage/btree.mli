@@ -25,6 +25,15 @@ module Make (K : KEY) : sig
   val create : unit -> t
 
   val length : t -> int
+
+  val mark_written : t -> unit
+  (** Record that some transaction class declares writes to this tree
+      ({!Txn.declare}). *)
+
+  val written : t -> bool
+  (** No declared class writes an unmarked tree, so reads of it commute
+      with every transaction. *)
+
   val height : t -> int
 
   val insert : t -> K.t -> int -> int option

@@ -131,11 +131,14 @@ let chain_stats t =
       })
     (tables t)
 
-let begin_txn ?(iso = Txn.Si) t ~worker ~ctx =
+let begin_txn ?(iso = Txn.Si) ?writes t ~worker ~ctx =
   t.next_txn_id <- t.next_txn_id + 1;
   (* The begin timestamp is the current counter value: the snapshot sees
      everything committed so far. *)
-  let txn = Txn.make ~id:t.next_txn_id ~begin_ts:(Timestamp.current t.ts) ~iso ~worker ~ctx in
+  let txn =
+    Txn.make ?declared:writes ~id:t.next_txn_id ~begin_ts:(Timestamp.current t.ts) ~iso
+      ~worker ~ctx ()
+  in
   Hashtbl.replace t.active txn.Txn.id txn;
   (match t.lifecycle with Some lc -> lc.on_begin txn | None -> ());
   txn
@@ -196,6 +199,7 @@ let committed_after v txn =
 
 let write_internal t txn table ~oid data op =
   require_active txn op;
+  Txn.check_table txn table;
   let tuple = Table.get table oid in
   match Txn.find_write txn tuple with
   | Some w ->
@@ -245,6 +249,7 @@ let delete t txn table ~oid =
 
 let insert t txn table data =
   require_active txn "insert";
+  Txn.check_table txn table;
   t.st.inserts <- t.st.inserts + 1;
   let tuple = Table.alloc table in
   install_write t txn table tuple (Some data);

@@ -137,8 +137,10 @@ val version_pool : t -> Version.pool
 
 (** {1 Transactions} *)
 
-val begin_txn : ?iso:Txn.iso -> t -> worker:int -> ctx:int -> Txn.t
-(** Default isolation: [Si]. *)
+val begin_txn : ?iso:Txn.iso -> ?writes:Txn.writes -> t -> worker:int -> ctx:int -> Txn.t
+(** Default isolation: [Si].  With [writes], every {!update}, {!delete}
+    and {!insert} outside the declaration fails loudly
+    ({!Txn.check_table}). *)
 
 val active_txn : t -> int -> Txn.t option
 (** Look up a live transaction by id (used for same-thread deadlock

@@ -20,7 +20,30 @@ type t = {
   mutable undo : (unit -> unit) list;
   mutable latch_plan : Tuple.t array;
   mutable latched : int;
+  declared : writes option;
 }
+
+and writes = { w_tables : Table.t list; w_indexes : Btree.Int_tree.t list }
+
+let declare ?(tables = []) ?(indexes = []) () =
+  List.iter Table.mark_written tables;
+  List.iter Btree.Int_tree.mark_written indexes;
+  { w_tables = tables; w_indexes = indexes }
+
+let[@inline never] undeclared txn what =
+  failwith
+    (Printf.sprintf "txn %d writes %s, which its class does not declare" txn.id what)
+
+let check_table txn table =
+  match txn.declared with
+  | Some d when not (List.memq table d.w_tables) ->
+    undeclared txn ("table " ^ Table.name table)
+  | _ -> ()
+
+let check_index txn tree =
+  match txn.declared with
+  | Some d when not (List.memq tree d.w_indexes) -> undeclared txn "an index"
+  | _ -> ()
 
 let iso_to_string = function
   | Read_committed -> "read-committed"
@@ -33,7 +56,7 @@ let state_to_string = function
   | Committed -> "committed"
   | Aborted -> "aborted"
 
-let make ~id ~begin_ts ~iso ~worker ~ctx =
+let make ?declared ~id ~begin_ts ~iso ~worker ~ctx () =
   {
     id;
     begin_ts;
@@ -48,6 +71,7 @@ let make ~id ~begin_ts ~iso ~worker ~ctx =
     undo = [];
     latch_plan = [||];
     latched = 0;
+    declared;
   }
 
 let is_active t = t.state = Active

@@ -41,11 +41,33 @@ type t = {
   mutable undo : (unit -> unit) list;  (** index-entry rollback hooks *)
   mutable latch_plan : Tuple.t array;  (** commit latch order (§4.4) *)
   mutable latched : int;  (** how many of [latch_plan] are held *)
+  declared : writes option;
+      (** the write set its class declares; [None]: unrestricted (loaders,
+          recovery, direct engine use) *)
 }
+
+and writes
+(** A transaction class's declared write set: the tables and indexes its
+    transactions may write. *)
+
+val declare : ?tables:Table.t list -> ?indexes:Btree.Int_tree.t list -> unit -> writes
+(** Build a declaration and mark each table and index as written
+    ({!Table.mark_written}).  Declare every class before the run starts:
+    a tree or table no declaration marks is read-only for the whole run,
+    and the simulator lets reads of it run ahead of other workers. *)
+
+val check_table : t -> Table.t -> unit
+(** @raise Failure when the transaction has a declaration that does not
+    name the table (called by {!Engine} on every write). *)
+
+val check_index : t -> Btree.Int_tree.t -> unit
+(** @raise Failure when the transaction has a declaration that does not
+    name the index. *)
 
 val state_to_string : state -> string
 
-val make : id:int -> begin_ts:int64 -> iso:iso -> worker:int -> ctx:int -> t
+val make :
+  ?declared:writes -> id:int -> begin_ts:int64 -> iso:iso -> worker:int -> ctx:int -> unit -> t
 
 val is_active : t -> bool
 

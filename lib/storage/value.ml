@@ -17,10 +17,14 @@ let word_kind w = if Obj.is_int w then "Int" else if is_float w then "Float" els
 let bad what i w =
   invalid_arg (Printf.sprintf "Value.%s: field %d is %s" what i (word_kind w))
 
-let check_bounds row i name =
-  if i < 0 || i >= Array.length row then
-    invalid_arg (Printf.sprintf "Value.%s: field %d out of bounds (row has %d)" name i
-        (Array.length row))
+(* The message is built out of line, so [check_bounds] stays a compare
+   that ocamlopt inlines into every accessor. *)
+let[@inline never] out_of_bounds row i name =
+  invalid_arg (Printf.sprintf "Value.%s: field %d out of bounds (row has %d)" name i
+      (Array.length row))
+
+let[@inline] check_bounds row i name =
+  if i < 0 || i >= Array.length row then out_of_bounds row i name
 
 let of_fields fields =
   let n = Array.length fields in

@@ -158,6 +158,15 @@ let channel_deliveries t ~latency =
   | Some f ->
     List.concat_map (fun lat -> List.map (max 0) (f ~flow ~latency:lat)) base
 
+(* The least latency of a senduipi under the built-in jitter; an installed
+   model may deliver at any latency, so it leaves no floor. *)
+let lookahead_floor t =
+  match (t.latency_model, t.delivery_model, t.chan_model) with
+  | None, None, None ->
+    let nominal = t.costs_.Costs.senduipi + t.costs_.Costs.delivery in
+    nominal - (nominal / 5)
+  | _ -> 0
+
 let sends t = t.sends_
 let stages t = t.stages_
 let lost t = t.lost_

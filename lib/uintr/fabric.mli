@@ -57,6 +57,14 @@ val channel_deliveries : t -> latency:int -> int list
     model is installed.  {!Channel} uses this so fault plans perturb log
     shipping and heartbeats exactly as they perturb interrupts. *)
 
+val lookahead_floor : t -> int
+(** The least delivery latency of a senduipi: [0.8 × (senduipi +
+    delivery)] under the built-in ±20 % jitter (800 cycles with
+    {!Costs.default}), and [0] while a latency, delivery or channel
+    delivery model is installed, since those may deliver at any latency.
+    Nothing one worker does reaches another sooner through the fabric: the
+    simulator's lookahead floor ({!Sim.Des.may_run_ahead}). *)
+
 val sends : t -> int
 (** Total senduipi instructions executed. *)
 

@@ -31,7 +31,7 @@ type q1_row = {
 }
 
 let q1_collect (db : Tpcc_db.t) collect env =
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:P.read_only env (fun txn ->
       let groups = Hashtbl.create 16 in
       scan_order_lines db env txn (fun row ->
           if Value.int_exn row Sc.OL.delivery_d >= 0 then begin
@@ -56,7 +56,7 @@ let q1_collect (db : Tpcc_db.t) collect env =
 let q1 db = q1_collect db (fun _ -> ())
 
 let q6_collect (db : Tpcc_db.t) collect env =
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:P.read_only env (fun txn ->
       let revenue = ref 0. in
       scan_order_lines db env txn (fun row ->
           let qty = Value.int_exn row Sc.OL.quantity in
@@ -73,7 +73,7 @@ let q4 (db : Tpcc_db.t) env =
   let cfg = db.Tpcc_db.cfg in
   let rng = env.P.rng in
   let w = Sim.Rng.int_in rng 1 cfg.Sc.warehouses in
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:P.read_only env (fun txn ->
       let rows = ref 0 in
       let late = ref 0 and total = ref 0 in
       for d = 1 to cfg.Sc.districts do

@@ -2,13 +2,15 @@ module IT = Storage.Btree.Int_tree
 module ST = Storage.Btree.Str_tree
 module Txn = Storage.Txn
 
+(* Reads of a tree that no transaction class declares written commute. *)
 let probe_int tree k =
-  Program.charge Program.Index_probe;
+  Program.charge_as ~commutes:(not (IT.written tree)) Program.Index_probe;
   IT.find tree k
 
 let insert_int env txn tree ~key ~oid =
   Program.non_preemptible env (fun () ->
       Program.charge Program.Index_insert;
+      Txn.check_index txn tree;
       match IT.insert tree key oid with
       | None -> Txn.on_abort txn (fun () -> ignore (IT.remove tree key))
       | Some _ -> invalid_arg "Idx.insert_int: duplicate key")
@@ -16,6 +18,7 @@ let insert_int env txn tree ~key ~oid =
 let remove_int env txn tree ~key =
   Program.non_preemptible env (fun () ->
       Program.charge Program.Index_remove;
+      Txn.check_index txn tree;
       match IT.remove tree key with
       | Some oid -> Txn.on_abort txn (fun () -> ignore (IT.insert tree key oid))
       | None -> invalid_arg "Idx.remove_int: key not present")
@@ -23,9 +26,10 @@ let remove_int env txn tree ~key =
 let scan_int env tree ~lo ~hi ?(limit = max_int) f =
   ignore env;
   let cursor = IT.cursor tree ~lo ~hi in
+  let commutes = not (IT.written tree) in
   let rec loop remaining =
     if remaining > 0 then begin
-      Program.charge Program.Scan_step;
+      Program.charge_as ~commutes Program.Scan_step;
       match IT.cursor_next cursor with
       | Some (k, oid) -> if f k oid then loop (remaining - 1)
       | None -> ()
@@ -36,9 +40,10 @@ let scan_int env tree ~lo ~hi ?(limit = max_int) f =
 let scan_str env tree ~lo ~hi ?(limit = max_int) f =
   ignore env;
   let cursor = ST.cursor tree ~lo ~hi in
+  let commutes = not (ST.written tree) in
   let rec loop remaining =
     if remaining > 0 then begin
-      Program.charge Program.Scan_step;
+      Program.charge_as ~commutes Program.Scan_step;
       match ST.cursor_next cursor with
       | Some (k, oid) -> if f k oid then loop (remaining - 1)
       | None -> ()

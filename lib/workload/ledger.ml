@@ -23,6 +23,7 @@ type t = {
   table_ : Table.t;
   index_ : Idx.IT.t;
   zipf : Zipf.t;
+  writes : Storage.Txn.writes;  (* both classes write accounts only *)
 }
 
 let cfg t = t.cfg_
@@ -39,7 +40,9 @@ let create eng cfg_ =
     table_ = Engine.create_table eng "ledger";
     index_ = Idx.IT.create ();
     zipf = Zipf.create ~theta:cfg_.zipf_theta ~n:cfg_.accounts ();
+    writes = Program.read_only;
   }
+  |> fun t -> { t with writes = Storage.Txn.declare ~tables:[ t.table_ ] () }
 
 let load t rng =
   ignore rng;
@@ -80,7 +83,7 @@ let read_branch t env txn branch =
 let audit t env =
   let rng = env.P.rng in
   let start = Sim.Rng.int rng (max 1 (t.cfg_.accounts - t.cfg_.audit_scan)) in
-  P.run_txn env ~iso:Txn.Serializable (fun txn ->
+  P.run_txn env ~iso:Txn.Serializable ~writes:t.writes (fun txn ->
       (* branch sweep: read-only rows that end up in the commit latch plan *)
       for branch = 0 to t.cfg_.branches - 1 do
         ignore (read_branch t env txn branch)
@@ -113,7 +116,7 @@ let transfer t env =
     if pick = a then (pick + 1) mod t.cfg_.accounts else pick
   in
   let amount = Sim.Rng.int_in rng 1 10 in
-  P.run_txn env ~iso:Txn.Serializable (fun txn ->
+  P.run_txn env ~iso:Txn.Serializable ~writes:t.writes (fun txn ->
       (* read-only branch check: certification will latch this row *)
       ignore (read_branch t env txn (a mod t.cfg_.branches));
       let a_oid, a_row = read_account t env txn a in

@@ -83,27 +83,65 @@ let handler =
         | _ -> None);
   }
 
-let start prog env = match_with (fun () -> prog env) () handler
+(* Inline stepping.  While a program runs under an executor, each charge
+   first offers its op to the executor's stepper, which either takes the
+   whole step on the spot (the program continues without suspending) or
+   declines (the charge performs the effect).  [commutes] travels beside
+   the op: the executor reads it for a suspended op through
+   [pending_commutes]. *)
+let no_stepper (_ : op) = false
+let stepper = ref no_stepper
+let commutes = ref false
 
-let resume (k : resumption) = continue k ()
+(* Each run installs its stepper and restores the outer one on the way
+   out, so a program started inside another's step cannot reach the outer
+   executor.  Written out twice rather than through a closure: [resume]
+   runs once per suspension. *)
+let start ?stepper:(f = no_stepper) prog env =
+  let outer = !stepper in
+  stepper := f;
+  match match_with prog env handler with
+  | step ->
+    stepper := outer;
+    step
+  | exception e ->
+    stepper := outer;
+    raise e
+
+let resume ?stepper:(f = no_stepper) (k : resumption) =
+  let outer = !stepper in
+  stepper := f;
+  match continue k () with
+  | step ->
+    stepper := outer;
+    step
+  | exception e ->
+    stepper := outer;
+    raise e
+let pending_commutes () = !commutes
 
 let discard (k : resumption) =
   match discontinue k Abandoned with
   | _ -> ()
   | exception Abandoned -> ()
 
-let charge op =
-  try perform (Charge op)
-  with Effect.Unhandled _ ->
-    failwith "Program.charge: called outside Program.start/resume"
+let charge_as ~commutes:c op =
+  commutes := c;
+  if not (!stepper op) then
+    try perform (Charge op)
+    with Effect.Unhandled _ ->
+      failwith "Program.charge: called outside Program.start/resume"
 
-let compute cycles = charge (Compute cycles)
-let yield_hint () = charge Yield_hint
+let charge op = charge_as ~commutes:false op
+let compute cycles = charge_as ~commutes:true (Compute cycles)
+let yield_hint () = charge_as ~commutes:true Yield_hint
 
 exception Txn_failed of Err.abort_reason
 
+(* A snapshot read commutes with every other transaction's steps: later
+   commits are invisible to it and in-flight versions are skipped. *)
 let read env txn table ~oid =
-  charge Record_read;
+  charge_as ~commutes:(txn.Txn.iso <> Txn.Read_committed) Record_read;
   Engine.read env.eng txn table ~oid
 
 let update env txn table ~oid row =
@@ -122,9 +160,11 @@ let insert env txn table row =
   charge Record_insert;
   Engine.insert env.eng txn table row
 
-let begin_txn ?iso env =
+let read_only = Txn.declare ()
+
+let begin_txn ?iso ~writes env =
   charge Txn_begin;
-  Engine.begin_txn ?iso env.eng ~worker:env.worker ~ctx:env.ctx
+  Engine.begin_txn ?iso ~writes env.eng ~worker:env.worker ~ctx:env.ctx
 
 let non_preemptible env f = Region.within env.cls f
 
@@ -166,8 +206,8 @@ let abort env txn =
   charge Txn_abort;
   Engine.abort ~reason:Err.User_abort env.eng txn
 
-let run_txn ?iso env body =
-  let txn = begin_txn ?iso env in
+let run_txn ?iso ~writes env body =
+  let txn = begin_txn ?iso ~writes env in
   match body txn with
   | () -> (
     try

@@ -79,11 +79,23 @@ type step =
 
 and resumption
 
-val start : t -> env -> step
-(** Run the program up to its first charge point. *)
+val start : ?stepper:(op -> bool) -> t -> env -> step
+(** Run the program up to its first charge point that suspends.  While it
+    runs, every charge first offers its op to [stepper] (default: decline
+    all): [true] means the executor took the whole step inline — paid the
+    op and passed every check it makes at a boundary — and the program
+    continues without suspending; [false] suspends it as [Pending]. *)
 
-val resume : resumption -> step
-(** Continue past a charge point to the next one. *)
+val resume : ?stepper:(op -> bool) -> resumption -> step
+(** Continue past a charge point to the next one that suspends (same
+    [stepper] contract as {!start}). *)
+
+val pending_commutes : unit -> bool
+(** Whether the op of the [Pending] step just returned by {!start} or
+    {!resume} commutes with every other worker's steps (a snapshot read,
+    [Compute], [Yield_hint], or a probe or scan step on an index that no
+    transaction class writes); read it before starting or resuming
+    another program.  Inside a stepper, the same for the op offered. *)
 
 val discard : resumption -> unit
 (** Abandon a suspended program (discontinues the continuation). *)
@@ -91,8 +103,12 @@ val discard : resumption -> unit
 (** {1 Charged operations (used inside programs)} *)
 
 val charge : op -> unit
-(** Perform the charge effect.  @raise Failure when called outside
-    {!start}/{!resume}. *)
+(** Perform the charge effect (a step that does not commute).
+    @raise Failure when called outside {!start}/{!resume}. *)
+
+val charge_as : commutes:bool -> op -> unit
+(** {!charge}, telling the executor whether the step (the op and the code
+    up to the next charge) commutes with every other worker's steps. *)
 
 val compute : int -> unit
 (** [compute cycles] charges pure computation. *)
@@ -109,7 +125,12 @@ val update : env -> Storage.Txn.t -> Storage.Table.t -> oid:int -> Storage.Value
 val delete : env -> Storage.Txn.t -> Storage.Table.t -> oid:int -> unit
 val insert : env -> Storage.Txn.t -> Storage.Table.t -> Storage.Value.t -> Storage.Tuple.t
 
-val begin_txn : ?iso:Storage.Txn.iso -> env -> Storage.Txn.t
+val read_only : Storage.Txn.writes
+(** The declaration of a class that writes nothing. *)
+
+val begin_txn : ?iso:Storage.Txn.iso -> writes:Storage.Txn.writes -> env -> Storage.Txn.t
+(** [writes] is the class's declared write set ({!Storage.Txn.declare}):
+    a write outside it fails loudly. *)
 
 val commit : env -> Storage.Txn.t -> int64
 (** Staged commit: one [Commit_latch] charge per latch (spinning with
@@ -123,6 +144,7 @@ val abort : env -> Storage.Txn.t -> unit
 
 val run_txn :
   ?iso:Storage.Txn.iso ->
+  writes:Storage.Txn.writes ->
   env ->
   (Storage.Txn.t -> unit) ->
   outcome

@@ -58,7 +58,7 @@ let new_order (db : Tpcc_db.t) ~home_w env =
         in
         i, supply_w, Sim.Rng.int_in rng 1 10)
   in
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:db.new_order_writes env (fun txn ->
       let _, wrow = read_via env txn db.warehouse db.warehouse_idx w "warehouse" in
       let w_tax = Value.float_exn wrow Sc.W.tax in
       let doid, drow =
@@ -179,7 +179,7 @@ let payment (db : Tpcc_db.t) ~home_w env =
     end
     else w, d
   in
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:db.payment_writes env (fun txn ->
       let woid, wrow = read_via env txn db.warehouse db.warehouse_idx w "warehouse" in
       P.update env txn db.warehouse ~oid:woid (Value.add_float wrow Sc.W.ytd amount);
       let doid, drow =
@@ -210,7 +210,7 @@ let order_status (db : Tpcc_db.t) ~home_w env =
   let rng = env.P.rng in
   let w = home_w in
   let d = Sim.Rng.int_in rng 1 cfg.Sc.districts in
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:P.read_only env (fun txn ->
       let _, crow = select_customer db env txn ~w ~d in
       let c = Value.int_exn crow Sc.C.id in
       let lo, hi = Sc.order_by_customer_bounds ~w ~d ~c in
@@ -233,7 +233,7 @@ let delivery (db : Tpcc_db.t) ~home_w env =
   let rng = env.P.rng in
   let w = home_w in
   let carrier = Sim.Rng.int_in rng 1 10 in
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:db.delivery_writes env (fun txn ->
       for d = 1 to cfg.Sc.districts do
         let lo, hi = Sc.new_order_bounds ~w ~d in
         match Idx.first_int env db.new_order_idx ~lo ~hi with
@@ -282,7 +282,7 @@ let stock_level (db : Tpcc_db.t) ~home_w env =
   let w = home_w in
   let d = Sim.Rng.int_in rng 1 cfg.Sc.districts in
   let threshold = Sim.Rng.int_in rng 10 20 in
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:P.read_only env (fun txn ->
       let _, drow =
         read_via env txn db.district db.district_idx (Sc.district_key ~w ~d) "district"
       in
@@ -316,7 +316,7 @@ let balance_check (db : Tpcc_db.t) ~home_w env =
   let w = home_w in
   let d = Sim.Rng.int_in rng 1 cfg.Sc.districts in
   let c = Tpcc_rand.customer_id_scaled rng ~customers:cfg.Sc.customers in
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:P.read_only env (fun txn ->
       let _, crow =
         read_via env txn db.customer db.customer_idx (Sc.customer_key ~w ~d ~c) "customer"
       in

@@ -28,11 +28,28 @@ type t = {
   order_line_idx : Idx.IT.t;
   item_idx : Idx.IT.t;
   stock_idx : Idx.IT.t;
+  new_order_writes : Storage.Txn.writes;
+  payment_writes : Storage.Txn.writes;
+  delivery_writes : Storage.Txn.writes;
 }
+
+(* Each transaction class's declared write set. *)
+let declare t =
+  let decl tables indexes = Storage.Txn.declare ~tables ~indexes () in
+  {
+    t with
+    new_order_writes =
+      decl
+        [ t.district; t.orders; t.new_order; t.stock; t.order_line ]
+        [ t.orders_idx; t.orders_by_customer_idx; t.new_order_idx; t.order_line_idx ];
+    payment_writes = decl [ t.warehouse; t.district; t.customer; t.history ] [];
+    delivery_writes =
+      decl [ t.new_order; t.orders; t.order_line; t.customer ] [ t.new_order_idx ];
+  }
 
 let create eng cfg =
   Sc.validate cfg;
-  {
+  declare {
     cfg;
     eng;
     warehouse = Engine.create_table eng "warehouse";
@@ -54,6 +71,9 @@ let create eng cfg =
     order_line_idx = Idx.IT.create ();
     item_idx = Idx.IT.create ();
     stock_idx = Idx.IT.create ();
+    new_order_writes = Program.read_only;
+    payment_writes = Program.read_only;
+    delivery_writes = Program.read_only;
   }
 
 (* Bootstrap rows bypass the transaction layer: install a committed version

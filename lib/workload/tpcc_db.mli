@@ -23,6 +23,9 @@ type t = {
   order_line_idx : Idx.IT.t;
   item_idx : Idx.IT.t;
   stock_idx : Idx.IT.t;
+  new_order_writes : Storage.Txn.writes;  (** declared write sets by class *)
+  payment_writes : Storage.Txn.writes;
+  delivery_writes : Storage.Txn.writes;
 }
 
 val create : Storage.Engine.t -> Tpcc_schema.config -> t

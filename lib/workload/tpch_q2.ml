@@ -51,7 +51,7 @@ let region_offers (db : Tpch_db.t) env txn ~p ~region =
   !offers
 
 let query (db : Tpch_db.t) params collect env =
-  P.run_txn env (fun txn ->
+  P.run_txn ~writes:P.read_only env (fun txn ->
       let results = ref [] in
       Idx.scan_int env db.part_idx ~lo:0 ~hi:max_int (fun _ poid ->
           (* Each outer-loop iteration is one nested-query-block execution —

@@ -274,6 +274,28 @@ let test_daemon_park_unpark () =
   checki "no waiters left" 0 (Daemon.waiting daemon);
   checkb "park recorded the ack" true (Daemon.acked_count daemon >= 1)
 
+(* A commit inside an actor's step (a worker running ahead of the event it
+   was activated at) kicks the flush at the step's clock, not at the
+   activation's start. *)
+let test_daemon_flush_at_step_clock () =
+  let des, eng, table, _log, daemon = mk_daemon ~group_bytes:1 () in
+  let notified_at = ref (-1L) in
+  let oid = seed_row eng table 0 in
+  (* let the seeding flush complete first *)
+  Sim.Des.run ~until:1_000L des;
+  let actor = ref (-1) in
+  actor :=
+    Sim.Des.add_actor des (fun des ->
+        Sim.Des.set_actor_clock des 6_000;
+        let t = commit_update eng table oid 1 in
+        let lsn = Option.get t.Txn.commit_lsn in
+        Daemon.park daemon ~lsn ~notify:(fun () -> notified_at := Sim.Des.now des));
+  Sim.Des.wake_actor des !actor ~time:1_100;
+  Sim.Des.run ~until:100_000L des;
+  (* the device takes at least its 500-cycle fsync floor; from the
+     activation's start the flush would have completed by about 1 800 *)
+  checkb "flush submitted at the step's clock" true (!notified_at >= 6_500L)
+
 let test_daemon_crash_torn_tail () =
   let des, eng, table, log, daemon = mk_daemon () in
   let dropped = ref false in
@@ -683,6 +705,7 @@ let () =
           Alcotest.test_case "ack rule" `Quick test_daemon_ack_rule;
           Alcotest.test_case "park/unpark" `Quick test_daemon_park_unpark;
           Alcotest.test_case "crash tears the tail" `Quick test_daemon_crash_torn_tail;
+          Alcotest.test_case "flush at the step's clock" `Quick test_daemon_flush_at_step_clock;
         ] );
       ( "recovery",
         [

@@ -220,7 +220,9 @@ let test_program_commit_detects_same_thread_deadlock () =
     { P.eng; worker = 0; ctx = 1; cls = Uintr.Cls.create_area (); rng = Sim.Rng.create 1L }
   in
   let prog env =
-    P.run_txn env ~iso:Txn.Serializable (fun txn ->
+    P.run_txn env ~iso:Txn.Serializable
+      ~writes:(Txn.declare ~tables:[ table ] ())
+      (fun txn ->
         ignore (P.read env txn table ~oid);
         ignore (P.insert env txn table (Value.of_fields [| Value.Int 2 |])))
   in
@@ -750,10 +752,11 @@ let test_integration_sched_latency_recorded () =
    refactor of the drivers or of node assembly that keeps these values
    keeps every schedule bit-identical. *)
 
-let schedule_hasher () =
+let schedule_hasher ~lookahead =
   let h = ref 0x811c9dc5 in
   let mix x = h := (!h lxor x) * 0x100000001b3 in
   let prepare (a : Runner.assembly) =
+    Sim.Des.set_lookahead a.Runner.des lookahead;
     Sim.Des.set_probe a.Runner.des
       (Some
          (fun ~time ~seq ->
@@ -768,9 +771,13 @@ let commits_per_class m =
        (fun (label, cs) -> Printf.sprintf "%s=%d" label cs.Preemptdb.Metrics.committed)
        (Preemptdb.Metrics.classes m))
 
-let check_golden ~events ~commits ~hash ~digest run =
-  let prepare, stream_hash = schedule_hasher () in
+(* [on] pins the event count and hash with lookahead (the default), [off]
+   with every worker in lock-step; the commits and the virtual-schedule
+   digest must be the same either way. *)
+let check_golden ~lookahead ~on ~off ~commits ~digest run =
+  let prepare, stream_hash = schedule_hasher ~lookahead in
   let r = run prepare in
+  let events, hash = if lookahead then on else off in
   checki "DES events" events r.Runner.events;
   Alcotest.(check string) "commits per class" commits (commits_per_class r.Runner.metrics);
   Alcotest.(check string) "(time, seq) stream hash" hash (stream_hash ());
@@ -778,42 +785,41 @@ let check_golden ~events ~commits ~hash ~digest run =
 
 let golden_cfg () = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 ()
 
-let test_golden_mixed () =
+let golden_mixed ~lookahead =
   (* group commit with fuzzy checkpointing, and a decoupled lp cadence *)
   let cfg =
     Config.with_durability
       ~durability:{ Config.default_durability with Config.du_ckpt_interval_us = 500. }
       (golden_cfg ())
   in
-  check_golden ~events:23450 ~commits:"Ckpt=9 NewOrder=94 Payment=65 Q2=11"
-    ~hash:"48d3d18ad54f97aa" ~digest:"f0812af8927caed" (fun prepare ->
+  check_golden ~lookahead ~on:(23450, "48d3d18ad54f97aa") ~off:(23450, "48d3d18ad54f97aa")
+    ~commits:"Ckpt=9 NewOrder=94 Payment=65 Q2=11" ~digest:"79e75e851db227cf" (fun prepare ->
       Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:250.
         ~lp_interval_us:500. ~horizon_sec:0.005 ())
 
-let test_golden_tpcc () =
+let golden_tpcc ~lookahead =
   let cfg = { (golden_cfg ()) with Config.empty_interrupts = true } in
-  check_golden ~events:21049
-    ~commits:"Delivery=18 NewOrder=164 OrderStatus=16 Payment=146 StockLevel=23"
-    ~hash:"70ceb0cd55a7bc0f" ~digest:"54c02bb1611e3d65" (fun prepare ->
+  check_golden ~lookahead ~on:(9987, "486d798bc27bcf17") ~off:(21049, "70ceb0cd55a7bc0f")
+    ~commits:"Delivery=18 NewOrder=164 OrderStatus=16 Payment=146 StockLevel=23" ~digest:"5bb6db02dca1f412" (fun prepare ->
       Runner.run_tpcc ~cfg ~prepare ~horizon_sec:0.005 ())
 
-let test_golden_htap () =
-  check_golden ~events:118571 ~commits:"CH-Q1=6 CH-Q4=5 CH-Q6=4 NewOrder=89 Payment=69"
-    ~hash:"6ccb57e183365ebf" ~digest:"1658faa80a27173b" (fun prepare ->
+let golden_htap ~lookahead =
+  check_golden ~lookahead ~on:(86468, "301b56f788e6bc2a") ~off:(118571, "6ccb57e183365ebf")
+    ~commits:"CH-Q1=6 CH-Q4=5 CH-Q6=4 NewOrder=89 Payment=69" ~digest:"2160de73710423ee" (fun prepare ->
       Runner.run_htap ~cfg:(golden_cfg ()) ~prepare ~arrival_interval_us:250.
         ~horizon_sec:0.005 ())
 
-let test_golden_tiered () =
+let golden_tiered ~lookahead =
   let cfg = { (golden_cfg ()) with Config.n_priority_levels = 3 } in
-  check_golden ~events:118473 ~commits:"BalanceCheck=316 Q2=2 StockLevel=160"
-    ~hash:"491e6dd5210987eb" ~digest:"2ffd5687eee8dfaf" (fun prepare ->
+  check_golden ~lookahead ~on:(37380, "37e5cd0a9cf2854c") ~off:(118473, "491e6dd5210987eb")
+    ~commits:"BalanceCheck=316 Q2=2 StockLevel=160" ~digest:"65cb9b7197a3ccba" (fun prepare ->
       Runner.run_tiered ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:250.
         ~horizon_sec:0.005 ())
 
-let test_golden_ledger () =
+let golden_ledger ~lookahead =
   let balance = ref 0 in
-  check_golden ~events:159143 ~commits:"Audit=9 Transfer=400"
-    ~hash:"7edd455b18630753" ~digest:"5b17cf4cc71da092" (fun prepare ->
+  check_golden ~lookahead ~on:(46984, "6d6c792b3551a83f") ~off:(159143, "7edd455b18630753")
+    ~commits:"Audit=9 Transfer=400" ~digest:"6fd7802a9973a24f" (fun prepare ->
       let r, b =
         Runner.run_ledger ~cfg:(golden_cfg ()) ~prepare ~arrival_interval_us:100.
           ~horizon_sec:0.005 ()
@@ -822,15 +828,15 @@ let test_golden_ledger () =
       r);
   checki "balance conserved" (Workload.Ledger.default.Workload.Ledger.accounts * 1000) !balance
 
-let test_golden_maintenance () =
+let golden_maintenance ~lookahead =
   (* reclamation plus a semi-sync standby (which implies group commit) *)
   let cfg = golden_cfg () |> Config.with_reclaim |> Config.with_replication in
-  check_golden ~events:50177 ~commits:"GC=48 NewOrder=502 Payment=492"
-    ~hash:"6c269650e5151277" ~digest:"23288824fc137a26" (fun prepare ->
+  check_golden ~lookahead ~on:(50177, "6c269650e5151277") ~off:(50177, "6c269650e5151277")
+    ~commits:"GC=48 NewOrder=502 Payment=492" ~digest:"33772eb33220ccc3" (fun prepare ->
       Runner.run_maintenance ~cfg ~prepare ~arrival_interval_us:40. ~hp_batch:8
         ~horizon_sec:0.005 ())
 
-let test_golden_maintenance_lanes () =
+let golden_maintenance_lanes ~lookahead =
   (* both maintenance lanes at once: the epoch loop, GC chunks and
      checkpoint chunks first scheduled in that order *)
   let cfg =
@@ -838,10 +844,30 @@ let test_golden_maintenance_lanes () =
     |> Config.with_durability
          ~durability:{ Config.default_durability with Config.du_ckpt_interval_us = 100. }
   in
-  check_golden ~events:57494 ~commits:"Ckpt=49 GC=42 NewOrder=503 Payment=492"
-    ~hash:"3a4ac540a7385d13" ~digest:"32f2bbb5f00dd5e2" (fun prepare ->
+  check_golden ~lookahead ~on:(57494, "3a4ac540a7385d13") ~off:(57494, "3a4ac540a7385d13")
+    ~commits:"Ckpt=49 GC=42 NewOrder=503 Payment=492" ~digest:"1a33ba199ee53023" (fun prepare ->
       Runner.run_maintenance ~cfg ~prepare ~arrival_interval_us:40. ~hp_batch:8
         ~horizon_sec:0.005 ())
+
+(* The two single-node perfdiff cells ([Baseline.collect]: 4 workers, seed
+   42, 40 ms) with lookahead on and off: the same virtual schedule from far
+   fewer activations.  (The durable cell has no floor: a flush can reach a
+   worker sooner than the fabric, so lookahead leaves it in lock-step.) *)
+let test_lookahead_perfdiff_cells () =
+  List.iter
+    (fun policy ->
+      let run lookahead =
+        let cfg = { (Config.default ~policy ~n_workers:4 ()) with Config.seed = 42L } in
+        Runner.run_mixed ~cfg
+          ~prepare:(fun a -> Sim.Des.set_lookahead a.Runner.des lookahead)
+          ~horizon_sec:0.04 ()
+      in
+      let on = run true and off = run false in
+      Alcotest.(check string)
+        (Config.policy_to_string policy ^ ": same digest")
+        off.Runner.digest on.Runner.digest;
+      checkb "lookahead cut the activations" true (2 * on.Runner.events < off.Runner.events))
+    [ Config.Preempt 1.0; Config.Wait ]
 
 let () =
   Alcotest.run "preemptdb"
@@ -909,13 +935,27 @@ let () =
         ] );
       ( "golden",
         [
-          Alcotest.test_case "run_mixed" `Quick test_golden_mixed;
-          Alcotest.test_case "run_tpcc" `Quick test_golden_tpcc;
-          Alcotest.test_case "run_htap" `Quick test_golden_htap;
-          Alcotest.test_case "run_tiered" `Quick test_golden_tiered;
-          Alcotest.test_case "run_ledger" `Quick test_golden_ledger;
-          Alcotest.test_case "run_maintenance" `Quick test_golden_maintenance;
-          Alcotest.test_case "run_maintenance gc+ckpt lanes" `Quick
-            test_golden_maintenance_lanes;
+          Alcotest.test_case "run_mixed" `Quick (fun () -> golden_mixed ~lookahead:true);
+          Alcotest.test_case "run_tpcc" `Quick (fun () -> golden_tpcc ~lookahead:true);
+          Alcotest.test_case "run_htap" `Quick (fun () -> golden_htap ~lookahead:true);
+          Alcotest.test_case "run_tiered" `Quick (fun () -> golden_tiered ~lookahead:true);
+          Alcotest.test_case "run_ledger" `Quick (fun () -> golden_ledger ~lookahead:true);
+          Alcotest.test_case "run_maintenance" `Quick (fun () -> golden_maintenance ~lookahead:true);
+          Alcotest.test_case "run_maintenance gc+ckpt lanes" `Quick (fun () ->
+              golden_maintenance_lanes ~lookahead:true);
+        ] );
+      ( "lookahead",
+        [
+          Alcotest.test_case "off: run_mixed" `Quick (fun () -> golden_mixed ~lookahead:false);
+          Alcotest.test_case "off: run_tpcc" `Quick (fun () -> golden_tpcc ~lookahead:false);
+          Alcotest.test_case "off: run_htap" `Quick (fun () -> golden_htap ~lookahead:false);
+          Alcotest.test_case "off: run_tiered" `Quick (fun () -> golden_tiered ~lookahead:false);
+          Alcotest.test_case "off: run_ledger" `Quick (fun () -> golden_ledger ~lookahead:false);
+          Alcotest.test_case "off: run_maintenance" `Quick (fun () ->
+              golden_maintenance ~lookahead:false);
+          Alcotest.test_case "off: run_maintenance gc+ckpt lanes" `Quick (fun () ->
+              golden_maintenance_lanes ~lookahead:false);
+          Alcotest.test_case "on and off: perfdiff mixed cells" `Quick
+            test_lookahead_perfdiff_cells;
         ] );
     ]

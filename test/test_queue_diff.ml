@@ -222,7 +222,7 @@ let test_backfill_behind_cursor () =
 (* Regression for the clear bug: both implementations must reset the
    tie-break counter on [clear], so a cleared queue replays a script with
    the exact pop order of a fresh queue. *)
-let test_clear_resets_tie_break () =
+let test_clear_replays_like_fresh () =
   let script q push_fn pop_fn =
     List.iter (fun t -> push_fn q t) [ 5L; 5L; 3L; 5L; 3L ];
     let rec drain acc =
@@ -383,7 +383,7 @@ let () =
           Alcotest.test_case "horizon rollover" `Quick test_horizon_rollover;
           Alcotest.test_case "overflow promotion" `Quick test_overflow_promotion;
           Alcotest.test_case "backfill behind cursor" `Quick test_backfill_behind_cursor;
-          Alcotest.test_case "clear resets tie-break" `Quick test_clear_resets_tie_break;
+          Alcotest.test_case "cleared queue replays like fresh" `Quick test_clear_replays_like_fresh;
           Alcotest.test_case "growth from capacity 1" `Quick test_growth_from_one;
           Alcotest.test_case "clear then regrowth" `Quick test_clear_then_regrow;
           Alcotest.test_case "1000 equal times with pops" `Quick test_equal_times_interleaved;

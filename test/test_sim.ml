@@ -460,6 +460,83 @@ let test_des_relative_scheduling () =
    return the earliest pending time, FIFO among ties, regardless of how the
    operations interleave (the drain-only property above never exercises
    pops from a partially filled, wrapped heap). *)
+(* -- the tie rule --------------------------------------------------------- *)
+
+(* A stand-in worker: an actor whose steps cost [costs] in turn, stepping
+   while [Des.may_step] allows and re-arming at its clock otherwise, like
+   [Worker.step_loop].  Every step appends [(id, clock)] to [log]. *)
+let stepping_actor des log costs =
+  let id = ref (-1) and local = ref 0 and rest = ref costs in
+  let rec loop des =
+    match !rest with
+    | [] -> ()
+    | c :: tl ->
+      if Des.may_step des ~actor:!id ~local:!local then begin
+        log := (!id, !local) :: !log;
+        rest := tl;
+        local := !local + c;
+        Des.set_actor_clock des !local;
+        loop des
+      end
+      else Des.wake_actor des !id ~time:!local
+  in
+  id :=
+    Des.add_actor des (fun des ->
+        local := Des.now_int des;
+        loop des);
+  !id
+
+let test_des_events_before_actors () =
+  let des = Des.create () in
+  let log = ref [] in
+  let a = stepping_actor des log [ 0 ] in
+  (* armed before the events are pushed: push order cannot explain it *)
+  Des.wake_actor des a ~time:10;
+  Des.schedule_at des ~time:10L (fun _ -> log := (-1, 10) :: !log);
+  Des.schedule_at des ~time:10L (fun _ -> log := (-2, 10) :: !log);
+  Des.run des;
+  check Alcotest.(list (pair int int)) "events first, in push order, then the actor"
+    [ (-1, 10); (-2, 10); (a, 10) ] (List.rev !log)
+
+let test_des_actors_in_id_order () =
+  let des = Des.create () in
+  let log = ref [] in
+  (* actor 0 takes a zero-cost step (a Yield_hint) before a costed one *)
+  let a0 = stepping_actor des log [ 0; 5; 1 ] in
+  let a1 = stepping_actor des log [ 1 ] in
+  Des.wake_actor des a1 ~time:10;
+  Des.wake_actor des a0 ~time:10;
+  Des.run des;
+  check Alcotest.(list (pair int int)) "lower id first, zero-cost step included"
+    [ (a0, 10); (a0, 10); (a1, 10); (a0, 15) ] (List.rev !log)
+
+let test_des_no_step_past_horizon () =
+  let des = Des.create () in
+  let log = ref [] in
+  let a = stepping_actor des log [ 4; 4; 4; 4 ] in
+  Des.wake_actor des a ~time:0;
+  Des.run ~until:8L des;
+  check Alcotest.(list (pair int int)) "the step at the horizon runs, none after"
+    [ (a, 0); (a, 4); (a, 8) ] (List.rev !log);
+  check64 "now is the horizon" 8L (Des.now des);
+  Des.run ~until:100L des;
+  checki "the rest run in a later run" 4 (List.length !log)
+
+let test_des_step_reads_its_clock () =
+  let des = Des.create () in
+  let seen = ref [] in
+  let id = ref (-1) in
+  id :=
+    Des.add_actor des (fun des ->
+        (* a step that ends at 250, activated at 100 *)
+        Des.set_actor_clock des 250;
+        seen := Des.now des :: !seen;
+        Des.schedule_at des ~time:0L (fun des -> seen := Des.now des :: !seen));
+  Des.wake_actor des !id ~time:100;
+  Des.run des;
+  check Alcotest.(list int64) "reads and clamps use the step's clock" [ 250L; 250L ]
+    (List.rev !seen)
+
 let prop_eq_interleaved =
   QCheck2.Test.make ~name:"event queue min-pop under random interleaved insert/pop" ~count:200
     QCheck2.Gen.(list (pair bool (int_bound 100)))
@@ -589,7 +666,7 @@ let () =
           Alcotest.test_case "time ordering" `Quick test_eq_ordering;
           Alcotest.test_case "FIFO on ties" `Quick test_eq_fifo_ties;
           Alcotest.test_case "basics and growth" `Quick test_eq_basics;
-          Alcotest.test_case "clear resets tie-break" `Quick test_eq_clear_reuse;
+          Alcotest.test_case "cleared queue replays like fresh" `Quick test_eq_clear_reuse;
         ]
         @ qsuite [ prop_eq_sorted; prop_eq_interleaved; prop_eq_vs_ref ]
         @ [ Alcotest.test_case "push_int allocates nothing" `Quick test_eq_push_allocates_nothing ]
@@ -631,5 +708,10 @@ let () =
           Alcotest.test_case "max depth across runs" `Quick test_des_max_depth_across_runs;
           Alcotest.test_case "next event time" `Quick test_des_next_event_time;
           Alcotest.test_case "relative scheduling" `Quick test_des_relative_scheduling;
+          Alcotest.test_case "events run before actors at a tie" `Quick
+            test_des_events_before_actors;
+          Alcotest.test_case "actors step in id order at a tie" `Quick test_des_actors_in_id_order;
+          Alcotest.test_case "no step starts past the horizon" `Quick test_des_no_step_past_horizon;
+          Alcotest.test_case "a step reads its own clock" `Quick test_des_step_reads_its_clock;
         ] );
     ]

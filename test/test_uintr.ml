@@ -494,6 +494,36 @@ let prop_switch_invariants =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* A channel send inside an actor's step (a 2PC program on a worker) leaves
+   at the step's clock, not at the activation's start. *)
+let test_channel_send_at_step_clock () =
+  let des = Sim.Des.create () in
+  let fabric = Fabric.create des ~costs:Costs.default in
+  let ch = Uintr.Channel.create des ~fabric ~name:"link" in
+  let delivered_at = ref (-1L) in
+  Uintr.Channel.set_on_deliver ch (fun () -> delivered_at := Sim.Des.now des);
+  let actor = ref (-1) in
+  actor :=
+    Sim.Des.add_actor des (fun des ->
+        Sim.Des.set_actor_clock des 5_000;
+        Uintr.Channel.send ch ~bytes:0 ());
+  Sim.Des.wake_actor des !actor ~time:100;
+  Sim.Des.run des;
+  (* base latency 1200 cycles, jitter at most 20 % *)
+  checkb "sent at the step's clock" true (!delivered_at >= 5_960L)
+
+(* The lookahead floor is the least senduipi latency under the built-in
+   jitter, and nothing while a model may deliver sooner. *)
+let test_fabric_lookahead_floor () =
+  let des = Sim.Des.create () in
+  let fabric = Fabric.create des ~costs:Costs.default in
+  checki "0.8 x (senduipi + delivery)" 800 (Fabric.lookahead_floor fabric);
+  Fabric.set_latency_model fabric (Some (fun ~flow:_ ~nominal -> nominal));
+  checki "no floor under a latency model" 0 (Fabric.lookahead_floor fabric);
+  Fabric.set_latency_model fabric None;
+  Fabric.set_delivery_model fabric (Some (fun ~flow:_ ~latency -> [ latency ]));
+  checki "no floor under a delivery model" 0 (Fabric.lookahead_floor fabric)
+
 let () =
   Alcotest.run "uintr"
     [
@@ -541,6 +571,9 @@ let () =
             test_delivery_model_duplicate_is_idempotent;
           Alcotest.test_case "delivery model sees post-jitter latency" `Quick
             test_delivery_model_sees_post_jitter_latency;
+          Alcotest.test_case "channel send at the step's clock" `Quick
+            test_channel_send_at_step_clock;
+          Alcotest.test_case "lookahead floor" `Quick test_fabric_lookahead_floor;
         ] );
       ( "hw_thread",
         [

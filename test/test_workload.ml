@@ -50,8 +50,9 @@ let test_program_runs_to_completion () =
   let eng = Engine.create () in
   let table = Engine.create_table eng "t" in
   let env = mk_env eng in
+  let writes = Storage.Txn.declare ~tables:[ table ] () in
   let prog env =
-    P.run_txn env (fun txn ->
+    P.run_txn ~writes env (fun txn ->
         let tuple = P.insert env txn table (Value.of_fields [| Value.Int 7 |]) in
         P.compute 100;
         match P.read env txn table ~oid:tuple.Tuple.oid with
@@ -72,8 +73,9 @@ let test_program_user_abort_path () =
   let eng = Engine.create () in
   let table = Engine.create_table eng "t" in
   let env = mk_env eng in
+  let writes = Storage.Txn.declare ~tables:[ table ] () in
   let prog env =
-    P.run_txn env (fun txn ->
+    P.run_txn ~writes env (fun txn ->
         ignore (P.insert env txn table (Value.of_fields [| Value.Int 1 |]));
         raise (P.Txn_failed Storage.Err.User_abort))
   in
@@ -124,8 +126,9 @@ let test_idx_rollback_on_abort () =
   let tree = IT.create () in
   ignore (IT.insert tree 99 0);
   let env = mk_env eng in
+  let writes = Storage.Txn.declare ~tables:[ table ] ~indexes:[ tree ] () in
   let prog env =
-    P.run_txn env (fun txn ->
+    P.run_txn ~writes env (fun txn ->
         let tuple = P.insert env txn table (Value.of_fields [| Value.Int 1 |]) in
         Idx.insert_int env txn tree ~key:5 ~oid:tuple.Tuple.oid;
         Idx.remove_int env txn tree ~key:99;
@@ -665,6 +668,42 @@ let prop_zipf_bounds =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* A class writes only what it declares: a write to any other table or
+   index fails loudly instead of letting a reader that assumed it
+   read-only run ahead of it. *)
+let test_undeclared_write_fails () =
+  let eng = Engine.create () in
+  let declared = Engine.create_table eng "declared" in
+  let other = Engine.create_table eng "other" in
+  let tree = IT.create () in
+  let writes = Storage.Txn.declare ~tables:[ declared ] () in
+  checkb "declared table marked written" true (Storage.Table.written declared);
+  checkb "undeclared table stays read-only" false (Storage.Table.written other);
+  checkb "undeclared index stays read-only" false (IT.written tree);
+  let env = mk_env eng in
+  let fails prog =
+    match drive prog env with
+    | _ -> false
+    | exception Failure msg -> String.length msg > 0
+  in
+  checkb "undeclared table write fails" true
+    (fails (fun env ->
+         P.run_txn ~writes env (fun txn ->
+             ignore (P.insert env txn other (Value.of_fields [| Value.Int 1 |])))));
+  checkb "undeclared index write fails" true
+    (fails (fun env ->
+         P.run_txn ~writes env (fun txn ->
+             let tuple = P.insert env txn declared (Value.of_fields [| Value.Int 1 |]) in
+             Idx.insert_int env txn tree ~key:1 ~oid:tuple.Tuple.oid)));
+  checkb "declared write commits" true
+    (committed
+       (fst
+          (drive
+             (fun env ->
+               P.run_txn ~writes env (fun txn ->
+                   ignore (P.insert env txn declared (Value.of_fields [| Value.Int 2 |]))))
+             env)))
+
 let () =
   Alcotest.run "workload"
     [
@@ -681,6 +720,7 @@ let () =
       ( "idx",
         [
           Alcotest.test_case "rollback on abort" `Quick test_idx_rollback_on_abort;
+          Alcotest.test_case "undeclared write fails loudly" `Quick test_undeclared_write_fails;
           Alcotest.test_case "scan limit and first" `Quick test_idx_scan_limit_and_first;
         ] );
       ( "generators",
