@@ -457,7 +457,7 @@ let clear_step slot =
 
 (* A user interrupt will be recognized at this boundary (what
    [Receiver.recognize] is about to find, without consuming it). *)
-let uintr_due t slot =
+let[@inline] uintr_due t slot =
   is_preempt t.mode && slot.req <> None
   &&
   let recv = Hw.receiver t.hw in
@@ -468,11 +468,10 @@ let is_wait_op t = function
   | P.Gate_wait _ -> t.gates <> None
   | _ -> false
 
-(* The step bound at this boundary: a commuting op (with no interrupt to
-   take first) may run ahead of other workers by less than the floor. *)
-let may_step t slot =
-  if slot.commutes && not (uintr_due t slot) then
-    Sim.Des.may_run_ahead t.des ~actor:t.actor ~local:t.local ~floor:t.floor
+(* The step bound at this boundary: a commuting step may run ahead of
+   other workers by less than the floor; any other keeps the tie rule. *)
+let[@inline] within_bound t ~commutes =
+  if commutes then Sim.Des.may_run_ahead t.des ~actor:t.actor ~local:t.local ~floor:t.floor
   else Sim.Des.may_step t.des ~actor:t.actor ~local:t.local
 
 (* A charge reached a boundary while this worker runs the program: take
@@ -485,12 +484,9 @@ let inline_step t op =
   coop_boundary t;
   Hw.current_index t.hw = ctx
   &&
-  let slot = t.slots.(ctx) in
-  let commutes = P.pending_commutes () in
   (not (is_wait_op t op))
-  && (not (uintr_due t slot))
-  && (if commutes then Sim.Des.may_run_ahead t.des ~actor:t.actor ~local:t.local ~floor:t.floor
-      else Sim.Des.may_step t.des ~actor:t.actor ~local:t.local)
+  && (not (uintr_due t t.slots.(ctx)))
+  && within_bound t ~commutes:(P.pending_commutes ())
   &&
   (op_head t ctx op;
    true)
@@ -685,7 +681,9 @@ and step_loop t des =
      does a lower-id worker due at [local].  Otherwise re-arm at [local]
      and let it run. *)
   let slot = t.slots.(Hw.current_index t.hw) in
-  if not (may_step t slot) then Sim.Des.wake_actor des t.actor ~time:t.local
+  (* a due interrupt makes the next step the handler, which does not commute *)
+  if not (within_bound t ~commutes:(slot.commutes && not (uintr_due t slot))) then
+    Sim.Des.wake_actor des t.actor ~time:t.local
   else begin
     let recv = Hw.receiver t.hw in
     (* User-interrupt recognition at a micro-op boundary (preemptive policy

@@ -5,10 +5,19 @@
     priority level (two levels — regular + preemptive — reproduce the
     paper; three enable the §5 multi-level extension, where an [Urgent]
     transaction may preempt an in-progress [High] one by switching to a
-    third context).  A worker executes as a self-scheduling DES actor: an
-    activation runs micro-ops, advancing a private local clock, until it
-    reaches the next global event (the run-ahead bound), blocks, or goes
-    idle.
+    third context).  A worker executes as a self-scheduling DES actor
+    ({!Sim.Des.add_actor}, registered in worker-id order): an activation
+    runs micro-ops, advancing a private local clock, until its next step
+    is no longer the schedule's next item under the tie rule
+    ({!Sim.Des.may_step}), it blocks, or it goes idle.  A step that
+    commutes with every other worker (a snapshot read, [Compute],
+    [Yield_hint], or a probe or scan of an index no class writes) may run
+    ahead of other workers by less than the fabric's delivery floor
+    ({!Sim.Des.may_run_ahead}); the floor is 0 with a durability daemon,
+    2PC gates, a region-stall fault or an event sink.  The program runs
+    with this worker as its stepper ({!Workload.Program.start}), so a
+    step the loop would take at once is taken inside the charge, without
+    suspending the program.
 
     Scheduling paths (Figure 5, generalized):
     - {e regular}: context 0 drains queues highest level first (subject to
@@ -91,7 +100,11 @@ val set_op_probe : t -> (t -> Workload.Program.op -> unit) option -> unit
     counts boundaries here and forces preemption points by posting to the
     worker's receiver ([Uintr.Receiver.post]), which the very next
     boundary's recognition check observes.  The probe must not switch
-    contexts or touch the queues itself. *)
+    contexts or touch the queues itself.  Each worker's probe calls come
+    in its own step order; with lookahead on
+    ({!Sim.Des.set_lookahead}), calls from different workers may come out
+    of global virtual-time order, so a probe that counts boundaries across
+    workers needs lookahead off. *)
 
 val free_slots : t -> level:int -> int
 val enqueue : t -> level:int -> Request.t -> bool

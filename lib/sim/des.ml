@@ -47,7 +47,6 @@ let rng t = t.root_rng
 let now t = Int64.of_int t.now_i
 let now_int t = t.now_i
 let set_actor_clock t time = t.now_i <- time
-let lookahead t = t.lookahead
 let set_lookahead t on = t.lookahead <- on
 
 (* Workers poll this once per micro-op (inside the run-ahead bound), so it

@@ -96,8 +96,6 @@ val may_run_ahead : t -> actor:int -> local:int -> floor:int -> bool
     earliest pending actor.  {!may_step} when [floor <= 0] or lookahead is
     off. *)
 
-val lookahead : t -> bool
-
 val set_lookahead : t -> bool -> unit
 (** On by default.  Off, {!may_run_ahead} is {!may_step}: every step keeps
     the lock-step bound. *)

@@ -33,16 +33,18 @@ let create eng cfg_ =
   if cfg_.accounts < 2 then invalid_arg "Ledger.create: need at least 2 accounts";
   if cfg_.branches < 1 then invalid_arg "Ledger.create: need at least 1 branch";
   if cfg_.audit_settle mod 2 <> 0 then invalid_arg "Ledger.create: audit_settle must be even";
-  {
-    cfg_;
-    eng;
-    branch_table_ = Engine.create_table eng "ledger_branch";
-    table_ = Engine.create_table eng "ledger";
-    index_ = Idx.IT.create ();
-    zipf = Zipf.create ~theta:cfg_.zipf_theta ~n:cfg_.accounts ();
-    writes = Program.read_only;
-  }
-  |> fun t -> { t with writes = Storage.Txn.declare ~tables:[ t.table_ ] () }
+  let t =
+    {
+      cfg_;
+      eng;
+      branch_table_ = Engine.create_table eng "ledger_branch";
+      table_ = Engine.create_table eng "ledger";
+      index_ = Idx.IT.create ();
+      zipf = Zipf.create ~theta:cfg_.zipf_theta ~n:cfg_.accounts ();
+      writes = Program.read_only;
+    }
+  in
+  { t with writes = Storage.Txn.declare ~tables:[ t.table_ ] () }
 
 let load t rng =
   ignore rng;

@@ -33,7 +33,9 @@ type t = {
   delivery_writes : Storage.Txn.writes;
 }
 
-(* Each transaction class's declared write set. *)
+(* Each transaction class's declared write set, filled in once the tables
+   and trees exist (the record's fields are built in its own evaluation
+   order, which fixes the table ids and so the latch order). *)
 let declare t =
   let decl tables indexes = Storage.Txn.declare ~tables ~indexes () in
   {
