@@ -3,14 +3,12 @@ type t = {
   name_ : string;
   mutable tuples : Tuple.t array;
   mutable n : int;
-  mutable written : bool;  (* some transaction class declares writes to it *)
 }
 
 (* Fills the capacity slack past [n]; [get] and [iter] never reach it. *)
 let slack = Tuple.create ~oid:(-1)
 
-let create ~id ~name =
-  { tid = id; name_ = name; tuples = Array.make 64 slack; n = 0; written = false }
+let create ~id ~name = { tid = id; name_ = name; tuples = Array.make 64 slack; n = 0 }
 
 let id t = t.tid
 let name t = t.name_
@@ -34,8 +32,6 @@ let get t oid =
   Array.unsafe_get t.tuples oid
 
 let size t = t.n
-let mark_written t = t.written <- true
-let written t = t.written
 
 let iter t f =
   for i = 0 to t.n - 1 do

@@ -23,10 +23,4 @@ val get : t -> int -> Tuple.t
 
 val size : t -> int
 
-val mark_written : t -> unit
-(** Record that some transaction class declares writes to this table
-    ({!Txn.declare}). *)
-
-val written : t -> bool
-
 val iter : t -> (Tuple.t -> unit) -> unit

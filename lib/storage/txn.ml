@@ -26,7 +26,6 @@ type t = {
 and writes = { w_tables : Table.t list; w_indexes : Btree.Int_tree.t list }
 
 let declare ?(tables = []) ?(indexes = []) () =
-  List.iter Table.mark_written tables;
   List.iter Btree.Int_tree.mark_written indexes;
   { w_tables = tables; w_indexes = indexes }
 

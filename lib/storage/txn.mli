@@ -51,10 +51,10 @@ and writes
     transactions may write. *)
 
 val declare : ?tables:Table.t list -> ?indexes:Btree.Int_tree.t list -> unit -> writes
-(** Build a declaration and mark each table and index as written
-    ({!Table.mark_written}).  Declare every class before the run starts:
-    a tree or table no declaration marks is read-only for the whole run,
-    and the simulator lets reads of it run ahead of other workers. *)
+(** Build a declaration and mark each index as written
+    ({!Btree.Make.mark_written}).  Declare every class before the run
+    starts: a tree no declaration marks is read-only for the whole run, and
+    the simulator lets probes and scans of it run ahead of other workers. *)
 
 val check_table : t -> Table.t -> unit
 (** @raise Failure when the transaction has a declaration that does not

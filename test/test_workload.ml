@@ -677,8 +677,6 @@ let test_undeclared_write_fails () =
   let other = Engine.create_table eng "other" in
   let tree = IT.create () in
   let writes = Storage.Txn.declare ~tables:[ declared ] () in
-  checkb "declared table marked written" true (Storage.Table.written declared);
-  checkb "undeclared table stays read-only" false (Storage.Table.written other);
   checkb "undeclared index stays read-only" false (IT.written tree);
   let env = mk_env eng in
   let fails prog =
