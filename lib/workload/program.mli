@@ -108,7 +108,9 @@ val charge : op -> unit
 
 val charge_as : commutes:bool -> op -> unit
 (** {!charge}, telling the executor whether the step (the op and the code
-    up to the next charge) commutes with every other worker's steps. *)
+    up to the next charge) commutes with every other worker's steps.  A
+    program that touches shared state must do so behind a charge that
+    does not commute. *)
 
 val compute : int -> unit
 (** [compute cycles] charges pure computation. *)
