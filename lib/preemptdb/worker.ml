@@ -253,10 +253,14 @@ let inflight_requests t =
   Array.fold_left (fun acc s -> if s.req <> None then acc + 1 else acc) t.parked_count
     t.slots
 
+(* Option tests on the per-op path match instead of calling the
+   polymorphic [<>]. *)
+let[@inline] is_some = function Some _ -> true | None -> false
+
 (* Observability: typed events on the worker's track.  [t.obs = None] costs
    one branch per call site; the event payload is only built when a sink is
    attached (call sites guard with [has_obs]). *)
-let has_obs t = t.obs <> None
+let has_obs t = is_some t.obs
 
 let emit t ev =
   match t.obs with
@@ -429,20 +433,20 @@ let op_head t ctx op =
 
 (* The cooperative check an op owes, taken at the boundary after its
    program code ran (inside a region or not, as the code left it). *)
-let coop_boundary t =
-  if t.coop_due then begin
-    t.coop_due <- false;
-    match t.mode with
-    | Config.Cooperative interval when t.record_accesses >= interval ->
-      t.record_accesses <- 0;
-      maybe_coop_yield t
-    | Config.Cooperative_handcrafted blocks when t.coop_hint && t.yield_hints >= blocks ->
-      t.yield_hints <- 0;
-      maybe_coop_yield t
-    | Config.Cooperative _ | Config.Cooperative_handcrafted _ | Config.Wait
-    | Config.Preempt _ ->
-      ()
-  end
+let coop_check t =
+  t.coop_due <- false;
+  match t.mode with
+  | Config.Cooperative interval when t.record_accesses >= interval ->
+    t.record_accesses <- 0;
+    maybe_coop_yield t
+  | Config.Cooperative_handcrafted blocks when t.coop_hint && t.yield_hints >= blocks ->
+    t.yield_hints <- 0;
+    maybe_coop_yield t
+  | Config.Cooperative _ | Config.Cooperative_handcrafted _ | Config.Wait
+  | Config.Preempt _ ->
+    ()
+
+let[@inline] coop_boundary t = if t.coop_due then coop_check t
 
 (* Store what a program run returned, with the commute flag of a pending
    op, then take the cooperative check its last inline op owes. *)
@@ -458,14 +462,14 @@ let clear_step slot =
 (* A user interrupt will be recognized at this boundary (what
    [Receiver.recognize] is about to find, without consuming it). *)
 let[@inline] uintr_due t slot =
-  is_preempt t.mode && slot.req <> None
+  is_preempt t.mode && is_some slot.req
   &&
   let recv = Hw.receiver t.hw in
   Receiver.pending recv && Receiver.uif recv
 
 let is_wait_op t = function
-  | P.Commit_wait _ -> t.dur <> None
-  | P.Gate_wait _ -> t.gates <> None
+  | P.Commit_wait _ -> is_some t.dur
+  | P.Gate_wait _ -> is_some t.gates
   | _ -> false
 
 (* The step bound at this boundary: a commuting step may run ahead of
@@ -482,11 +486,11 @@ let[@inline] within_bound t ~commutes =
 let inline_step t op =
   let ctx = Hw.current_index t.hw in
   coop_boundary t;
+  (* the checks are pure; the bound, the usual reason to decline, first *)
   Hw.current_index t.hw = ctx
-  &&
-  (not (is_wait_op t op))
-  && (not (uintr_due t t.slots.(ctx)))
   && within_bound t ~commutes:(P.pending_commutes ())
+  && (not (is_wait_op t op))
+  && (not (uintr_due t t.slots.(ctx)))
   &&
   (op_head t ctx op;
    true)
@@ -501,9 +505,9 @@ let execute_op t ctx op k =
    region-stall fault (a shared RNG drawn by steps) or an event sink
    (which records in host order). *)
 let lookahead_floor t =
-  if t.dur = None && t.gates = None && t.region_stall = None && t.obs = None then
-    Uintr.Fabric.lookahead_floor t.fabric
-  else 0
+  match (t.dur, t.gates, t.region_stall, t.obs) with
+  | None, None, None, None -> Uintr.Fabric.lookahead_floor t.fabric
+  | _ -> 0
 
 let start_request t ctx (req : Request.t) =
   let slot = t.slots.(ctx) in
@@ -697,7 +701,7 @@ and step_loop t des =
          switching (§4.1's no-nested-preemption rule, generalized —
          pausing a writer would also strand its in-flight versions and
          livelock the preempting context on write conflicts). *)
-    let busy = slot.req <> None in
+    let busy = is_some slot.req in
     if is_preempt t.mode && busy && Receiver.recognize recv then begin
       let flow = Receiver.last_flow recv in
       if flow >= 0 then
@@ -725,9 +729,9 @@ and step_loop t des =
       let ctx = Hw.current_index t.hw in
       let slot = t.slots.(ctx) in
       match slot.step with
-      | Some (P.Pending (P.Commit_wait lsn, k)) when t.dur <> None ->
+      | Some (P.Pending (P.Commit_wait lsn, k)) when is_some t.dur ->
         wait t des ctx (Wait_lsn lsn) k
-      | Some (P.Pending (P.Gate_wait g, k)) when t.gates <> None ->
+      | Some (P.Pending (P.Gate_wait g, k)) when is_some t.gates ->
         wait t des ctx (Wait_gate g) k
       | Some (P.Pending (op, k)) ->
         execute_op t ctx op k;
