@@ -118,6 +118,7 @@ let resume ?stepper:(f = no_stepper) (k : resumption) =
   | exception e ->
     stepper := outer;
     raise e
+
 let pending_commutes () = !commutes
 
 let discard (k : resumption) =
