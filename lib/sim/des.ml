@@ -9,6 +9,7 @@ type t = {
   mutable horizon : int;  (* no actor step starts past it *)
   mutable stopped : bool;
   mutable processed : int;
+  mutable activations : int;
   mutable max_queue_len : int;
   mutable probe : (time:int64 -> seq:int -> unit) option;
   mutable lookahead : bool;
@@ -32,6 +33,7 @@ let create ?(clock = Clock.default) ?(seed = 42L) () =
     horizon = max_int;
     stopped = false;
     processed = 0;
+    activations = 0;
     max_queue_len = 0;
     probe = None;
     lookahead = true;
@@ -208,6 +210,7 @@ let run ?until t =
         else begin
           let id = pop_actor t in
           t.act_time.(id) <- -1;
+          t.activations <- t.activations + 1;
           dispatch t ~time:ta;
           t.acts.(id) t
         end;
@@ -220,4 +223,5 @@ let run ?until t =
   if t.now_i > horizon then t.now_i <- horizon
 
 let events_processed t = t.processed
+let activations t = t.activations
 let max_queue_depth t = t.max_queue_len

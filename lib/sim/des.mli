@@ -37,8 +37,8 @@
     reach it.  Non-commuting steps of all actors therefore still run in
     the rule's order, and the commuting ones in between cannot tell: the
     virtual schedule is the same with fewer activations.
-    {!set_lookahead} [false] turns it off for checks that count or
-    perturb steps in their global order. *)
+    {!set_lookahead} [false] turns it off, so the lookahead differential
+    can compare a run with and without it. *)
 
 type t
 
@@ -98,7 +98,8 @@ val may_run_ahead : t -> actor:int -> local:int -> floor:int -> bool
 
 val set_lookahead : t -> bool -> unit
 (** On by default.  Off, {!may_run_ahead} is {!may_step}: every step keeps
-    the lock-step bound. *)
+    the lock-step bound.  The switch of the lookahead differential, which
+    requires a run's virtual-schedule digest to be the same either way. *)
 
 (** {1 Running} *)
 
@@ -124,6 +125,10 @@ val run : ?until:int64 -> t -> unit
 
 val events_processed : t -> int
 (** Events and actor activations dispatched. *)
+
+val activations : t -> int
+(** Actor activations dispatched: the part of {!events_processed} that
+    does not pass through the event queue. *)
 
 val max_queue_depth : t -> int
 (** High-water mark of pending events plus pending actor activations,

@@ -604,8 +604,9 @@ let prop_eq_vs_ref =
       && Event_queue.length w = Event_queue_ref.length r
       && Event_queue.drain w = Event_queue_ref.drain r)
 
-(* Regression: [clear] must also reset the FIFO tie-break counter, so a
-   reused queue replays a script exactly like a fresh one. *)
+(* A cleared queue replays a script exactly like a fresh one: [clear]
+   keeps the FIFO tie-break counter counting, and equal times still pop in
+   push order. *)
 let test_eq_clear_reuse () =
   let script q =
     List.iter (fun (t, v) -> Event_queue.push q ~time:t v)
