@@ -182,14 +182,14 @@ let run ?fault ?plan ?(reclaim = false) ?(workload = Tpcc) (s : Schedule.t) =
   | None -> ());
   (match plan with Some p -> Faults.Injector.install p a | None -> ());
   let clock = Sim.Des.clock a.R.Runner.des in
-  (* The forced-preemption probe below counts micro-ops in their global
-     order, which lookahead would reorder across workers: lock-step. *)
-  Sim.Des.set_lookahead a.R.Runner.des false;
   (* recorder: DES event stream *)
   let rec_ = Recorder.create () in
   Sim.Des.set_probe a.R.Runner.des
     (Some (fun ~time ~seq -> Recorder.on_des_event rec_ ~time ~seq));
-  (* delivery latency: schedule-controlled jitter, recorded *)
+  (* delivery latency: schedule-controlled jitter, recorded.  An installed
+     model leaves no lookahead floor ([Uintr.Fabric.lookahead_floor] is 0),
+     so workers step in lock-step and the forced-preemption probe below
+     counts micro-ops in their global order. *)
   let jrng = Sim.Rng.create (Int64.logxor s.Schedule.seed 0x6a09e667f3bcc908L) in
   Uintr.Fabric.set_latency_model a.R.Runner.fabric
     (Some

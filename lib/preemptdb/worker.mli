@@ -101,10 +101,11 @@ val set_op_probe : t -> (t -> Workload.Program.op -> unit) option -> unit
     worker's receiver ([Uintr.Receiver.post]), which the very next
     boundary's recognition check observes.  The probe must not switch
     contexts or touch the queues itself.  Each worker's probe calls come
-    in its own step order; with lookahead on
-    ({!Sim.Des.set_lookahead}), calls from different workers may come out
-    of global virtual-time order, so a probe that counts boundaries across
-    workers needs lookahead off. *)
+    in its own step order.  Calls from different workers come in global
+    virtual-time order only in lock-step, i.e. where the lookahead floor
+    ({!Uintr.Fabric.lookahead_floor}) is 0: the harness installs a
+    delivery latency model, which makes it so; elsewhere a commuting step
+    may run ahead of another worker's. *)
 
 val free_slots : t -> level:int -> int
 val enqueue : t -> level:int -> Request.t -> bool
