@@ -576,21 +576,28 @@ let test_integration_handcrafted_near_preempt () =
     (p99 hc "NewOrder" < 10. *. p99 preempt "NewOrder");
   checkb "handcrafted much better than wait" true (p99 hc "NewOrder" < p99 wait "NewOrder" /. 3.)
 
+(* The §4.4 ablation's ledger run: 8 workers, 30 ms. *)
+let ledger_ablation ?prepare ~seed regions_enabled =
+  let cfg =
+    {
+      (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:8 ()) with
+      Config.regions_enabled;
+      seed;
+    }
+  in
+  Runner.run_ledger ~cfg ?prepare ~horizon_sec:0.03 ()
+
 let test_integration_regions_prevent_deadlock () =
   (* §4.4 end to end on the serializable ledger workload.  Whether a
      preemption lands inside some commit's latch phase is a matter of
      timing, so the ablation is run on three seeds and must deadlock on at
-     least one of them; with regions, none may deadlock. *)
-  let run ~seed regions_enabled =
-    let cfg =
-      {
-        (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:8 ()) with
-        Config.regions_enabled;
-        seed;
-      }
-    in
-    Runner.run_ledger ~cfg ~horizon_sec:0.03 ()
-  in
+     least one of them; with regions, none may deadlock.  Which seeds
+     deadlock is set by the tie rule (des.mli), not by lookahead: in
+     lock-step, without regions, seed 42 gives 0 deadlocks (535 before
+     the rule), seed 1 gives 97 (214) and seed 2 gives 128 (14), and the
+     [lookahead] group checks that lookahead leaves seeds 42 and 1
+     digest-identical. *)
+  let run ~seed regions_enabled = ledger_ablation ~seed regions_enabled in
   let expected = Workload.Ledger.default.Workload.Ledger.accounts * 1000 in
   let deadlocks_off =
     List.fold_left
@@ -869,6 +876,27 @@ let test_lookahead_perfdiff_cells () =
       checkb "lookahead cut the activations" true (2 * on.Runner.events < off.Runner.events))
     [ Config.Preempt 1.0; Config.Wait ]
 
+(* The §4.4 ablation without regions (8 workers, where the floor is 800
+   and serializable reads run ahead) at seed 42, which does not deadlock,
+   and seed 1, which does: the same digest, and so the same deadlocks,
+   with lookahead on and off. *)
+let test_lookahead_ledger_ablation () =
+  List.iter
+    (fun seed ->
+      let run lookahead =
+        fst
+          (ledger_ablation ~seed false ~prepare:(fun a ->
+               Sim.Des.set_lookahead a.Runner.des lookahead))
+      in
+      let on = run true and off = run false in
+      let deadlocks r = r.Runner.engine_stats.Engine.aborts_deadlock in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %Ld: same digest" seed)
+        off.Runner.digest on.Runner.digest;
+      checki "same deadlocks" (deadlocks off) (deadlocks on);
+      checkb "lookahead cut the activations" true (2 * on.Runner.events < off.Runner.events))
+    [ 42L; 1L ]
+
 let () =
   Alcotest.run "preemptdb"
     [
@@ -957,5 +985,7 @@ let () =
               golden_maintenance_lanes ~lookahead:false);
           Alcotest.test_case "on and off: perfdiff mixed cells" `Quick
             test_lookahead_perfdiff_cells;
+          Alcotest.test_case "on and off: ledger deadlock ablation" `Quick
+            test_lookahead_ledger_ablation;
         ] );
     ]
