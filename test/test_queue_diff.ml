@@ -340,8 +340,8 @@ let test_tpcc_trace_replay () =
     { (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:4 ()) with
       Config.seed = 7L }
   in
-  (* 20 ms: worker activations no longer pass through the queue, so the
-     run needs this long to push a workload-sized trace *)
+  (* 20 ms: worker activations do not pass through the queue, so the run
+     needs this long to push a workload-sized trace *)
   let r = Runner.run_tpcc ~cfg ~horizon_sec:0.02 ~prepare () in
   let des = match !des with Some d -> d | None -> Alcotest.fail "tracer not installed" in
   checkb "run did work" true (r.Runner.events > 1_000);
