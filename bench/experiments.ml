@@ -439,21 +439,22 @@ let ablation () =
 let ablation_regions () =
   header "Ablation — non-preemptible regions vs same-thread latch deadlocks (§4.4)";
   line "  serializable ledger workload: Audit (lp, read-set latching) + Transfer (hp)";
-  line "  %-22s %14s %14s %14s %12s" "variant" "drops-region" "deadlocks" "Tr-p99(us)" "balance-ok";
-  let run name regions_enabled =
-    let cfg =
-      {
-        (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:8 ()) with
-        Config.regions_enabled;
-      }
-    in
+  line "  %-18s %5s %13s %10s %11s %11s" "variant" "seed" "drops-region" "deadlocks"
+    "Tr-p99(us)" "balance-ok";
+  let run seed regions_enabled =
+    let cfg = { (cfg_of ~workers:8 ~seed (Config.Preempt 1.0)) with Config.regions_enabled } in
     let r, balance = Runner.run_ledger ~cfg ~horizon_sec:(scale 0.08) () in
     record ~experiment:"ablation-regions"
-      ~variant:(if regions_enabled then "regions-enabled" else "regions-disabled")
+      ~variant:
+        (Printf.sprintf "regions-%s-seed%d"
+           (if regions_enabled then "enabled" else "disabled")
+           seed)
       r;
     let expected = Workload.Ledger.default.Workload.Ledger.accounts * 1000 in
-    line "  %-22s %14d %14d %14s %12s" name r.Runner.workers.Runner.drops_region
-      r.Runner.engine_stats.Storage.Engine.aborts_deadlock
+    let deadlocks = r.Runner.engine_stats.Storage.Engine.aborts_deadlock in
+    line "  %-18s %5d %13d %10d %11s %11s"
+      (if regions_enabled then "regions enabled" else "regions DISABLED")
+      seed r.Runner.workers.Runner.drops_region deadlocks
       (opt_us (Runner.latency_us r "Transfer" ~pct:99.))
       (if balance = expected then "yes" else "VIOLATED");
     line "    [diag] passive=%d validation-aborts=%d conflicts=%d retries=%d audits=%d transfers=%d"
@@ -462,15 +463,34 @@ let ablation_regions () =
       r.Runner.engine_stats.Storage.Engine.aborts_conflict
       r.Runner.workers.Runner.retries
       (Metrics.committed r.Runner.metrics "Audit")
-      (Metrics.committed r.Runner.metrics "Transfer")
+      (Metrics.committed r.Runner.metrics "Transfer");
+    deadlocks
   in
-  run "regions enabled" true;
-  run "regions DISABLED" false;
+  (* How many deadlocks form without regions swings with timing (0 at
+     some seeds), so the claim is judged over four seeds. *)
+  let seeds = [ 42; 1; 2; 3 ] in
+  let deadlocks =
+    List.map
+      (fun seed ->
+        let on = run seed true in
+        let off = run seed false in
+        (seed, on, off))
+      seeds
+  in
+  line "  deadlocks by seed (enabled/disabled): %s"
+    (String.concat "  "
+       (List.map (fun (seed, on, off) -> Printf.sprintf "%d: %d/%d" seed on off) deadlocks));
+  line "  paper: regions prevent same-thread latch deadlocks that form without them -> %s"
+    (if
+       List.for_all (fun (_, on, _) -> on = 0) deadlocks
+       && List.exists (fun (_, _, off) -> off > 0) deadlocks
+     then "REPRODUCED"
+     else "NOT reproduced");
   line "  reading: with regions, in-commit preemptions are rejected (drops)";
   line "  and no deadlock can form; without them, same-thread latch deadlocks";
-  line "  appear and long audits barely ever commit.  The simulator detects";
-  line "  and breaks these deadlocks by aborting; on real hardware each one";
-  line "  would be a permanent hang (latches have no deadlock detection)"
+  line "  appear at some seeds and long audits rarely commit.  The simulator";
+  line "  detects and breaks these deadlocks by aborting; on real hardware each";
+  line "  one would be a permanent hang (latches have no deadlock detection)"
 
 (* -- Extension: multi-level priorities (§5 Discussions) -------------------------- *)
 
@@ -1028,24 +1048,3 @@ let shard () =
   line "  prepare/vote/decision round trip (two group-commit flushes + four";
   line "  link hops), so queued local transactions eat the wait in their p99;";
   line "  parking lends the core to them instead"
-
-let all () =
-  uintr_micro ();
-  fig1 ();
-  fig8 ();
-  tpcc ();
-  fig9 ();
-  fig10 ();
-  fig11 ();
-  fig12 ();
-  fig13 ();
-  ablation ();
-  ablation_regions ();
-  multilevel ();
-  htap ();
-  resilience ();
-  memory ();
-  durability ();
-  failover ();
-  shard ();
-  perf ()

@@ -1,6 +1,6 @@
 (* Benchmark harness entry point: regenerates every table and figure of
    the paper's evaluation (§6) plus the DESIGN.md ablations and the
-   host-side microbenchmarks.
+   extensions.
 
      dune exec bench/main.exe                              # everything
      dune exec bench/main.exe -- --only fig10              # one experiment
@@ -29,7 +29,6 @@ let experiments =
     "failover", Experiments.failover;
     "shard", Experiments.shard;
     "perf", Experiments.perf;
-    "host-micro", Micro.run;
   ]
 
 let usage =

@@ -666,275 +666,108 @@ let check_cmd =
       tag o.Check.Explorer.explored o.Check.Explorer.total_commits o.Check.Explorer.total_forced
       o.Check.Explorer.failing
   in
-  let run_durability_fuzz ~budget ~seed ~workers =
-    (* a slow device + fast arrivals keep an unflushed tail pending, so the
-       fuzzed crash points exercise real commit loss *)
-    let cfg =
-      Config.with_durability
-        ~durability:
-          {
-            Config.default_durability with
-            Config.du_group_interval_us = 200.;
-            du_fsync_floor_us = 50.;
-          }
-        (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:workers ())
-    in
-    let cells = max 1 budget in
-    let failures = ref 0 in
-    let lost_total = ref 0 in
-    for i = 0 to cells - 1 do
-      let crash_at_us = 2000. +. (6000. *. float_of_int i /. float_of_int cells) in
-      let crash_seed = Int64.of_int (seed + (i * 7919)) in
-      let o =
-        Check.Crash.run ~cfg ~crash_at_us ~crash_seed ~arrival_interval_us:50.
-          ~horizon_sec:0.01 ()
-      in
-      let nviol = List.length o.Check.Crash.co_violations in
-      Format.printf "crash@%.0fus seed=%Ld: durable=%d lost=%d acked=%d violations=%d@."
-        crash_at_us crash_seed o.Check.Crash.co_durable_commits o.Check.Crash.co_lost_commits
-        o.Check.Crash.co_acked nviol;
-      lost_total := !lost_total + o.Check.Crash.co_lost_commits;
-      if nviol > 0 then begin
-        incr failures;
-        List.iteri
-          (fun j v -> if j < 5 then Format.printf "  %s@." (Check.Violation.to_string v))
-          o.Check.Crash.co_violations
-      end
-    done;
-    (* the lying-daemon self-test: early acks must be caught *)
-    let st =
-      Check.Crash.run ~cfg ~crash_at_us:5000. ~early_ack:true ~arrival_interval_us:50.
-        ~horizon_sec:0.01 ()
-    in
-    let caught = st.Check.Crash.co_violations <> [] in
-    Format.printf "early-ack self-test: %s@."
-      (if caught then "caught (oracle works)" else "NOT CAUGHT (oracle bug)");
-    Format.printf "durability fuzz: %d crash points, %d commits lost in total, %d failing@."
-      cells !lost_total !failures;
-    exit (if !failures = 0 && caught then 0 else 1)
-  in
-  let run_failover_fuzz ~budget ~seed ~workers =
-    (* grid = crash time x mode; every cell runs the acked-commit-survival
-       oracle, and semi-sync cells additionally demand RPO = 0 *)
-    let mk mode =
-      Config.with_replication
-        ~replication:{ Config.default_replication with Config.rp_mode = mode }
-        (Config.with_durability ~durability:Config.default_durability
-           (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:workers ()))
-    in
-    let tpch_cfg =
-      { Workload.Tpch_schema.default with Workload.Tpch_schema.parts = 3000 }
-    in
-    let points = max 10 (budget / 2) in
-    let failures = ref 0 in
-    let cells = ref 0 in
-    for i = 0 to points - 1 do
-      let crash_at_us = 2000. +. (6000. *. float_of_int i /. float_of_int points) in
-      let crash_seed = Int64.of_int (seed + (i * 7919)) in
-      List.iter
-        (fun mode ->
-          incr cells;
-          let o =
-            Check.Failover.run ~cfg:(mk mode) ~tpch_cfg ~crash_at_us ~crash_seed
-              ~arrival_interval_us:200. ~horizon_sec:0.01 ()
-          in
-          let nviol = List.length o.Check.Failover.fv_violations in
-          let rpo_bad =
-            mode = Config.Repl_semi_sync && o.Check.Failover.fv_acked_lost > 0
-          in
-          let rto =
-            match o.Check.Failover.fv_failover with
-            | Some fo -> Printf.sprintf "%.1f" fo.Replication.Failover.fo_rto_us
-            | None -> "-"
-          in
-          Format.printf
-            "crash@%.0fus %-9s seed=%Ld: RTO=%sus RPO=%d survived=%d lost=%d violations=%d%s@."
-            crash_at_us
-            (Config.replication_mode_to_string mode)
-            crash_seed rto o.Check.Failover.fv_acked_lost
-            o.Check.Failover.fv_survived_commits o.Check.Failover.fv_lost_commits nviol
-            (if rpo_bad then "  RPO VIOLATION" else "");
-          if nviol > 0 || rpo_bad then begin
-            incr failures;
-            List.iteri
-              (fun j v -> if j < 5 then Format.printf "  %s@." (Check.Violation.to_string v))
-              o.Check.Failover.fv_violations
-          end)
-        [ Config.Repl_async; Config.Repl_semi_sync ]
-    done;
-    (* the lying-daemon self-test: early acks must be caught *)
-    let st =
-      Check.Failover.run ~cfg:(mk Config.Repl_semi_sync) ~tpch_cfg ~crash_at_us:5000.
-        ~early_ack:true ~arrival_interval_us:200. ~horizon_sec:0.01 ()
-    in
-    let caught = st.Check.Failover.fv_violations <> [] in
-    Format.printf "early-ack self-test: %s@."
-      (if caught then "caught (oracle works)" else "NOT CAUGHT (oracle bug)");
-    Format.printf "failover fuzz: %d cells (%d crash points x 2 modes), %d failing@." !cells
-      points !failures;
-    exit (if !failures = 0 && caught then 0 else 1)
-  in
-  let run_shard_fuzz ~budget ~seed ~workers =
-    (* grid = crash instant x crash role; restricting origins to shard 0
-       makes crashing shard 0 the coordinator-crash cell and the last
-       shard the participant-crash cell *)
-    let cfg =
-      Config.with_shard (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:workers ())
-    in
-    let shards =
-      match cfg.Config.shard with Some s -> s.Config.sh_shards | None -> 2
-    in
-    let failures = ref 0 in
-    let cells = ref 0 in
-    let report tag (o : Check.Atomic.outcome) =
-      incr cells;
-      let rs = o.Check.Atomic.at_resolution in
-      let nviol = List.length rs.Check.Atomic.rs_violations in
-      Format.printf
-        "%s: decisions=%d in-doubt=%d resolved(commit/abort)=%d/%d torn=%d violations=%d@."
-        tag rs.Check.Atomic.rs_decisions rs.Check.Atomic.rs_in_doubt
-        rs.Check.Atomic.rs_committed rs.Check.Atomic.rs_aborted rs.Check.Atomic.rs_torn
-        nviol;
-      if nviol > 0 then begin
-        incr failures;
-        List.iteri
-          (fun j v -> if j < 5 then Format.printf "  %s@." (Check.Violation.to_string v))
-          rs.Check.Atomic.rs_violations
-      end
-    in
-    report "clean" (Check.Atomic.run ~cfg ());
-    let points = max 2 (budget / 4) in
-    for i = 0 to points - 1 do
-      let crash_at_us = 500. +. (4000. *. float_of_int i /. float_of_int points) in
-      let crash_seed = Int64.of_int (seed + (i * 7919)) in
-      List.iter
-        (fun (role, sid) ->
-          let o = Check.Atomic.run ~cfg ~crash_sid:sid ~crash_at_us ~crash_seed () in
-          report
-            (Printf.sprintf "crash@%.0fus %-11s seed=%Ld" crash_at_us role crash_seed)
-            o)
-        [ ("coordinator", 0); ("participant", shards - 1) ]
-    done;
-    (* the early-vote self-test: a participant voting yes before its
-       prepare record is durable, then crashing inside the group-commit
-       window, must be caught.  All-cross traffic and a stretched flush
-       interval widen the window so the fuzzed instants land in it. *)
-    let st_cfg =
-      Config.with_shard
-        ~shard:{ Config.default_shard with Config.sh_cross_pct = 100 }
-        (Config.with_durability
-           ~durability:
-             { Config.default_durability with Config.du_group_interval_us = 40. }
-           (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:workers ()))
-    in
-    let caught = ref false in
-    for i = 0 to 7 do
-      if not !caught then begin
-        let o =
-          Check.Atomic.run ~cfg:st_cfg ~bug_early_vote:true ~crash_sid:(shards - 1)
-            ~crash_at_us:(700. +. (500. *. float_of_int i))
-            ~crash_seed:(Int64.of_int (seed + 31 + i))
-            ~arrival_interval_us:60. ()
-        in
-        if o.Check.Atomic.at_resolution.Check.Atomic.rs_violations <> [] then caught := true
-      end
-    done;
-    Format.printf "early-vote self-test: %s@."
-      (if !caught then "caught (oracle works)" else "NOT CAUGHT (oracle bug)");
-    Format.printf "shard-atomicity: %s — %d cells, %d failing@."
-      (if !failures = 0 && !caught then "PASS" else "FAIL")
-      !cells !failures;
-    exit (if !failures = 0 && !caught then 0 else 1)
-  in
   let run fuzz exhaustive selftest determinism durability failover shards replay_file budget
       seed workers horizon_us arrival_us jitter inject_fault faults reclaim out =
-    ignore fuzz;
-    if durability then run_durability_fuzz ~budget ~seed ~workers;
-    if failover then run_failover_fuzz ~budget ~seed ~workers;
-    if shards then run_shard_fuzz ~budget ~seed ~workers;
-    let plan = load_plan faults in
-    let base =
-      {
-        Check.Schedule.default with
-        Check.Schedule.seed = Int64.of_int seed;
-        workers;
-        horizon_us;
-        arrival_us;
-        jitter_pct = jitter;
-      }
+    let presets =
+      List.filter_map
+        (fun (picked, preset) -> if picked then Some (preset ~budget ~seed ~workers) else None)
+        [
+          (durability, Check.Grid.durability);
+          (failover, Check.Grid.failover);
+          (shards, Check.Grid.shards);
+        ]
     in
-    let fault = if inject_fault then Some Storage.Engine.Skip_write_lock else None in
-    match replay_file with
-    | Some path -> (
-      let doc = In_channel.with_open_text path In_channel.input_all in
-      match Result.bind (Obs.Json.parse doc) Check.Harness.of_report_json with
-      | Error e ->
-        Format.printf "replay: %s@." e;
-        exit 2
-      | Ok (schedule, workload, fault, plan, reclaim, expected) ->
-        let r = Check.Harness.run ?fault ?plan ~reclaim ~workload schedule in
-        if String.equal r.Check.Harness.hash_hex expected then begin
-          Format.printf "replay OK: trace hash %s reproduced (%d ops, %d commits)@."
-            r.Check.Harness.hash_hex r.Check.Harness.ops r.Check.Harness.commits;
-          exit 0
-        end
-        else begin
-          Format.printf "replay DIVERGED: recorded %s, got %s@." expected
-            r.Check.Harness.hash_hex;
-          exit 1
-        end)
-    | None ->
-      if determinism then begin
-        let r1 = Check.Harness.run ?fault ?plan ~reclaim base in
-        let r2 = Check.Harness.run ?fault ?plan ~reclaim base in
-        let j1 = Obs.Json.to_string (Check.Harness.report_json r1) in
-        let j2 = Obs.Json.to_string (Check.Harness.report_json r2) in
-        if String.equal j1 j2 then begin
-          Format.printf "deterministic: two runs produced byte-identical reports (hash %s)@."
-            r1.Check.Harness.hash_hex;
-          exit 0
-        end
-        else begin
-          Format.printf "NONDETERMINISTIC: reports differ (hashes %s vs %s)@."
-            r1.Check.Harness.hash_hex r2.Check.Harness.hash_hex;
-          exit 1
-        end
-      end
-      else if selftest then begin
-        (* the clean engine must pass, the faulty one must be caught *)
-        let clean = Check.Harness.run ~workload:Check.Harness.Selftest base in
-        if Check.Harness.failed clean then begin
-          Format.printf "selftest: clean engine flagged (oracle bug)@.";
-          print_failure clean;
-          exit 1
-        end;
-        let o =
-          Check.Explorer.fuzz ~fault:Storage.Engine.Skip_write_lock ?plan
-            ~workload:Check.Harness.Selftest ~budget ~base ()
+    let grid_ok = Check.Grid.run presets in
+    (* The schedule-exploration modes: one per invocation, the first of
+       replay, determinism, selftest and exhaustive/fuzz given.  True = pass. *)
+    let explore () =
+      let plan = load_plan faults in
+      let base =
+        {
+          Check.Schedule.default with
+          Check.Schedule.seed = Int64.of_int seed;
+          workers;
+          horizon_us;
+          arrival_us;
+          jitter_pct = jitter;
+        }
+      in
+      let fault = if inject_fault then Some Storage.Engine.Skip_write_lock else None in
+      match replay_file with
+      | Some path -> (
+        let doc =
+          try Ok (In_channel.with_open_text path In_channel.input_all)
+          with Sys_error e -> Error e
         in
-        summary "selftest" o;
-        match o.Check.Explorer.first_failure with
-        | Some r ->
-          Format.printf "selftest: injected lost-update bug detected@.";
-          print_failure r;
-          shrink_and_report ~out r;
-          exit 0
-        | None ->
-          Format.printf "selftest FAILED: injected bug not detected in %d schedules@."
-            o.Check.Explorer.explored;
-          exit 1
-      end
-      else begin
-        let explore = if exhaustive then Check.Explorer.exhaustive else Check.Explorer.fuzz in
-        let o = explore ?fault ?plan ~reclaim ~budget ~base () in
-        summary (if exhaustive then "exhaustive" else "fuzz") o;
-        match o.Check.Explorer.first_failure with
-        | None -> exit 0
-        | Some r ->
-          print_failure r;
-          shrink_and_report ~out r;
-          exit 1
-      end
+        match Result.bind (Result.bind doc Obs.Json.parse) Check.Harness.of_report_json with
+        | Error e ->
+          Format.printf "replay: %s@." e;
+          exit 2
+        | Ok (schedule, workload, fault, plan, reclaim, expected) ->
+          let r = Check.Harness.run ?fault ?plan ~reclaim ~workload schedule in
+          let ok = String.equal r.Check.Harness.hash_hex expected in
+          if ok then
+            Format.printf "replay OK: trace hash %s reproduced (%d ops, %d commits)@."
+              r.Check.Harness.hash_hex r.Check.Harness.ops r.Check.Harness.commits
+          else
+            Format.printf "replay DIVERGED: recorded %s, got %s@." expected
+              r.Check.Harness.hash_hex;
+          ok)
+      | None ->
+        if determinism then begin
+          let r1 = Check.Harness.run ?fault ?plan ~reclaim base in
+          let r2 = Check.Harness.run ?fault ?plan ~reclaim base in
+          let j1 = Obs.Json.to_string (Check.Harness.report_json r1) in
+          let j2 = Obs.Json.to_string (Check.Harness.report_json r2) in
+          let ok = String.equal j1 j2 in
+          if ok then
+            Format.printf "deterministic: two runs produced byte-identical reports (hash %s)@."
+              r1.Check.Harness.hash_hex
+          else
+            Format.printf "NONDETERMINISTIC: reports differ (hashes %s vs %s)@."
+              r1.Check.Harness.hash_hex r2.Check.Harness.hash_hex;
+          ok
+        end
+        else if selftest then begin
+          (* the clean engine must pass, the faulty one must be caught *)
+          let clean = Check.Harness.run ~workload:Check.Harness.Selftest base in
+          if Check.Harness.failed clean then begin
+            Format.printf "selftest: clean engine flagged (oracle bug)@.";
+            print_failure clean;
+            false
+          end
+          else
+            let o =
+              Check.Explorer.fuzz ~fault:Storage.Engine.Skip_write_lock ?plan
+                ~workload:Check.Harness.Selftest ~budget ~base ()
+            in
+            summary "selftest" o;
+            match o.Check.Explorer.first_failure with
+            | Some r ->
+              Format.printf "selftest: injected lost-update bug detected@.";
+              print_failure r;
+              shrink_and_report ~out r;
+              true
+            | None ->
+              Format.printf "selftest FAILED: injected bug not detected in %d schedules@."
+                o.Check.Explorer.explored;
+              false
+        end
+        else begin
+          let explore = if exhaustive then Check.Explorer.exhaustive else Check.Explorer.fuzz in
+          let o = explore ?fault ?plan ~reclaim ~budget ~base () in
+          summary (if exhaustive then "exhaustive" else "fuzz") o;
+          match o.Check.Explorer.first_failure with
+          | None -> true
+          | Some r ->
+            print_failure r;
+            shrink_and_report ~out r;
+            false
+        end
+    in
+    let mode_given = fuzz || exhaustive || selftest || determinism || replay_file <> None in
+    let explore_ok = if presets = [] || mode_given then explore () else true in
+    exit (if grid_ok && explore_ok then 0 else 1)
   in
   Cmd.v
     (Cmd.info "check"

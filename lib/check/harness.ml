@@ -60,11 +60,6 @@ let setup_tpcc (a : R.Runner.assembly) (s : Schedule.t) =
   let db = Workload.Tpcc_db.create a.R.Runner.eng tiny in
   Workload.Tpcc_db.load db (Sim.Rng.create (Int64.add s.Schedule.seed 1L));
   let gen_rng = Sim.Rng.create (Int64.add s.Schedule.seed 2L) in
-  let next_id = ref 0 in
-  let fresh_id () =
-    incr next_id;
-    !next_id
-  in
   let warehouses = tiny.Workload.Tpcc_schema.warehouses in
   let hp_gen ~submitted_at =
     let rng = Sim.Rng.split gen_rng in
@@ -72,7 +67,7 @@ let setup_tpcc (a : R.Runner.assembly) (s : Schedule.t) =
     let prog env =
       Workload.Tpcc.program db kind ~home_w:((env.P.worker mod warehouses) + 1) env
     in
-    R.Request.make ~id:(fresh_id ())
+    R.Request.make ~id:(R.Runner.next_request_id a.R.Runner.host)
       ~label:(Workload.Tpcc.kind_to_string kind)
       ~priority:R.Request.High ~prog ~rng ~submitted_at
   in
@@ -82,7 +77,7 @@ let setup_tpcc (a : R.Runner.assembly) (s : Schedule.t) =
     let prog env =
       Workload.Tpcc.program db kind ~home_w:((env.P.worker mod warehouses) + 1) env
     in
-    R.Request.make ~id:(fresh_id ())
+    R.Request.make ~id:(R.Runner.next_request_id a.R.Runner.host)
       ~label:(Workload.Tpcc.kind_to_string kind)
       ~priority:R.Request.Low ~prog ~rng ~submitted_at
   in
@@ -103,11 +98,6 @@ let setup_selftest (a : R.Runner.assembly) (s : Schedule.t) =
       (Storage.Version.committed
          (Some (Storage.Value.of_fields [| Storage.Value.Int i; Storage.Value.Int 0 |])))
   done;
-  let next_id = ref 0 in
-  let fresh_id () =
-    incr next_id;
-    !next_id
-  in
   let writes = Storage.Txn.declare ~tables:[ table ] () in
   let incr_prog ~slow env =
     P.run_txn ~writes env (fun txn ->
@@ -120,12 +110,14 @@ let setup_selftest (a : R.Runner.assembly) (s : Schedule.t) =
   in
   let gen_rng = Sim.Rng.create (Int64.add s.Schedule.seed 2L) in
   let hp_gen ~submitted_at =
-    R.Request.make ~id:(fresh_id ()) ~label:"FastIncr" ~priority:R.Request.High
-      ~prog:(incr_prog ~slow:false) ~rng:(Sim.Rng.split gen_rng) ~submitted_at
+    R.Request.make ~id:(R.Runner.next_request_id a.R.Runner.host) ~label:"FastIncr"
+      ~priority:R.Request.High ~prog:(incr_prog ~slow:false) ~rng:(Sim.Rng.split gen_rng)
+      ~submitted_at
   in
   let lp_gen ~worker:_ ~submitted_at =
-    R.Request.make ~id:(fresh_id ()) ~label:"SlowIncr" ~priority:R.Request.Low
-      ~prog:(incr_prog ~slow:true) ~rng:(Sim.Rng.split gen_rng) ~submitted_at
+    R.Request.make ~id:(R.Runner.next_request_id a.R.Runner.host) ~label:"SlowIncr"
+      ~priority:R.Request.Low ~prog:(incr_prog ~slow:true) ~rng:(Sim.Rng.split gen_rng)
+      ~submitted_at
   in
   let conservation () =
     let sum = ref 0 in

@@ -76,7 +76,8 @@ let request_hash ~exhausted (req : Request.t) =
       -1 - Hashtbl.hash (Storage.Err.abort_reason_to_string r)
     | None -> min_int
   in
-  (* no request id: ids count across every run in the process *)
+  (* no request id: the digest pins when and how requests ran, not how
+     their generators numbered them *)
   List.fold_left mix 0x811c9dc5
     [
       Hashtbl.hash req.Request.label;

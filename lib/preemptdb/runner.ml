@@ -216,6 +216,7 @@ type host = {
   h_fabric : Uintr.Fabric.t;
   h_prof : Obs.Profiler.t;
   mutable h_workers : int;  (* workers registered on the fabric so far *)
+  mutable h_requests : int;  (* request ids drawn so far *)
 }
 
 let host ?obs (cfg : Config.t) =
@@ -225,9 +226,15 @@ let host ?obs (cfg : Config.t) =
     h_fabric = Uintr.Fabric.create ?obs des ~costs:cfg.Config.uintr_costs;
     h_prof = Obs.Profiler.create ();
     h_workers = 0;
+    h_requests = 0;
   }
 
+let next_request_id h =
+  h.h_requests <- h.h_requests + 1;
+  h.h_requests
+
 type assembly = {
+  host : host;
   des : Sim.Des.t;
   eng : Storage.Engine.t;
   fabric : Uintr.Fabric.t;
@@ -363,7 +370,7 @@ let assemble ?obs ?host:h (cfg : Config.t) =
         }
     | _ -> None
   in
-  { des; eng; fabric; metrics; workers; maint; dur; repl; prof; sched = None }
+  { host = h; des; eng; fabric; metrics; workers; maint; dur; repl; prof; sched = None }
 
 (* Fail-stop the primary node mid-run (the failover scenario's crash
    edge): the group-commit daemon tears, every worker and the scheduling
@@ -398,12 +405,6 @@ let crash_replica (a : assembly) =
     Uintr.Channel.sever r.repl_ack_ch
   | None -> ()
 
-let next_id = ref 0
-
-let fresh_id () =
-  incr next_id;
-  !next_id
-
 (* The scheduling thread's maintenance lanes: GC chunks, then checkpoint
    chunks, each minted from its own seeded random stream (like the
    workload generators). *)
@@ -412,7 +413,7 @@ let lanes (a : assembly) (cfg : Config.t) =
   let lane label ~seed prog ~interval_us ~per_tick =
     let rng = Sim.Rng.create (Int64.add cfg.Config.seed seed) in
     let gen ~submitted_at =
-      Request.make ~id:(fresh_id ()) ~label ~priority:Request.Low ~prog
+      Request.make ~id:(next_request_id a.host) ~label ~priority:Request.Low ~prog
         ~rng:(Sim.Rng.split rng) ~submitted_at
     in
     let interval = Int64.max 1L (Sim.Clock.cycles_of_us clock interval_us) in
@@ -699,16 +700,16 @@ let load_tpch (a : assembly) tpch_cfg rng =
 let home_w db (env : P.env) = (env.P.worker mod db.Tpcc_db.cfg.Tpcc_schema.warehouses) + 1
 
 (* The high-priority stream of most drivers: a 50/50 NewOrder/Payment mix. *)
-let new_order_payment db gen_rng ~submitted_at =
+let new_order_payment (a : assembly) db gen_rng ~submitted_at =
   let rng = Sim.Rng.split gen_rng in
   let kind = if Sim.Rng.bool gen_rng then Tpcc.New_order else Tpcc.Payment in
   let prog env = Tpcc.program db kind ~home_w:(home_w db env) env in
-  Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind) ~priority:Request.High
-    ~prog ~rng ~submitted_at
+  Request.make ~id:(next_request_id a.host) ~label:(Tpcc.kind_to_string kind)
+    ~priority:Request.High ~prog ~rng ~submitted_at
 
-let q2_stream tpch gen_rng ~worker:_ ~submitted_at =
+let q2_stream (a : assembly) tpch gen_rng ~worker:_ ~submitted_at =
   let rng = Sim.Rng.split gen_rng in
-  Request.make ~id:(fresh_id ()) ~label:"Q2" ~priority:Request.Low
+  Request.make ~id:(next_request_id a.host) ~label:"Q2" ~priority:Request.Low
     ~prog:(Tpch_q2.random_program tpch) ~rng ~submitted_at
 
 let run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
@@ -718,8 +719,8 @@ let run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 100
       let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
       let tpch = load_tpch a tpch_cfg load_rng in
       {
-        hp = Some (new_order_payment tpcc gen_rng);
-        lp = Some (q2_stream tpch gen_rng);
+        hp = Some (new_order_payment a tpcc gen_rng);
+        lp = Some (q2_stream a tpch gen_rng);
         urgent = None;
       })
 
@@ -732,7 +733,7 @@ let run_tpcc ~cfg ?tpcc_cfg ?obs ?prepare ?(horizon_sec = 0.3)
         let rng = Sim.Rng.split gen_rng in
         let kind = Tpcc.standard_mix gen_rng in
         let prog env = Tpcc.program tpcc kind ~home_w:(home_w tpcc env) env in
-        Request.make ~id:(fresh_id ()) ~label:(Tpcc.kind_to_string kind)
+        Request.make ~id:(next_request_id a.host) ~label:(Tpcc.kind_to_string kind)
           ~priority:Request.Low ~prog ~rng ~submitted_at
       in
       { hp = None; lp = Some lp; urgent = None })
@@ -747,10 +748,10 @@ let run_htap ~cfg ?tpcc_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
       let lp ~worker:_ ~submitted_at =
         let rng = Sim.Rng.split gen_rng in
         let kind = Workload.Ch.random_kind gen_rng in
-        Request.make ~id:(fresh_id ()) ~label:(Workload.Ch.kind_to_string kind)
+        Request.make ~id:(next_request_id a.host) ~label:(Workload.Ch.kind_to_string kind)
           ~priority:Request.Low ~prog:(Workload.Ch.program tpcc kind) ~rng ~submitted_at
       in
-      { hp = Some (new_order_payment tpcc gen_rng); lp = Some lp; urgent = None })
+      { hp = Some (new_order_payment a tpcc gen_rng); lp = Some lp; urgent = None })
 
 let run_tiered ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
     ?(horizon_sec = 0.1) ?hp_batch ?urgent_batch () =
@@ -764,13 +765,13 @@ let run_tiered ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 10
       let hp ~submitted_at =
         let rng = Sim.Rng.split gen_rng in
         let prog env = Tpcc.stock_level tpcc ~home_w:(home_w tpcc env) env in
-        Request.make ~id:(fresh_id ()) ~label:"StockLevel" ~priority:Request.High ~prog
-          ~rng ~submitted_at
+        Request.make ~id:(next_request_id a.host) ~label:"StockLevel" ~priority:Request.High
+          ~prog ~rng ~submitted_at
       in
       let urgent ~submitted_at =
         let rng = Sim.Rng.split gen_rng in
         let prog env = Tpcc.balance_check tpcc ~home_w:(home_w tpcc env) env in
-        Request.make ~id:(fresh_id ()) ~label:"BalanceCheck" ~priority:Request.Urgent
+        Request.make ~id:(next_request_id a.host) ~label:"BalanceCheck" ~priority:Request.Urgent
           ~prog ~rng ~submitted_at
       in
       (* Urgent lookups arrive on their own, 4x denser cadence in small
@@ -781,7 +782,7 @@ let run_tiered ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 10
       let batch = Option.value urgent_batch ~default:(cfg.Config.n_workers * 2) in
       {
         hp = Some hp;
-        lp = Some (q2_stream tpch gen_rng);
+        lp = Some (q2_stream a tpch gen_rng);
         urgent = Some (urgent, batch, interval);
       })
 
@@ -795,7 +796,7 @@ let run_ledger ~cfg ?obs ?prepare
         Workload.Ledger.load l load_rng;
         ledger := Some l;
         let request label priority prog ~submitted_at =
-          Request.make ~id:(fresh_id ()) ~label ~priority ~prog:(prog l)
+          Request.make ~id:(next_request_id a.host) ~label ~priority ~prog:(prog l)
             ~rng:(Sim.Rng.split gen_rng) ~submitted_at
         in
         {
@@ -816,7 +817,7 @@ let run_maintenance ~cfg ?tpcc_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
   drive ~cfg ?obs ?prepare ?hp_batch ~arrival_interval_us ~horizon_sec
     (fun a ~load_rng ~gen_rng ->
       let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
-      { hp = Some (new_order_payment tpcc gen_rng); lp = None; urgent = None })
+      { hp = Some (new_order_payment a tpcc gen_rng); lp = None; urgent = None })
 
 let tpcc_labels =
   [ "NewOrder"; "Payment"; "OrderStatus"; "Delivery"; "StockLevel" ]

@@ -199,10 +199,16 @@ type host = private {
   h_fabric : Uintr.Fabric.t;
   h_prof : Obs.Profiler.t;
   mutable h_workers : int;  (** workers registered on the fabric so far *)
+  mutable h_requests : int;  (** request ids drawn so far *)
 }
 
 val host : ?obs:Obs.Sink.t -> Config.t -> host
 (** [obs], when given, receives the fabric's send/deliver events. *)
+
+val next_request_id : host -> int
+(** The host's next request id (1, 2, ...): every request generator on
+    the host draws from this one counter, so a run numbers its requests
+    the same whatever ran before it in the process. *)
 
 (** The wired-up node before any workload is attached: DES, engine,
     uintr fabric, metrics and workers.  {!assemble} builds it; callers
@@ -211,6 +217,7 @@ val host : ?obs:Obs.Sink.t -> Config.t -> host
     databases, create a {!Sched_thread} with their generators, then
     {!finish}. *)
 type assembly = {
+  host : host;  (** the simulation the node runs on *)
   des : Sim.Des.t;
   eng : Storage.Engine.t;
   fabric : Uintr.Fabric.t;

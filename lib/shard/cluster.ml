@@ -74,8 +74,8 @@ type t = {
   origins : bool array;
   bug_early_vote : bool;
   timeout_cycles : int;
+  host : Runner.host;
   mutable next_gid : int;
-  mutable next_req : int;
   mutable horizon : int64;
   mutable wall_s : float;
 }
@@ -107,11 +107,6 @@ let fresh_gid t =
   let g = t.next_gid in
   t.next_gid <- t.next_gid + 1;
   g
-
-let fresh_req t =
-  let r = t.next_req in
-  t.next_req <- t.next_req + 1;
-  r
 
 let send t ~src ~dst msg = Uintr.Channel.send t.links.(src).(dst) ~bytes:(Msg.bytes msg) msg
 
@@ -504,7 +499,7 @@ let handle_msg t ~dst msg =
         Hashtbl.replace s.seen_prepares gid ();
         s.prepares_recv <- s.prepares_recv + 1;
         let req =
-          Request.make ~id:(fresh_req t) ~label:"XPart" ~priority:Request.High
+          Request.make ~id:(Runner.next_request_id t.host) ~label:"XPart" ~priority:Request.High
             ~prog:(participant_prog t s ~gid ~origin ~ops)
             ~rng:(Sim.Rng.split s.inject_rng)
             ~submitted_at:(Sim.Des.now t.des)
@@ -637,8 +632,8 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
       origins = origins_arr;
       bug_early_vote;
       timeout_cycles = Int64.to_int (Sim.Clock.cycles_of_us clock prepare_timeout_us);
+      host;
       next_gid = gid_base;
-      next_req = 0;
       horizon = 0L;
       wall_s = 0.;
     }
@@ -669,7 +664,8 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
           | true, true -> "NewOrderX", sharded_new_order t s ~home_w
           | false, true -> "PaymentX", sharded_payment t s ~home_w
         in
-        Request.make ~id:(fresh_req t) ~label ~priority:Request.High ~prog ~rng ~submitted_at
+        Request.make ~id:(Runner.next_request_id t.host) ~label ~priority:Request.High ~prog ~rng
+          ~submitted_at
       in
       let sched =
         Sched_thread.create ~des ~cfg ~fabric ~metrics:s.node.Runner.metrics

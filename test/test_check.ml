@@ -358,6 +358,45 @@ let test_crash_blocking_commit_config () =
   let o = Check.Crash.run ~cfg ~crash_at_us:5000. () in
   fail_violations "blocking commit crash" o.Check.Crash.co_violations
 
+(* -- The check grid ------------------------------------------------------------ *)
+
+let test_grid_presets_pass () =
+  (* the three presets at their smallest budgets, in one run: one status *)
+  let presets =
+    [
+      Check.Grid.durability ~budget:1 ~seed:42 ~workers:2;
+      Check.Grid.failover ~budget:1 ~seed:42 ~workers:2;
+      Check.Grid.shards ~budget:1 ~seed:42 ~workers:2;
+    ]
+  in
+  checki "cells: 1 crash point, 10 x 2 failover, clean + 2 x 2 shard" 26
+    (List.fold_left (fun n p -> n + List.length p.Check.Grid.cells) 0 presets);
+  checkb "every cell passes, every armed bug caught" true (Check.Grid.run presets)
+
+let synthetic ~cells ~caught =
+  let cell violations () = { Check.Grid.label = "cell"; figures = "synthetic"; violations } in
+  let v = Check.Violation.make "synthetic" "planted" in
+  {
+    Check.Grid.name = "synthetic";
+    cells = List.map (fun bad -> cell (if bad then [ v ] else [])) cells;
+    bug = "planted";
+    armed = [ (fun () -> []); (fun () -> if caught then [ v ] else []) ];
+  }
+
+let test_grid_failing_cell () =
+  checkb "clean preset passes" true
+    (Check.Grid.run [ synthetic ~cells:[ false; false ] ~caught:true ]);
+  checkb "one violating cell fails the grid" false
+    (Check.Grid.run
+       [
+         synthetic ~cells:[ false; false ] ~caught:true;
+         synthetic ~cells:[ false; true ] ~caught:true;
+       ])
+
+let test_grid_uncaught_bug () =
+  checkb "an armed bug no attempt catches fails the grid" false
+    (Check.Grid.run [ synthetic ~cells:[ false ] ~caught:false ])
+
 let () =
   Alcotest.run "check"
     [
@@ -418,5 +457,11 @@ let () =
             test_crash_selftest_early_ack;
           Alcotest.test_case "blocking-commit ablation satisfies the contract" `Quick
             test_crash_blocking_commit_config;
+        ] );
+      ( "grid",
+        [
+          Alcotest.test_case "three presets pass in one run" `Slow test_grid_presets_pass;
+          Alcotest.test_case "a violating cell fails it" `Quick test_grid_failing_cell;
+          Alcotest.test_case "an uncaught armed bug fails it" `Quick test_grid_uncaught_bug;
         ] );
     ]

@@ -177,24 +177,21 @@ let test_timeline_json () =
 
 (* -- Perfetto golden: a real 2-worker preemptive run ------------------------- *)
 
-let golden_trace =
-  lazy
-    (let cfg =
-        {
-          (Preemptdb.Config.default ~policy:(Preemptdb.Config.Preempt 1.0) ~n_workers:2 ())
-          with
-          Preemptdb.Config.seed = 7L;
-        }
-      in
-      let obs = Sink.create () in
-      (* default TPC-H sizing: Q2 must run long enough to actually get
-         preempted, or the trace has no passive switches to assert on *)
-      let r =
-        Preemptdb.Runner.run_mixed ~cfg ~obs ~arrival_interval_us:500. ~horizon_sec:0.004 ()
-      in
-      let json = Obs.Perfetto.to_json ~clock:r.Preemptdb.Runner.clock (Sink.dump obs) in
-      (* the golden property: serialized Perfetto output parses back *)
-      Result.get_ok (J.parse (J.to_string json)))
+let golden_json () =
+  let cfg =
+    {
+      (Preemptdb.Config.default ~policy:(Preemptdb.Config.Preempt 1.0) ~n_workers:2 ()) with
+      Preemptdb.Config.seed = 7L;
+    }
+  in
+  let obs = Sink.create () in
+  (* default TPC-H sizing: Q2 must run long enough to actually get
+     preempted, or the trace has no passive switches to assert on *)
+  let r = Preemptdb.Runner.run_mixed ~cfg ~obs ~arrival_interval_us:500. ~horizon_sec:0.004 () in
+  J.to_string (Obs.Perfetto.to_json ~clock:r.Preemptdb.Runner.clock (Sink.dump obs))
+
+(* the golden property: serialized Perfetto output parses back *)
+let golden_trace = lazy (Result.get_ok (J.parse (golden_json ())))
 
 let trace_events () =
   match J.member "traceEvents" (Lazy.force golden_trace) with
@@ -264,6 +261,14 @@ let test_perfetto_metadata () =
     (List.exists (fun n -> n = "scheduler/fabric") names);
   checkb "worker lanes labelled" true (List.exists (fun n -> n = "worker 0") names)
 
+let test_perfetto_reproducible () =
+  (* request ids come from the run's own host, so a second run in the
+     same process numbers its txn slices and events the same way *)
+  let first = golden_json () in
+  let second = golden_json () in
+  checki "same length" (String.length first) (String.length second);
+  checkb "byte-identical" true (String.equal first second)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -295,5 +300,6 @@ let () =
           Alcotest.test_case "switch instants" `Quick test_perfetto_instants;
           Alcotest.test_case "flow pairs" `Quick test_perfetto_flow_pairs;
           Alcotest.test_case "lane metadata" `Quick test_perfetto_metadata;
+          Alcotest.test_case "same run, same bytes" `Quick test_perfetto_reproducible;
         ] );
     ]
