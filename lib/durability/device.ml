@@ -42,6 +42,7 @@ let submit t ~now ~bytes =
   t.busy_cycles <- Int64.add t.busy_cycles c;
   completion
 
+let fsync_floor t = Int64.to_int t.fsync_floor_cycles
 let flushes t = t.flushes
 let bytes_written t = t.bytes_written
 let busy_cycles t = t.busy_cycles

@@ -26,6 +26,11 @@ val submit : t -> now:int64 -> bytes:int -> int64
     A flush of [bytes] takes [max fsync_floor (setup + bytes * per_byte)]
     cycles. *)
 
+val fsync_floor : t -> int
+(** The fsync floor in cycles: no flush completes sooner after its
+    submission, so it bounds how soon a commit's step can reach a worker
+    parked on the log ({!Uintr.Fabric.register_path}). *)
+
 val flushes : t -> int
 val bytes_written : t -> int64
 val busy_cycles : t -> int64

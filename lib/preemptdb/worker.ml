@@ -219,7 +219,14 @@ let set_cost_multiplier_pct t pct =
 let set_region_stall t f = t.region_stall <- f
 let queued_requests t = Array.fold_left (fun acc q -> acc + Bounded_queue.length q) 0 t.queues
 
+(* A commit's step submits a flush whose completion unparks waiters on
+   other workers: one more path for the fabric's floor. *)
 let set_durability t ~blocking daemon =
+  Option.iter
+    (fun d ->
+      Uintr.Fabric.register_path t.fabric
+        ~least_latency:(Durability.Device.fsync_floor (Durability.Daemon.device d)))
+    daemon;
   t.dur <- daemon;
   t.dur_blocking <- blocking
 
@@ -497,16 +504,16 @@ let inline_step t op =
 
 let execute_op t ctx op k =
   op_head t ctx op;
-  set_step t t.slots.(ctx) (P.resume ?stepper:t.stepper k)
+  let slot = t.slots.(ctx) in
+  set_step t slot (P.resume ?stepper:t.stepper ~commutes:slot.commutes k)
 
-(* Lookahead needs every cross-worker effect to travel through the fabric
-   or an event: off with a durability daemon or 2PC gates (a flush or a
-   channel can reach another worker sooner than the fabric floor), a
-   region-stall fault (a shared RNG drawn by steps) or an event sink
-   (which records in host order). *)
+(* Lookahead needs every cross-worker effect to travel by a path with a
+   least latency: the fabric's floor covers senduipi, the channels and the
+   log device.  Off with a region-stall fault (a shared RNG drawn by
+   steps) or an event sink (which records in host order). *)
 let lookahead_floor t =
-  match (t.dur, t.gates, t.region_stall, t.obs) with
-  | None, None, None, None -> Uintr.Fabric.lookahead_floor t.fabric
+  match (t.region_stall, t.obs) with
+  | None, None -> Uintr.Fabric.lookahead_floor t.fabric
   | _ -> 0
 
 let start_request t ctx (req : Request.t) =

@@ -12,9 +12,11 @@
     ({!Sim.Des.may_step}), it blocks, or it goes idle.  A step that
     commutes with every other worker (a snapshot read, [Compute],
     [Yield_hint], or a probe or scan of an index no class writes) may run
-    ahead of other workers by less than the fabric's delivery floor
-    ({!Sim.Des.may_run_ahead}); the floor is 0 with a durability daemon,
-    2PC gates, a region-stall fault or an event sink.  The program runs
+    ahead of other workers by less than the fabric's floor
+    ({!Sim.Des.may_run_ahead}, {!Uintr.Fabric.lookahead_floor}): the least
+    latency of a senduipi, a channel message or, once {!set_durability}
+    registers its device, a log flush.  The floor is 0 with a region-stall
+    fault or an event sink.  The program runs
     with this worker as its stepper ({!Workload.Program.start}), so a
     step the loop would take at once is taken inside the charge, without
     suspending the program.
@@ -155,7 +157,10 @@ val set_durability : t -> blocking:bool -> Durability.Daemon.t option -> unit
 (** Wire the group-commit daemon: [Commit_wait] micro-ops consult it for
     the ack decision.  [blocking] selects the ablation — the context spins
     re-checking durability instead of parking (the slot stays occupied).
-    [None] detaches (commits ack immediately, as without durability). *)
+    [None] detaches (commits ack immediately, as without durability).  A
+    daemon's device joins the fabric's floor: a commit's step submits a
+    flush whose completion wakes waiters on other workers no sooner than
+    the device's fsync floor ({!Uintr.Fabric.register_path}). *)
 
 val set_gates : t -> blocking:bool -> Uintr.Gate.t option -> unit
 (** Wire a 2PC gate registry: [Gate_wait] micro-ops consult it.  [blocking]

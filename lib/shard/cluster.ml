@@ -250,6 +250,10 @@ let run_2pc t s env ~writes ~groups ~body =
       P.Aborted Err.User_abort
     end
   with P.Txn_failed r ->
+    (* Every worker of the shard shares the coordinator table and each
+       link's jitter RNG and sequence counter: only a step that does not
+       commute keeps these in virtual order. *)
+    P.check_ordered "the 2PC abort path";
     Coordinator.cancel s.coord ~gid;
     List.iter (fun p -> send t ~src:s.sid ~dst:p (Msg.Abort { gid })) participants;
     (match txn.Txn.state with
@@ -292,8 +296,10 @@ let sharded_new_order t s ~home_w env =
     in
     let d_tax = Value.float_exn drow Sc.D.tax in
     let o_id = Value.int_exn drow Sc.D.next_o_id in
-    if o_id > Sc.max_order then raise (P.Txn_failed Err.User_abort);
     P.update env txn db.district ~oid:doid (Value.add_int drow Sc.D.next_o_id 1);
+    (* past the update's charge, which does not commute: the abort path
+       sends on the shard's links *)
+    if o_id > Sc.max_order then raise (P.Txn_failed Err.User_abort);
     let _, crow =
       read_via env txn db.customer db.customer_idx (Sc.customer_key ~w ~d ~c) "customer"
     in

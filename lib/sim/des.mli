@@ -31,7 +31,9 @@
     (it reads only its own state, a snapshot, or data no actor writes)
     may also run ahead of other actors' pending activations, by less than
     {!may_run_ahead}'s [floor]: the least latency with which any actor's
-    step can reach another actor (a fabric delivery).  Every pending
+    step can reach another actor (a fabric delivery, a channel message, a
+    log flush's completion: [Uintr.Fabric.lookahead_floor] takes the least
+    of them).  Every pending
     event still bounds it, so a delivery, tick or wake aimed at the actor
     is never passed, and nothing another actor does before the floor can
     reach it.  Non-commuting steps of all actors therefore still run in

@@ -6,15 +6,21 @@ module type KEY = sig
 end
 
 module Make (K : KEY) = struct
-  (* Exact-size key/value arrays are copied on every structural update; with
-     a fan-out of 32 each copy touches at most a few hundred bytes, which is
-     cheaper than managing capacity slack plus dummy elements. *)
+  (* A leaf keeps a fill count [n] beside arrays with slack: insert and
+     remove shift keys inside the leaf's own arrays, so an insert into a
+     leaf with room allocates nothing.  A full leaf reallocates at twice its
+     capacity, up to [max_leaf + 1], the size at which it splits into two
+     exact halves.  A slack slot holds a copy of a live key, never a removed
+     one, so the slack keeps no dead key alive.  Internal nodes
+     change only when a child splits; they keep exact-size arrays, copied
+     on every update. *)
   let max_leaf = 32
   let max_sep = 32 (* max separators per internal node; children = max_sep+1 *)
 
   type leaf = {
-    mutable lkeys : K.t array;
+    mutable lkeys : K.t array;  (* keys [0, n) sorted; the rest is slack *)
     mutable lvals : int array;
+    mutable n : int;
     mutable next : leaf option;
   }
 
@@ -34,7 +40,7 @@ module Make (K : KEY) = struct
 
   let create () =
     {
-      root = Leaf { lkeys = [||]; lvals = [||]; next = None };
+      root = Leaf { lkeys = [||]; lvals = [||]; n = 0; next = None };
       count = 0;
       version = 0;
       written = false;
@@ -51,9 +57,9 @@ module Make (K : KEY) = struct
 
   let height t = node_height t.root
 
-  (* First index in [keys] whose key is >= k; Array.length keys if none. *)
-  let lower_bound keys k =
-    let lo = ref 0 and hi = ref (Array.length keys) in
+  (* First index in [keys.(0 .. n-1)] whose key is >= k; n if none. *)
+  let lower_bound keys n k =
+    let lo = ref 0 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if K.compare keys.(mid) k < 0 then lo := mid + 1 else hi := mid
@@ -78,51 +84,89 @@ module Make (K : KEY) = struct
     Array.blit a i b (i + 1) (n - i);
     b
 
-  let array_remove a i =
-    let n = Array.length a in
-    let b = Array.sub a 0 (n - 1) in
-    Array.blit a (i + 1) b i (n - 1 - i);
-    b
-
   let sub a lo len = Array.sub a lo len
+
+  (* Store a binding at [i], shifting the keys after it up one slot; only a
+     full leaf reallocates.  The new arrays' slack is filled with [k]. *)
+  let leaf_insert l i k v =
+    let n = l.n in
+    if n < Array.length l.lkeys then begin
+      Array.blit l.lkeys i l.lkeys (i + 1) (n - i);
+      Array.blit l.lvals i l.lvals (i + 1) (n - i);
+      l.lkeys.(i) <- k;
+      l.lvals.(i) <- v
+    end
+    else begin
+      let cap = min (max 1 (2 * n)) (max_leaf + 1) in
+      let keys = Array.make cap k and vals = Array.make cap v in
+      Array.blit l.lkeys 0 keys 0 i;
+      Array.blit l.lkeys i keys (i + 1) (n - i);
+      Array.blit l.lvals 0 vals 0 i;
+      Array.blit l.lvals i vals (i + 1) (n - i);
+      l.lkeys <- keys;
+      l.lvals <- vals
+    end;
+    l.n <- n + 1
+
+  (* Remove the binding at [i], shifting the keys after it down one slot.
+     Keys die only here, so the slack is refilled with a live key (an
+     emptied leaf drops its arrays): whatever copies of the removed key it
+     held are gone. *)
+  let leaf_remove l i =
+    let n = l.n - 1 in
+    Array.blit l.lkeys (i + 1) l.lkeys i (n - i);
+    Array.blit l.lvals (i + 1) l.lvals i (n - i);
+    l.n <- n;
+    if n = 0 then begin
+      l.lkeys <- [||];
+      l.lvals <- [||]
+    end
+    else Array.fill l.lkeys n (Array.length l.lkeys - n) l.lkeys.(n - 1)
 
   type split = { sep : K.t; right : node }
 
-  let rec insert_node node k v : split option * int option =
+  (* An insert that finds its key replaces the binding and unwinds with the
+     old one, so the common path returns only its split, allocating no
+     result pair. *)
+  exception Replaced of int
+
+  let rec insert_node node k v =
     match node with
     | Leaf l ->
-      let i = lower_bound l.lkeys k in
-      if i < Array.length l.lkeys && K.compare l.lkeys.(i) k = 0 then begin
+      let i = lower_bound l.lkeys l.n k in
+      if i < l.n && K.compare l.lkeys.(i) k = 0 then begin
         let old = l.lvals.(i) in
         l.lvals.(i) <- v;
-        None, Some old
-      end
+        raise_notrace (Replaced old)
+      end;
+      leaf_insert l i k v;
+      let n = l.n in
+      if n <= max_leaf then None
       else begin
-        l.lkeys <- array_insert l.lkeys i k;
-        l.lvals <- array_insert l.lvals i v;
-        let n = Array.length l.lkeys in
-        if n <= max_leaf then None, None
-        else begin
-          let mid = n / 2 in
-          let right =
-            { lkeys = sub l.lkeys mid (n - mid); lvals = sub l.lvals mid (n - mid); next = l.next }
-          in
-          l.lkeys <- sub l.lkeys 0 mid;
-          l.lvals <- sub l.lvals 0 mid;
-          l.next <- Some right;
-          Some { sep = right.lkeys.(0); right = Leaf right }, None
-        end
+        let mid = n / 2 in
+        let right =
+          {
+            lkeys = sub l.lkeys mid (n - mid);
+            lvals = sub l.lvals mid (n - mid);
+            n = n - mid;
+            next = l.next;
+          }
+        in
+        l.lkeys <- sub l.lkeys 0 mid;
+        l.lvals <- sub l.lvals 0 mid;
+        l.n <- mid;
+        l.next <- Some right;
+        Some { sep = right.lkeys.(0); right = Leaf right }
       end
-    | Internal nd ->
+    | Internal nd -> (
       let slot = child_slot nd.seps k in
-      let split, old = insert_node nd.children.(slot) k v in
-      (match split with
-      | None -> None, old
+      match insert_node nd.children.(slot) k v with
+      | None -> None
       | Some { sep; right } ->
         nd.seps <- array_insert nd.seps slot sep;
         nd.children <- array_insert nd.children (slot + 1) right;
         let ns = Array.length nd.seps in
-        if ns <= max_sep then None, old
+        if ns <= max_sep then None
         else begin
           (* Promote the middle separator. *)
           let mid = ns / 2 in
@@ -135,25 +179,28 @@ module Make (K : KEY) = struct
           in
           nd.seps <- sub nd.seps 0 mid;
           nd.children <- sub nd.children 0 (mid + 1);
-          Some { sep = promoted; right = Internal right_node }, old
+          Some { sep = promoted; right = Internal right_node }
         end)
 
   let insert t k v =
-    let split, old = insert_node t.root k v in
-    (match split with
-    | None -> ()
-    | Some { sep; right } ->
-      t.root <- Internal { seps = [| sep |]; children = [| t.root; right |] });
-    (match old with None -> t.count <- t.count + 1 | Some _ -> ());
-    t.version <- t.version + 1;
-    old
+    match insert_node t.root k v with
+    | split ->
+      (match split with
+      | None -> ()
+      | Some { sep; right } ->
+        t.root <- Internal { seps = [| sep |]; children = [| t.root; right |] });
+      t.count <- t.count + 1;
+      t.version <- t.version + 1;
+      None
+    | exception Replaced old ->
+      t.version <- t.version + 1;
+      Some old
 
   let rec find_node node k =
     match node with
     | Leaf l ->
-      let i = lower_bound l.lkeys k in
-      if i < Array.length l.lkeys && K.compare l.lkeys.(i) k = 0 then Some l.lvals.(i)
-      else None
+      let i = lower_bound l.lkeys l.n k in
+      if i < l.n && K.compare l.lkeys.(i) k = 0 then Some l.lvals.(i) else None
     | Internal nd -> find_node nd.children.(child_slot nd.seps k) k
 
   let find t k = find_node t.root k
@@ -161,11 +208,10 @@ module Make (K : KEY) = struct
   let rec remove_node node k =
     match node with
     | Leaf l ->
-      let i = lower_bound l.lkeys k in
-      if i < Array.length l.lkeys && K.compare l.lkeys.(i) k = 0 then begin
+      let i = lower_bound l.lkeys l.n k in
+      if i < l.n && K.compare l.lkeys.(i) k = 0 then begin
         let old = l.lvals.(i) in
-        l.lkeys <- array_remove l.lkeys i;
-        l.lvals <- array_remove l.lvals i;
+        leaf_remove l i;
         Some old
       end
       else None
@@ -186,7 +232,7 @@ module Make (K : KEY) = struct
   (* Leftmost leaf that can contain a key >= k, with the in-leaf index. *)
   let rec seek_node node k =
     match node with
-    | Leaf l -> l, lower_bound l.lkeys k
+    | Leaf l -> l, lower_bound l.lkeys l.n k
     | Internal nd -> seek_node nd.children.(child_slot nd.seps k) k
 
   (* Skip empty leaves (lazy deletion can empty one out). *)
@@ -194,7 +240,7 @@ module Make (K : KEY) = struct
     match leaf with
     | None -> None
     | Some l ->
-      if idx < Array.length l.lkeys then Some (l, idx) else advance l.next 0
+      if idx < l.n then Some (l, idx) else advance l.next 0
 
   let iter t f =
     let rec loop leaf idx =
@@ -262,13 +308,15 @@ module Make (K : KEY) = struct
       match node with
       | Leaf l ->
         if Array.length l.lkeys <> Array.length l.lvals then
-          fail "leaf key/val length mismatch";
-        Array.iteri
-          (fun i k ->
-            if not (in_bounds k) then fail "leaf key out of separator bounds";
-            if i > 0 && K.compare l.lkeys.(i - 1) k >= 0 then fail "leaf keys not sorted")
-          l.lkeys;
-        1, Array.length l.lkeys
+          fail "leaf key/val capacity mismatch";
+        if l.n < 0 || l.n > Array.length l.lkeys then fail "leaf fill outside its capacity";
+        if l.n > max_leaf then fail "leaf holds %d keys, past %d" l.n max_leaf;
+        for i = 0 to l.n - 1 do
+          let k = l.lkeys.(i) in
+          if not (in_bounds k) then fail "leaf key out of separator bounds";
+          if i > 0 && K.compare l.lkeys.(i - 1) k >= 0 then fail "leaf keys not sorted"
+        done;
+        1, l.n
       | Internal nd ->
         let ns = Array.length nd.seps in
         if Array.length nd.children <> ns + 1 then fail "internal arity mismatch";
@@ -296,14 +344,14 @@ module Make (K : KEY) = struct
     let chained = ref 0 in
     let prev = ref None in
     let rec follow l =
-      Array.iter
-        (fun k ->
-          (match !prev with
-          | Some p when K.compare p k >= 0 -> fail "leaf chain out of order"
-          | Some _ | None -> ());
-          prev := Some k;
-          incr chained)
-        l.lkeys;
+      for i = 0 to l.n - 1 do
+        let k = l.lkeys.(i) in
+        (match !prev with
+        | Some p when K.compare p k >= 0 -> fail "leaf chain out of order"
+        | Some _ | None -> ());
+        prev := Some k;
+        incr chained
+      done;
       match l.next with Some nxt -> follow nxt | None -> ()
     in
     follow (leftmost_leaf t.root);

@@ -6,6 +6,14 @@
     simplification for in-memory trees with append-heavy workloads like
     TPC-C.
 
+    A leaf is two arrays with slack and a fill count: an insert or remove
+    shifts keys inside them, and only a full leaf reallocates, at twice its
+    capacity up to 33 slots, where it splits into two exact halves.  So an
+    insert into a leaf with room allocates nothing.  Slack slots hold
+    copies of live keys only, so a removed key is not kept alive by its
+    leaf.  Internal nodes change only on a split and keep exact-size
+    arrays.
+
     Range scans run through a {!type:Make.cursor} that survives concurrent
     structural modification by re-seeking from the last returned key when
     the tree's version stamp changes — exactly the property a preemptible

@@ -43,6 +43,9 @@ type 'a t = {
 }
 
 let create ?(base_latency = 1200) ?(per_byte = 1) des ~fabric ~name =
+  (* the least a send can take: the base latency less its jitter, since
+     [n - n/5] grows with [n] *)
+  Fabric.register_path fabric ~least_latency:(max 1 (base_latency - (base_latency / 5)));
   {
     des;
     fab = fabric;

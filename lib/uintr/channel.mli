@@ -24,7 +24,10 @@ val create :
     per byte — the replication ship/ack channels and the inter-shard
     links all use them.  Jitter is drawn from a private split of the DES
     RNG so channel traffic never perturbs the schedule of runs that do not
-    use channels. *)
+    use channels.  The channel registers its least latency,
+    [base_latency - base_latency / 5] (960 cycles by default), with
+    [fabric] ({!Fabric.register_path}): a message is a path from one
+    worker's step to another's. *)
 
 val set_on_deliver : 'a t -> ('a -> unit) -> unit
 (** Install the receiver.  Messages delivered before a receiver is

@@ -21,6 +21,9 @@ type t = {
   mutable lost_ : int;
   mutable duplicated_ : int;
   mutable chan_flows_ : int;
+  mutable path_floor : int;
+      (* least latency of the other registered paths (channels, log
+         devices); [max_int] while none is registered *)
   stages_ : Stages.t;
   pending_ : (int, batch) Hashtbl.t; (* key = (tick lsl idx_bits) lor idx *)
 }
@@ -45,6 +48,7 @@ let create ?obs des ~costs =
     lost_ = 0;
     duplicated_ = 0;
     chan_flows_ = 0;
+    path_floor = max_int;
     stages_ = Stages.create ();
     pending_ = Hashtbl.create 32;
   }
@@ -158,13 +162,16 @@ let channel_deliveries t ~latency =
   | Some f ->
     List.concat_map (fun lat -> List.map (max 0) (f ~flow ~latency:lat)) base
 
-(* The least latency of a senduipi under the built-in jitter; an installed
-   model may deliver at any latency, so it leaves no floor. *)
+let register_path t ~least_latency = t.path_floor <- min t.path_floor (max 0 least_latency)
+
+(* The least latency of any path from one worker's step to another's: a
+   senduipi under the built-in jitter, or a registered path.  An
+   installed model may deliver at any latency, so it leaves no floor. *)
 let lookahead_floor t =
   match (t.latency_model, t.delivery_model, t.chan_model) with
   | None, None, None ->
     let nominal = t.costs_.Costs.senduipi + t.costs_.Costs.delivery in
-    nominal - (nominal / 5)
+    min (nominal - (nominal / 5)) t.path_floor
   | _ -> 0
 
 let sends t = t.sends_

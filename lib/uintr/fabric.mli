@@ -57,13 +57,20 @@ val channel_deliveries : t -> latency:int -> int list
     model is installed.  {!Channel} uses this so fault plans perturb log
     shipping and heartbeats exactly as they perturb interrupts. *)
 
+val register_path : t -> least_latency:int -> unit
+(** Declare another path by which one worker's step can reach another
+    worker, and the least latency (cycles) it can take: a payload channel
+    ({!Channel.create} registers its own) or a log device's flush
+    completion.  The floor only ever falls. *)
+
 val lookahead_floor : t -> int
-(** The least delivery latency of a senduipi: [0.8 × (senduipi +
-    delivery)] under the built-in ±20 % jitter (800 cycles with
-    {!Costs.default}), and [0] while a latency, delivery or channel
+(** The least latency of every path from one worker's step to another
+    worker: a senduipi, [0.8 × (senduipi + delivery)] under the built-in
+    ±20 % jitter (800 cycles with {!Costs.default}), and each path given
+    to {!register_path}.  [0] while a latency, delivery or channel
     delivery model is installed, since those may deliver at any latency.
-    Nothing one worker does reaches another sooner through the fabric: the
-    simulator's lookahead floor ({!Sim.Des.may_run_ahead}). *)
+    Nothing one worker does reaches another sooner: the simulator's
+    lookahead floor ({!Sim.Des.may_run_ahead}). *)
 
 val sends : t -> int
 (** Total senduipi instructions executed. *)

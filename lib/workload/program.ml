@@ -88,7 +88,11 @@ let handler =
    whole step on the spot (the program continues without suspending) or
    declines (the charge performs the effect).  [commutes] travels beside
    the op: the executor reads it for a suspended op through
-   [pending_commutes]. *)
+   [pending_commutes].  While the program's code runs it is the running
+   step's flag: [start] clears it (a program begins in its executor's
+   step, which does not commute) and [resume] restores the one the
+   executor kept, since other programs' charges overwrite the cell while
+   this one is suspended. *)
 let no_stepper (_ : op) = false
 let stepper = ref no_stepper
 let commutes = ref false
@@ -100,6 +104,7 @@ let commutes = ref false
 let start ?stepper:(f = no_stepper) prog env =
   let outer = !stepper in
   stepper := f;
+  commutes := false;
   match match_with prog env handler with
   | step ->
     stepper := outer;
@@ -108,9 +113,10 @@ let start ?stepper:(f = no_stepper) prog env =
     stepper := outer;
     raise e
 
-let resume ?stepper:(f = no_stepper) (k : resumption) =
+let resume ?stepper:(f = no_stepper) ?commutes:(c = false) (k : resumption) =
   let outer = !stepper in
   stepper := f;
+  commutes := c;
   match continue k () with
   | step ->
     stepper := outer;
@@ -120,6 +126,11 @@ let resume ?stepper:(f = no_stepper) (k : resumption) =
     raise e
 
 let pending_commutes () = !commutes
+
+let[@inline never] commuting what =
+  failwith (Printf.sprintf "%s ran in a step that commutes" what)
+
+let check_ordered what = if !commutes then commuting what
 
 let discard (k : resumption) =
   match discontinue k Abandoned with

@@ -86,9 +86,11 @@ val start : ?stepper:(op -> bool) -> t -> env -> step
     op and passed every check it makes at a boundary — and the program
     continues without suspending; [false] suspends it as [Pending]. *)
 
-val resume : ?stepper:(op -> bool) -> resumption -> step
+val resume : ?stepper:(op -> bool) -> ?commutes:bool -> resumption -> step
 (** Continue past a charge point to the next one that suspends (same
-    [stepper] contract as {!start}). *)
+    [stepper] contract as {!start}).  [commutes] (default [false]) is the
+    flag {!pending_commutes} gave for the op this resumes past: the
+    resumed code runs in that op's step, and {!check_ordered} reads it. *)
 
 val pending_commutes : unit -> bool
 (** Whether the op of the [Pending] step just returned by {!start} or
@@ -111,6 +113,13 @@ val charge_as : commutes:bool -> op -> unit
     up to the next charge) commutes with every other worker's steps.  A
     program that touches shared state must do so behind a charge that
     does not commute. *)
+
+val check_ordered : string -> unit
+(** [check_ordered what] fails loudly when the running step commutes:
+    code that touches state other workers' steps share ([what] names it)
+    must run behind a charge that does not commute, or lookahead could
+    run it out of virtual order.
+    @raise Failure naming [what]. *)
 
 val compute : int -> unit
 (** [compute cycles] charges pure computation. *)

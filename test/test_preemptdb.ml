@@ -799,7 +799,7 @@ let golden_mixed ~lookahead =
       ~durability:{ Config.default_durability with Config.du_ckpt_interval_us = 500. }
       (golden_cfg ())
   in
-  check_golden ~lookahead ~on:(23450, "48d3d18ad54f97aa") ~off:(23450, "48d3d18ad54f97aa")
+  check_golden ~lookahead ~on:(7300, "20cabd4eedf29f9d") ~off:(23450, "48d3d18ad54f97aa")
     ~commits:"Ckpt=9 NewOrder=94 Payment=65 Q2=11" ~digest:"79e75e851db227cf" (fun prepare ->
       Runner.run_mixed ~cfg ~tpch_cfg:small_tpch ~prepare ~arrival_interval_us:250.
         ~lp_interval_us:500. ~horizon_sec:0.005 ())
@@ -838,7 +838,7 @@ let golden_ledger ~lookahead =
 let golden_maintenance ~lookahead =
   (* reclamation plus a semi-sync standby (which implies group commit) *)
   let cfg = golden_cfg () |> Config.with_reclaim |> Config.with_replication in
-  check_golden ~lookahead ~on:(50177, "6c269650e5151277") ~off:(50177, "6c269650e5151277")
+  check_golden ~lookahead ~on:(31095, "5baf995f19f37115") ~off:(50177, "6c269650e5151277")
     ~commits:"GC=48 NewOrder=502 Payment=492" ~digest:"33772eb33220ccc3" (fun prepare ->
       Runner.run_maintenance ~cfg ~prepare ~arrival_interval_us:40. ~hp_batch:8
         ~horizon_sec:0.005 ())
@@ -851,30 +851,57 @@ let golden_maintenance_lanes ~lookahead =
     |> Config.with_durability
          ~durability:{ Config.default_durability with Config.du_ckpt_interval_us = 100. }
   in
-  check_golden ~lookahead ~on:(57494, "3a4ac540a7385d13") ~off:(57494, "3a4ac540a7385d13")
+  check_golden ~lookahead ~on:(35857, "7d0ddf303a4eb223") ~off:(57494, "3a4ac540a7385d13")
     ~commits:"Ckpt=49 GC=42 NewOrder=503 Payment=492" ~digest:"1a33ba199ee53023" (fun prepare ->
       Runner.run_maintenance ~cfg ~prepare ~arrival_interval_us:40. ~hp_batch:8
         ~horizon_sec:0.005 ())
 
-(* The two single-node perfdiff cells ([Baseline.collect]: 4 workers, seed
-   42, 40 ms) with lookahead on and off: the same virtual schedule from far
-   fewer activations.  (The durable cell has no floor: a flush can reach a
-   worker sooner than the fabric, so lookahead leaves it in lock-step.) *)
+(* The three single-node perfdiff cells ([Baseline.collect]: 4 workers,
+   seed 42, 40 ms) with lookahead on and off: the same virtual schedule
+   from far fewer activations.  The durable cell's commits park on
+   flushes, so its saving is the smaller. *)
 let test_lookahead_perfdiff_cells () =
-  List.iter
-    (fun policy ->
-      let run lookahead =
-        let cfg = { (Config.default ~policy ~n_workers:4 ()) with Config.seed = 42L } in
-        Runner.run_mixed ~cfg
-          ~prepare:(fun a -> Sim.Des.set_lookahead a.Runner.des lookahead)
-          ~horizon_sec:0.04 ()
-      in
-      let on = run true and off = run false in
-      Alcotest.(check string)
-        (Config.policy_to_string policy ^ ": same digest")
-        off.Runner.digest on.Runner.digest;
-      checkb "lookahead cut the activations" true (2 * on.Runner.events < off.Runner.events))
-    [ Config.Preempt 1.0; Config.Wait ]
+  let cell name ~saving run =
+    let on = run (fun a -> Sim.Des.set_lookahead a.Runner.des true)
+    and off = run (fun a -> Sim.Des.set_lookahead a.Runner.des false) in
+    Alcotest.(check string) (name ^ ": same digest") off.Runner.digest on.Runner.digest;
+    checkb (name ^ ": lookahead cut the activations") true
+      (float_of_int on.Runner.events < saving *. float_of_int off.Runner.events)
+  in
+  let cfg policy = { (Config.default ~policy ~n_workers:4 ()) with Config.seed = 42L } in
+  let mixed policy prepare = Runner.run_mixed ~cfg:(cfg policy) ~prepare ~horizon_sec:0.04 () in
+  cell "mixed_preempt" ~saving:0.5 (mixed (Config.Preempt 1.0));
+  cell "mixed_wait" ~saving:0.5 (mixed Config.Wait);
+  let dur_cfg =
+    Config.with_durability ~durability:Config.default_durability (cfg (Config.Preempt 1.0))
+  in
+  cell "durability_preempt" ~saving:0.8 (fun prepare ->
+      Runner.run_mixed ~cfg:dur_cfg ~prepare ~arrival_interval_us:40. ~horizon_sec:0.04 ())
+
+(* A log device whose fsync floor (0.1 µs, 240 cycles) sits below the
+   fabric's 800: the floor drops to it, lookahead still cuts activations,
+   and the virtual schedule is the same with it on and off. *)
+let test_lookahead_low_fsync_floor () =
+  let cfg =
+    Config.with_durability
+      ~durability:{ Config.default_durability with Config.du_fsync_floor_us = 0.1 }
+      (golden_cfg ())
+  in
+  let run lookahead =
+    let floor = ref (-1) in
+    let r =
+      Runner.run_mixed ~cfg ~tpch_cfg:small_tpch
+        ~prepare:(fun a ->
+          Sim.Des.set_lookahead a.Runner.des lookahead;
+          floor := Uintr.Fabric.lookahead_floor a.Runner.fabric)
+        ~arrival_interval_us:250. ~horizon_sec:0.005 ()
+    in
+    (!floor, r)
+  in
+  let floor, on = run true and _, off = run false in
+  checki "the floor is the device's" 240 floor;
+  Alcotest.(check string) "same digest" off.Runner.digest on.Runner.digest;
+  checkb "lookahead cut the activations" true (on.Runner.events < off.Runner.events)
 
 (* The §4.4 ablation without regions (8 workers, where the floor is 800
    and serializable reads run ahead) at seed 42, which does not deadlock,
@@ -985,6 +1012,8 @@ let () =
               golden_maintenance_lanes ~lookahead:false);
           Alcotest.test_case "on and off: perfdiff mixed cells" `Quick
             test_lookahead_perfdiff_cells;
+          Alcotest.test_case "on and off: fsync floor below the fabric's" `Quick
+            test_lookahead_low_fsync_floor;
           Alcotest.test_case "on and off: ledger deadlock ablation" `Quick
             test_lookahead_ledger_ablation;
         ] );

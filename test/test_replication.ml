@@ -215,11 +215,14 @@ let test_total_hb_loss_triggers_failover () =
 (* A promotion pinned to the exact schedule it produces: DES events,
    commits per class, an FNV-1a hash of the (time, seq) event stream, and
    the failover outcome.  The standby's log device and the probe count
-   are fixed constants; moving either moves these values. *)
-let test_golden_crash_through_promotion () =
+   are fixed constants; moving either moves these values.  The events and
+   hash are pinned with lookahead and in lock-step; the rest is the same
+   either way. *)
+let golden_crash_through_promotion ~lookahead =
   let h = ref 0x811c9dc5 in
   let mix x = h := (!h lxor x) * 0x100000001b3 in
   let prepare (a : Runner.assembly) =
+    Sim.Des.set_lookahead a.Runner.des lookahead;
     Sim.Des.set_probe a.Runner.des
       (Some
          (fun ~time ~seq ->
@@ -239,10 +242,13 @@ let test_golden_crash_through_promotion () =
       (fun (label, cs) -> Printf.sprintf "%s=%d" label cs.Metrics.committed)
       (Metrics.classes r.Runner.metrics)
   in
-  checki "DES events" 65068 r.Runner.events;
+  let events, hash =
+    if lookahead then (9968, "d2936e717d14f9f") else (65068, "3ba64886526e5bc7")
+  in
+  checki "DES events" events r.Runner.events;
   Alcotest.(check string) "commits per class" "NewOrder=42 Payment=37 Q2=10"
     (String.concat " " commits);
-  Alcotest.(check string) "(time, seq) stream hash" "3ba64886526e5bc7" (Printf.sprintf "%x" !h);
+  Alcotest.(check string) "(time, seq) stream hash" hash (Printf.sprintf "%x" !h);
   Alcotest.(check string) "virtual-schedule digest" "224a878ed46594a0" r.Runner.digest;
   let rs = repl r in
   (match rs.Runner.rs_failover with
@@ -301,8 +307,10 @@ let () =
             test_total_hb_loss_triggers_failover;
           Alcotest.test_case "replica crash degrades semi-sync" `Slow
             test_replica_crash_degrades;
-          Alcotest.test_case "golden: crash through promotion" `Slow
-            test_golden_crash_through_promotion;
+          Alcotest.test_case "golden: crash through promotion" `Slow (fun () ->
+              golden_crash_through_promotion ~lookahead:true);
+          Alcotest.test_case "golden, lock-step: crash through promotion" `Slow (fun () ->
+              golden_crash_through_promotion ~lookahead:false);
         ] );
       ( "oracle",
         [ Alcotest.test_case "early-ack self-test caught" `Slow test_early_ack_caught ] );

@@ -200,15 +200,18 @@ let test_cluster_rejects_unsupported () =
    shards, and an FNV-1a hash of the (time, seq) event stream folded in
    through [Cluster.des] and [Sim.Des.set_probe].  Any change to how a
    shard is assembled, started or run that moves one event breaks the
-   hash. *)
+   hash.  [on] pins the events and hash with lookahead, [off] in
+   lock-step; the commits and the virtual-schedule digest are the same
+   either way. *)
 
-let check_golden_cluster ~shards ~seed ~horizon_sec ~events ~commits ~hash ~digest =
+let check_golden_cluster ~lookahead ~shards ~seed ~horizon_sec ~on ~off ~commits ~digest =
   let cfg =
     Config.with_shard
       ~shard:{ Config.default_shard with Config.sh_shards = shards; sh_cross_pct = 10 }
       { (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 ()) with Config.seed }
   in
   let cl = Shard.Cluster.create ~cfg ~arrival_interval_us:18. () in
+  Sim.Des.set_lookahead (Shard.Cluster.des cl) lookahead;
   let h = ref 0x811c9dc5 in
   let mix x = h := (!h lxor x) * 0x100000001b3 in
   Sim.Des.set_probe (Shard.Cluster.des cl)
@@ -229,19 +232,22 @@ let check_golden_cluster ~shards ~seed ~horizon_sec ~events ~commits ~hash ~dige
     Hashtbl.fold (fun l c acc -> Printf.sprintf "%s=%d" l c :: acc) per_class []
     |> List.sort compare |> String.concat " "
   in
+  let events, hash = if lookahead then on else off in
   checki "DES events" events (Shard.Cluster.events_processed cl);
   Alcotest.(check string) "commits per class" commits got;
   Alcotest.(check string) "(time, seq) stream hash" hash (Printf.sprintf "%x" !h);
   Alcotest.(check string) "virtual-schedule digest" digest (Shard.Cluster.schedule_digest cl)
 
-let test_golden_two_shards () =
-  check_golden_cluster ~shards:2 ~seed:42L ~horizon_sec:0.005 ~events:25189
-    ~commits:"NewOrder=236 NewOrderX=34 Payment=258 PaymentX=24 XPart=58" ~hash:"1af9712668e5487f"
+let golden_two_shards ~lookahead =
+  check_golden_cluster ~lookahead ~shards:2 ~seed:42L ~horizon_sec:0.005
+    ~on:(17550, "238729883ca8c7e8") ~off:(25189, "1af9712668e5487f")
+    ~commits:"NewOrder=236 NewOrderX=34 Payment=258 PaymentX=24 XPart=58"
     ~digest:"695edb647c33c0d0"
 
-let test_golden_four_shards () =
-  check_golden_cluster ~shards:4 ~seed:7L ~horizon_sec:0.01 ~events:143812
-    ~commits:"NewOrder=986 NewOrderX=132 Payment=1000 PaymentX=92 XPart=425" ~hash:"7c31ab2dd7bf3c54"
+let golden_four_shards ~lookahead =
+  check_golden_cluster ~lookahead ~shards:4 ~seed:7L ~horizon_sec:0.01
+    ~on:(99676, "44d52bb616a9c78b") ~off:(143812, "7c31ab2dd7bf3c54")
+    ~commits:"NewOrder=986 NewOrderX=132 Payment=1000 PaymentX=92 XPart=425"
     ~digest:"3f58edd8dc19507d"
 
 let () =
@@ -276,7 +282,14 @@ let () =
         ] );
       ( "golden",
         [
-          Alcotest.test_case "2 shards" `Quick test_golden_two_shards;
-          Alcotest.test_case "4 shards, 10 ms" `Quick test_golden_four_shards;
+          Alcotest.test_case "2 shards" `Quick (fun () -> golden_two_shards ~lookahead:true);
+          Alcotest.test_case "4 shards, 10 ms" `Quick (fun () ->
+              golden_four_shards ~lookahead:true);
+        ] );
+      ( "lookahead",
+        [
+          Alcotest.test_case "off: 2 shards" `Quick (fun () -> golden_two_shards ~lookahead:false);
+          Alcotest.test_case "off: 4 shards, 10 ms" `Quick (fun () ->
+              golden_four_shards ~lookahead:false);
         ] );
     ]

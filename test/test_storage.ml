@@ -469,6 +469,180 @@ let test_btree_cursor_survives_mutation () =
       checkb "stable keys seen" true (Hashtbl.mem seen_set (2 * k))
   done
 
+(* Random insert/remove/find sequences on either key type, single keys
+   and runs, with up to three cursors opened part-way and advanced between
+   the ops, against a [Map.Make] reference: the invariants hold after every
+   op, every binding agrees, and each cursor returns ascending keys inside
+   its range, never one twice, with the binding the reference holds, and
+   skips no key that was present from its opening until it passed. *)
+module Tree_vs_map (K : sig
+  type t
+
+  val compare : t -> t -> int
+  val of_int : int -> t
+end) (T : sig
+  type t
+  type cursor
+
+  val create : unit -> t
+  val length : t -> int
+  val insert : t -> K.t -> int -> int option
+  val find : t -> K.t -> int option
+  val remove : t -> K.t -> int option
+  val cursor : t -> lo:K.t -> hi:K.t -> cursor
+  val cursor_next : cursor -> (K.t * int) option
+  val check_invariants : t -> unit
+end) =
+struct
+  module M = Map.Make (K)
+
+  type open_cursor = {
+    c : T.cursor;
+    lo : K.t;
+    hi : K.t;
+    mutable last : K.t option;
+    mutable stable : unit M.t;  (* present since the opening, not yet returned *)
+  }
+
+  let run ops =
+    let t = T.create () in
+    let reference = ref M.empty in
+    let cursors = ref [] in
+    let fail fmt = Printf.ksprintf failwith fmt in
+    let insert k v =
+      if T.insert t k v <> M.find_opt k !reference then fail "insert: old binding";
+      reference := M.add k v !reference
+    in
+    let remove k =
+      if T.remove t k <> M.find_opt k !reference then fail "remove: old binding";
+      reference := M.remove k !reference;
+      List.iter (fun oc -> oc.stable <- M.remove k oc.stable) !cursors
+    in
+    let step_cursor oc =
+      match T.cursor_next oc.c with
+      | None ->
+        if not (M.is_empty oc.stable) then fail "cursor skipped a stable key";
+        cursors := List.filter (fun o -> o != oc) !cursors
+      | Some (k, v) -> (
+        if K.compare k oc.lo < 0 || K.compare k oc.hi > 0 then fail "cursor left its range";
+        (match oc.last with
+        | Some l when K.compare l k >= 0 -> fail "cursor went back or repeated"
+        | _ -> ());
+        if M.find_opt k !reference <> Some v then fail "cursor binding disagrees";
+        oc.last <- Some k;
+        oc.stable <- M.remove k oc.stable;
+        match M.min_binding_opt oc.stable with
+        | Some (s, ()) when K.compare s k < 0 -> fail "cursor skipped a stable key"
+        | _ -> ())
+    in
+    List.iteri
+      (fun step (kind, key, arg) ->
+        let k = K.of_int key in
+        (match kind with
+        | 0 | 1 | 2 -> insert k step
+        | 3 ->
+          for i = key to key + arg do
+            insert (K.of_int i) step
+          done
+        | 4 -> remove k
+        | 5 ->
+          for i = key to key + arg do
+            remove (K.of_int i)
+          done
+        | 6 -> if T.find t k <> M.find_opt k !reference then fail "find disagrees"
+        | 7 ->
+          if List.length !cursors < 3 then begin
+            let lo = k and hi = K.of_int (key + arg) in
+            let stable =
+              M.filter_map
+                (fun k' _ ->
+                  if K.compare lo k' <= 0 && K.compare k' hi <= 0 then Some () else None)
+                !reference
+            in
+            cursors := { c = T.cursor t ~lo ~hi; lo; hi; last = None; stable } :: !cursors
+          end
+        | _ -> (
+          match !cursors with
+          | [] -> ()
+          | open_ -> step_cursor (List.nth open_ (arg mod List.length open_))));
+        T.check_invariants t;
+        if T.length t <> M.cardinal !reference then fail "length disagrees")
+      ops;
+    true
+end
+
+module Int_vs_map =
+  Tree_vs_map
+    (struct
+      include Int
+
+      let of_int = Fun.id
+    end)
+    (IT)
+
+module Str_vs_map =
+  Tree_vs_map
+    (struct
+      include String
+
+      let of_int i = Printf.sprintf "k%04d" i
+    end)
+    (Btree.Str_tree)
+
+(* Up to 600 ops over 3 000 keys, a fifth of them runs of up to 121 keys:
+   leaves fill, grow, split and empty, and four cases in five reach three
+   levels (a two-level tree holds at most 33 leaves of 32 keys). *)
+let gen_tree_ops =
+  QCheck2.Gen.(list_size (int_range 1 600) (triple (int_bound 9) (int_bound 2999) (int_bound 120)))
+
+let prop_btree_int_ops =
+  QCheck2.Test.make ~name:"Int_tree ops and cursors agree with Map" ~count:25 gen_tree_ops
+    Int_vs_map.run
+
+let prop_btree_str_ops =
+  QCheck2.Test.make ~name:"Str_tree ops and cursors agree with Map" ~count:25 gen_tree_ops
+    Str_vs_map.run
+
+(* A leaf with room takes an insert in place: re-inserting a key just
+   removed from a three-level tree allocates nothing, not even on the way
+   back up through the internal nodes. *)
+let test_btree_insert_in_place () =
+  let t = IT.create () in
+  for k = 0 to 1999 do
+    ignore (IT.insert t (2 * k) k)
+  done;
+  ignore (IT.insert t 1001 0);
+  ignore (IT.remove t 1001);
+  checkb "three levels" true (IT.height t >= 3);
+  let before = Gc.minor_words () in
+  let old = IT.insert t 1001 1 in
+  let words = Gc.minor_words () -. before in
+  checkb "a fresh binding" true (old = None);
+  Alcotest.(check (float 0.)) "minor words of an insert into a leaf with room" 0. words;
+  IT.check_invariants t
+
+(* A removed Str_tree key is garbage once no binding holds it: neither the
+   slot it vacated nor the slack a grown leaf filled with it keeps it
+   alive.  Single-leaf trees, so no separator holds a copy. *)
+let[@inline never] insert_watched t w ~key =
+  let k = String.init 3 (fun _ -> key) in
+  Weak.set w 0 (Some k);
+  ignore (Btree.Str_tree.insert t k 0)
+
+let test_btree_removed_key_collectable () =
+  List.iter
+    (fun key ->
+      let t = Btree.Str_tree.create () in
+      List.iter (fun k -> ignore (Btree.Str_tree.insert t k 0)) [ "bbb"; "ddd" ];
+      let w = Weak.create 1 in
+      (* the third key grows the leaf to 4 slots, filling the slack with it *)
+      insert_watched t w ~key;
+      checkb "removed" true (Btree.Str_tree.remove t (String.make 3 key) <> None);
+      Gc.full_major ();
+      checkb (Printf.sprintf "%c%c%c collected" key key key) true (Weak.get w 0 = None);
+      Btree.Str_tree.check_invariants t)
+    [ 'a'; 'c'; 'z' ]
+
 let prop_btree_matches_map =
   (* Each case bulk-loads 1100-1500 distinct keys in a scrambled order
      (a*i+b mod the prime 4001).  A leaf holds at most 32 keys, so 1100 keys
@@ -921,8 +1095,12 @@ let () =
           Alcotest.test_case "min/max" `Quick test_btree_min_max;
           Alcotest.test_case "cursor" `Quick test_btree_cursor_plain;
           Alcotest.test_case "cursor survives mutation" `Quick test_btree_cursor_survives_mutation;
+          Alcotest.test_case "insert into a leaf with room allocates nothing" `Quick
+            test_btree_insert_in_place;
+          Alcotest.test_case "removed key is not kept alive" `Quick
+            test_btree_removed_key_collectable;
         ]
-        @ qsuite [ prop_btree_matches_map ] );
+        @ qsuite [ prop_btree_matches_map; prop_btree_int_ops; prop_btree_str_ops ] );
       ( "engine",
         [
           Alcotest.test_case "insert/read/commit" `Quick test_engine_insert_read_commit;

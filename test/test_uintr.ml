@@ -524,6 +524,33 @@ let test_fabric_lookahead_floor () =
   Fabric.set_delivery_model fabric (Some (fun ~flow:_ ~latency -> [ latency ]));
   checki "no floor under a delivery model" 0 (Fabric.lookahead_floor fabric)
 
+(* Every path registered with the fabric lowers the floor to its least
+   latency, and never raises it: a channel whose base latency sits below
+   the senduipi floor brings it down to base - base/5, and no message on
+   it arrives sooner. *)
+let test_fabric_floor_paths () =
+  let des = Sim.Des.create () in
+  let fabric = Fabric.create des ~costs:Costs.default in
+  let (_ : unit Uintr.Channel.t) = Uintr.Channel.create des ~fabric ~name:"default" in
+  checki "a default channel (960) leaves the senduipi floor" 800 (Fabric.lookahead_floor fabric);
+  let fast = Uintr.Channel.create ~base_latency:500 des ~fabric ~name:"fast" in
+  checki "a 500-cycle channel" 400 (Fabric.lookahead_floor fabric);
+  Fabric.register_path fabric ~least_latency:9_600;
+  checki "a slower path leaves it" 400 (Fabric.lookahead_floor fabric);
+  Fabric.register_path fabric ~least_latency:240;
+  checki "a faster path lowers it" 240 (Fabric.lookahead_floor fabric);
+  let earliest = ref max_int in
+  Uintr.Channel.set_on_deliver fast (fun sent ->
+      earliest := min !earliest (Sim.Des.now_int des - sent));
+  for i = 0 to 999 do
+    Sim.Des.schedule_at_int des ~time:(i * 100) (fun des ->
+        Uintr.Channel.send fast ~bytes:(i mod 3) (Sim.Des.now_int des))
+  done;
+  Sim.Des.run des;
+  checkb "no message beat the channel's least latency" true (!earliest >= 400);
+  Fabric.set_channel_delivery_model fabric (Some (fun ~flow:_ ~latency -> [ latency ]));
+  checki "no floor under a channel model" 0 (Fabric.lookahead_floor fabric)
+
 let () =
   Alcotest.run "uintr"
     [
@@ -574,6 +601,7 @@ let () =
           Alcotest.test_case "channel send at the step's clock" `Quick
             test_channel_send_at_step_clock;
           Alcotest.test_case "lookahead floor" `Quick test_fabric_lookahead_floor;
+          Alcotest.test_case "lookahead floor: channels and paths" `Quick test_fabric_floor_paths;
         ] );
       ( "hw_thread",
         [

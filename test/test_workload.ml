@@ -118,6 +118,39 @@ let test_program_op_is_record_access () =
   checkb "probe is not" false (P.is_record_access P.Index_probe);
   checkb "yield hint is not" false (P.is_record_access P.Yield_hint)
 
+(* Shared state behind a commuting charge fails loudly, whether the step
+   ran inline or was resumed with the flag its executor kept; behind a
+   charge that does not commute it passes. *)
+let test_program_check_ordered () =
+  let eng = Engine.create () in
+  let env = mk_env eng in
+  let ordered = ref 0 in
+  let prog _env =
+    P.charge P.Txn_abort;
+    P.check_ordered "a test";
+    incr ordered;
+    P.compute 1;
+    P.check_ordered "a test";
+    P.Committed 0L
+  in
+  let fails f =
+    match f () with
+    | _ -> false
+    | exception Failure msg -> msg = "a test ran in a step that commutes"
+  in
+  (* resumed with the flags the executor read at each suspension *)
+  let rec go step =
+    match step with
+    | P.Finished _ -> ()
+    | P.Pending (_, k) -> go (P.resume ~commutes:(P.pending_commutes ()) k)
+  in
+  checkb "resumed commuting step fails" true (fails (fun () -> go (P.start prog env)));
+  checki "the ordered step passed" 1 !ordered;
+  (* inline: every charge taken on the spot *)
+  checkb "inline commuting step fails" true
+    (fails (fun () -> P.start ~stepper:(fun _ -> true) prog env));
+  checki "the ordered step passed inline" 2 !ordered
+
 (* -- Idx helpers --------------------------------------------------------------- *)
 
 let test_idx_rollback_on_abort () =
@@ -709,6 +742,8 @@ let () =
         [
           Alcotest.test_case "runs to completion" `Quick test_program_runs_to_completion;
           Alcotest.test_case "charge outside fails" `Quick test_program_charge_outside_fails;
+          Alcotest.test_case "shared state in a commuting step fails" `Quick
+            test_program_check_ordered;
           Alcotest.test_case "user abort path" `Quick test_program_user_abort_path;
           Alcotest.test_case "non-preemptible exception safety" `Quick
             test_program_non_preemptible_balanced_on_exception;
