@@ -10,6 +10,38 @@ module Runner = Preemptdb.Runner
 module Config = Preemptdb.Config
 module Metrics = Preemptdb.Metrics
 
+(* Counts, horizons and intervals must be positive, and the delays and
+   spreads that 0 turns off non-negative: anything else is a usage error
+   (cmdliner exits 124 and names the flag) rather than a vacuous run, a
+   run that spins on a zero interval, or an exception after the database
+   load. *)
+let number of_string pp ~ok ~what =
+  let parse s =
+    match of_string (String.trim s) with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+  in
+  Arg.conv (parse, pp)
+
+let pp_float ppf f = Format.fprintf ppf "%g" f
+
+let positive_int =
+  number int_of_string_opt Format.pp_print_int ~ok:(fun n -> n > 0) ~what:"a positive integer"
+
+let non_negative_int =
+  number int_of_string_opt Format.pp_print_int ~ok:(fun n -> n >= 0)
+    ~what:"a non-negative integer"
+
+let positive_float =
+  number float_of_string_opt pp_float
+    ~ok:(fun f -> f > 0. && Float.is_finite f)
+    ~what:"a positive number"
+
+let non_negative_float =
+  number float_of_string_opt pp_float
+    ~ok:(fun f -> f >= 0. && Float.is_finite f)
+    ~what:"a non-negative number"
+
 let policy_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -34,13 +66,13 @@ let policy_term =
     Arg.(value & opt policy_conv `Preempt & info [ "policy" ] ~doc:"wait | coop | handcrafted | preempt")
   in
   let yield_interval =
-    Arg.(value & opt int 10_000 & info [ "yield-interval" ] ~doc:"cooperative yield interval (record accesses)")
+    Arg.(value & opt positive_int 10_000 & info [ "yield-interval" ] ~doc:"cooperative yield interval (record accesses)")
   in
   let block_interval =
-    Arg.(value & opt int 1000 & info [ "block-interval" ] ~doc:"handcrafted yield interval (Q2 blocks)")
+    Arg.(value & opt positive_int 1000 & info [ "block-interval" ] ~doc:"handcrafted yield interval (Q2 blocks)")
   in
   let threshold =
-    Arg.(value & opt float 1.0 & info [ "starvation-threshold" ] ~doc:"L_max for preempt")
+    Arg.(value & opt positive_float 1.0 & info [ "starvation-threshold" ] ~doc:"L_max for preempt")
   in
   let combine policy yield_interval block_interval threshold =
     match policy with
@@ -50,25 +82,6 @@ let policy_term =
     | `Preempt -> Config.Preempt threshold
   in
   Term.(const combine $ policy $ yield_interval $ block_interval $ threshold)
-
-(* Worker counts, horizons and intervals must be positive: zero or less
-   is a usage error (cmdliner exits 124 and names the flag) rather than a
-   vacuous run or an exception after the database load. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let positive_float =
-  let parse s =
-    match float_of_string_opt (String.trim s) with
-    | Some f when f > 0. && Float.is_finite f -> Ok f
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive number" s))
-  in
-  Arg.conv (parse, fun ppf f -> Format.fprintf ppf "%g" f)
 
 let workers_term = Arg.(value & opt positive_int 16 & info [ "workers" ] ~doc:"worker threads")
 let horizon_term = Arg.(value & opt positive_float 0.1 & info [ "horizon" ] ~doc:"virtual seconds")
@@ -133,25 +146,25 @@ let reclaim_term =
   let chunk =
     Arg.(
       value
-      & opt int Config.default_reclaim.Config.rc_chunk_tuples
+      & opt positive_int Config.default_reclaim.Config.rc_chunk_tuples
       & info [ "reclaim-chunk" ] ~doc:"tuples scanned per GC chunk")
   in
   let epoch_us =
     Arg.(
       value
-      & opt float Config.default_reclaim.Config.rc_epoch_interval_us
+      & opt positive_float Config.default_reclaim.Config.rc_epoch_interval_us
       & info [ "reclaim-epoch-us" ] ~doc:"epoch advance interval (us)")
   in
   let gc_us =
     Arg.(
       value
-      & opt float Config.default_reclaim.Config.rc_gc_interval_us
+      & opt positive_float Config.default_reclaim.Config.rc_gc_interval_us
       & info [ "reclaim-gc-us" ] ~doc:"GC chunk dispatch interval (us)")
   in
   let per_tick =
     Arg.(
       value
-      & opt int Config.default_reclaim.Config.rc_chunks_per_tick
+      & opt positive_int Config.default_reclaim.Config.rc_chunks_per_tick
       & info [ "reclaim-chunks-per-tick" ] ~doc:"GC chunks dispatched per interval")
   in
   let non_preemptible =
@@ -195,25 +208,25 @@ let durability_term =
   let group_bytes =
     Arg.(
       value
-      & opt int dd.Config.du_group_bytes
+      & opt positive_int dd.Config.du_group_bytes
       & info [ "durability-group-bytes" ] ~doc:"group-commit byte threshold")
   in
   let group_us =
     Arg.(
       value
-      & opt float dd.Config.du_group_interval_us
+      & opt positive_float dd.Config.du_group_interval_us
       & info [ "durability-group-us" ] ~doc:"group-commit sweep interval (us)")
   in
   let fsync_us =
     Arg.(
       value
-      & opt float dd.Config.du_fsync_floor_us
+      & opt non_negative_float dd.Config.du_fsync_floor_us
       & info [ "durability-fsync-us" ] ~doc:"log-device fsync latency floor (us)")
   in
   let ckpt_us =
     Arg.(
       value
-      & opt float dd.Config.du_ckpt_interval_us
+      & opt non_negative_float dd.Config.du_ckpt_interval_us
       & info [ "durability-ckpt-us" ]
           ~doc:"fuzzy-checkpoint chunk dispatch interval (us, 0 = off)")
   in
@@ -259,26 +272,26 @@ let replication_term =
   let hb_us =
     Arg.(
       value
-      & opt float rd.Config.rp_hb_interval_us
+      & opt positive_float rd.Config.rp_hb_interval_us
       & info [ "replication-hb-us" ] ~doc:"heartbeat interval (us)")
   in
   let timeout_us =
     Arg.(
       value
-      & opt float rd.Config.rp_hb_timeout_us
+      & opt positive_float rd.Config.rp_hb_timeout_us
       & info [ "replication-timeout-us" ] ~doc:"failure-detector silence timeout (us)")
   in
   let miss_budget =
     Arg.(
       value
-      & opt int rd.Config.rp_hb_miss_budget
+      & opt positive_int rd.Config.rp_hb_miss_budget
       & info [ "replication-miss-budget" ]
           ~doc:"consecutive detector misses before declaring the primary dead")
   in
   let degrade_us =
     Arg.(
       value
-      & opt float rd.Config.rp_degrade_timeout_us
+      & opt positive_float rd.Config.rp_degrade_timeout_us
       & info [ "replication-degrade-us" ]
           ~doc:"semi-sync -> async degrade watchdog timeout (us)")
   in
@@ -580,7 +593,10 @@ let tiered_cmd =
     (Cmd.info "tiered" ~doc:"three priority levels with nested preemption (§5 extension)")
     Term.(
       const run $ workers_term $ horizon_term $ arrival_term $ seed_term
-      $ Arg.(value & opt int 3 & info [ "levels" ] ~doc:"priority levels (2 or 3)"))
+      $ Arg.(
+          value
+          & opt (enum [ ("2", 2); ("3", 3) ]) 3
+          & info [ "levels" ] ~doc:"priority levels (2 or 3)"))
 
 let ledger_cmd =
   let run policy workers horizon arrival seed empty_interrupts no_regions =
@@ -635,190 +651,118 @@ let trace_cmd =
           & info [ "out" ] ~doc:"output path for the trace JSON"))
 
 let check_cmd =
-  let write_report path (r : Check.Harness.run) =
-    let oc = open_out path in
-    Obs.Json.to_channel ~minify:false oc (Check.Harness.report_json r);
-    output_char oc '\n';
-    close_out oc;
-    Format.printf "reproducer written to %s@." path
+  (* the one mode outside the grid: exit 0 iff the recorded trace hash is
+     reproduced, 1 if it diverges, 2 on a missing or malformed file *)
+  let replay path =
+    let doc =
+      try Ok (In_channel.with_open_text path In_channel.input_all) with Sys_error e -> Error e
+    in
+    match Result.bind (Result.bind doc Obs.Json.parse) Check.Harness.of_report_json with
+    | Error e ->
+      Format.printf "replay: %s@." e;
+      exit 2
+    | Ok (schedule, workload, fault, plan, reclaim, expected) ->
+      let r = Check.Harness.run ?fault ?plan ~reclaim ~workload schedule in
+      if String.equal r.Check.Harness.hash_hex expected then begin
+        Format.printf "replay OK: trace hash %s reproduced (%d ops, %d commits)@."
+          r.Check.Harness.hash_hex r.Check.Harness.ops r.Check.Harness.commits;
+        exit 0
+      end
+      else begin
+        Format.printf "replay DIVERGED: recorded %s, got %s@." expected r.Check.Harness.hash_hex;
+        exit 1
+      end
   in
-  let print_failure (r : Check.Harness.run) =
-    Format.printf "FAILING schedule: %s@." (Check.Schedule.describe r.Check.Harness.schedule);
-    let n = List.length r.Check.Harness.violations in
-    List.iteri
-      (fun i v -> if i < 15 then Format.printf "  %s@." (Check.Violation.to_string v))
-      r.Check.Harness.violations;
-    if n > 15 then Format.printf "  ... and %d more violations@." (n - 15)
-  in
-  let shrink_and_report ~out (r : Check.Harness.run) =
-    let m = Check.Shrink.minimize r in
-    Format.printf "shrunk (%d evals) to: %s@." m.Check.Shrink.evals
-      (Check.Schedule.describe m.Check.Shrink.schedule);
-    (match Check.Explorer.replay m.Check.Shrink.run with
-    | Ok () ->
-      Format.printf "replay: trace hash %s reproduced@."
-        m.Check.Shrink.run.Check.Harness.hash_hex
-    | Error e -> Format.printf "replay WARNING: %s@." e);
-    write_report out m.Check.Shrink.run
-  in
-  let summary tag (o : Check.Explorer.outcome) =
-    Format.printf "%s: explored %d schedules — %d commits, %d forced preemptions, %d failing@."
-      tag o.Check.Explorer.explored o.Check.Explorer.total_commits o.Check.Explorer.total_forced
-      o.Check.Explorer.failing
-  in
-  let run fuzz exhaustive selftest determinism durability failover shards replay_file budget
-      seed workers horizon_us arrival_us jitter inject_fault faults reclaim out =
+  let run fuzz exhaustive durability failover shards replay_file budget seed workers horizon_us
+      arrival_us jitter inject_fault faults reclaim out =
+    Option.iter replay replay_file;
+    let base =
+      {
+        Check.Schedule.default with
+        Check.Schedule.seed = Int64.of_int seed;
+        workers;
+        horizon_us;
+        arrival_us;
+        jitter_pct = jitter;
+      }
+    in
+    let fault = if inject_fault then Some Storage.Engine.Skip_write_lock else None in
+    let plan = load_plan faults in
     let presets =
       List.filter_map
-        (fun (picked, preset) -> if picked then Some (preset ~budget ~seed ~workers) else None)
+        (fun (picked, preset) -> if picked then Some (preset ()) else None)
         [
-          (durability, Check.Grid.durability);
-          (failover, Check.Grid.failover);
-          (shards, Check.Grid.shards);
+          ( fuzz || not (exhaustive || durability || failover || shards),
+            Check.Grid.fuzz ?fault ?plan ~reclaim ~budget ~base );
+          (exhaustive, Check.Grid.exhaustive ?fault ?plan ~reclaim ~budget ~base);
+          (durability, fun () -> Check.Grid.durability ~budget ~seed ~workers);
+          (failover, fun () -> Check.Grid.failover ~budget ~seed ~workers);
+          (shards, fun () -> Check.Grid.shards ~budget ~seed ~workers);
         ]
     in
-    let grid_ok = Check.Grid.run presets in
-    (* The schedule-exploration modes: one per invocation, the first of
-       replay, determinism, selftest and exhaustive/fuzz given.  True = pass. *)
-    let explore () =
-      let plan = load_plan faults in
-      let base =
-        {
-          Check.Schedule.default with
-          Check.Schedule.seed = Int64.of_int seed;
-          workers;
-          horizon_us;
-          arrival_us;
-          jitter_pct = jitter;
-        }
-      in
-      let fault = if inject_fault then Some Storage.Engine.Skip_write_lock else None in
-      match replay_file with
-      | Some path -> (
-        let doc =
-          try Ok (In_channel.with_open_text path In_channel.input_all)
-          with Sys_error e -> Error e
-        in
-        match Result.bind (Result.bind doc Obs.Json.parse) Check.Harness.of_report_json with
-        | Error e ->
-          Format.printf "replay: %s@." e;
-          exit 2
-        | Ok (schedule, workload, fault, plan, reclaim, expected) ->
-          let r = Check.Harness.run ?fault ?plan ~reclaim ~workload schedule in
-          let ok = String.equal r.Check.Harness.hash_hex expected in
-          if ok then
-            Format.printf "replay OK: trace hash %s reproduced (%d ops, %d commits)@."
-              r.Check.Harness.hash_hex r.Check.Harness.ops r.Check.Harness.commits
-          else
-            Format.printf "replay DIVERGED: recorded %s, got %s@." expected
-              r.Check.Harness.hash_hex;
-          ok)
-      | None ->
-        if determinism then begin
-          let r1 = Check.Harness.run ?fault ?plan ~reclaim base in
-          let r2 = Check.Harness.run ?fault ?plan ~reclaim base in
-          let j1 = Obs.Json.to_string (Check.Harness.report_json r1) in
-          let j2 = Obs.Json.to_string (Check.Harness.report_json r2) in
-          let ok = String.equal j1 j2 in
-          if ok then
-            Format.printf "deterministic: two runs produced byte-identical reports (hash %s)@."
-              r1.Check.Harness.hash_hex
-          else
-            Format.printf "NONDETERMINISTIC: reports differ (hashes %s vs %s)@."
-              r1.Check.Harness.hash_hex r2.Check.Harness.hash_hex;
-          ok
-        end
-        else if selftest then begin
-          (* the clean engine must pass, the faulty one must be caught *)
-          let clean = Check.Harness.run ~workload:Check.Harness.Selftest base in
-          if Check.Harness.failed clean then begin
-            Format.printf "selftest: clean engine flagged (oracle bug)@.";
-            print_failure clean;
-            false
-          end
-          else
-            let o =
-              Check.Explorer.fuzz ~fault:Storage.Engine.Skip_write_lock ?plan
-                ~workload:Check.Harness.Selftest ~budget ~base ()
-            in
-            summary "selftest" o;
-            match o.Check.Explorer.first_failure with
-            | Some r ->
-              Format.printf "selftest: injected lost-update bug detected@.";
-              print_failure r;
-              shrink_and_report ~out r;
-              true
-            | None ->
-              Format.printf "selftest FAILED: injected bug not detected in %d schedules@."
-                o.Check.Explorer.explored;
-              false
-        end
-        else begin
-          let explore = if exhaustive then Check.Explorer.exhaustive else Check.Explorer.fuzz in
-          let o = explore ?fault ?plan ~reclaim ~budget ~base () in
-          summary (if exhaustive then "exhaustive" else "fuzz") o;
-          match o.Check.Explorer.first_failure with
-          | None -> true
-          | Some r ->
-            print_failure r;
-            shrink_and_report ~out r;
-            false
-        end
-    in
-    let mode_given = fuzz || exhaustive || selftest || determinism || replay_file <> None in
-    let explore_ok = if presets = [] || mode_given then explore () else true in
-    exit (if grid_ok && explore_ok then 0 else 1)
+    exit (if Check.Grid.run ~out presets then 0 else 1)
   in
   Cmd.v
     (Cmd.info "check"
         ~doc:
-          "explore perturbed schedules of a TPC-C mix under serializability, snapshot, TCB and \
-           consistency oracles; record, replay and shrink failing schedules")
+          "run the check grid: perturbed schedules of a TPC-C mix under serializability, \
+           snapshot, TCB and consistency oracles, and crash grids under the durability, \
+           failover and 2PC-atomicity oracles; each preset must also catch its armed bug; \
+           failing schedules are shrunk, replayed and recorded")
     Term.(
       const run
-      $ Arg.(value & flag & info [ "fuzz" ] ~doc:"seeded-random schedule perturbation (default)")
+      $ Arg.(
+          value & flag
+          & info [ "fuzz" ]
+              ~doc:
+                "seeded-random schedule perturbation (the default preset); the first schedule \
+                 runs twice and must report the same bytes, and the oracles must catch a \
+                 seeded lost-update bug")
       $ Arg.(
           value & flag
           & info [ "exhaustive" ]
-              ~doc:"bounded-exhaustive enumeration of single forced preemption points")
-      $ Arg.(
-          value & flag
-          & info [ "selftest" ]
-              ~doc:"verify the oracles catch a deliberately broken engine (lost updates)")
-      $ Arg.(
-          value & flag
-          & info [ "determinism" ] ~doc:"run the same schedule twice and compare reports")
+              ~doc:
+                "bounded-exhaustive enumeration of single forced preemption points after a \
+                 pilot run (which runs twice), with --fuzz's self-test")
       $ Arg.(
           value & flag
           & info [ "durability" ]
               ~doc:
                 "fuzz crash points under the durability oracle: every cell must recover \
-                 to exactly the durable prefix (budget = crash points)")
+                 to exactly the durable prefix")
       $ Arg.(
           value & flag
           & info [ "failover" ]
               ~doc:
                 "fuzz primary-crash points x replication mode under the failover oracle: \
-                 acked commits must survive promotion, semi-sync with RPO 0 \
-                 (budget/2 = crash points)")
+                 acked commits must survive promotion, semi-sync with RPO 0")
       $ Arg.(
           value & flag
           & info [ "shards" ]
               ~doc:
                 "fuzz shard-crash instants x crash role (coordinator/participant) under \
                  the cross-shard atomicity oracle: no partial 2PC commits, torn tails \
-                 discarded, in-doubt transactions resolved by the durable decision union \
-                 (budget/4 = crash instants)")
+                 discarded, in-doubt transactions resolved by the durable decision union")
       $ Arg.(
           value
           & opt (some string) None
-          & info [ "replay" ] ~doc:"re-run a recorded reproducer and verify its trace hash")
-      $ Arg.(value & opt int 25 & info [ "budget" ] ~doc:"schedules to explore")
+          & info [ "replay" ]
+              ~doc:"re-run a recorded reproducer and verify its trace hash (runs no preset)")
+      $ Arg.(
+          value
+          & opt positive_int 25
+          & info [ "budget" ]
+              ~doc:
+                "points on each preset's axis: schedules (fuzz), single-point placements \
+                 (exhaustive), crash instants (durability; failover x 2 modes; shards x 2 \
+                 roles, plus a clean run)")
       $ seed_term
       $ Arg.(value & opt positive_int 2 & info [ "workers" ] ~doc:"worker threads")
       $ Arg.(value & opt positive_float 3000. & info [ "horizon-us" ] ~doc:"virtual microseconds per run")
       $ Arg.(value & opt positive_float 25. & info [ "arrival-us" ] ~doc:"arrival interval (us)")
-      $ Arg.(value & opt int 20 & info [ "jitter" ] ~doc:"delivery jitter spread (percent)")
+      $ Arg.(
+          value & opt non_negative_int 20
+          & info [ "jitter" ] ~doc:"delivery jitter spread (percent, 0 = off)")
       $ Arg.(
           value & flag
           & info [ "inject-fault" ] ~doc:"arm the skip-write-lock engine fault (debugging)")

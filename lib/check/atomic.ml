@@ -90,16 +90,15 @@ let recover logs =
 
 type outcome = {
   at_stats : Cluster.shard_stats array;
-  at_crashed_sid : int option;
   at_resolution : resolution;
 }
 
-let run ~cfg ?tpcc_cfg ?(origins = [ 0 ]) ?(crash_sid = -1) ?(crash_at_us = 0.)
+let run ~cfg ?(origins = [ 0 ]) ?(crash_sid = -1) ?(crash_at_us = 0.)
     ?(crash_seed = 11L) ?(bug_early_vote = false) ?(arrival_interval_us = 100.)
     ?(horizon_sec = 0.005) () =
   if cfg.Config.shard = None then invalid_arg "Check.Atomic.run: cfg.shard must be set";
   let cl =
-    Cluster.create ~cfg ?tpcc_cfg ~origins ~bug_early_vote ~arrival_interval_us ()
+    Cluster.create ~cfg ~origins ~bug_early_vote ~arrival_interval_us ()
   in
   let crashing = crash_sid >= 0 && crash_sid < Cluster.n_shards cl && crash_at_us > 0. in
   if crashing then begin
@@ -115,8 +114,4 @@ let run ~cfg ?tpcc_cfg ?(origins = [ 0 ]) ?(crash_sid = -1) ?(crash_at_us = 0.)
   let logs =
     Array.init (Cluster.n_shards cl) (fun sid -> Cluster.log cl ~sid)
   in
-  {
-    at_stats = Cluster.stats cl;
-    at_crashed_sid = (if crashing then Some crash_sid else None);
-    at_resolution = recover logs;
-  }
+  { at_stats = Cluster.stats cl; at_resolution = recover logs }

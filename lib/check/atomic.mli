@@ -22,10 +22,10 @@
       presumes abort, every decided one installs, and ordinary torn
       tails discard — all-or-nothing across the surviving logs.
 
-    Fuzzing = calling {!run} over a grid of (crash instant × crash role
-    × seed) cells; restricting [origins] to shard 0 makes crashing shard
-    0 the coordinator-crash cell and any other shard the
-    participant-crash cell. *)
+    {!Grid.shards} runs it over a grid of (crash instant × crash role)
+    cells; restricting [origins] to shard 0 makes crashing shard 0 the
+    coordinator-crash cell and any other shard the participant-crash
+    cell. *)
 
 type resolution = {
   rs_decisions : int;  (** durable -6 records, unioned across shards *)
@@ -43,13 +43,11 @@ val recover : Durability.Log.t array -> resolution
 
 type outcome = {
   at_stats : Shard.Cluster.shard_stats array;
-  at_crashed_sid : int option;
   at_resolution : resolution;
 }
 
 val run :
   cfg:Preemptdb.Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?origins:int list ->
   ?crash_sid:int ->
   ?crash_at_us:float ->

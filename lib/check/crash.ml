@@ -19,8 +19,6 @@ type audit = {
 
 type outcome = {
   co_result : R.result;
-  co_recovered : Storage.Engine.t;
-  co_rec_stats : Durability.Recovery.stats;
   co_audits : audit list;  (* commit-ts order *)
   co_durable_commits : int;
   co_lost_commits : int;
@@ -31,8 +29,7 @@ type outcome = {
 (* Audit every commit of a mixed-workload run from the engine side, with
    the fault [plan] installed (and the lying-daemon fault when
    [early_ack]).  Returns the audits in commit-timestamp order. *)
-let audited_run ~cfg ?tpcc_cfg ?tpch_cfg ~early_ack ~plan ~arrival_interval_us
-    ~horizon_sec () =
+let audited_run ~cfg ?tpch_cfg ~early_ack ~plan ~arrival_interval_us ~horizon_sec () =
   let audits = ref [] in
   let node = ref None in
   let prepare (a : R.assembly) =
@@ -68,7 +65,7 @@ let audited_run ~cfg ?tpcc_cfg ?tpch_cfg ~early_ack ~plan ~arrival_interval_us
     Faults.Injector.install plan a
   in
   let result =
-    R.run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ~prepare ~arrival_interval_us ~horizon_sec ()
+    R.run_mixed ~cfg ?tpch_cfg ~prepare ~arrival_interval_us ~horizon_sec ()
   in
   let node = match !node with Some a -> a | None -> assert false in
   (result, node, List.sort (fun a b -> Int64.compare a.ac_ts b.ac_ts) !audits)
@@ -178,28 +175,26 @@ let survival ~oracle ~(dur : R.dur_parts) ~audits ~prefix ~acked_bound ?exclude 
   let chains = Oracle.version_chains survivor in
   List.rev !vs @ chains
 
-let run ~cfg ?tpcc_cfg ?tpch_cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
+let run ~cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
     ?(early_ack = false) ?(arrival_interval_us = 400.) ?(horizon_sec = 0.01) () =
   (match cfg.Preemptdb.Config.durability with
   | None -> invalid_arg "Check.Crash.run: cfg.durability must be set"
   | Some _ -> ());
   let co_result, node, audits =
-    audited_run ~cfg ?tpcc_cfg ?tpch_cfg ~early_ack
+    audited_run ~cfg ~early_ack
       ~plan:{ Faults.Plan.none with Faults.Plan.crash_at_us; seed = crash_seed }
       ~arrival_interval_us ~horizon_sec ()
   in
   let dur = match node.R.dur with Some d -> d | None -> assert false in
   let prefix = Durability.Log.durable_lsn dur.R.dur_log in
-  let co_recovered, co_rec_stats = Durability.Recovery.recover_with_stats dur.R.dur_log in
   let durable = List.length (List.filter (survived ~prefix) audits) in
   {
     co_result;
-    co_recovered;
-    co_rec_stats;
     co_audits = audits;
     co_durable_commits = durable;
     co_lost_commits = List.length audits - durable;
     co_acked = Durability.Daemon.acked_count dur.R.dur_daemon;
     co_violations =
-      survival ~oracle:"durability" ~dur ~audits ~prefix ~acked_bound:true co_recovered;
+      survival ~oracle:"durability" ~dur ~audits ~prefix ~acked_bound:true
+        (Durability.Recovery.recover dur.R.dur_log);
   }

@@ -20,7 +20,7 @@
       from a fuzzy checkpoint;
     - {e recovered chains are well-formed} ({!Oracle.version_chains}).
 
-    Fuzzing = calling {!run} over a grid of seeds and crash points; every
+    {!Grid.durability} runs it over a grid of crash points; every
     outcome must come back with no violations. *)
 
 type audit_write = {
@@ -39,8 +39,6 @@ type audit = {
 
 type outcome = {
   co_result : Preemptdb.Runner.result;  (** the crashed run *)
-  co_recovered : Storage.Engine.t;
-  co_rec_stats : Durability.Recovery.stats;
   co_audits : audit list;  (** commit-ts order *)
   co_durable_commits : int;  (** audited commits inside the durable prefix *)
   co_lost_commits : int;  (** committed in memory, lost by the crash *)
@@ -50,8 +48,6 @@ type outcome = {
 
 val run :
   cfg:Preemptdb.Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
-  ?tpch_cfg:Workload.Tpch_schema.config ->
   ?crash_at_us:float ->
   ?crash_seed:int64 ->
   ?early_ack:bool ->
@@ -77,7 +73,6 @@ val run :
 
 val audited_run :
   cfg:Preemptdb.Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?tpch_cfg:Workload.Tpch_schema.config ->
   early_ack:bool ->
   plan:Faults.Plan.t ->

@@ -3,9 +3,6 @@ module Config = Preemptdb.Config
 
 type outcome = {
   fv_result : R.result;
-  fv_promoted : Storage.Engine.t;
-  fv_survivor_lsn : int;
-  fv_audits : Crash.audit list;  (* commit-ts order *)
   fv_survived_commits : int;
   fv_lost_commits : int;
   fv_acked : int;
@@ -14,7 +11,7 @@ type outcome = {
   fv_violations : Violation.t list;
 }
 
-let run ~cfg ?tpcc_cfg ?tpch_cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
+let run ~cfg ?tpch_cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
     ?(early_ack = false) ?(hb_drop_pct = 0) ?(replica_crash_at_us = 0.)
     ?(arrival_interval_us = 400.) ?(horizon_sec = 0.01) () =
   let mode =
@@ -23,7 +20,7 @@ let run ~cfg ?tpcc_cfg ?tpch_cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
     | Some rp -> rp.Config.rp_mode
   in
   let fv_result, node, audits =
-    Crash.audited_run ~cfg ?tpcc_cfg ?tpch_cfg ~early_ack
+    Crash.audited_run ~cfg ?tpch_cfg ~early_ack
       ~plan:
         {
           Faults.Plan.none with
@@ -45,7 +42,6 @@ let run ~cfg ?tpcc_cfg ?tpch_cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
     | Some o -> o.Replication.Failover.fo_applied_lsn
     | None -> Replication.Replica.applied_lsn repl.R.repl_replica
   in
-  let promoted = Replication.Replica.engine repl.R.repl_replica in
   let survived = List.length (List.filter (Crash.survived ~prefix:survivor) audits) in
   (* The promoted replica is the survivor.  In semi-sync the ack gate means
      an acknowledged commit was already persisted (hence applied) on the
@@ -59,7 +55,8 @@ let run ~cfg ?tpcc_cfg ?tpch_cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
       ~acked_bound:
         (mode = Config.Repl_semi_sync
         && not (Replication.Shipper.degraded repl.R.repl_shipper))
-      ~exclude:Replication.Failover.probe_table promoted
+      ~exclude:Replication.Failover.probe_table
+      (Replication.Replica.engine repl.R.repl_replica)
     @
     (* A completed failover must leave an engine that serves new
        transactions: the probe commits prove it. *)
@@ -75,9 +72,6 @@ let run ~cfg ?tpcc_cfg ?tpch_cfg ?(crash_at_us = 0.) ?(crash_seed = 11L)
   in
   {
     fv_result;
-    fv_promoted = promoted;
-    fv_survivor_lsn = survivor;
-    fv_audits = audits;
     fv_survived_commits = survived;
     fv_lost_commits = List.length audits - survived;
     fv_acked = Durability.Daemon.acked_count dur.R.dur_daemon;

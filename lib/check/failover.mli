@@ -23,15 +23,11 @@
       committed;
     - {e promoted version chains are well-formed}.
 
-    Fuzzing = calling {!run} over a grid of (crash time × mode × seed)
-    cells; every outcome must come back with no violations. *)
+    {!Grid.failover} runs it over a grid of (crash time × mode) cells;
+    every outcome must come back with no violations. *)
 
 type outcome = {
   fv_result : Preemptdb.Runner.result;  (** the crashed (or clean) run *)
-  fv_promoted : Storage.Engine.t;
-      (** the replica's engine (promoted when failover completed) *)
-  fv_survivor_lsn : int;  (** surviving prefix bound *)
-  fv_audits : Crash.audit list;  (** commit-ts order *)
   fv_survived_commits : int;  (** audited commits the replica applied *)
   fv_lost_commits : int;  (** committed on the primary, not shipped in time *)
   fv_acked : int;
@@ -43,7 +39,6 @@ type outcome = {
 
 val run :
   cfg:Preemptdb.Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?tpch_cfg:Workload.Tpch_schema.config ->
   ?crash_at_us:float ->
   ?crash_seed:int64 ->

@@ -385,3 +385,11 @@ let of_report_json j =
     match J.member "reclaim" j with Some (J.Bool b) -> b | _ -> false
   in
   Ok (schedule, w, fault, plan, reclaim, h)
+
+let replay r =
+  let again = run ?fault:r.fault ?plan:r.plan ~reclaim:r.reclaim ~workload:r.workload r.schedule in
+  if Int64.equal again.trace_hash r.trace_hash then Ok ()
+  else
+    Error
+      (Printf.sprintf "trace hash diverged: recorded %s, replayed %s (%d vs %d DES events)"
+         r.hash_hex again.hash_hex r.des_events again.des_events)

@@ -69,6 +69,11 @@ val run :
 
 val failed : run -> bool
 
+val replay : run -> (unit, string) result
+(** Re-run the run's schedule with its fault, plan, reclaim flag and
+    workload, and compare trace hashes: [Error] describes the divergence
+    if the replay is not bit-identical. *)
+
 val report_json : run -> Obs.Json.t
 (** The full machine-readable report (schedule, hash, counters,
     violations, decision sample).  Deterministic: contains no wall-clock

@@ -1,6 +1,6 @@
 (** A perturbed-schedule specification.
 
-    A schedule is everything the explorer varies between runs of the same
+    A schedule is everything the check grid varies between runs of the same
     workload: the master seed, the uintr delivery-latency jitter, and a set
     of {e forced preemption points} — global micro-op boundary indices at
     which an interrupt is posted directly to the executing worker's

@@ -1,10 +1,7 @@
 type result = { schedule : Schedule.t; run : Harness.run; evals : int }
 
-let minimize ?fault ?workload ?(max_evals = 150) (failing : Harness.run) =
-  let workload = Option.value ~default:failing.Harness.workload workload in
-  let fault = match fault with Some f -> Some f | None -> failing.Harness.fault in
-  let plan = failing.Harness.plan in
-  let reclaim = failing.Harness.reclaim in
+let minimize ?(max_evals = 150) (failing : Harness.run) =
+  let { Harness.workload; fault; plan; reclaim; _ } = failing in
   let evals = ref 0 in
   let best = ref failing in
   let try_schedule s =

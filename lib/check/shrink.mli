@@ -12,12 +12,8 @@ type result = {
   evals : int;  (** harness runs spent shrinking *)
 }
 
-val minimize :
-  ?fault:Storage.Engine.fault ->
-  ?workload:Harness.workload ->
-  ?max_evals:int ->
-  Harness.run ->
-  result
-(** [minimize failing_run] — [max_evals] bounds the total harness runs
-    (default 150).  The failing run itself is returned if nothing smaller
-    still fails. *)
+val minimize : ?max_evals:int -> Harness.run -> result
+(** [minimize failing_run] re-runs it with its own workload, fault, plan
+    and reclaim flag; [max_evals] bounds the total harness runs (default
+    150).  The failing run itself is returned if nothing smaller still
+    fails. *)

@@ -1,5 +1,5 @@
 (** One oracle violation: which oracle fired and a human-readable account
-    of the evidence.  Violations are data — the explorer aggregates them,
+    of the evidence.  Violations are data — the check grid reports them,
     the shrinker minimizes schedules that produce them, and the repro JSON
     embeds them. *)
 

@@ -1,7 +1,7 @@
 (* The schedule-exploration and oracle harness (lib/check): DSG cycle
    detection on hand-built footprints, schedule JSON round-trips, run
    determinism and replay, the fault-injection self-test, forced
-   preemption points, and both exploration strategies. *)
+   preemption points, and the check grid's schedule and crash presets. *)
 
 module S = Check.Schedule
 module H = Check.Harness
@@ -106,7 +106,7 @@ let test_determinism () =
 let test_replay () =
   let r = H.run base in
   checkb "some commits" true (r.H.commits > 0);
-  match Check.Explorer.replay r with
+  match H.replay r with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -132,18 +132,47 @@ let test_forced_preemption_clean () =
   checkb "passive switches happened" true (r.H.passive_switches > 0);
   checki "no violations" 0 (List.length r.H.violations)
 
+(* Run presets through [Grid.run], keeping every cell each one ran. *)
+let run_grid presets =
+  let ran = ref [] in
+  let tap p =
+    {
+      p with
+      Check.Grid.cells =
+        Seq.map
+          (fun cell () ->
+            let c = cell () in
+            ran := (p.Check.Grid.name, c) :: !ran;
+            c)
+          p.Check.Grid.cells;
+    }
+  in
+  let ok = Check.Grid.run (List.map tap presets) in
+  (ok, List.rev !ran)
+
+let schedule_runs cells = List.filter_map (fun (_, c) -> c.Check.Grid.schedule_run) cells
+
+(* A clean schedule preset: [n] cells ran, none failed, each committed,
+   the self-test's clean run came last and the armed bug was caught. *)
+let check_clean_preset ~n (ok, cells) =
+  checkb "preset passes" true ok;
+  checki "cells run" n (List.length cells);
+  checkb "no failing cell" true
+    (List.for_all (fun (_, c) -> c.Check.Grid.violations = []) cells);
+  checkb "every cell commits" true (List.for_all (fun r -> r.H.commits > 0) (schedule_runs cells));
+  checkb "self-test's clean run last" true
+    ((List.nth (schedule_runs cells) (n - 1)).H.workload = H.Selftest)
+
 let test_fuzz_clean () =
-  let o = Check.Explorer.fuzz ~budget:3 ~base () in
-  checki "explored full budget" 3 o.Check.Explorer.explored;
-  checki "no failures" 0 o.Check.Explorer.failing;
-  checkb "work happened" true (o.Check.Explorer.total_commits > 0)
+  check_clean_preset ~n:4 (run_grid [ Check.Grid.fuzz ~budget:3 ~base () ])
 
 let test_exhaustive_clean () =
   let small = { base with S.horizon_us = 600. } in
-  let o = Check.Explorer.exhaustive ~budget:4 ~base:small () in
-  checkb "pilot + points" true (o.Check.Explorer.explored >= 2);
-  checki "no failures" 0 o.Check.Explorer.failing;
-  checkb "forced points fired" true (o.Check.Explorer.total_forced > 0)
+  let ((_, cells) as ran) = run_grid [ Check.Grid.exhaustive ~budget:4 ~base:small () ] in
+  (* pilot + 4 placements (far more boundaries than points) + self-test *)
+  check_clean_preset ~n:6 ran;
+  checkb "forced points fired" true
+    (List.exists (fun r -> r.H.forced_fired <> []) (schedule_runs cells))
 
 (* -- Self-test: the injected bug must be caught and shrunk ---------------- *)
 
@@ -160,7 +189,7 @@ let test_selftest_fault_detected () =
   checkb "shrunk schedule still fails" true (H.failed m.Check.Shrink.run);
   checkb "shrunk horizon no larger" true
     (m.Check.Shrink.schedule.S.horizon_us <= base.S.horizon_us);
-  match Check.Explorer.replay m.Check.Shrink.run with
+  match H.replay m.Check.Shrink.run with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -203,7 +232,7 @@ let test_fault_plan_deterministic_and_replayable () =
     checkb "no engine fault" true (fault = None);
     let again = H.run ?fault ?plan ~reclaim ~workload:w s in
     checks "replay from the report reproduces the hash" hash again.H.hash_hex;
-    match Check.Explorer.replay r1 with
+    match H.replay r1 with
     | Ok () -> ()
     | Error e -> Alcotest.fail e)
 
@@ -274,19 +303,23 @@ let test_reclaim_replayable () =
   | Ok (_, _, _, _, reclaim, hash) -> (
     checkb "reclaim flag preserved in the report" true reclaim;
     checks "hash preserved" r.H.hash_hex hash;
-    match Check.Explorer.replay r with
+    match H.replay r with
     | Ok () -> ()
     | Error e -> Alcotest.fail e)
 
 let test_reclaim_fuzz () =
-  let o = Check.Explorer.fuzz ~reclaim:true ~budget:3 ~base () in
-  checki "explored full budget with GC on" 3 o.Check.Explorer.explored;
-  checki "no failures" 0 o.Check.Explorer.failing
+  let ((_, cells) as ran) = run_grid [ Check.Grid.fuzz ~reclaim:true ~budget:3 ~base () ] in
+  check_clean_preset ~n:4 ran;
+  checkb "schedule cells run with GC on" true
+    (List.for_all (fun r -> r.H.reclaim || r.H.workload = H.Selftest) (schedule_runs cells))
 
 let test_fuzz_with_plan () =
-  let o = Check.Explorer.fuzz ~plan:accept_plan ~budget:3 ~base () in
-  checki "explored full budget under faults" 3 o.Check.Explorer.explored;
-  checki "no failures" 0 o.Check.Explorer.failing
+  let ((_, cells) as ran) = run_grid [ Check.Grid.fuzz ~plan:accept_plan ~budget:3 ~base () ] in
+  check_clean_preset ~n:4 ran;
+  checkb "schedule cells run under the plan" true
+    (List.for_all
+       (fun r -> r.H.plan = Some accept_plan || r.H.workload = H.Selftest)
+       (schedule_runs cells))
 
 (* -- Durability crash oracle ------------------------------------------------- *)
 
@@ -360,25 +393,72 @@ let test_crash_blocking_commit_config () =
 
 (* -- The check grid ------------------------------------------------------------ *)
 
+let crash_presets ~budget =
+  [
+    Check.Grid.durability ~budget ~seed:42 ~workers:2;
+    Check.Grid.failover ~budget ~seed:42 ~workers:2;
+    Check.Grid.shards ~budget ~seed:42 ~workers:2;
+  ]
+
+let count_cells p = Seq.length p.Check.Grid.cells
+
 let test_grid_presets_pass () =
   (* the three presets at their smallest budgets, in one run: one status *)
-  let presets =
-    [
-      Check.Grid.durability ~budget:1 ~seed:42 ~workers:2;
-      Check.Grid.failover ~budget:1 ~seed:42 ~workers:2;
-      Check.Grid.shards ~budget:1 ~seed:42 ~workers:2;
-    ]
-  in
-  checki "cells: 1 crash point, 10 x 2 failover, clean + 2 x 2 shard" 26
-    (List.fold_left (fun n p -> n + List.length p.Check.Grid.cells) 0 presets);
+  let presets = crash_presets ~budget:1 in
+  checki "cells: 1 crash point, 1 x 2 failover, clean + 1 x 2 shard" 6
+    (List.fold_left (fun n p -> n + count_cells p) 0 presets);
   checkb "every cell passes, every armed bug caught" true (Check.Grid.run presets)
 
+let test_grid_budget_axis () =
+  (* the budget counts crash instants: failover runs each in both modes,
+     shards in both roles after a clean run *)
+  List.iter
+    (fun (budget, expected) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "durability, failover, shard cells at budget %d" budget)
+        expected
+        (List.map count_cells (crash_presets ~budget)))
+    [ (1, [ 1; 2; 3 ]); (3, [ 3; 6; 7 ]) ]
+
+let test_grid_composed () =
+  (* schedule and crash presets in one call: every preset runs all of its
+     cells, and one uncaught armed bug fails the whole call *)
+  let presets () =
+    [
+      Check.Grid.fuzz ~budget:1 ~base ();
+      Check.Grid.exhaustive ~budget:1 ~base ();
+      Check.Grid.durability ~budget:1 ~seed:42 ~workers:2;
+    ]
+  in
+  let per_preset cells =
+    List.map
+      (fun name -> List.length (List.filter (fun (n, _) -> n = name) cells))
+      [ "fuzz"; "exhaustive"; "durability" ]
+  in
+  let ok, cells = run_grid (presets ()) in
+  checkb "passes" true ok;
+  (* fuzz: base + self-test; exhaustive: pilot + 1 placement + self-test *)
+  Alcotest.(check (list int)) "cells per preset" [ 2; 3; 1 ] (per_preset cells);
+  let clean_armed p =
+    if p.Check.Grid.name <> "fuzz" then p
+    else
+      {
+        p with
+        Check.Grid.armed = [ (fun () -> (H.run ~workload:H.Selftest base).H.violations) ];
+      }
+  in
+  let ok, cells = run_grid (List.map clean_armed (presets ())) in
+  checkb "a clean armed run fails the grid" false ok;
+  Alcotest.(check (list int)) "the other presets still run" [ 2; 3; 1 ] (per_preset cells)
+
 let synthetic ~cells ~caught =
-  let cell violations () = { Check.Grid.label = "cell"; figures = "synthetic"; violations } in
+  let cell violations () =
+    { Check.Grid.label = "cell"; figures = "synthetic"; violations; schedule_run = None }
+  in
   let v = Check.Violation.make "synthetic" "planted" in
   {
     Check.Grid.name = "synthetic";
-    cells = List.map (fun bad -> cell (if bad then [ v ] else [])) cells;
+    cells = List.to_seq (List.map (fun bad -> cell (if bad then [ v ] else [])) cells);
     bug = "planted";
     armed = [ (fun () -> []); (fun () -> if caught then [ v ] else []) ];
   }
@@ -461,6 +541,9 @@ let () =
       ( "grid",
         [
           Alcotest.test_case "three presets pass in one run" `Slow test_grid_presets_pass;
+          Alcotest.test_case "budget counts crash instants" `Quick test_grid_budget_axis;
+          Alcotest.test_case "schedule and crash presets in one run" `Slow
+            test_grid_composed;
           Alcotest.test_case "a violating cell fails it" `Quick test_grid_failing_cell;
           Alcotest.test_case "an uncaught armed bug fails it" `Quick test_grid_uncaught_bug;
         ] );
