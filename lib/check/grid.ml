@@ -269,7 +269,8 @@ let shards ~budget ~seed ~workers =
    its report as the reproducer [check --replay] re-runs. *)
 let write_reproducer ~out (r : Harness.run) =
   let m = Shrink.minimize r in
-  Format.printf "shrunk (%d evals) to: %s@." m.Shrink.evals
+  Format.printf "shrunk (%d evals%s) to: %s@." m.Shrink.evals
+    (if m.Shrink.raised > 0 then Printf.sprintf ", %d raised" m.Shrink.raised else "")
     (Schedule.describe m.Shrink.schedule);
   (match Harness.replay m.Shrink.run with
   | Ok () -> Format.printf "replay: trace hash %s reproduced@." m.Shrink.run.Harness.hash_hex
@@ -279,19 +280,21 @@ let write_reproducer ~out (r : Harness.run) =
       output_char oc '\n');
   Format.printf "reproducer written to %s@." out
 
+(* An armed engine fault can make a run raise (a lost update inserts an
+   order id twice): a raising cell or armed attempt reports an
+   [exception] violation, and the grid goes on. *)
+let raised e = Violation.make "exception" "%s" (Printexc.to_string e)
+
 let run_preset ?out p =
   let cells = ref 0 and failed = ref [] in
   Seq.iter
     (fun cell ->
       incr cells;
-      (* an armed engine fault can make a run raise (a lost update inserts
-         an order id twice): the cell fails, the grid goes on *)
       let c =
         try cell ()
         with e ->
-          let v = Violation.make "exception" "%s" (Printexc.to_string e) in
           let label = Printf.sprintf "%s cell %d" p.name !cells in
-          { label; figures = "raised"; violations = [ v ]; schedule_run = None }
+          { label; figures = "raised"; violations = [ raised e ]; schedule_run = None }
       in
       Format.printf "%s: %s@." c.label c.figures;
       List.iteri
@@ -302,7 +305,9 @@ let run_preset ?out p =
   (match (out, List.find_map (fun c -> c.schedule_run) (List.rev !failed)) with
   | Some out, Some r -> write_reproducer ~out r
   | _ -> ());
-  let caught = List.exists (fun attempt -> attempt () <> []) p.armed in
+  let caught =
+    List.exists (fun attempt -> (try attempt () with e -> [ raised e ]) <> []) p.armed
+  in
   Format.printf "%s self-test: %s@." p.bug
     (if caught then "caught (oracle works)" else "NOT CAUGHT (oracle bug)");
   let ok = !failed = [] && caught in

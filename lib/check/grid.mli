@@ -26,7 +26,8 @@ type preset = {
   bug : string;  (** the armed bug, e.g. ["early-ack"] *)
   armed : (unit -> Violation.t list) list;
       (** runs with the bug armed, tried in order until one reports a
-          violation; the preset fails when none does *)
+          violation (one that raises reports an [exception] violation);
+          the preset fails when none does *)
 }
 
 val fuzz :
@@ -84,5 +85,6 @@ val run : ?out:string -> preset list -> bool
     ({!Shrink.minimize}), replayed ({!Harness.replay}) and its report
     written to [out]; [<bug> self-test: caught (oracle works)] or
     [NOT CAUGHT (oracle bug)]; and [<name>: PASS|FAIL — <n> cells, <m>
-    failing].  True iff every cell passed and every armed bug was
-    caught. *)
+    failing].  A cell that raises fails with an [exception] violation
+    and no run, and the grid goes on.  True iff every cell passed and
+    every armed bug was caught. *)

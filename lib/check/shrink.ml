@@ -1,19 +1,23 @@
-type result = { schedule : Schedule.t; run : Harness.run; evals : int }
+type result = { schedule : Schedule.t; run : Harness.run; evals : int; raised : int }
 
 let minimize ?(max_evals = 150) (failing : Harness.run) =
   let { Harness.workload; fault; plan; reclaim; _ } = failing in
-  let evals = ref 0 in
+  let evals = ref 0 and raised = ref 0 in
   let best = ref failing in
   let try_schedule s =
     if !evals >= max_evals then None
     else begin
       incr evals;
-      let r = Harness.run ?fault ?plan ~reclaim ~workload s in
-      if Harness.failed r then begin
+      match Harness.run ?fault ?plan ~reclaim ~workload s with
+      | r when Harness.failed r ->
         best := r;
         Some r
-      end
-      else None
+      | _ -> None
+      (* an armed engine fault can make a variant raise: it has no report,
+         so it cannot be the reproducer *)
+      | exception _ ->
+        incr raised;
+        None
     end
   in
   let current () = !best.Harness.schedule in
@@ -70,4 +74,4 @@ let minimize ?(max_evals = 150) (failing : Harness.run) =
       | None -> ()
   in
   shrink_horizon ();
-  { schedule = current (); run = !best; evals = !evals }
+  { schedule = current (); run = !best; evals = !evals; raised = !raised }

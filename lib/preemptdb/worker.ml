@@ -70,7 +70,7 @@ type t = {
   obs : Obs.Sink.t option;
   hw : Hw.t;
   fabric : Uintr.Fabric.t;
-  uitt_index_ : int;
+  mutable uitt_index_ : int;  (* registered with [actor], at create *)
   eng : Storage.Engine.t;
   queues : Request.t Bounded_queue.t array;  (* index = priority level *)
   metrics : Metrics.t;
@@ -124,7 +124,6 @@ let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
   let hw = Hw.create ?obs ~n_contexts:levels ~id ~costs:cfg.Config.uintr_costs () in
   (* The regular context starts as the running one. *)
   (Hw.context hw 0).Tcb.state <- Tcb.Running;
-  let uitt_index_ = Uintr.Fabric.register fabric (Hw.receiver hw) in
   let prof =
     let p = match prof with Some p -> p | None -> Obs.Profiler.create () in
     Obs.Profiler.worker p ~wid:id
@@ -139,7 +138,7 @@ let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
     obs;
     hw;
     fabric;
-    uitt_index_;
+    uitt_index_ = -1;
     eng;
     queues =
       Array.init levels (fun level ->
@@ -507,9 +506,10 @@ let execute_op t ctx op k =
   let slot = t.slots.(ctx) in
   set_step t slot (P.resume ?stepper:t.stepper ~commutes:slot.commutes k)
 
-(* Lookahead needs every cross-worker effect to travel by a path with a
-   least latency: the fabric's floor covers senduipi, the channels and the
-   log device.  Off with a region-stall fault (a shared RNG drawn by
+(* Lookahead needs every cross-worker effect a step starts to travel by a
+   path with a least latency: the fabric's floor covers the channels and
+   the log device ([max_int] with neither; senduipi and wakes are only
+   ever an event's).  Off with a region-stall fault (a shared RNG drawn by
    steps) or an event sink (which records in host order). *)
 let lookahead_floor t =
   match (t.region_stall, t.obs) with
@@ -1004,9 +1004,11 @@ let dropped_at_kill t = t.dropped_at_kill
 (* Finish construction: the activation closure needs [activate], defined
    above, so [create] is completed here.  One closure per worker, reused
    for every activation it ever has; workers register in creation order,
-   which is the tie rule's worker-id order. *)
+   which is the tie rule's worker-id order.  The receiver's UITT entry
+   names the actor, so a senduipi to it from another worker's step fails. *)
 let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
   let t = create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () in
   t.actor <- Sim.Des.add_actor des (fun des -> activate t des);
+  t.uitt_index_ <- Uintr.Fabric.register ~actor:t.actor fabric (Hw.receiver t.hw);
   t.stepper <- Some (fun op -> inline_step t op);
   t

@@ -14,8 +14,13 @@
     [Yield_hint], or a probe or scan of an index no class writes) may run
     ahead of other workers by less than the fabric's floor
     ({!Sim.Des.may_run_ahead}, {!Uintr.Fabric.lookahead_floor}): the least
-    latency of a senduipi, a channel message or, once {!set_durability}
-    registers its device, a log flush.  The floor is 0 with a region-stall
+    latency of the paths a step can start, a channel message or, once
+    {!set_durability} registers its device, a log flush.  With neither
+    there is no floor, and such a step stops only at the next event or
+    the horizon.  No step sends a user interrupt or wakes another worker:
+    the scheduler's events, flush and gate resolution, 2PC dispatch and
+    fault storms do, each pairing its senduipi with {!wake}, and both fail
+    inside another worker's step.  The floor is 0 with a region-stall
     fault or an event sink.  The program runs
     with this worker as its stepper ({!Workload.Program.start}), so a
     step the loop would take at once is taken inside the charge, without
@@ -120,7 +125,8 @@ val enqueue_lp : t -> Request.t -> bool
 (** Two-level conveniences (level 1 / level 0). *)
 
 val wake : t -> unit
-(** Ensure an activation is scheduled (idempotent; no-op after {!kill}). *)
+(** Ensure an activation is scheduled (idempotent; no-op after {!kill}).
+    @raise Failure inside another worker's step ({!Sim.Des.wake_actor}). *)
 
 val kill : t -> unit
 (** Fail-stop the worker (primary crash under failover): subsequent

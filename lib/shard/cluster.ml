@@ -619,6 +619,10 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
         Array.init n (fun dst ->
             Uintr.Channel.create des ~fabric ~name:(Printf.sprintf "link-%d-%d" src dst)))
   in
+  let timeout_cycles = Int64.to_int (Sim.Clock.cycles_of_us clock prepare_timeout_us) in
+  (* a coordinator's step arms its prepare timeout, an event that resolves
+     the vote gate: one more path for the lookahead floor *)
+  Uintr.Fabric.register_path fabric ~least_latency:timeout_cycles;
   let origins_arr = Array.make n true in
   (match origins with
   | None -> ()
@@ -637,7 +641,7 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
       links;
       origins = origins_arr;
       bug_early_vote;
-      timeout_cycles = Int64.to_int (Sim.Clock.cycles_of_us clock prepare_timeout_us);
+      timeout_cycles;
       host;
       next_gid = gid_base;
       horizon = 0L;

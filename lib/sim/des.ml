@@ -13,6 +13,7 @@ type t = {
   mutable max_queue_len : int;
   mutable probe : (time:int64 -> seq:int -> unit) option;
   mutable lookahead : bool;
+  mutable running : int;  (* id of the actor whose activation runs; -1 in an event *)
   (* Actors live beside the queue: the activation closure and pending
      activation time ([-1] = none) of each, by id, and a binary min-heap of
      the scheduled ids on [(time, id)].  At most one activation per actor
@@ -37,6 +38,7 @@ let create ?(clock = Clock.default) ?(seed = 42L) () =
     max_queue_len = 0;
     probe = None;
     lookahead = true;
+    running = -1;
     acts = [||];
     act_time = [||];
     heap = [||];
@@ -50,6 +52,7 @@ let now t = Int64.of_int t.now_i
 let now_int t = t.now_i
 let set_actor_clock t time = t.now_i <- time
 let set_lookahead t on = t.lookahead <- on
+let running_actor t = t.running
 
 (* Workers poll this once per micro-op (inside the run-ahead bound), so it
    must not allocate: the queue's minimum is the heap root, read in O(1).
@@ -133,7 +136,15 @@ let rec sift_down t h n last i =
     else Array.unsafe_set h i last
   end
 
+(* A step reaches another actor only by a path with a least latency, which
+   the lookahead floor counts; a wake from inside a step would be a path of
+   latency 0.  Every cross-actor wake is an event's. *)
+let[@inline never] woken_from_step t id =
+  failwith
+    (Printf.sprintf "Des.wake_actor: actor %d woken from actor %d's step" id t.running)
+
 let wake_actor t id ~time =
+  if t.running >= 0 && t.running <> id then woken_from_step t id;
   if t.act_time.(id) < 0 then begin
     t.act_time.(id) <- (if time < t.now_i then t.now_i else time);
     sift_up t t.heap id t.hsize;
@@ -163,13 +174,15 @@ let[@inline] may_step t ~actor ~local =
 
 (* A step that commutes with every other actor may pass the other actors'
    pending activations by less than [floor]: whatever their next steps
-   send lands at least [floor] after those steps start. *)
+   send lands at least [floor] after those steps start.  With no path
+   ([floor = max_int]) only the events and the horizon bound it. *)
 let[@inline] may_run_ahead t ~actor ~local ~floor =
   if floor <= 0 || not t.lookahead then may_step t ~actor ~local
   else
     local <= t.horizon
     && local < next_event_time_int t
-    && (t.hsize = 0 || local - floor < Array.unsafe_get t.act_time (Array.unsafe_get t.heap 0))
+    && (floor = max_int || t.hsize = 0
+       || local - floor < Array.unsafe_get t.act_time (Array.unsafe_get t.heap 0))
 
 (* -- the loop ------------------------------------------------------------ *)
 
@@ -212,13 +225,20 @@ let run ?until t =
           t.act_time.(id) <- -1;
           t.activations <- t.activations + 1;
           dispatch t ~time:ta;
-          t.acts.(id) t
+          t.running <- id;
+          t.acts.(id) t;
+          t.running <- -1
         end;
         loop ()
       end
     end
   in
-  loop ();
+  (match loop () with
+  | () -> ()
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.running <- -1;
+    Printexc.raise_with_backtrace e bt);
   (* an actor's last step may have run its clock past the horizon *)
   if t.now_i > horizon then t.now_i <- horizon
 

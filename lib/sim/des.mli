@@ -30,17 +30,21 @@
     {b Lookahead.}  A step that commutes with every other actor's steps
     (it reads only its own state, a snapshot, or data no actor writes)
     may also run ahead of other actors' pending activations, by less than
-    {!may_run_ahead}'s [floor]: the least latency with which any actor's
-    step can reach another actor (a fabric delivery, a channel message, a
-    log flush's completion: [Uintr.Fabric.lookahead_floor] takes the least
-    of them).  Every pending
-    event still bounds it, so a delivery, tick or wake aimed at the actor
-    is never passed, and nothing another actor does before the floor can
-    reach it.  Non-commuting steps of all actors therefore still run in
-    the rule's order, and the commuting ones in between cannot tell: the
-    virtual schedule is the same with fewer activations.
-    {!set_lookahead} [false] turns it off, so the lookahead differential
-    can compare a run with and without it. *)
+    {!may_run_ahead}'s [floor]: the least latency of the paths by which
+    any actor's step can reach another actor (a channel message, a log
+    flush's completion: [Uintr.Fabric.lookahead_floor] takes the least of
+    those registered), or without bound ([max_int]) when a step starts no
+    such path.  Every pending event still bounds it, so a delivery, tick
+    or wake aimed at the actor is never passed, and nothing another actor
+    does before the floor can reach it.  Non-commuting steps of all actors
+    therefore still run in the rule's order, and the commuting ones in
+    between cannot tell: the virtual schedule is the same with fewer
+    activations.  {!set_lookahead} [false] turns it off, so the lookahead
+    differential can compare a run with and without it.
+
+    {b Enforced.}  Waking an actor is a path of latency 0, which no floor
+    counts: only an event may wake another actor ({!wake_actor} fails
+    inside any other actor's step).  A step may re-arm its own actor. *)
 
 type t
 
@@ -81,7 +85,12 @@ val add_actor : t -> (t -> unit) -> int
 
 val wake_actor : t -> int -> time:int -> unit
 (** Arm the actor's activation at [time] (clamped to [now]).  No-op when an
-    activation is already pending. *)
+    activation is already pending.
+    @raise Failure inside another actor's step (see {!running_actor}). *)
+
+val running_actor : t -> int
+(** The actor whose activation is running, or [-1] inside an event and
+    outside {!run}. *)
 
 val set_actor_clock : t -> int -> unit
 (** Publish the running actor's clock: until the next dispatch, {!now} and
@@ -95,8 +104,8 @@ val may_step : t -> actor:int -> local:int -> bool
 val may_run_ahead : t -> actor:int -> local:int -> floor:int -> bool
 (** The bound for a step that commutes with every other actor: before
     every pending event and the horizon, and less than [floor] past the
-    earliest pending actor.  {!may_step} when [floor <= 0] or lookahead is
-    off. *)
+    earliest pending actor ([floor = max_int]: no path, no actor bound).
+    {!may_step} when [floor <= 0] or lookahead is off. *)
 
 val set_lookahead : t -> bool -> unit
 (** On by default.  Off, {!may_run_ahead} is {!may_step}: every step keeps

@@ -229,71 +229,100 @@ module Make (K : KEY) = struct
     | Leaf l -> l
     | Internal nd -> leftmost_leaf nd.children.(0)
 
-  (* Leftmost leaf that can contain a key >= k, with the in-leaf index. *)
-  let rec seek_node node k =
+  (* Leftmost leaf that can contain a key >= k. *)
+  let rec seek_leaf node k =
     match node with
-    | Leaf l -> l, lower_bound l.lkeys l.n k
-    | Internal nd -> seek_node nd.children.(child_slot nd.seps k) k
-
-  (* Skip empty leaves (lazy deletion can empty one out). *)
-  let rec advance leaf idx =
-    match leaf with
-    | None -> None
-    | Some l ->
-      if idx < l.n then Some (l, idx) else advance l.next 0
+    | Leaf l -> l
+    | Internal nd -> seek_leaf nd.children.(child_slot nd.seps k) k
 
   let iter t f =
-    let rec loop leaf idx =
-      match advance leaf idx with
-      | None -> ()
-      | Some (l, i) ->
+    let rec loop l i =
+      if i < l.n then begin
         f l.lkeys.(i) l.lvals.(i);
-        loop (Some l) (i + 1)
+        loop l (i + 1)
+      end
+      else match l.next with Some nxt -> loop nxt 0 | None -> ()
     in
-    loop (Some (leftmost_leaf t.root)) 0
+    loop (leftmost_leaf t.root) 0
 
+  (* A cursor's position is a leaf and an index below its fill, or the
+     [exhausted] sentinel, a leaf in no tree that holds nothing: a scan
+     step reads it and moves it without allocating.  [last] is the last
+     returned key ([lo] until [started]), kept for re-seek. *)
   type cursor = {
     tree : t;
-    lo : K.t;
     hi : K.t;
-    mutable pos : (leaf * int) option;
-    mutable last : K.t option;  (* last returned key, for re-seek *)
+    mutable leaf : leaf;
+    mutable idx : int;
+    mutable last : K.t;
+    mutable started : bool;
     mutable seen_version : int;
   }
 
+  let exhausted = { lkeys = [||]; lvals = [||]; n = 0; next = None }
+
+  (* Place [c] on the first binding at or after index [i] of [l], skipping
+     empty leaves (lazy deletion can empty one out).  The leaf field is
+     written only when the leaf changes: a pointer store is a
+     [caml_modify], and this runs at every scan step. *)
+  let rec settle c l i =
+    if i < l.n then begin
+      if c.leaf != l then c.leaf <- l;
+      c.idx <- i
+    end
+    else
+      match l.next with
+      | Some nxt -> settle c nxt 0
+      | None ->
+        c.leaf <- exhausted;
+        c.idx <- 0
+
+  let seek c k =
+    let l = seek_leaf c.tree.root k in
+    settle c l (lower_bound l.lkeys l.n k)
+
   let cursor t ~lo ~hi =
-    let l, i = seek_node t.root lo in
-    { tree = t; lo; hi; pos = advance (Some l) i; last = None; seen_version = t.version }
+    let c =
+      {
+        tree = t;
+        hi;
+        leaf = exhausted;
+        idx = 0;
+        last = lo;
+        started = false;
+        seen_version = t.version;
+      }
+    in
+    seek c lo;
+    c
 
   (* The tree changed under the cursor: restart from just after the last
      returned key (or from lo if nothing was returned yet). *)
   let reseek c =
     c.seen_version <- c.tree.version;
-    let start = match c.last with None -> c.lo | Some k -> k in
-    let l, i = seek_node c.tree.root start in
-    let pos = advance (Some l) i in
-    let pos =
-      match c.last, pos with
-      | Some k, Some (l', i') when K.compare l'.lkeys.(i') k = 0 -> advance (Some l') (i' + 1)
-      | (Some _ | None), pos -> pos
-    in
-    c.pos <- pos
+    seek c c.last;
+    if c.started && c.idx < c.leaf.n && K.compare c.leaf.lkeys.(c.idx) c.last = 0 then
+      settle c c.leaf (c.idx + 1)
 
-  let cursor_next c =
+  let cursor_next c f =
     if c.seen_version <> c.tree.version then reseek c;
-    match c.pos with
-    | None -> None
-    | Some (l, i) ->
-      let k = l.lkeys.(i) and v = l.lvals.(i) in
+    let l = c.leaf and i = c.idx in
+    if i >= l.n then false
+    else begin
+      let k = l.lkeys.(i) in
       if K.compare k c.hi > 0 then begin
-        c.pos <- None;
-        None
+        c.leaf <- exhausted;
+        c.idx <- 0;
+        false
       end
       else begin
-        c.last <- Some k;
-        c.pos <- advance (Some l) (i + 1);
-        Some (k, v)
+        let v = l.lvals.(i) in
+        c.last <- k;
+        c.started <- true;
+        settle c l (i + 1);
+        f k v
       end
+    end
 
   let check_invariants t =
     let fail fmt = Format.kasprintf failwith fmt in

@@ -18,7 +18,8 @@
     structural modification by re-seeking from the last returned key when
     the tree's version stamp changes — exactly the property a preemptible
     scan needs, since an interleaved high-priority transaction may insert
-    into the scanned table while the scan is paused. *)
+    into the scanned table while the scan is paused.  A cursor is a leaf
+    and an index: a scan step allocates nothing. *)
 
 module type KEY = sig
   type t
@@ -60,11 +61,13 @@ module Make (K : KEY) : sig
   val cursor : t -> lo:K.t -> hi:K.t -> cursor
   (** Ascending cursor over [lo <= k <= hi] (inclusive). *)
 
-  val cursor_next : cursor -> (K.t * int) option
-  (** Next binding, or [None] when exhausted.  Safe across arbitrary
-      interleaved inserts/removes on the same tree: already-returned keys
-      are never repeated, and bindings present for the whole scan are never
-      skipped. *)
+  val cursor_next : cursor -> (K.t -> int -> bool) -> bool
+  (** [cursor_next c f] moves past the next binding [k, oid] and returns
+      [f k oid], or returns [false] without calling [f] when the cursor is
+      exhausted.  Allocates nothing.  Safe across arbitrary interleaved
+      inserts/removes on the same tree, [f]'s own included: already-returned
+      keys are never repeated, and bindings present for the whole scan are
+      never skipped. *)
 
   val check_invariants : t -> unit
   (** Validate sortedness, separator bounds, uniform leaf depth, the leaf

@@ -26,8 +26,9 @@ val create :
     RNG so channel traffic never perturbs the schedule of runs that do not
     use channels.  The channel registers its least latency,
     [base_latency - base_latency / 5] (960 cycles by default), with
-    [fabric] ({!Fabric.register_path}): a message is a path from one
-    worker's step to another's. *)
+    [fabric] ({!Fabric.register_path}): a message a step sends is a path
+    from that step to another worker, delivered by an event, and one of
+    the few the lookahead floor counts ({!Fabric.lookahead_floor}). *)
 
 val set_on_deliver : 'a t -> ('a -> unit) -> unit
 (** Install the receiver.  Messages delivered before a receiver is

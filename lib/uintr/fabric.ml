@@ -11,6 +11,7 @@ type t = {
   costs_ : Costs.t;
   obs_ : Obs.Sink.t option;
   mutable uitt : Receiver.t array;
+  mutable owner : int array;  (* DES actor of each receiver; -1 = none *)
   mutable n : int;
   mutable sends_ : int;
   jitter_rng : Sim.Rng.t;
@@ -22,8 +23,8 @@ type t = {
   mutable duplicated_ : int;
   mutable chan_flows_ : int;
   mutable path_floor : int;
-      (* least latency of the other registered paths (channels, log
-         devices); [max_int] while none is registered *)
+      (* least latency of the registered paths (channels, log devices, the
+         2PC prepare timeout); [max_int] while none is registered *)
   stages_ : Stages.t;
   pending_ : (int, batch) Hashtbl.t; (* key = (tick lsl idx_bits) lor idx *)
 }
@@ -38,6 +39,7 @@ let create ?obs des ~costs =
     costs_ = costs;
     obs_ = obs;
     uitt = Array.make 8 (Receiver.create ());
+    owner = Array.make 8 (-1);
     n = 0;
     sends_ = 0;
     jitter_rng = Sim.Rng.split (Sim.Des.rng des);
@@ -58,13 +60,17 @@ let set_latency_model t f = t.latency_model <- f
 let set_delivery_model t f = t.delivery_model <- f
 let set_channel_delivery_model t f = t.chan_model <- f
 
-let register t r =
+let register ?(actor = -1) t r =
   if t.n = Array.length t.uitt then begin
     let bigger = Array.make (2 * t.n) r in
     Array.blit t.uitt 0 bigger 0 t.n;
-    t.uitt <- bigger
+    t.uitt <- bigger;
+    let owners = Array.make (2 * t.n) (-1) in
+    Array.blit t.owner 0 owners 0 t.n;
+    t.owner <- owners
   end;
   t.uitt.(t.n) <- r;
+  t.owner.(t.n) <- actor;
   t.n <- t.n + 1;
   t.n - 1
 
@@ -72,8 +78,19 @@ let receiver t idx =
   if idx < 0 || idx >= t.n then invalid_arg "Fabric.receiver: unknown UITT index";
   t.uitt.(idx)
 
+(* Every senduipi aimed at another worker is an event's (scheduler, 2PC
+   inject, a flush or gate resolution, a fault storm), so the lookahead
+   floor need not count it: one from inside a step would reach that
+   worker sooner than any registered path. *)
+let[@inline never] sent_from_step t idx ~running =
+  failwith
+    (Printf.sprintf "Fabric.senduipi: UITT %d (actor %d) sent to from actor %d's step" idx
+       t.owner.(idx) running)
+
 let senduipi t idx =
   let r = receiver t idx in
+  let running = Sim.Des.running_actor t.des in
+  if running >= 0 && t.owner.(idx) <> running then sent_from_step t idx ~running;
   (* flow id: correlates this send with its delivery and (via the
      receiver's UPID) the eventual recognition, for timeline arrows. *)
   let flow = t.sends_ in
@@ -164,14 +181,13 @@ let channel_deliveries t ~latency =
 
 let register_path t ~least_latency = t.path_floor <- min t.path_floor (max 0 least_latency)
 
-(* The least latency of any path from one worker's step to another's: a
-   senduipi under the built-in jitter, or a registered path.  An
-   installed model may deliver at any latency, so it leaves no floor. *)
+(* The least latency of the paths a worker's step can start: the
+   registered ones, [max_int] with none.  A senduipi is not among them
+   ([senduipi] fails inside another worker's step).  An installed model
+   may deliver at any latency, so it leaves no floor. *)
 let lookahead_floor t =
   match (t.latency_model, t.delivery_model, t.chan_model) with
-  | None, None, None ->
-    let nominal = t.costs_.Costs.senduipi + t.costs_.Costs.delivery in
-    min (nominal - (nominal / 5)) t.path_floor
+  | None, None, None -> t.path_floor
   | _ -> 0
 
 let sends t = t.sends_

@@ -38,16 +38,21 @@ val set_channel_delivery_model : t -> (flow:int -> latency:int -> int list) opti
     replication fabric while interrupts keep flowing.  Same contract as
     {!set_delivery_model}. *)
 
-val register : t -> Receiver.t -> int
-(** Add a UITT entry for a receiver; returns its index. *)
+val register : ?actor:int -> t -> Receiver.t -> int
+(** Add a UITT entry for a receiver; returns its index.  [actor] is the
+    DES actor ({!Sim.Des.add_actor}) that owns the receiver, if any. *)
 
 val receiver : t -> int -> Receiver.t
 (** @raise Invalid_argument on an unknown index. *)
 
 val senduipi : t -> int -> unit
 (** Execute [senduipi] against a UITT index: schedules the UPID post on the
-    simulation after [costs.senduipi + costs.delivery] cycles.
-    @raise Invalid_argument on an unknown index. *)
+    simulation after [costs.senduipi + costs.delivery] cycles.  Like the
+    paper's scheduling thread, only events send to other workers: inside
+    an actor's step ({!Sim.Des.running_actor}) the target must be that
+    actor's own receiver.
+    @raise Invalid_argument on an unknown index.
+    @raise Failure inside the step of an actor that does not own [idx]. *)
 
 val channel_deliveries : t -> latency:int -> int list
 (** Run one payload-channel send through the installed delivery model (see
@@ -58,19 +63,19 @@ val channel_deliveries : t -> latency:int -> int list
     shipping and heartbeats exactly as they perturb interrupts. *)
 
 val register_path : t -> least_latency:int -> unit
-(** Declare another path by which one worker's step can reach another
-    worker, and the least latency (cycles) it can take: a payload channel
-    ({!Channel.create} registers its own) or a log device's flush
-    completion.  The floor only ever falls. *)
+(** Declare a path by which one worker's step can reach another worker,
+    and the least latency (cycles) it can take: a payload channel
+    ({!Channel.create} registers its own), a log device's flush
+    completion, or a 2PC timeout.  The floor only ever falls. *)
 
 val lookahead_floor : t -> int
-(** The least latency of every path from one worker's step to another
-    worker: a senduipi, [0.8 × (senduipi + delivery)] under the built-in
-    ±20 % jitter (800 cycles with {!Costs.default}), and each path given
-    to {!register_path}.  [0] while a latency, delivery or channel
-    delivery model is installed, since those may deliver at any latency.
-    Nothing one worker does reaches another sooner: the simulator's
-    lookahead floor ({!Sim.Des.may_run_ahead}). *)
+(** The least latency of the paths a worker's step can start: each path
+    given to {!register_path}, or [max_int] while none is.  A senduipi is
+    not one: every senduipi and wake aimed at another worker is done by
+    an event ({!senduipi}, {!Sim.Des.wake_actor}).  [0] while a latency,
+    delivery or channel delivery model is installed, since those may
+    deliver at any latency.  Nothing one worker does reaches another
+    sooner: the simulator's lookahead floor ({!Sim.Des.may_run_ahead}). *)
 
 val sends : t -> int
 (** Total senduipi instructions executed. *)

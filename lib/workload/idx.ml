@@ -30,9 +30,7 @@ let scan_int env tree ~lo ~hi ?(limit = max_int) f =
   let rec loop remaining =
     if remaining > 0 then begin
       Program.charge_as ~commutes Program.Scan_step;
-      match IT.cursor_next cursor with
-      | Some (k, oid) -> if f k oid then loop (remaining - 1)
-      | None -> ()
+      if IT.cursor_next cursor f then loop (remaining - 1)
     end
   in
   loop limit
@@ -44,9 +42,7 @@ let scan_str env tree ~lo ~hi ?(limit = max_int) f =
   let rec loop remaining =
     if remaining > 0 then begin
       Program.charge_as ~commutes Program.Scan_step;
-      match ST.cursor_next cursor with
-      | Some (k, oid) -> if f k oid then loop (remaining - 1)
-      | None -> ()
+      if ST.cursor_next cursor f then loop (remaining - 1)
     end
   in
   loop limit

@@ -475,7 +475,47 @@ let test_grid_failing_cell () =
 
 let test_grid_uncaught_bug () =
   checkb "an armed bug no attempt catches fails the grid" false
-    (Check.Grid.run [ synthetic ~cells:[ false ] ~caught:false ])
+    (Check.Grid.run [ synthetic ~cells:[ false ] ~caught:false ]);
+  checkb "an attempt that raises reports an exception violation" true
+    (Check.Grid.run
+       [
+         {
+           (synthetic ~cells:[ false ] ~caught:false) with
+           Check.Grid.armed = [ (fun () -> raise Exit) ];
+         };
+       ])
+
+(* [check --fuzz --budget 4 --inject-fault --seed 6]: under the armed
+   lost-update fault the shrink of the first failing schedule meets
+   variants that raise (the broken engine inserts an order id twice).
+   Each counts as an eval and none is kept, so the grid fails as it
+   should, with a reproducer whose trace hash replays from the file as
+   [check --replay] reads it. *)
+let test_grid_raising_variant () =
+  let base = { S.default with S.seed = 6L } in
+  let preset () = Check.Grid.fuzz ~fault:Storage.Engine.Skip_write_lock ~budget:4 ~base () in
+  let first_failing =
+    Seq.find_map
+      (fun cell ->
+        match cell () with
+        | { Check.Grid.schedule_run = Some r; _ } when H.failed r -> Some r
+        | _ | (exception _) -> None)
+      (preset ()).Check.Grid.cells
+  in
+  let m = Check.Shrink.minimize (Option.get first_failing) in
+  checkb "a variant raised" true (m.Check.Shrink.raised > 0);
+  checkb "the kept run fails" true (H.failed m.Check.Shrink.run);
+  let out = Filename.temp_file "check-repro" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      checkb "the grid fails" false (Check.Grid.run ~out [ preset () ]);
+      let doc = In_channel.with_open_text out In_channel.input_all in
+      match Result.bind (Obs.Json.parse doc) H.of_report_json with
+      | Error e -> Alcotest.fail e
+      | Ok (schedule, workload, fault, plan, reclaim, expected) ->
+        let r = H.run ?fault ?plan ~reclaim ~workload schedule in
+        checks "the reproducer replays" expected r.H.hash_hex)
 
 let () =
   Alcotest.run "check"
@@ -546,5 +586,7 @@ let () =
             test_grid_composed;
           Alcotest.test_case "a violating cell fails it" `Quick test_grid_failing_cell;
           Alcotest.test_case "an uncaught armed bug fails it" `Quick test_grid_uncaught_bug;
+          Alcotest.test_case "a raising shrink variant is not kept" `Quick
+            test_grid_raising_variant;
         ] );
     ]

@@ -243,7 +243,7 @@ let golden_crash_through_promotion ~lookahead =
       (Metrics.classes r.Runner.metrics)
   in
   let events, hash =
-    if lookahead then (9968, "d2936e717d14f9f") else (65068, "3ba64886526e5bc7")
+    if lookahead then (8985, "45493a0e44e54fea") else (65068, "3ba64886526e5bc7")
   in
   checki "DES events" events r.Runner.events;
   Alcotest.(check string) "commits per class" "NewOrder=42 Payment=37 Q2=10"

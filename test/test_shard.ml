@@ -240,13 +240,13 @@ let check_golden_cluster ~lookahead ~shards ~seed ~horizon_sec ~on ~off ~commits
 
 let golden_two_shards ~lookahead =
   check_golden_cluster ~lookahead ~shards:2 ~seed:42L ~horizon_sec:0.005
-    ~on:(17550, "238729883ca8c7e8") ~off:(25189, "1af9712668e5487f")
+    ~on:(17513, "1fab94d8924ce717") ~off:(25189, "1af9712668e5487f")
     ~commits:"NewOrder=236 NewOrderX=34 Payment=258 PaymentX=24 XPart=58"
     ~digest:"695edb647c33c0d0"
 
 let golden_four_shards ~lookahead =
   check_golden_cluster ~lookahead ~shards:4 ~seed:7L ~horizon_sec:0.01
-    ~on:(99676, "44d52bb616a9c78b") ~off:(143812, "7c31ab2dd7bf3c54")
+    ~on:(98818, "2258dfc03f9de153") ~off:(143812, "7c31ab2dd7bf3c54")
     ~commits:"NewOrder=986 NewOrderX=132 Payment=1000 PaymentX=92 XPart=425"
     ~digest:"3f58edd8dc19507d"
 

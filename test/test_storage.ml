@@ -395,8 +395,15 @@ let test_btree_bulk_and_invariants () =
 (* Bindings in [lo, hi], ascending, through the public cursor. *)
 let bindings_in t ~lo ~hi =
   let c = IT.cursor t ~lo ~hi in
-  let rec go acc = match IT.cursor_next c with Some b -> go (b :: acc) | None -> List.rev acc in
-  go []
+  let acc = ref [] in
+  while
+    IT.cursor_next c (fun k v ->
+        acc := (k, v) :: !acc;
+        true)
+  do
+    ()
+  done;
+  List.rev !acc
 
 let test_btree_range_fold () =
   let t = IT.create () in
@@ -424,11 +431,27 @@ let test_btree_cursor_plain () =
     ignore (IT.insert t k k)
   done;
   let c = IT.cursor t ~lo:50 ~hi:60 in
-  let rec drain acc =
-    match IT.cursor_next c with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
+  let keys = ref [] in
+  let take k _ =
+    keys := k :: !keys;
+    k < 55
   in
-  Alcotest.(check (list int)) "cursor range" [ 50; 51; 52; 53; 54; 55; 56; 57; 58; 59; 60 ]
-    (drain [])
+  checkb "the callback's false stops a step" false (IT.cursor_next c (fun _ _ -> false));
+  while IT.cursor_next c take do
+    ()
+  done;
+  Alcotest.(check (list int)) "resumed after the stop" [ 51; 52; 53; 54; 55 ] (List.rev !keys);
+  keys := [];
+  while
+    IT.cursor_next c (fun k _ ->
+        keys := k :: !keys;
+        true)
+  do
+    ()
+  done;
+  Alcotest.(check (list int)) "the rest of the range" [ 56; 57; 58; 59; 60 ] (List.rev !keys);
+  checkb "exhausted: f is not called" false
+    (IT.cursor_next c (fun _ _ -> Alcotest.fail "called past the end"))
 
 let test_btree_cursor_survives_mutation () =
   let t = IT.create () in
@@ -438,21 +461,23 @@ let test_btree_cursor_survives_mutation () =
   let c = IT.cursor t ~lo:0 ~hi:10_000 in
   let seen = ref [] in
   let removed = Hashtbl.create 128 in
-  let rec loop i =
-    match IT.cursor_next c with
-    | None -> ()
-    | Some (k, _) ->
-      seen := k :: !seen;
-      (* Interleave inserts (odd keys, anywhere) and removals strictly
-         behind the cursor — a split storm under its feet. *)
-      if i mod 3 = 0 then ignore (IT.insert t ((2 * i) + 1) i);
-      if i mod 5 = 0 && k >= 40 then begin
-        let victim = 2 * ((k - 30) / 2) in
-        if IT.remove t victim <> None then Hashtbl.replace removed victim ()
-      end;
-      loop (i + 1)
+  let i = ref 0 in
+  (* Interleave, from the step's own callback, inserts (odd keys,
+     anywhere) and removals strictly behind the cursor — a split storm
+     under its feet. *)
+  let visit k _ =
+    seen := k :: !seen;
+    if !i mod 3 = 0 then ignore (IT.insert t ((2 * !i) + 1) !i);
+    if !i mod 5 = 0 && k >= 40 then begin
+      let victim = 2 * ((k - 30) / 2) in
+      if IT.remove t victim <> None then Hashtbl.replace removed victim ()
+    end;
+    incr i;
+    true
   in
-  loop 0;
+  while IT.cursor_next c visit do
+    ()
+  done;
   IT.check_invariants t;
   let seen = List.rev !seen in
   (* never repeats *)
@@ -490,7 +515,7 @@ end) (T : sig
   val find : t -> K.t -> int option
   val remove : t -> K.t -> int option
   val cursor : t -> lo:K.t -> hi:K.t -> cursor
-  val cursor_next : cursor -> (K.t * int) option
+  val cursor_next : cursor -> (K.t -> int -> bool) -> bool
   val check_invariants : t -> unit
 end) =
 struct
@@ -518,22 +543,24 @@ struct
       reference := M.remove k !reference;
       List.iter (fun oc -> oc.stable <- M.remove k oc.stable) !cursors
     in
+    let visit oc k v =
+      if K.compare k oc.lo < 0 || K.compare k oc.hi > 0 then fail "cursor left its range";
+      (match oc.last with
+      | Some l when K.compare l k >= 0 -> fail "cursor went back or repeated"
+      | _ -> ());
+      if M.find_opt k !reference <> Some v then fail "cursor binding disagrees";
+      oc.last <- Some k;
+      oc.stable <- M.remove k oc.stable;
+      (match M.min_binding_opt oc.stable with
+      | Some (s, ()) when K.compare s k < 0 -> fail "cursor skipped a stable key"
+      | _ -> ());
+      true
+    in
     let step_cursor oc =
-      match T.cursor_next oc.c with
-      | None ->
+      if not (T.cursor_next oc.c (visit oc)) then begin
         if not (M.is_empty oc.stable) then fail "cursor skipped a stable key";
         cursors := List.filter (fun o -> o != oc) !cursors
-      | Some (k, v) -> (
-        if K.compare k oc.lo < 0 || K.compare k oc.hi > 0 then fail "cursor left its range";
-        (match oc.last with
-        | Some l when K.compare l k >= 0 -> fail "cursor went back or repeated"
-        | _ -> ());
-        if M.find_opt k !reference <> Some v then fail "cursor binding disagrees";
-        oc.last <- Some k;
-        oc.stable <- M.remove k oc.stable;
-        match M.min_binding_opt oc.stable with
-        | Some (s, ()) when K.compare s k < 0 -> fail "cursor skipped a stable key"
-        | _ -> ())
+      end
     in
     List.iteri
       (fun step (kind, key, arg) ->
@@ -620,6 +647,38 @@ let test_btree_insert_in_place () =
   checkb "a fresh binding" true (old = None);
   Alcotest.(check (float 0.)) "minor words of an insert into a leaf with room" 0. words;
   IT.check_invariants t
+
+(* A scan step reads the cursor's leaf and index and moves them in place:
+   10^4 steps across hundreds of leaves of a three-level tree allocate
+   nothing, a re-seek after each of ten version changes among them
+   included.  Each change puts back a removed key the cursor has passed,
+   an insert into a leaf with room, which allocates nothing itself. *)
+let test_btree_scan_step_allocates_nothing () =
+  let t = IT.create () in
+  for k = 0 to 19_999 do
+    ignore (IT.insert t (2 * k) k)
+  done;
+  checkb "three levels" true (IT.height t >= 3);
+  let victims = List.init 10 (fun j -> (1_000 * (j + 1)) - 500) in
+  List.iter (fun o -> ignore (IT.remove t (2 * o))) victims;
+  let c = IT.cursor t ~lo:0 ~hi:max_int in
+  let sum = ref 0 in
+  let f _ oid =
+    sum := !sum + oid;
+    true
+  in
+  ignore (IT.cursor_next c f);
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    if i mod 1_000 = 0 then ignore (IT.insert t (2 * (i - 500)) (i - 500));
+    ignore (IT.cursor_next c f)
+  done;
+  let words = Gc.minor_words () -. before in
+  (* oids 1 to 10 010 less the victims: each is put back behind the cursor *)
+  checki "stepped past the bindings in order"
+    ((10_010 * 10_011 / 2) - List.fold_left ( + ) 0 victims)
+    !sum;
+  Alcotest.(check (float 0.)) "minor words over 10k scan steps" 0. words
 
 (* A removed Str_tree key is garbage once no binding holds it: neither the
    slot it vacated nor the slack a grown leaf filled with it keeps it
@@ -1095,6 +1154,8 @@ let () =
           Alcotest.test_case "min/max" `Quick test_btree_min_max;
           Alcotest.test_case "cursor" `Quick test_btree_cursor_plain;
           Alcotest.test_case "cursor survives mutation" `Quick test_btree_cursor_survives_mutation;
+          Alcotest.test_case "an int-tree scan step allocates nothing" `Quick
+            test_btree_scan_step_allocates_nothing;
           Alcotest.test_case "insert into a leaf with room allocates nothing" `Quick
             test_btree_insert_in_place;
           Alcotest.test_case "removed key is not kept alive" `Quick

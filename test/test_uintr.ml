@@ -512,33 +512,37 @@ let test_channel_send_at_step_clock () =
   (* base latency 1200 cycles, jitter at most 20 % *)
   checkb "sent at the step's clock" true (!delivered_at >= 5_960L)
 
-(* The lookahead floor is the least senduipi latency under the built-in
-   jitter, and nothing while a model may deliver sooner. *)
+(* A bare fabric sets no floor: no step starts a path, since every
+   senduipi is an event's.  A model that may deliver at any latency leaves
+   a floor of 0. *)
 let test_fabric_lookahead_floor () =
   let des = Sim.Des.create () in
   let fabric = Fabric.create des ~costs:Costs.default in
-  checki "0.8 x (senduipi + delivery)" 800 (Fabric.lookahead_floor fabric);
+  checki "no path, no floor" max_int (Fabric.lookahead_floor fabric);
   Fabric.set_latency_model fabric (Some (fun ~flow:_ ~nominal -> nominal));
   checki "no floor under a latency model" 0 (Fabric.lookahead_floor fabric);
   Fabric.set_latency_model fabric None;
   Fabric.set_delivery_model fabric (Some (fun ~flow:_ ~latency -> [ latency ]));
   checki "no floor under a delivery model" 0 (Fabric.lookahead_floor fabric)
 
-(* Every path registered with the fabric lowers the floor to its least
-   latency, and never raises it: a channel whose base latency sits below
-   the senduipi floor brings it down to base - base/5, and no message on
-   it arrives sooner. *)
+(* Each registered path offers its least latency, and the least of them
+   is the floor: a channel its base latency less the jitter (960 by
+   default), a log device its fsync floor.  No message on a channel
+   arrives sooner than it registered. *)
 let test_fabric_floor_paths () =
   let des = Sim.Des.create () in
   let fabric = Fabric.create des ~costs:Costs.default in
   let (_ : unit Uintr.Channel.t) = Uintr.Channel.create des ~fabric ~name:"default" in
-  checki "a default channel (960) leaves the senduipi floor" 800 (Fabric.lookahead_floor fabric);
+  checki "a default channel registers 960" 960 (Fabric.lookahead_floor fabric);
+  let device_only = Fabric.create des ~costs:Costs.default in
+  Fabric.register_path device_only ~least_latency:9_600;
+  checki "a device registers its fsync floor" 9_600 (Fabric.lookahead_floor device_only);
+  Fabric.register_path fabric ~least_latency:9_600;
+  checki "the channel is the least of the two" 960 (Fabric.lookahead_floor fabric);
   let fast = Uintr.Channel.create ~base_latency:500 des ~fabric ~name:"fast" in
   checki "a 500-cycle channel" 400 (Fabric.lookahead_floor fabric);
-  Fabric.register_path fabric ~least_latency:9_600;
-  checki "a slower path leaves it" 400 (Fabric.lookahead_floor fabric);
   Fabric.register_path fabric ~least_latency:240;
-  checki "a faster path lowers it" 240 (Fabric.lookahead_floor fabric);
+  checki "a faster device lowers it" 240 (Fabric.lookahead_floor fabric);
   let earliest = ref max_int in
   Uintr.Channel.set_on_deliver fast (fun sent ->
       earliest := min !earliest (Sim.Des.now_int des - sent));
@@ -550,6 +554,54 @@ let test_fabric_floor_paths () =
   checkb "no message beat the channel's least latency" true (!earliest >= 400);
   Fabric.set_channel_delivery_model fabric (Some (fun ~flow:_ ~latency -> [ latency ]));
   checki "no floor under a channel model" 0 (Fabric.lookahead_floor fabric)
+
+(* The floor counts no senduipi and no wake, so neither may start in a
+   step: aimed at another actor from inside a step both raise, while an
+   actor's own receiver and its own re-arm stay legal, and an event may
+   do either.  An activation that raises leaves no actor running. *)
+let test_step_paths_enforced () =
+  let des = Sim.Des.create () in
+  let fabric = Fabric.create des ~costs:Costs.default in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s from a step did not raise" what
+    | exception Failure _ -> ()
+  in
+  let a = ref (-1) and b = ref (-1) and ia = ref (-1) and ib = ref (-1) in
+  let steps = ref 0 in
+  a :=
+    Sim.Des.add_actor des (fun des ->
+        incr steps;
+        checki "the running actor" !a (Sim.Des.running_actor des);
+        if !steps = 1 then begin
+          Fabric.senduipi fabric !ia;
+          Sim.Des.wake_actor des !a ~time:500;
+          raises "a senduipi to another worker" (fun () -> Fabric.senduipi fabric !ib);
+          raises "a wake of another worker" (fun () -> Sim.Des.wake_actor des !b ~time:0);
+          let unowned = Fabric.register fabric (Receiver.create ()) in
+          raises "a senduipi to a receiver no actor owns" (fun () ->
+              Fabric.senduipi fabric unowned)
+        end);
+  b := Sim.Des.add_actor des (fun _ -> ());
+  let ra = Receiver.create () and rb = Receiver.create () in
+  ia := Fabric.register ~actor:!a fabric ra;
+  ib := Fabric.register ~actor:!b fabric rb;
+  Sim.Des.wake_actor des !a ~time:100;
+  Sim.Des.schedule_at_int des ~time:200 (fun des ->
+      checki "no actor runs in an event" (-1) (Sim.Des.running_actor des);
+      Fabric.senduipi fabric !ib;
+      Sim.Des.wake_actor des !b ~time:200);
+  Sim.Des.run des;
+  checki "the own re-arm ran" 2 !steps;
+  checkb "the own senduipi was delivered" true (Receiver.pending ra);
+  checkb "the event's senduipi was delivered" true (Receiver.pending rb);
+  checki "none after the run" (-1) (Sim.Des.running_actor des);
+  let c = Sim.Des.add_actor des (fun _ -> raise Exit) in
+  Sim.Des.wake_actor des c ~time:1_000;
+  (match Sim.Des.run des with () -> Alcotest.fail "the step did not raise" | exception Exit -> ());
+  checki "none after a raising step" (-1) (Sim.Des.running_actor des);
+  (* so a wake from outside the run is legal again *)
+  Sim.Des.wake_actor des !b ~time:2_000
 
 let () =
   Alcotest.run "uintr"
@@ -602,6 +654,7 @@ let () =
             test_channel_send_at_step_clock;
           Alcotest.test_case "lookahead floor" `Quick test_fabric_lookahead_floor;
           Alcotest.test_case "lookahead floor: channels and paths" `Quick test_fabric_floor_paths;
+          Alcotest.test_case "no senduipi or wake from a step" `Quick test_step_paths_enforced;
         ] );
       ( "hw_thread",
         [

@@ -364,7 +364,7 @@ let test_new_order_order_lines_consistent () =
         let cnt = Value.int_exn orow Sc.O.ol_cnt in
         let lo, hi = Sc.order_line_bounds ~w ~d ~o in
         let lines = IT.cursor db.Tpcc_db.order_line_idx ~lo ~hi in
-        let rec count n = if IT.cursor_next lines = None then n else count (n + 1) in
+        let rec count n = if IT.cursor_next lines (fun _ _ -> true) then count (n + 1) else n in
         let found = count 0 in
         if found <> cnt then ok := false);
   checkb "ol_cnt matches order_line entries for every order" true !ok
