@@ -269,9 +269,7 @@ let shards ~budget ~seed ~workers =
    its report as the reproducer [check --replay] re-runs. *)
 let write_reproducer ~out (r : Harness.run) =
   let m = Shrink.minimize r in
-  Format.printf "shrunk (%d evals%s) to: %s@." m.Shrink.evals
-    (if m.Shrink.raised > 0 then Printf.sprintf ", %d raised" m.Shrink.raised else "")
-    (Schedule.describe m.Shrink.schedule);
+  Format.printf "shrunk (%d evals) to: %s@." m.Shrink.evals (Schedule.describe m.Shrink.schedule);
   (match Harness.replay m.Shrink.run with
   | Ok () -> Format.printf "replay: trace hash %s reproduced@." m.Shrink.run.Harness.hash_hex
   | Error e -> Format.printf "replay WARNING: %s@." e);
@@ -280,9 +278,10 @@ let write_reproducer ~out (r : Harness.run) =
       output_char oc '\n');
   Format.printf "reproducer written to %s@." out
 
-(* An armed engine fault can make a run raise (a lost update inserts an
-   order id twice): a raising cell or armed attempt reports an
-   [exception] violation, and the grid goes on. *)
+(* A crash cell or an armed attempt that raises reports an [exception]
+   violation, and the grid goes on.  A schedule run that raises (an armed
+   engine fault can insert an order id twice) is already a failing run
+   ({!Harness.run}). *)
 let raised e = Violation.make "exception" "%s" (Printexc.to_string e)
 
 let run_preset ?out p =

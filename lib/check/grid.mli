@@ -85,6 +85,7 @@ val run : ?out:string -> preset list -> bool
     ({!Shrink.minimize}), replayed ({!Harness.replay}) and its report
     written to [out]; [<bug> self-test: caught (oracle works)] or
     [NOT CAUGHT (oracle bug)]; and [<name>: PASS|FAIL — <n> cells, <m>
-    failing].  A cell that raises fails with an [exception] violation
-    and no run, and the grid goes on.  True iff every cell passed and
-    every armed bug was caught. *)
+    failing].  A schedule whose run raises is a failing schedule cell
+    ({!Harness.run}); any other cell that raises fails with an
+    [exception] violation and no run, and the grid goes on.  True iff
+    every cell passed and every armed bug was caught. *)

@@ -178,10 +178,11 @@ let run ?fault ?plan ?(reclaim = false) ?(workload = Tpcc) (s : Schedule.t) =
   let rec_ = Recorder.create () in
   Sim.Des.set_probe a.R.Runner.des
     (Some (fun ~time ~seq -> Recorder.on_des_event rec_ ~time ~seq));
-  (* delivery latency: schedule-controlled jitter, recorded.  An installed
-     model leaves no lookahead floor ([Uintr.Fabric.lookahead_floor] is 0),
-     so workers step in lock-step and the forced-preemption probe below
-     counts micro-ops in their global order. *)
+  (* The forced-preemption counter and the footprint observers below are
+     shared by every worker's steps: a path of latency 0, so workers step
+     in lock-step and the probe counts micro-ops in their global order. *)
+  Sim.Des.add_path a.R.Runner.des ~least_latency:0;
+  (* delivery latency: schedule-controlled jitter, recorded *)
   let jrng = Sim.Rng.create (Int64.logxor s.Schedule.seed 0x6a09e667f3bcc908L) in
   Uintr.Fabric.set_latency_model a.R.Runner.fabric
     (Some
@@ -252,7 +253,9 @@ let run ?fault ?plan ?(reclaim = false) ?(workload = Tpcc) (s : Schedule.t) =
       ~lanes:(R.Runner.lanes a cfg) ~hp_gen ~arrival_interval ()
   in
   let horizon = Sim.Clock.cycles_of_us clock s.Schedule.horizon_us in
-  let result = R.Runner.finish a cfg sched ~horizon in
+  (* an armed engine fault can make the run raise: the run up to the
+     raise is still a failing schedule, with its trace and counters *)
+  let outcome = try Ok (R.Runner.finish a cfg sched ~horizon) with e -> Error e in
   (* tear down instrumentation before evaluating oracles *)
   Sim.Des.set_probe a.R.Runner.des None;
   Uintr.Fabric.set_latency_model a.R.Runner.fabric None;
@@ -265,20 +268,26 @@ let run ?fault ?plan ?(reclaim = false) ?(workload = Tpcc) (s : Schedule.t) =
   Monitor.uninstall a.R.Runner.workers;
   Storage.Engine.set_observer a.R.Runner.eng None;
   Storage.Engine.inject_fault a.R.Runner.eng None;
-  (* oracles *)
-  let committed = Footprint.committed fp in
+  (* oracles: a raised run skips those that need a finished run *)
   let violations =
-    Monitor.violations mon
-    @ Oracle.serializability committed
-    @ Oracle.snapshot_consistency committed
-    @ Oracle.version_chains a.R.Runner.eng
-    @ Oracle.request_conservation result
-    @ (match a.R.Runner.maint with
-      | Some r -> Oracle.reclaim_safety (Maint.Reclaimer.audits r)
-      | None -> [])
-    @ extra_oracle ()
+    match outcome with
+    | Error e ->
+      Monitor.violations mon @ [ Violation.make "exception" "%s" (Printexc.to_string e) ]
+    | Ok result ->
+      let committed = Footprint.committed fp in
+      Monitor.violations mon
+      @ Oracle.serializability committed
+      @ Oracle.snapshot_consistency committed
+      @ Oracle.version_chains a.R.Runner.eng
+      @ Oracle.request_conservation result
+      @ (match a.R.Runner.maint with
+        | Some r -> Oracle.reclaim_safety (Maint.Reclaimer.audits r)
+        | None -> [])
+      @ extra_oracle ()
   in
-  let stats = result.R.Runner.engine_stats in
+  (* the counters come from the assembly, finished or raised *)
+  let stats = Storage.Engine.stats a.R.Runner.eng in
+  let workers f = Array.fold_left (fun n w -> n + f (R.Worker.stats w)) 0 a.R.Runner.workers in
   {
     schedule = s;
     workload;
@@ -286,9 +295,7 @@ let run ?fault ?plan ?(reclaim = false) ?(workload = Tpcc) (s : Schedule.t) =
     plan;
     reclaim;
     versions_reclaimed =
-      (match result.R.Runner.maint with
-      | Some m -> m.R.Runner.ms_versions_reclaimed
-      | None -> 0);
+      (match a.R.Runner.maint with Some r -> Maint.Reclaimer.versions_reclaimed r | None -> 0);
     violations;
     trace_hash = Recorder.hash rec_;
     hash_hex = Recorder.hash_hex rec_;
@@ -298,16 +305,16 @@ let run ?fault ?plan ?(reclaim = false) ?(workload = Tpcc) (s : Schedule.t) =
     aborts = Storage.Engine.total_aborts stats;
     switches = Monitor.switches mon;
     passive_switches = Monitor.passive mon;
-    uintr_recognized = result.R.Runner.workers.R.Runner.uintr_recognized;
+    uintr_recognized = workers (fun s -> s.R.Worker.uintr_recognized);
     des_events = Recorder.des_events rec_;
-    uintr_lost = result.R.Runner.uintr_lost;
-    uintr_duplicated = result.R.Runner.uintr_duplicated;
-    shed = result.R.Runner.shed;
-    watchdog_resends = result.R.Runner.watchdog_resends;
-    watchdog_giveups = result.R.Runner.watchdog_giveups;
-    degrade_enters = result.R.Runner.degrade_enters;
-    degrade_exits = result.R.Runner.degrade_exits;
-    exhausted = result.R.Runner.workers.R.Runner.exhausted;
+    uintr_lost = Uintr.Fabric.lost a.R.Runner.fabric;
+    uintr_duplicated = Uintr.Fabric.duplicated a.R.Runner.fabric;
+    shed = R.Sched_thread.shed sched;
+    watchdog_resends = R.Sched_thread.watchdog_resends sched;
+    watchdog_giveups = R.Sched_thread.watchdog_giveups sched;
+    degrade_enters = R.Sched_thread.degrade_enters sched;
+    degrade_exits = R.Sched_thread.degrade_exits sched;
+    exhausted = workers (fun s -> s.R.Worker.exhausted);
     decisions = Recorder.sample rec_;
   }
 

@@ -12,8 +12,10 @@
     - the engine observer feeds {!Footprint}, the switch monitor feeds
       {!Monitor}, the DES probe feeds {!Recorder}.
 
-    After the run the end-of-run oracles ({!Oracle}) are evaluated and the
-    instrumentation is torn down. *)
+    After the run the instrumentation is torn down and the end-of-run
+    oracles ({!Oracle}) are evaluated.  A run that raises is torn down
+    too and reported as an [exception] violation, with its trace and
+    counters up to the raise. *)
 
 type workload =
   | Tpcc  (** NewOrder/Payment high-priority over a full TPC-C low-priority mix *)
@@ -58,8 +60,13 @@ val run :
   ?workload:workload ->
   Schedule.t ->
   run
-(** Execute one instrumented run.  [fault] arms a deliberate engine bug
-    (checker self-test).  [plan] installs the {!Faults.Injector} against
+(** Execute one instrumented run.  Its forced-preemption counter and
+    observers are shared by every worker's steps, so it declares a path
+    of latency 0 ({!Sim.Des.add_path}): the workers step in lock-step.
+    [fault] arms a deliberate engine bug (checker self-test).  A run that
+    raises (an armed fault can) is a failing run like any other: its
+    violations are the switch monitor's and an [exception] one, since
+    the other oracles need a finished run.  [plan] installs the {!Faults.Injector} against
     the assembly and arms the full resilience stack
     ({!Preemptdb.Config.with_resilience}) — faulty runs go through every
     oracle, including the request-conservation ledger.  [reclaim] (default

@@ -1,8 +1,8 @@
-type result = { schedule : Schedule.t; run : Harness.run; evals : int; raised : int }
+type result = { schedule : Schedule.t; run : Harness.run; evals : int }
 
 let minimize ?(max_evals = 150) (failing : Harness.run) =
   let { Harness.workload; fault; plan; reclaim; _ } = failing in
-  let evals = ref 0 and raised = ref 0 in
+  let evals = ref 0 in
   let best = ref failing in
   let try_schedule s =
     if !evals >= max_evals then None
@@ -13,11 +13,6 @@ let minimize ?(max_evals = 150) (failing : Harness.run) =
         best := r;
         Some r
       | _ -> None
-      (* an armed engine fault can make a variant raise: it has no report,
-         so it cannot be the reproducer *)
-      | exception _ ->
-        incr raised;
-        None
     end
   in
   let current () = !best.Harness.schedule in
@@ -74,4 +69,4 @@ let minimize ?(max_evals = 150) (failing : Harness.run) =
       | None -> ()
   in
   shrink_horizon ();
-  { schedule = current (); run = !best; evals = !evals; raised = !raised }
+  { schedule = current (); run = !best; evals = !evals }

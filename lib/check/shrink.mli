@@ -10,12 +10,11 @@ type result = {
   schedule : Schedule.t;  (** the minimized failing schedule *)
   run : Harness.run;  (** its (failing) run *)
   evals : int;  (** harness runs spent shrinking *)
-  raised : int;  (** of those, runs that raised *)
 }
 
 val minimize : ?max_evals:int -> Harness.run -> result
 (** [minimize failing_run] re-runs it with its own workload, fault, plan
     and reclaim flag; [max_evals] bounds the total harness runs (default
     150).  The failing run itself is returned if nothing smaller still
-    fails.  A variant whose run raises (an armed engine fault can) counts
-    as an eval and is never kept, since a reproducer needs its report. *)
+    fails.  A variant whose run raises (an armed engine fault can) fails
+    with an [exception] violation like any other ({!Harness.run}). *)

@@ -29,6 +29,9 @@ let create ~des ~log ~device ~group_bytes ~group_interval () =
   if group_bytes < 1 then invalid_arg "Daemon.create: group_bytes < 1";
   if Int64.compare group_interval 1L < 0 then
     invalid_arg "Daemon.create: group_interval < 1";
+  (* a commit's step kicks [maybe_flush], whose completion event lands no
+     sooner than the device's fsync floor *)
+  Sim.Des.add_path des ~least_latency:(Device.fsync_floor device);
   {
     des;
     log;

@@ -23,7 +23,9 @@ val create :
   group_interval:int64 ->
   unit ->
   t
-(** [group_interval] is in cycles.
+(** [group_interval] is in cycles.  The device's fsync floor is declared
+    as a path ({!Sim.Des.add_path}): a commit's step submits a flush whose
+    completion, an event, wakes waiters on other workers no sooner.
     @raise Invalid_argument when either threshold is < 1. *)
 
 val start : t -> unit

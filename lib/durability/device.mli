@@ -29,7 +29,7 @@ val submit : t -> now:int64 -> bytes:int -> int64
 val fsync_floor : t -> int
 (** The fsync floor in cycles: no flush completes sooner after its
     submission, so it bounds how soon a commit's step can reach a worker
-    parked on the log ({!Uintr.Fabric.register_path}). *)
+    parked on the log ({!Daemon.create} declares it). *)
 
 val flushes : t -> int
 val bytes_written : t -> int64

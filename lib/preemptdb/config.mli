@@ -13,8 +13,7 @@
       [Storage.Sweep.create];
     - the standby's log device: [Durability.Device.create ()] in
       {!Runner};
-    - the post-promotion probe count: the default of
-      [Replication.Failover.create];
+    - the post-promotion probe count (8): [Replication.Failover];
     - replication and inter-shard link costs: [Uintr.Channel.create];
     - the 2PC prepare timeout and participant latch budget:
       [Shard.Cluster]. *)

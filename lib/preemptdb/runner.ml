@@ -680,14 +680,9 @@ let drive ~cfg ?obs ?prepare ?hp_batch ?lp_interval_us ?empty_interrupt_ticks
   in
   finish a cfg sched ~horizon:(Sim.Clock.cycles_of_sec clock horizon_sec)
 
-(* The TPC-C database: [tpcc_cfg], by default one warehouse per worker. *)
-let load_tpcc (a : assembly) (cfg : Config.t) tpcc_cfg rng =
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None -> Tpcc_schema.small ~warehouses:cfg.Config.n_workers
-  in
-  let db = Tpcc_db.create a.eng tpcc_cfg in
+(* The TPC-C database: one warehouse per worker. *)
+let load_tpcc (a : assembly) (cfg : Config.t) rng =
+  let db = Tpcc_db.create a.eng (Tpcc_schema.small ~warehouses:cfg.Config.n_workers) in
   Tpcc_db.load db rng;
   db
 
@@ -712,11 +707,11 @@ let q2_stream (a : assembly) tpch gen_rng ~worker:_ ~submitted_at =
   Request.make ~id:(next_request_id a.host) ~label:"Q2" ~priority:Request.Low
     ~prog:(Tpch_q2.random_program tpch) ~rng ~submitted_at
 
-let run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
+let run_mixed ~cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
     ?lp_interval_us ?(horizon_sec = 0.3) ?hp_batch () =
   drive ~cfg ?obs ?prepare ?hp_batch ?lp_interval_us ~arrival_interval_us ~horizon_sec
     (fun a ~load_rng ~gen_rng ->
-      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      let tpcc = load_tpcc a cfg load_rng in
       let tpch = load_tpch a tpch_cfg load_rng in
       {
         hp = Some (new_order_payment a tpcc gen_rng);
@@ -724,11 +719,11 @@ let run_mixed ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 100
         urgent = None;
       })
 
-let run_tpcc ~cfg ?tpcc_cfg ?obs ?prepare ?(horizon_sec = 0.3)
+let run_tpcc ~cfg ?obs ?prepare ?(horizon_sec = 0.3)
     ?(arrival_interval_us = 25.) ?(empty_interrupt_ticks = 4) () =
   drive ~cfg ?obs ?prepare ~empty_interrupt_ticks ~arrival_interval_us ~horizon_sec
     (fun a ~load_rng ~gen_rng ->
-      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      let tpcc = load_tpcc a cfg load_rng in
       let lp ~worker:_ ~submitted_at =
         let rng = Sim.Rng.split gen_rng in
         let kind = Tpcc.standard_mix gen_rng in
@@ -738,11 +733,11 @@ let run_tpcc ~cfg ?tpcc_cfg ?obs ?prepare ?(horizon_sec = 0.3)
       in
       { hp = None; lp = Some lp; urgent = None })
 
-let run_htap ~cfg ?tpcc_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
+let run_htap ~cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
     ?(horizon_sec = 0.1) ?hp_batch () =
   drive ~cfg ?obs ?prepare ?hp_batch ~arrival_interval_us ~horizon_sec
     (fun a ~load_rng ~gen_rng ->
-      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      let tpcc = load_tpcc a cfg load_rng in
       (* Low priority: CH-benCHmark reporting queries over the live TPC-C
          tables — analytics paused over data being written. *)
       let lp ~worker:_ ~submitted_at =
@@ -753,11 +748,11 @@ let run_htap ~cfg ?tpcc_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
       in
       { hp = Some (new_order_payment a tpcc gen_rng); lp = Some lp; urgent = None })
 
-let run_tiered ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
-    ?(horizon_sec = 0.1) ?hp_batch ?urgent_batch () =
+let run_tiered ~cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
+    ?(horizon_sec = 0.1) ?hp_batch () =
   drive ~cfg ?obs ?prepare ?hp_batch ~arrival_interval_us ~horizon_sec
     (fun a ~load_rng ~gen_rng ->
-      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      let tpcc = load_tpcc a cfg load_rng in
       let tpch = load_tpch a tpch_cfg load_rng in
       (* High = StockLevel (a mid-length read-only scan, ~100 µs), Urgent =
          a 2 µs balance lookup: the pairing where preempting an
@@ -779,11 +774,10 @@ let run_tiered ~cfg ?tpcc_cfg ?tpch_cfg ?obs ?prepare ?(arrival_interval_us = 10
       let interval =
         Int64.div (Sim.Clock.cycles_of_us (Sim.Des.clock a.des) arrival_interval_us) 4L
       in
-      let batch = Option.value urgent_batch ~default:(cfg.Config.n_workers * 2) in
       {
         hp = Some hp;
         lp = Some (q2_stream a tpch gen_rng);
-        urgent = Some (urgent, batch, interval);
+        urgent = Some (urgent, cfg.Config.n_workers * 2, interval);
       })
 
 let run_ledger ~cfg ?obs ?prepare
@@ -812,11 +806,11 @@ let run_ledger ~cfg ?obs ?prepare
    grow with every commit.  No analytics stream: the low-priority level
    belongs to GC chunks, so this driver isolates reclamation's interaction
    with the latency-critical path. *)
-let run_maintenance ~cfg ?tpcc_cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
+let run_maintenance ~cfg ?obs ?prepare ?(arrival_interval_us = 1000.)
     ?(horizon_sec = 0.1) ?hp_batch () =
   drive ~cfg ?obs ?prepare ?hp_batch ~arrival_interval_us ~horizon_sec
     (fun a ~load_rng ~gen_rng ->
-      let tpcc = load_tpcc a cfg tpcc_cfg load_rng in
+      let tpcc = load_tpcc a cfg load_rng in
       { hp = Some (new_order_payment a tpcc gen_rng); lp = None; urgent = None })
 
 let tpcc_labels =

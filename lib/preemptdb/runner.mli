@@ -298,7 +298,6 @@ val commit_wait_us : result -> string -> pct:float -> float option
 
 val run_mixed :
   cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?tpch_cfg:Workload.Tpch_schema.config ->
   ?obs:Obs.Sink.t ->
   ?prepare:(assembly -> unit) ->
@@ -308,8 +307,9 @@ val run_mixed :
   ?hp_batch:int ->
   unit ->
   result
-(** Defaults: scaled-down TPC-C ({!Workload.Tpcc_schema.small} with one
-    warehouse per worker) and TPC-H ({!Workload.Tpch_schema.default}),
+(** Scaled-down TPC-C ({!Workload.Tpcc_schema.small} with one warehouse
+    per worker, the database of every [run_*] but {!run_ledger}).
+    Defaults: TPC-H {!Workload.Tpch_schema.default},
     1 ms arrival interval, 0.3 virtual seconds, batch = workers × hp-queue
     size.  High-priority requests are a 50/50 NewOrder/Payment mix with the
     executing worker's warehouse as home; low-priority requests are Q2 with
@@ -317,7 +317,6 @@ val run_mixed :
 
 val run_tpcc :
   cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?obs:Obs.Sink.t ->
   ?prepare:(assembly -> unit) ->
   ?horizon_sec:float ->
@@ -333,7 +332,6 @@ val run_tpcc :
 
 val run_htap :
   cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?obs:Obs.Sink.t ->
   ?prepare:(assembly -> unit) ->
   ?arrival_interval_us:float ->
@@ -348,20 +346,19 @@ val run_htap :
 
 val run_tiered :
   cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?tpch_cfg:Workload.Tpch_schema.config ->
   ?obs:Obs.Sink.t ->
   ?prepare:(assembly -> unit) ->
   ?arrival_interval_us:float ->
   ?horizon_sec:float ->
   ?hp_batch:int ->
-  ?urgent_batch:int ->
   unit ->
   result
 (** The §5 multi-level extension workload: Q2 low, StockLevel high,
-    BalanceCheck urgent.  With [cfg.n_priority_levels >= 3] urgent requests
-    preempt in-progress StockLevels on a third context; with 2 levels they
-    merge into the high-priority queue (the baseline). *)
+    BalanceCheck urgent, in batches of two per worker.  With
+    [cfg.n_priority_levels >= 3] urgent requests preempt in-progress
+    StockLevels on a third context; with 2 levels they merge into the
+    high-priority queue (the baseline). *)
 
 val run_ledger :
   cfg:Config.t ->
@@ -379,7 +376,6 @@ val run_ledger :
 
 val run_maintenance :
   cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?obs:Obs.Sink.t ->
   ?prepare:(assembly -> unit) ->
   ?arrival_interval_us:float ->

@@ -93,7 +93,6 @@ type t = {
   mutable stepper : (P.op -> bool) option;
       (* [Some (fun op -> inline_step t op)], built once at create: offered
          every charge of a program this worker resumes *)
-  mutable floor : int;  (* lookahead floor of the current activation *)
   mutable coop_due : bool;
       (* the last op paid owes a cooperative yield check at the next
          boundary, after its program code ran *)
@@ -165,7 +164,6 @@ let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
     dropped_at_kill = 0;
     actor = -1;
     stepper = None;
-    floor = 0;
     coop_due = false;
     coop_hint = false;
     op_probe = None;
@@ -215,17 +213,15 @@ let set_cost_multiplier_pct t pct =
   if pct < 1 then invalid_arg "Worker.set_cost_multiplier_pct: need >= 1";
   t.cost_mult_pct <- pct
 
-let set_region_stall t f = t.region_stall <- f
+(* The stall hook draws a shared RNG inside steps, so the steps of every
+   worker must keep the order of the draws: a path of latency 0. *)
+let set_region_stall t f =
+  if Option.is_some f then Sim.Des.add_path t.des ~least_latency:0;
+  t.region_stall <- f
+
 let queued_requests t = Array.fold_left (fun acc q -> acc + Bounded_queue.length q) 0 t.queues
 
-(* A commit's step submits a flush whose completion unparks waiters on
-   other workers: one more path for the fabric's floor. *)
 let set_durability t ~blocking daemon =
-  Option.iter
-    (fun d ->
-      Uintr.Fabric.register_path t.fabric
-        ~least_latency:(Durability.Device.fsync_floor (Durability.Daemon.device d)))
-    daemon;
   t.dur <- daemon;
   t.dur_blocking <- blocking
 
@@ -481,7 +477,7 @@ let is_wait_op t = function
 (* The step bound at this boundary: a commuting step may run ahead of
    other workers by less than the floor; any other keeps the tie rule. *)
 let[@inline] within_bound t ~commutes =
-  if commutes then Sim.Des.may_run_ahead t.des ~actor:t.actor ~local:t.local ~floor:t.floor
+  if commutes then Sim.Des.may_run_ahead t.des ~actor:t.actor ~local:t.local
   else Sim.Des.may_step t.des ~actor:t.actor ~local:t.local
 
 (* A charge reached a boundary while this worker runs the program: take
@@ -505,16 +501,6 @@ let execute_op t ctx op k =
   op_head t ctx op;
   let slot = t.slots.(ctx) in
   set_step t slot (P.resume ?stepper:t.stepper ~commutes:slot.commutes k)
-
-(* Lookahead needs every cross-worker effect a step starts to travel by a
-   path with a least latency: the fabric's floor covers the channels and
-   the log device ([max_int] with neither; senduipi and wakes are only
-   ever an event's).  Off with a region-stall fault (a shared RNG drawn by
-   steps) or an event sink (which records in host order). *)
-let lookahead_floor t =
-  match (t.region_stall, t.obs) with
-  | None, None -> Uintr.Fabric.lookahead_floor t.fabric
-  | _ -> 0
 
 let start_request t ctx (req : Request.t) =
   let slot = t.slots.(ctx) in
@@ -681,7 +667,6 @@ let switch_back t ~from_ctx =
 let rec activate t des =
   if not t.killed then begin
     t.local <- Sim.Des.now_int des;
-    t.floor <- lookahead_floor t;
     step_loop t des
   end
 
@@ -1004,11 +989,13 @@ let dropped_at_kill t = t.dropped_at_kill
 (* Finish construction: the activation closure needs [activate], defined
    above, so [create] is completed here.  One closure per worker, reused
    for every activation it ever has; workers register in creation order,
-   which is the tie rule's worker-id order.  The receiver's UITT entry
-   names the actor, so a senduipi to it from another worker's step fails. *)
+   which is the tie rule's worker-id order.  An event sink numbers its
+   records in host order, which only lock-step keeps in virtual order: a
+   path of latency 0. *)
 let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
   let t = create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () in
+  if Option.is_some obs then Sim.Des.add_path des ~least_latency:0;
   t.actor <- Sim.Des.add_actor des (fun des -> activate t des);
-  t.uitt_index_ <- Uintr.Fabric.register ~actor:t.actor fabric (Hw.receiver t.hw);
+  t.uitt_index_ <- Uintr.Fabric.register fabric (Hw.receiver t.hw);
   t.stepper <- Some (fun op -> inline_step t op);
   t

@@ -12,16 +12,18 @@
     ({!Sim.Des.may_step}), it blocks, or it goes idle.  A step that
     commutes with every other worker (a snapshot read, [Compute],
     [Yield_hint], or a probe or scan of an index no class writes) may run
-    ahead of other workers by less than the fabric's floor
-    ({!Sim.Des.may_run_ahead}, {!Uintr.Fabric.lookahead_floor}): the least
-    latency of the paths a step can start, a channel message or, once
-    {!set_durability} registers its device, a log flush.  With neither
+    ahead of other workers by less than the DES's floor
+    ({!Sim.Des.may_run_ahead}): the least latency of the paths declared
+    where they are built, a channel message or a log flush.  With neither
     there is no floor, and such a step stops only at the next event or
     the horizon.  No step sends a user interrupt or wakes another worker:
     the scheduler's events, flush and gate resolution, 2PC dispatch and
-    fault storms do, each pairing its senduipi with {!wake}, and both fail
-    inside another worker's step.  The floor is 0 with a region-stall
-    fault or an event sink.  The program runs
+    fault storms do, each pairing its senduipi with {!wake}; the DES
+    fails a step's push under the floor and a step's wake of another
+    worker.  The worker declares a path of latency 0, lock-step, for an
+    event sink ({!create}) and a region-stall fault
+    ({!set_region_stall}), whose state every worker's steps share.  The
+    program runs
     with this worker as its stepper ({!Workload.Program.start}), so a
     step the loop would take at once is taken inside the charge, without
     suspending the program.
@@ -92,7 +94,9 @@ val create :
     {!Uintr.Switch} on the same sink).  [prof] is the shared cycle-accounting
     profiler; every cycle the worker charges is attributed to a
     (worker × phase) bucket on it (a private throwaway profiler is used
-    when omitted, so accounting is always on). *)
+    when omitted, so accounting is always on).  The sink numbers its
+    records in host order, so [obs] declares a path of latency 0
+    ({!Sim.Des.add_path}): the workers then step in lock-step. *)
 
 val id : t -> int
 val uitt_index : t -> int
@@ -109,10 +113,10 @@ val set_op_probe : t -> (t -> Workload.Program.op -> unit) option -> unit
     boundary's recognition check observes.  The probe must not switch
     contexts or touch the queues itself.  Each worker's probe calls come
     in its own step order.  Calls from different workers come in global
-    virtual-time order only in lock-step, i.e. where the lookahead floor
-    ({!Uintr.Fabric.lookahead_floor}) is 0: the harness installs a
-    delivery latency model, which makes it so; elsewhere a commuting step
-    may run ahead of another worker's. *)
+    virtual-time order only in lock-step: a probe whose state is shared
+    across workers must declare a path of latency 0
+    ({!Sim.Des.add_path}), as the harness does; elsewhere a commuting
+    step may run ahead of another worker's. *)
 
 val free_slots : t -> level:int -> int
 val enqueue : t -> level:int -> Request.t -> bool
@@ -163,10 +167,9 @@ val set_durability : t -> blocking:bool -> Durability.Daemon.t option -> unit
 (** Wire the group-commit daemon: [Commit_wait] micro-ops consult it for
     the ack decision.  [blocking] selects the ablation — the context spins
     re-checking durability instead of parking (the slot stays occupied).
-    [None] detaches (commits ack immediately, as without durability).  A
-    daemon's device joins the fabric's floor: a commit's step submits a
-    flush whose completion wakes waiters on other workers no sooner than
-    the device's fsync floor ({!Uintr.Fabric.register_path}). *)
+    [None] detaches (commits ack immediately, as without durability).  The
+    daemon declared its device's path when it was built
+    ({!Durability.Daemon.create}). *)
 
 val set_gates : t -> blocking:bool -> Uintr.Gate.t option -> unit
 (** Wire a 2PC gate registry: [Gate_wait] micro-ops consult it.  [blocking]
@@ -183,7 +186,9 @@ val set_region_stall : t -> (unit -> int) option -> unit
 (** Install (or clear) a fault hook consulted at each micro-op boundary
     executed inside a non-preemptible region; the returned extra cycles are
     charged immediately (0 = no stall).  Distinct from {!set_op_probe}, so
-    the check harness and the fault injector compose. *)
+    the check harness and the fault injector compose.  [Some] declares a
+    path of latency 0 ({!Sim.Des.add_path}): the hook draws a shared RNG
+    inside steps.  The DES stays lock-step after the hook is cleared. *)
 
 val queued_requests : t -> int
 (** Requests waiting in this worker's queues (all levels) — a

@@ -31,15 +31,17 @@ type t = {
   obs : Obs.Sink.t option;
   replica : Replica.t;
   detector : Failure_detector.t;
-  probes : int;
   mutable crash_time : int64 option;
   mutable outcome_ : outcome option;
 }
 
-let run_probes eng n =
+(* Probe commits run on the promoted engine: a fixed count. *)
+let probes = 8
+
+let run_probes eng =
   let table = Storage.Engine.create_table eng probe_table in
   let ok = ref 0 in
-  for i = 1 to n do
+  for i = 1 to probes do
     let txn = Storage.Engine.begin_txn eng ~worker:0 ~ctx:0 in
     ignore (Storage.Engine.insert eng txn table (Storage.Value.of_fields [| Storage.Value.Int i |]));
     match Storage.Engine.commit eng txn with
@@ -59,7 +61,7 @@ let promote t =
   | Some o -> o
   | None ->
     let eng, applied_lsn, torn = Replica.promote t.replica in
-    let probe_commits = run_probes eng t.probes in
+    let probe_commits = run_probes eng in
     let now = Sim.Des.now t.des in
     let us at = Sim.Clock.us_of_cycles t.clock at in
     let detected =
@@ -84,7 +86,7 @@ let promote t =
          { applied_lsn; torn; rto_us = int_of_float o.fo_rto_us });
     o
 
-let create ?obs ?(probes = 8) des ~clock ~replica ~detector () =
+let create ?obs des ~clock ~replica ~detector () =
   let t =
     {
       des;
@@ -92,7 +94,6 @@ let create ?obs ?(probes = 8) des ~clock ~replica ~detector () =
       obs;
       replica;
       detector;
-      probes;
       crash_time = None;
       outcome_ = None;
     }

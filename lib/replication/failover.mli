@@ -22,15 +22,14 @@ type t
 
 val create :
   ?obs:Obs.Sink.t ->
-  ?probes:int ->
   Sim.Des.t ->
   clock:Sim.Clock.t ->
   replica:Replica.t ->
   detector:Failure_detector.t ->
   unit ->
   t
-(** Wires the detector's suspect edge to promotion ([probes] defaults
-    to 8). *)
+(** Wires the detector's suspect edge to promotion, which runs 8 probe
+    commits on the promoted engine. *)
 
 val note_primary_crash : t -> unit
 (** Stamp the crash time (the injector calls this at [crash_at_us]) so

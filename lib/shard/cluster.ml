@@ -536,8 +536,7 @@ let handle_msg t ~dst msg =
 
 (* -- assembly ------------------------------------------------------------ *)
 
-let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_us = 40.)
-    () =
+let create ~cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_us = 40.) () =
   let sp =
     match cfg.Config.shard with
     | Some sp -> sp
@@ -553,14 +552,9 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
   if cfg.Config.reclaim <> None then
     invalid_arg "Cluster.create: reclamation is not supported in a sharded cluster";
   let n = sp.Config.sh_shards in
-  let tpcc_cfg =
-    match tpcc_cfg with
-    | Some c -> c
-    | None ->
-      (* One warehouse per worker cluster-wide; per-line remote supply off
-         — cross-warehouse work goes through the 2PC path instead. *)
-      { (Sc.small ~warehouses:(n * cfg.Config.n_workers)) with Sc.remote_pct = 0 }
-  in
+  (* One warehouse per worker cluster-wide; per-line remote supply off —
+     cross-warehouse work goes through the 2PC path instead. *)
+  let tpcc_cfg = { (Sc.small ~warehouses:(n * cfg.Config.n_workers)) with Sc.remote_pct = 0 } in
   if tpcc_cfg.Sc.warehouses < n then
     invalid_arg
       (Printf.sprintf "Cluster.create: %d warehouses cannot cover %d shards"
@@ -622,7 +616,7 @@ let create ~cfg ?tpcc_cfg ?origins ?(bug_early_vote = false) ?(arrival_interval_
   let timeout_cycles = Int64.to_int (Sim.Clock.cycles_of_us clock prepare_timeout_us) in
   (* a coordinator's step arms its prepare timeout, an event that resolves
      the vote gate: one more path for the lookahead floor *)
-  Uintr.Fabric.register_path fabric ~least_latency:timeout_cycles;
+  Sim.Des.add_path des ~least_latency:timeout_cycles;
   let origins_arr = Array.make n true in
   (match origins with
   | None -> ()

@@ -36,7 +36,6 @@ type t
 
 val create :
   cfg:Config.t ->
-  ?tpcc_cfg:Workload.Tpcc_schema.config ->
   ?origins:int list ->
   ?bug_early_vote:bool ->
   ?arrival_interval_us:float ->
@@ -45,7 +44,7 @@ val create :
 (** Assemble the cluster described by [cfg.shard] (and [cfg.durability],
     both required — use {!Config.with_shard}).  [cfg.n_workers] is the
     {e per-shard} pool size; worker ids are globally unique
-    ([sid * n_workers + k]).  The default TPC-C config spreads
+    ([sid * n_workers + k]).  The TPC-C database spreads
     [shards × n_workers] warehouses over the shards with per-line
     [remote_pct] forced to 0 (remote supply is the 2PC path's job).
     [origins] restricts which shards originate cross-shard transactions
@@ -59,7 +58,7 @@ val create :
     @raise Invalid_argument when [cfg.shard] or [cfg.durability] is unset,
     when the config arms replication, reclamation or checkpointing (no
     shard runs a standby, reclaimer or checkpointer), or when there are
-    fewer warehouses than shards. *)
+    fewer warehouses than shards ([cfg.n_workers] is 0). *)
 
 val des : t -> Sim.Des.t
 val clock : t -> Sim.Clock.t

@@ -12,7 +12,9 @@ type t = {
   mutable activations : int;
   mutable max_queue_len : int;
   mutable probe : (time:int64 -> seq:int -> unit) option;
-  mutable lookahead : bool;
+  mutable floor : int;
+      (* least latency of the declared paths by which a step reaches
+         another actor; [max_int] while none is declared *)
   mutable running : int;  (* id of the actor whose activation runs; -1 in an event *)
   (* Actors live beside the queue: the activation closure and pending
      activation time ([-1] = none) of each, by id, and a binary min-heap of
@@ -37,7 +39,7 @@ let create ?(clock = Clock.default) ?(seed = 42L) () =
     activations = 0;
     max_queue_len = 0;
     probe = None;
-    lookahead = true;
+    floor = max_int;
     running = -1;
     acts = [||];
     act_time = [||];
@@ -51,8 +53,8 @@ let rng t = t.root_rng
 let now t = Int64.of_int t.now_i
 let now_int t = t.now_i
 let set_actor_clock t time = t.now_i <- time
-let set_lookahead t on = t.lookahead <- on
-let running_actor t = t.running
+let add_path t ~least_latency = if least_latency < t.floor then t.floor <- max 0 least_latency
+let lookahead_floor t = t.floor
 
 (* Workers poll this once per micro-op (inside the run-ahead bound), so it
    must not allocate: the queue's minimum is the heap root, read in O(1).
@@ -65,8 +67,24 @@ let next_event_time t =
   if Event_queue.is_empty t.q then Int64.max_int
   else Int64.of_int (Event_queue.peek_time_int t.q)
 
+(* A commuting step may run up to the floor ahead of other actors'
+   pending steps, so an event a step pushes must land at least the floor
+   after the step's clock: sooner, it could reach an actor past the
+   instant it lands at.  An event (no actor running) may push at any
+   latency. *)
+let[@inline never] pushed_under_floor t time =
+  failwith
+    (Printf.sprintf
+       "Des: actor %d's step at %d pushed an event at %d, under the lookahead floor %d"
+       t.running t.now_i time t.floor)
+
+(* A difference, not [time < now_i + floor]: the floor may be [max_int]. *)
+let[@inline] check_push t time =
+  if t.running >= 0 && time - t.now_i < t.floor then pushed_under_floor t time
+
 let schedule_at_int t ~time f =
   let time = if time < t.now_i then t.now_i else time in
+  check_push t time;
   Event_queue.push_int t.q ~time f
 
 let schedule_at t ~time f =
@@ -74,6 +92,7 @@ let schedule_at t ~time f =
     if Int64.compare time (Int64.of_int t.now_i) < 0 then Int64.of_int t.now_i
     else time
   in
+  check_push t (Int64.to_int time);
   Event_queue.push t.q ~time f
 
 let schedule_after t ~delay f =
@@ -136,9 +155,9 @@ let rec sift_down t h n last i =
     else Array.unsafe_set h i last
   end
 
-(* A step reaches another actor only by a path with a least latency, which
-   the lookahead floor counts; a wake from inside a step would be a path of
-   latency 0.  Every cross-actor wake is an event's. *)
+(* A step reaches another actor only by an event it pushes, which lands at
+   least the floor later; a wake from inside a step would reach it at
+   once.  Every cross-actor wake is an event's. *)
 let[@inline never] woken_from_step t id =
   failwith
     (Printf.sprintf "Des.wake_actor: actor %d woken from actor %d's step" id t.running)
@@ -173,11 +192,12 @@ let[@inline] may_step t ~actor ~local =
      local < tw || (local = tw && actor < w))
 
 (* A step that commutes with every other actor may pass the other actors'
-   pending activations by less than [floor]: whatever their next steps
-   send lands at least [floor] after those steps start.  With no path
+   pending activations by less than the floor: whatever their next steps
+   push lands at least the floor after those steps start.  With no path
    ([floor = max_int]) only the events and the horizon bound it. *)
-let[@inline] may_run_ahead t ~actor ~local ~floor =
-  if floor <= 0 || not t.lookahead then may_step t ~actor ~local
+let[@inline] may_run_ahead t ~actor ~local =
+  let floor = t.floor in
+  if floor <= 0 then may_step t ~actor ~local
   else
     local <= t.horizon
     && local < next_event_time_int t

@@ -30,21 +30,25 @@
     {b Lookahead.}  A step that commutes with every other actor's steps
     (it reads only its own state, a snapshot, or data no actor writes)
     may also run ahead of other actors' pending activations, by less than
-    {!may_run_ahead}'s [floor]: the least latency of the paths by which
-    any actor's step can reach another actor (a channel message, a log
-    flush's completion: [Uintr.Fabric.lookahead_floor] takes the least of
-    those registered), or without bound ([max_int]) when a step starts no
-    such path.  Every pending event still bounds it, so a delivery, tick
-    or wake aimed at the actor is never passed, and nothing another actor
-    does before the floor can reach it.  Non-commuting steps of all actors
-    therefore still run in the rule's order, and the commuting ones in
-    between cannot tell: the virtual schedule is the same with fewer
-    activations.  {!set_lookahead} [false] turns it off, so the lookahead
-    differential can compare a run with and without it.
+    the {e floor}: the least latency of the paths by which any actor's
+    step can reach another actor.  Each component declares the paths its
+    steps can start where it builds them ({!add_path}: a channel, a log
+    device, a 2PC timeout), and state that steps of different actors
+    share declares a path of latency 0, which is lock-step.  With no path
+    declared there is no floor ([max_int]) and such a step stops only at
+    the next event or the horizon.  Every pending event still bounds it,
+    so a delivery, tick or wake aimed at the actor is never passed, and
+    nothing another actor does before the floor can reach it.
+    Non-commuting steps of all actors therefore still run in the rule's
+    order, and the commuting ones in between cannot tell: the virtual
+    schedule is the same with fewer activations.
 
-    {b Enforced.}  Waking an actor is a path of latency 0, which no floor
-    counts: only an event may wake another actor ({!wake_actor} fails
-    inside any other actor's step).  A step may re-arm its own actor. *)
+    {b Enforced.}  One rule, checked where a step can reach another actor:
+    an event pushed inside an actor's step ({!schedule_at},
+    {!schedule_at_int}, {!schedule_after}) lands at least the floor after
+    the step's clock, and no step wakes another actor ({!wake_actor}).
+    Either raises [Failure].  A step may re-arm its own actor, and an
+    event may push at any latency and wake any actor. *)
 
 type t
 
@@ -67,14 +71,18 @@ val next_event_time : t -> int64
 
 val schedule_at : t -> time:int64 -> (t -> unit) -> unit
 (** Schedule a callback at an absolute time.  Times in the past are clamped
-    to [now] (the callback runs later in the current instant). *)
+    to [now] (the callback runs later in the current instant).
+    @raise Failure inside an actor's step when the (clamped) time is less
+    than the floor after the step's clock (see {!add_path}). *)
 
 val schedule_at_int : t -> time:int -> (t -> unit) -> unit
 (** [schedule_at] taking the time as an unboxed native int — the
-    allocation-free path for actor reschedules. *)
+    allocation-free path for actor reschedules.
+    @raise Failure as {!schedule_at}. *)
 
 val schedule_after : t -> delay:int64 -> (t -> unit) -> unit
-(** Schedule relative to [now].  Negative delays are clamped to zero. *)
+(** Schedule relative to [now].  Negative delays are clamped to zero.
+    @raise Failure as {!schedule_at}. *)
 
 (** {1 Actors} *)
 
@@ -86,11 +94,7 @@ val add_actor : t -> (t -> unit) -> int
 val wake_actor : t -> int -> time:int -> unit
 (** Arm the actor's activation at [time] (clamped to [now]).  No-op when an
     activation is already pending.
-    @raise Failure inside another actor's step (see {!running_actor}). *)
-
-val running_actor : t -> int
-(** The actor whose activation is running, or [-1] inside an event and
-    outside {!run}. *)
+    @raise Failure inside another actor's step. *)
 
 val set_actor_clock : t -> int -> unit
 (** Publish the running actor's clock: until the next dispatch, {!now} and
@@ -101,16 +105,22 @@ val may_step : t -> actor:int -> local:int -> bool
     every pending event and every other pending actor under the tie rule
     and does not start past the horizon. *)
 
-val may_run_ahead : t -> actor:int -> local:int -> floor:int -> bool
-(** The bound for a step that commutes with every other actor: before
-    every pending event and the horizon, and less than [floor] past the
-    earliest pending actor ([floor = max_int]: no path, no actor bound).
-    {!may_step} when [floor <= 0] or lookahead is off. *)
+val add_path : t -> least_latency:int -> unit
+(** Declare a path by which an actor's step can reach another actor, and
+    the least latency (cycles) it can take: the floor falls to it if it
+    is lower, clamped at 0, and never rises.  Latency 0 stands for state
+    that steps of different actors share, and makes every step keep the
+    lock-step bound; the lookahead differential declares it to compare a
+    run with and without lookahead. *)
 
-val set_lookahead : t -> bool -> unit
-(** On by default.  Off, {!may_run_ahead} is {!may_step}: every step keeps
-    the lock-step bound.  The switch of the lookahead differential, which
-    requires a run's virtual-schedule digest to be the same either way. *)
+val lookahead_floor : t -> int
+(** The least latency declared to {!add_path}; [max_int] while none is. *)
+
+val may_run_ahead : t -> actor:int -> local:int -> bool
+(** The bound for a step that commutes with every other actor: before
+    every pending event and the horizon, and less than the floor past the
+    earliest pending actor (no actor bound with no path declared).
+    {!may_step} when the floor is 0. *)
 
 (** {1 Running} *)
 

@@ -24,11 +24,10 @@ val create :
     per byte — the replication ship/ack channels and the inter-shard
     links all use them.  Jitter is drawn from a private split of the DES
     RNG so channel traffic never perturbs the schedule of runs that do not
-    use channels.  The channel registers its least latency,
-    [base_latency - base_latency / 5] (960 cycles by default), with
-    [fabric] ({!Fabric.register_path}): a message a step sends is a path
-    from that step to another worker, delivered by an event, and one of
-    the few the lookahead floor counts ({!Fabric.lookahead_floor}). *)
+    use channels.  The channel declares its least latency,
+    [base_latency - base_latency / 5] (960 cycles by default), as a path
+    ({!Sim.Des.add_path}): a message a step sends reaches another worker
+    by an event no sooner than that. *)
 
 val set_on_deliver : 'a t -> ('a -> unit) -> unit
 (** Install the receiver.  Messages delivered before a receiver is

@@ -11,7 +11,6 @@ type t = {
   costs_ : Costs.t;
   obs_ : Obs.Sink.t option;
   mutable uitt : Receiver.t array;
-  mutable owner : int array;  (* DES actor of each receiver; -1 = none *)
   mutable n : int;
   mutable sends_ : int;
   jitter_rng : Sim.Rng.t;
@@ -22,9 +21,6 @@ type t = {
   mutable lost_ : int;
   mutable duplicated_ : int;
   mutable chan_flows_ : int;
-  mutable path_floor : int;
-      (* least latency of the registered paths (channels, log devices, the
-         2PC prepare timeout); [max_int] while none is registered *)
   stages_ : Stages.t;
   pending_ : (int, batch) Hashtbl.t; (* key = (tick lsl idx_bits) lor idx *)
 }
@@ -39,7 +35,6 @@ let create ?obs des ~costs =
     costs_ = costs;
     obs_ = obs;
     uitt = Array.make 8 (Receiver.create ());
-    owner = Array.make 8 (-1);
     n = 0;
     sends_ = 0;
     jitter_rng = Sim.Rng.split (Sim.Des.rng des);
@@ -50,27 +45,30 @@ let create ?obs des ~costs =
     lost_ = 0;
     duplicated_ = 0;
     chan_flows_ = 0;
-    path_floor = max_int;
     stages_ = Stages.create ();
     pending_ = Hashtbl.create 32;
   }
 
 let costs t = t.costs_
 let set_latency_model t f = t.latency_model <- f
-let set_delivery_model t f = t.delivery_model <- f
-let set_channel_delivery_model t f = t.chan_model <- f
 
-let register ?(actor = -1) t r =
+(* A delivery model may deliver a channel message at any latency, so a
+   step's send is a path of latency 0 from then on. *)
+let set_delivery_model t f =
+  if Option.is_some f then Sim.Des.add_path t.des ~least_latency:0;
+  t.delivery_model <- f
+
+let set_channel_delivery_model t f =
+  if Option.is_some f then Sim.Des.add_path t.des ~least_latency:0;
+  t.chan_model <- f
+
+let register t r =
   if t.n = Array.length t.uitt then begin
     let bigger = Array.make (2 * t.n) r in
     Array.blit t.uitt 0 bigger 0 t.n;
-    t.uitt <- bigger;
-    let owners = Array.make (2 * t.n) (-1) in
-    Array.blit t.owner 0 owners 0 t.n;
-    t.owner <- owners
+    t.uitt <- bigger
   end;
   t.uitt.(t.n) <- r;
-  t.owner.(t.n) <- actor;
   t.n <- t.n + 1;
   t.n - 1
 
@@ -78,19 +76,8 @@ let receiver t idx =
   if idx < 0 || idx >= t.n then invalid_arg "Fabric.receiver: unknown UITT index";
   t.uitt.(idx)
 
-(* Every senduipi aimed at another worker is an event's (scheduler, 2PC
-   inject, a flush or gate resolution, a fault storm), so the lookahead
-   floor need not count it: one from inside a step would reach that
-   worker sooner than any registered path. *)
-let[@inline never] sent_from_step t idx ~running =
-  failwith
-    (Printf.sprintf "Fabric.senduipi: UITT %d (actor %d) sent to from actor %d's step" idx
-       t.owner.(idx) running)
-
 let senduipi t idx =
   let r = receiver t idx in
-  let running = Sim.Des.running_actor t.des in
-  if running >= 0 && t.owner.(idx) <> running then sent_from_step t idx ~running;
   (* flow id: correlates this send with its delivery and (via the
      receiver's UPID) the eventual recognition, for timeline arrows. *)
   let flow = t.sends_ in
@@ -141,7 +128,8 @@ let senduipi t idx =
           b.b_flows := flow :: !(b.b_flows)
         | None ->
           let b = { b_idx = idx; b_flows = ref [ flow ] } in
-          Hashtbl.add t.pending_ key b;
+          (* pushed before the batch is recorded: a push the DES refuses
+             (a step's, under the floor) leaves no batch without a drain *)
           Sim.Des.schedule_at_int t.des ~time:tick (fun des ->
               Hashtbl.remove t.pending_ key;
               List.iter
@@ -155,7 +143,8 @@ let senduipi t idx =
                          { flow; uitt = b.b_idx; coalesced = Receiver.pending r })
                   | None -> ());
                   Receiver.post ~flow r)
-                (List.rev !(b.b_flows))))
+                (List.rev !(b.b_flows)));
+          Hashtbl.add t.pending_ key b)
       ls
 
 (* Payload channels (log shipping, heartbeats) ride the same fault-plan
@@ -178,17 +167,6 @@ let channel_deliveries t ~latency =
   | None -> base
   | Some f ->
     List.concat_map (fun lat -> List.map (max 0) (f ~flow ~latency:lat)) base
-
-let register_path t ~least_latency = t.path_floor <- min t.path_floor (max 0 least_latency)
-
-(* The least latency of the paths a worker's step can start: the
-   registered ones, [max_int] with none.  A senduipi is not among them
-   ([senduipi] fails inside another worker's step).  An installed model
-   may deliver at any latency, so it leaves no floor. *)
-let lookahead_floor t =
-  match (t.latency_model, t.delivery_model, t.chan_model) with
-  | None, None, None -> t.path_floor
-  | _ -> 0
 
 let sends t = t.sends_
 let stages t = t.stages_

@@ -19,7 +19,8 @@ val set_latency_model : t -> (flow:int -> nominal:int -> int) option -> unit
     latency (cycles, clamped to ≥ 0) per send.  [flow] is the send's
     correlation id, [nominal] the unperturbed [senduipi + delivery] cost.
     The schedule-exploration harness uses this to perturb — and record —
-    every delivery decision; [None] restores the default model. *)
+    every delivery decision; [None] restores the default model.  It
+    declares no path ({!Sim.Des.add_path}): only events send senduipi. *)
 
 val set_delivery_model : t -> (flow:int -> latency:int -> int list) option -> unit
 (** Fault-injection hook, applied {e after} the latency model (or default
@@ -29,18 +30,19 @@ val set_delivery_model : t -> (flow:int -> latency:int -> int list) option -> un
     it (counted in {!duplicated}); [[latency]] is the identity.  Composes
     with {!set_latency_model}, so the checking harness's recorded jitter
     and a fault plan can be armed simultaneously.  [None] restores
-    fault-free delivery. *)
+    fault-free delivery.  [Some] declares a path of latency 0
+    ({!Sim.Des.add_path}): the model may deliver a channel message a step
+    sends at any latency. *)
 
 val set_channel_delivery_model : t -> (flow:int -> latency:int -> int list) option -> unit
 (** Channel-only fault hook (heartbeat loss): applied on top of the shared
     delivery model inside {!channel_deliveries}, to each delivery that
     model produced, and never to senduipi posts — so a plan can starve the
     replication fabric while interrupts keep flowing.  Same contract as
-    {!set_delivery_model}. *)
+    {!set_delivery_model}, path of latency 0 included. *)
 
-val register : ?actor:int -> t -> Receiver.t -> int
-(** Add a UITT entry for a receiver; returns its index.  [actor] is the
-    DES actor ({!Sim.Des.add_actor}) that owns the receiver, if any. *)
+val register : t -> Receiver.t -> int
+(** Add a UITT entry for a receiver; returns its index. *)
 
 val receiver : t -> int -> Receiver.t
 (** @raise Invalid_argument on an unknown index. *)
@@ -48,11 +50,11 @@ val receiver : t -> int -> Receiver.t
 val senduipi : t -> int -> unit
 (** Execute [senduipi] against a UITT index: schedules the UPID post on the
     simulation after [costs.senduipi + costs.delivery] cycles.  Like the
-    paper's scheduling thread, only events send to other workers: inside
-    an actor's step ({!Sim.Des.running_actor}) the target must be that
-    actor's own receiver.
+    paper's scheduling thread, only events send to workers: no path
+    declares a senduipi, so one sent inside an actor's step raises
+    whenever its delivery lands under the floor.
     @raise Invalid_argument on an unknown index.
-    @raise Failure inside the step of an actor that does not own [idx]. *)
+    @raise Failure as {!Sim.Des.schedule_at_int}. *)
 
 val channel_deliveries : t -> latency:int -> int list
 (** Run one payload-channel send through the installed delivery model (see
@@ -61,21 +63,6 @@ val channel_deliveries : t -> latency:int -> int list
     produces ([[]] = lost, length > 1 = duplicated); [[latency]] when no
     model is installed.  {!Channel} uses this so fault plans perturb log
     shipping and heartbeats exactly as they perturb interrupts. *)
-
-val register_path : t -> least_latency:int -> unit
-(** Declare a path by which one worker's step can reach another worker,
-    and the least latency (cycles) it can take: a payload channel
-    ({!Channel.create} registers its own), a log device's flush
-    completion, or a 2PC timeout.  The floor only ever falls. *)
-
-val lookahead_floor : t -> int
-(** The least latency of the paths a worker's step can start: each path
-    given to {!register_path}, or [max_int] while none is.  A senduipi is
-    not one: every senduipi and wake aimed at another worker is done by
-    an event ({!senduipi}, {!Sim.Des.wake_actor}).  [0] while a latency,
-    delivery or channel delivery model is installed, since those may
-    deliver at any latency.  Nothing one worker does reaches another
-    sooner: the simulator's lookahead floor ({!Sim.Des.may_run_ahead}). *)
 
 val sends : t -> int
 (** Total senduipi instructions executed. *)

@@ -20,8 +20,7 @@ val fresh : t -> int
 val resolve : t -> int -> value:int -> unit
 (** Latch [value] and fire registered waiters in registration order.
     Idempotent: the first resolve wins; later calls (duplicated fabric
-    deliveries, a timeout racing the real decision) are counted in
-    {!dup_resolves} and otherwise ignored.
+    deliveries, a timeout racing the real decision) are ignored.
     @raise Invalid_argument on an unknown id. *)
 
 val ready : t -> int -> bool

@@ -15,7 +15,7 @@ let random_kind rng =
    row. *)
 let scan_order_lines (db : Tpcc_db.t) env txn f =
   let rows = ref 0 in
-  Idx.scan_int env db.Tpcc_db.order_line_idx ~lo:0 ~hi:max_int (fun _ oid ->
+  Idx.scan_int db.Tpcc_db.order_line_idx ~lo:0 ~hi:max_int (fun _ oid ->
       (match P.read env txn db.Tpcc_db.order_line ~oid with
       | Some row -> f row
       | None -> () (* inserted after our snapshot *));
@@ -82,7 +82,7 @@ let q4 (db : Tpcc_db.t) env =
         (* scan this district's full order range *)
         let olo = Sc.order_key ~w ~d ~o:0 in
         let ohi = Sc.order_key ~w ~d ~o:Sc.max_order in
-        Idx.scan_int env db.Tpcc_db.orders_idx ~lo:olo ~hi:ohi (fun _ ooid ->
+        Idx.scan_int db.Tpcc_db.orders_idx ~lo:olo ~hi:ohi (fun _ ooid ->
             (match P.read env txn db.Tpcc_db.orders ~oid:ooid with
             | None -> ()
             | Some orow ->
@@ -90,7 +90,7 @@ let q4 (db : Tpcc_db.t) env =
               let o = Value.int_exn orow Sc.O.id in
               let llo, lhi = Sc.order_line_bounds ~w ~d ~o in
               let has_late = ref false in
-              Idx.scan_int env db.Tpcc_db.order_line_idx ~lo:llo ~hi:lhi (fun _ oloid ->
+              Idx.scan_int db.Tpcc_db.order_line_idx ~lo:llo ~hi:lhi (fun _ oloid ->
                   (match P.read env txn db.Tpcc_db.order_line ~oid:oloid with
                   | Some olrow ->
                     if Value.int_exn olrow Sc.OL.delivery_d < 0 then has_late := true

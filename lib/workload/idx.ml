@@ -23,8 +23,7 @@ let remove_int env txn tree ~key =
       | Some oid -> Txn.on_abort txn (fun () -> ignore (IT.insert tree key oid))
       | None -> invalid_arg "Idx.remove_int: key not present")
 
-let scan_int env tree ~lo ~hi ?(limit = max_int) f =
-  ignore env;
+let scan_int tree ~lo ~hi ?(limit = max_int) f =
   let cursor = IT.cursor tree ~lo ~hi in
   let commutes = not (IT.written tree) in
   let rec loop remaining =
@@ -35,8 +34,7 @@ let scan_int env tree ~lo ~hi ?(limit = max_int) f =
   in
   loop limit
 
-let scan_str env tree ~lo ~hi ?(limit = max_int) f =
-  ignore env;
+let scan_str tree ~lo ~hi ?(limit = max_int) f =
   let cursor = ST.cursor tree ~lo ~hi in
   let commutes = not (ST.written tree) in
   let rec loop remaining =
@@ -47,16 +45,16 @@ let scan_str env tree ~lo ~hi ?(limit = max_int) f =
   in
   loop limit
 
-let collect_str env tree ~lo ~hi =
+let collect_str tree ~lo ~hi =
   let acc = ref [] in
-  scan_str env tree ~lo ~hi (fun k oid ->
+  scan_str tree ~lo ~hi (fun k oid ->
       acc := (k, oid) :: !acc;
       true);
   List.rev !acc
 
-let first_int env tree ~lo ~hi =
+let first_int tree ~lo ~hi =
   let found = ref None in
-  scan_int env tree ~lo ~hi ~limit:1 (fun k oid ->
+  scan_int tree ~lo ~hi ~limit:1 (fun k oid ->
       found := Some (k, oid);
       false);
   !found

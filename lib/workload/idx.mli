@@ -18,14 +18,13 @@ val remove_int : Program.env -> Storage.Txn.t -> IT.t -> key:int -> unit
 
 (** {1 Charged cursors} *)
 
-val scan_int :
-  Program.env -> IT.t -> lo:int -> hi:int -> ?limit:int -> (int -> int -> bool) -> unit
-(** [scan_int env tree ~lo ~hi f] advances a cursor, charging one
+val scan_int : IT.t -> lo:int -> hi:int -> ?limit:int -> (int -> int -> bool) -> unit
+(** [scan_int tree ~lo ~hi f] advances a cursor, charging one
     [Scan_step] per binding, calling [f key oid] on each; stop early when
     [f] returns [false] or after [limit] bindings.  Preemption-safe: the
     underlying cursor re-seeks after structural changes. *)
 
-val collect_str : Program.env -> ST.t -> lo:string -> hi:string -> (string * int) list
+val collect_str : ST.t -> lo:string -> hi:string -> (string * int) list
 
-val first_int : Program.env -> IT.t -> lo:int -> hi:int -> (int * int) option
+val first_int : IT.t -> lo:int -> hi:int -> (int * int) option
 (** Charged probe for the smallest binding in range. *)

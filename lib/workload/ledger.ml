@@ -92,7 +92,7 @@ let audit t env =
       done;
       (* long snapshot scan *)
       let scanned = ref [] in
-      Idx.scan_int env t.index_ ~lo:start ~hi:(start + t.cfg_.audit_scan - 1) (fun _ oid ->
+      Idx.scan_int t.index_ ~lo:start ~hi:(start + t.cfg_.audit_scan - 1) (fun _ oid ->
           (match P.read env txn t.table_ ~oid with
           | Some row -> scanned := (oid, row) :: !scanned
           | None -> ());

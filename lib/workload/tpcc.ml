@@ -145,7 +145,7 @@ let select_customer (db : Tpcc_db.t) env txn ~w ~d =
   if Sim.Rng.int rng 100 < 60 then begin
     let last = Tpcc_rand.random_c_last rng in
     let lo, hi = Sc.customer_name_prefix ~w ~d ~last in
-    let matches = Idx.collect_str env db.customer_name_idx ~lo ~hi in
+    let matches = Idx.collect_str db.customer_name_idx ~lo ~hi in
     match matches with
     | [] ->
       (* Scaled-down databases may miss a name: fall back to an id pick. *)
@@ -214,7 +214,7 @@ let order_status (db : Tpcc_db.t) ~home_w env =
       let _, crow = select_customer db env txn ~w ~d in
       let c = Value.int_exn crow Sc.C.id in
       let lo, hi = Sc.order_by_customer_bounds ~w ~d ~c in
-      match Idx.first_int env db.orders_by_customer_idx ~lo ~hi with
+      match Idx.first_int db.orders_by_customer_idx ~lo ~hi with
       | None -> () (* customer has never ordered *)
       | Some (_, ooid) ->
         (match P.read env txn db.orders ~oid:ooid with
@@ -222,7 +222,7 @@ let order_status (db : Tpcc_db.t) ~home_w env =
         | Some orow ->
           let o = Value.int_exn orow Sc.O.id in
           let llo, lhi = Sc.order_line_bounds ~w ~d ~o in
-          Idx.scan_int env db.order_line_idx ~lo:llo ~hi:lhi (fun _ oloid ->
+          Idx.scan_int db.order_line_idx ~lo:llo ~hi:lhi (fun _ oloid ->
               ignore (P.read env txn db.order_line ~oid:oloid);
               true)))
 
@@ -236,7 +236,7 @@ let delivery (db : Tpcc_db.t) ~home_w env =
   P.run_txn ~writes:db.delivery_writes env (fun txn ->
       for d = 1 to cfg.Sc.districts do
         let lo, hi = Sc.new_order_bounds ~w ~d in
-        match Idx.first_int env db.new_order_idx ~lo ~hi with
+        match Idx.first_int db.new_order_idx ~lo ~hi with
         | None -> () (* no undelivered order in this district *)
         | Some (no_key, nooid) ->
           (match P.read env txn db.new_order ~oid:nooid with
@@ -253,7 +253,7 @@ let delivery (db : Tpcc_db.t) ~home_w env =
             let total = ref 0.0 in
             let llo, lhi = Sc.order_line_bounds ~w ~d ~o in
             let line_oids = ref [] in
-            Idx.scan_int env db.order_line_idx ~lo:llo ~hi:lhi (fun _ oloid ->
+            Idx.scan_int db.order_line_idx ~lo:llo ~hi:lhi (fun _ oloid ->
                 line_oids := oloid :: !line_oids;
                 true);
             List.iter
@@ -290,7 +290,7 @@ let stock_level (db : Tpcc_db.t) ~home_w env =
       let item_ids = Hashtbl.create 64 in
       for o = max 1 (next_o - 20) to next_o - 1 do
         let llo, lhi = Sc.order_line_bounds ~w ~d ~o in
-        Idx.scan_int env db.order_line_idx ~lo:llo ~hi:lhi (fun _ oloid ->
+        Idx.scan_int db.order_line_idx ~lo:llo ~hi:lhi (fun _ oloid ->
             (match P.read env txn db.order_line ~oid:oloid with
             | Some olrow -> Hashtbl.replace item_ids (Value.int_exn olrow Sc.OL.i_id) ()
             | None -> ());

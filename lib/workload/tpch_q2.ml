@@ -33,7 +33,7 @@ let read_via env txn table idx key what =
 let region_offers (db : Tpch_db.t) env txn ~p ~region =
   let lo, hi = Sc.partsupp_bounds ~p in
   let offers = ref [] in
-  Idx.scan_int env db.partsupp_idx ~lo ~hi (fun _ psoid ->
+  Idx.scan_int db.partsupp_idx ~lo ~hi (fun _ psoid ->
       (match P.read env txn db.partsupp ~oid:psoid with
       | None -> ()
       | Some psrow ->
@@ -53,7 +53,7 @@ let region_offers (db : Tpch_db.t) env txn ~p ~region =
 let query (db : Tpch_db.t) params collect env =
   P.run_txn ~writes:P.read_only env (fun txn ->
       let results = ref [] in
-      Idx.scan_int env db.part_idx ~lo:0 ~hi:max_int (fun _ poid ->
+      Idx.scan_int db.part_idx ~lo:0 ~hi:max_int (fun _ poid ->
           (* Each outer-loop iteration is one nested-query-block execution —
              the unit the handcrafted cooperative baseline counts (§6.3). *)
           P.yield_hint ();

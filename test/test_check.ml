@@ -486,25 +486,30 @@ let test_grid_uncaught_bug () =
        ])
 
 (* [check --fuzz --budget 4 --inject-fault --seed 6]: under the armed
-   lost-update fault the shrink of the first failing schedule meets
-   variants that raise (the broken engine inserts an order id twice).
-   Each counts as an eval and none is kept, so the grid fails as it
-   should, with a reproducer whose trace hash replays from the file as
-   [check --replay] reads it. *)
-let test_grid_raising_variant () =
+   lost-update fault some schedules raise (the broken engine inserts an
+   order id twice).  Such a schedule is a failing cell like any other:
+   labelled by its schedule, with a run that carries an [exception]
+   violation and replays to the same trace hash; the grid fails, shrinks
+   it, and writes a reproducer that replays from the file as [check
+   --replay] reads it. *)
+let test_grid_raising_schedule () =
   let base = { S.default with S.seed = 6L } in
   let preset () = Check.Grid.fuzz ~fault:Storage.Engine.Skip_write_lock ~budget:4 ~base () in
-  let first_failing =
+  let raised (r : H.run) =
+    List.exists (fun v -> v.Check.Violation.oracle = "exception") r.H.violations
+  in
+  let cell =
     Seq.find_map
       (fun cell ->
         match cell () with
-        | { Check.Grid.schedule_run = Some r; _ } when H.failed r -> Some r
-        | _ | (exception _) -> None)
+        | { Check.Grid.schedule_run = Some r; _ } as c when raised r -> Some (c, r)
+        | _ -> None)
       (preset ()).Check.Grid.cells
   in
-  let m = Check.Shrink.minimize (Option.get first_failing) in
-  checkb "a variant raised" true (m.Check.Shrink.raised > 0);
-  checkb "the kept run fails" true (H.failed m.Check.Shrink.run);
+  let c, r = Option.get cell in
+  checks "labelled by its schedule" (S.describe r.H.schedule) c.Check.Grid.label;
+  checkb "a failing run" true (H.failed r);
+  checkb "the raising run replays" true (H.replay r = Ok ());
   let out = Filename.temp_file "check-repro" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove out)
@@ -586,7 +591,7 @@ let () =
             test_grid_composed;
           Alcotest.test_case "a violating cell fails it" `Quick test_grid_failing_cell;
           Alcotest.test_case "an uncaught armed bug fails it" `Quick test_grid_uncaught_bug;
-          Alcotest.test_case "a raising shrink variant is not kept" `Quick
-            test_grid_raising_variant;
+          Alcotest.test_case "a raising schedule is a failing cell that replays" `Quick
+            test_grid_raising_schedule;
         ] );
     ]

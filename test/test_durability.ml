@@ -296,6 +296,18 @@ let test_daemon_flush_at_step_clock () =
      activation's start the flush would have completed by about 1 800 *)
   checkb "flush submitted at the step's clock" true (!notified_at >= 6_500L)
 
+(* A commit's step submits a flush whose completion lands no sooner than
+   the device's fsync floor: the daemon declares it as a path. *)
+let test_daemon_declares_its_device () =
+  let floor device =
+    let des = Sim.Des.create () in
+    let log = Log.create ~n_workers:1 () in
+    ignore (Daemon.create ~des ~log ~device ~group_bytes:1 ~group_interval:2_000L ());
+    Sim.Des.lookahead_floor des
+  in
+  checki "a default device" 9_600 (floor (Device.create ()));
+  checki "a fast device" 240 (floor (Device.create ~fsync_floor_cycles:240L ()))
+
 let test_daemon_crash_torn_tail () =
   let des, eng, table, log, daemon = mk_daemon () in
   let dropped = ref false in
@@ -706,6 +718,8 @@ let () =
           Alcotest.test_case "park/unpark" `Quick test_daemon_park_unpark;
           Alcotest.test_case "crash tears the tail" `Quick test_daemon_crash_torn_tail;
           Alcotest.test_case "flush at the step's clock" `Quick test_daemon_flush_at_step_clock;
+          Alcotest.test_case "declares its device's fsync floor" `Quick
+            test_daemon_declares_its_device;
         ] );
       ( "recovery",
         [

@@ -449,6 +449,25 @@ let test_worker_retry_budget_exhausted () =
             match e.Obs.Sink.ev with Obs.Event.Txn_abort { id = 1; _ } -> true | _ -> false)
           entries))
 
+(* Worker state that every worker's steps share declares a path of
+   latency 0, so the run keeps lock-step: an event sink, which numbers its
+   records in host order, and a region-stall hook, which draws a shared
+   RNG inside steps.  A bare worker declares nothing. *)
+let test_worker_zero_paths () =
+  let des, _, _, w = mk_rig (Config.Preempt 1.0) in
+  checki "a bare worker declares nothing" max_int (Sim.Des.lookahead_floor des);
+  Worker.set_region_stall w None;
+  checki "clearing a stall declares nothing" max_int (Sim.Des.lookahead_floor des);
+  Worker.set_region_stall w (Some (fun () -> 0));
+  checki "a region stall declares 0" 0 (Sim.Des.lookahead_floor des);
+  let cfg = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:1 () in
+  let des = Sim.Des.create () in
+  let fabric = Uintr.Fabric.create des ~costs:cfg.Config.uintr_costs in
+  ignore
+    (Worker.create ~obs:(Obs.Sink.create ()) ~des ~cfg ~fabric
+       ~metrics:(Preemptdb.Metrics.create ()) ~eng:(Engine.create ()) ~id:0 ());
+  checki "an event sink declares 0" 0 (Sim.Des.lookahead_floor des)
+
 let test_worker_user_abort_is_not_retried () =
   let cfg = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:1 () in
   let des = Sim.Des.create () in
@@ -759,11 +778,14 @@ let test_integration_sched_latency_recorded () =
    refactor of the drivers or of node assembly that keeps these values
    keeps every schedule bit-identical. *)
 
+(* Lock-step is a declared path of latency 0. *)
+let lock_step (a : Runner.assembly) = Sim.Des.add_path a.Runner.des ~least_latency:0
+
 let schedule_hasher ~lookahead =
   let h = ref 0x811c9dc5 in
   let mix x = h := (!h lxor x) * 0x100000001b3 in
   let prepare (a : Runner.assembly) =
-    Sim.Des.set_lookahead a.Runner.des lookahead;
+    if not lookahead then lock_step a;
     Sim.Des.set_probe a.Runner.des
       (Some
          (fun ~time ~seq ->
@@ -864,8 +886,7 @@ let golden_maintenance_lanes ~lookahead =
    commits park on flushes, so its saving is the smaller. *)
 let test_lookahead_perfdiff_cells () =
   let cell name ~saving run =
-    let on = run (fun a -> Sim.Des.set_lookahead a.Runner.des true)
-    and off = run (fun a -> Sim.Des.set_lookahead a.Runner.des false) in
+    let on = run ignore and off = run lock_step in
     Alcotest.(check string) (name ^ ": same digest") off.Runner.digest on.Runner.digest;
     checkb (name ^ ": lookahead cut the activations") true
       (float_of_int on.Runner.events < saving *. float_of_int off.Runner.events)
@@ -895,8 +916,8 @@ let test_lookahead_fast_device_floor () =
     let r =
       Runner.run_mixed ~cfg ~tpch_cfg:small_tpch
         ~prepare:(fun a ->
-          Sim.Des.set_lookahead a.Runner.des lookahead;
-          floor := Uintr.Fabric.lookahead_floor a.Runner.fabric)
+          floor := Sim.Des.lookahead_floor a.Runner.des;
+          if not lookahead then lock_step a)
         ~arrival_interval_us:250. ~horizon_sec:0.005 ()
     in
     (!floor, r)
@@ -915,9 +936,7 @@ let test_lookahead_ledger_ablation () =
   List.iter
     (fun seed ->
       let run lookahead =
-        fst
-          (ledger_ablation ~seed false ~prepare:(fun a ->
-               Sim.Des.set_lookahead a.Runner.des lookahead))
+        fst (ledger_ablation ~seed false ?prepare:(if lookahead then None else Some lock_step))
       in
       let on = run true and off = run false in
       let deadlocks r = r.Runner.engine_stats.Engine.aborts_deadlock in
@@ -960,6 +979,7 @@ let () =
             test_worker_retry_budget_exhausted;
           Alcotest.test_case "user aborts are not retried" `Quick
             test_worker_user_abort_is_not_retried;
+          Alcotest.test_case "shared state declares a zero path" `Quick test_worker_zero_paths;
         ] );
       ( "integration",
         [

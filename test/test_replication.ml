@@ -222,7 +222,8 @@ let golden_crash_through_promotion ~lookahead =
   let h = ref 0x811c9dc5 in
   let mix x = h := (!h lxor x) * 0x100000001b3 in
   let prepare (a : Runner.assembly) =
-    Sim.Des.set_lookahead a.Runner.des lookahead;
+    (* lock-step is a declared path of latency 0 *)
+    if not lookahead then Sim.Des.add_path a.Runner.des ~least_latency:0;
     Sim.Des.set_probe a.Runner.des
       (Some
          (fun ~time ~seq ->

@@ -211,7 +211,8 @@ let check_golden_cluster ~lookahead ~shards ~seed ~horizon_sec ~on ~off ~commits
       { (Config.default ~policy:(Config.Preempt 1.0) ~n_workers:2 ()) with Config.seed }
   in
   let cl = Shard.Cluster.create ~cfg ~arrival_interval_us:18. () in
-  Sim.Des.set_lookahead (Shard.Cluster.des cl) lookahead;
+  (* lock-step is a declared path of latency 0 *)
+  if not lookahead then Sim.Des.add_path (Shard.Cluster.des cl) ~least_latency:0;
   let h = ref 0x811c9dc5 in
   let mix x = h := (!h lxor x) * 0x100000001b3 in
   Sim.Des.set_probe (Shard.Cluster.des cl)

@@ -524,6 +524,8 @@ let test_des_no_step_past_horizon () =
 
 let test_des_step_reads_its_clock () =
   let des = Des.create () in
+  (* a push from a step to the step's own instant is a path of latency 0 *)
+  Des.add_path des ~least_latency:0;
   let seen = ref [] in
   let id = ref (-1) in
   id :=
@@ -536,6 +538,96 @@ let test_des_step_reads_its_clock () =
   Des.run des;
   check Alcotest.(list int64) "reads and clamps use the step's clock" [ 250L; 250L ]
     (List.rev !seen)
+
+(* -- the lookahead floor -------------------------------------------------- *)
+
+let raises what f =
+  match f () with
+  | () -> Alcotest.failf "%s did not raise" what
+  | exception Failure _ -> ()
+
+(* Run [f] inside one step of a fresh actor, activated at 100. *)
+let in_step des f =
+  let id = Des.add_actor des (fun des -> f des) in
+  Des.wake_actor des id ~time:100;
+  Des.run des
+
+let test_des_add_path () =
+  let des = Des.create () in
+  checki "a fresh DES has no floor" max_int (Des.lookahead_floor des);
+  Des.add_path des ~least_latency:960;
+  checki "one path" 960 (Des.lookahead_floor des);
+  Des.add_path des ~least_latency:9_600;
+  checki "a slower path leaves it" 960 (Des.lookahead_floor des);
+  Des.add_path des ~least_latency:240;
+  checki "a faster path lowers it" 240 (Des.lookahead_floor des);
+  Des.add_path des ~least_latency:(-5);
+  checki "a negative latency clamps to 0" 0 (Des.lookahead_floor des);
+  Des.add_path des ~least_latency:100;
+  checki "it never rises" 0 (Des.lookahead_floor des)
+
+(* Through each of the three pushes: one cycle under the floor raises, at
+   the floor it is queued. *)
+let test_des_push_under_floor () =
+  let des = Des.create () in
+  Des.add_path des ~least_latency:500;
+  let ran = ref [] in
+  let note des = ran := Des.now_int des :: !ran in
+  in_step des (fun des ->
+      raises "schedule_at under the floor" (fun () -> Des.schedule_at des ~time:599L note);
+      raises "schedule_at_int under the floor" (fun () ->
+          Des.schedule_at_int des ~time:599 note);
+      raises "schedule_after under the floor" (fun () ->
+          Des.schedule_after des ~delay:499L note);
+      raises "a push to the past" (fun () -> Des.schedule_at_int des ~time:0 note);
+      Des.schedule_at des ~time:600L note;
+      Des.schedule_at_int des ~time:601 note;
+      Des.schedule_after des ~delay:502L note);
+  check Alcotest.(list int) "the pushes at the floor ran" [ 600; 601; 602 ] (List.rev !ran)
+
+let test_des_push_without_path () =
+  let des = Des.create () in
+  in_step des (fun des ->
+      raises "a push from a step with no path" (fun () ->
+          Des.schedule_after des ~delay:1_000_000L ignore));
+  Des.add_path des ~least_latency:9_600;
+  let ran = ref 0 in
+  (* an event pushes at any latency under any floor *)
+  Des.schedule_at_int des ~time:1_000 (fun des ->
+      Des.schedule_after des ~delay:0L (fun _ -> incr ran));
+  Des.run des;
+  checki "an event's push at latency 0 ran" 1 !ran
+
+let test_des_wake_from_step () =
+  let des = Des.create () in
+  let b_steps = ref 0 and a_steps = ref 0 in
+  let b = Des.add_actor des (fun _ -> incr b_steps) in
+  let a = ref (-1) in
+  a :=
+    Des.add_actor des (fun des ->
+        incr a_steps;
+        if !a_steps = 1 then begin
+          raises "a wake of another actor" (fun () -> Des.wake_actor des b ~time:0);
+          Des.wake_actor des !a ~time:500
+        end);
+  Des.wake_actor des !a ~time:100;
+  Des.run des;
+  checki "the own re-arm ran" 2 !a_steps;
+  checki "the other actor never ran" 0 !b_steps
+
+(* A step that raises ends the run; the DES then runs no actor, so pushes
+   and wakes from outside a step and from events are legal again. *)
+let test_des_push_after_raising_step () =
+  let des = Des.create () in
+  Des.add_path des ~least_latency:960;
+  (match in_step des (fun _ -> raise Exit) with
+  | () -> Alcotest.fail "the step did not raise"
+  | exception Exit -> ());
+  let ran = ref 0 in
+  Des.schedule_at_int des ~time:200 (fun des ->
+      Des.schedule_after des ~delay:0L (fun _ -> incr ran));
+  Des.run des;
+  checki "the event's push ran" 1 !ran
 
 let prop_eq_interleaved =
   QCheck2.Test.make ~name:"event queue min-pop under random interleaved insert/pop" ~count:200
@@ -714,5 +806,13 @@ let () =
           Alcotest.test_case "actors step in id order at a tie" `Quick test_des_actors_in_id_order;
           Alcotest.test_case "no step starts past the horizon" `Quick test_des_no_step_past_horizon;
           Alcotest.test_case "a step reads its own clock" `Quick test_des_step_reads_its_clock;
+          Alcotest.test_case "add_path keeps the least latency" `Quick test_des_add_path;
+          Alcotest.test_case "a step's push under the floor raises" `Quick
+            test_des_push_under_floor;
+          Alcotest.test_case "no path: a step's push raises" `Quick
+            test_des_push_without_path;
+          Alcotest.test_case "a step wakes no other actor" `Quick test_des_wake_from_step;
+          Alcotest.test_case "after a step raises, events push again" `Quick
+            test_des_push_after_raising_step;
         ] );
     ]

@@ -330,32 +330,31 @@ let test_hw_basics () =
     (Invalid_argument "Hw_thread.create: need at least 2 contexts") (fun () ->
       ignore (Hw.create ~n_contexts:1 ~id:1 ~costs:Costs.default ()))
 
+(* A region on the hardware thread's mapped context. *)
+let within hw f = Region.within (Hw.current_cls hw) f
+
 let test_region_nesting () =
   let hw = mk_hw () in
   checkb "not in region" false (Region.in_region hw);
-  Region.enter hw;
-  Region.enter hw;
-  checki "depth 2" 2 (Region.depth hw);
-  Region.exit hw;
-  checki "depth 1" 1 (Region.depth hw);
-  Region.exit hw;
+  within hw (fun () ->
+      within hw (fun () -> checki "depth 2" 2 (Region.depth hw));
+      checki "depth 1" 1 (Region.depth hw));
   checkb "fully exited" false (Region.in_region hw);
-  Alcotest.check_raises "unbalanced exit"
-    (Invalid_argument "Region.exit: not inside a non-preemptible region") (fun () ->
-      Region.exit hw)
+  Alcotest.check_raises "a body that leaves it unbalanced"
+    (Invalid_argument "Region.within: the body left the region unbalanced") (fun () ->
+      within hw (fun () -> Cls.set (Hw.current_cls hw) Region.lock_counter 0))
 
 let test_region_is_context_local () =
   let hw = mk_hw () in
-  Region.enter hw;
-  Hw.set_current hw 1;
-  checki "other context not in region" 0 (Region.depth hw);
-  Hw.set_current hw 0;
-  checki "original still in region" 1 (Region.depth hw);
-  Region.exit hw
+  within hw (fun () ->
+      Hw.set_current hw 1;
+      checki "other context not in region" 0 (Region.depth hw);
+      Hw.set_current hw 0;
+      checki "original still in region" 1 (Region.depth hw))
 
-let test_region_with_region_exception_safe () =
+let test_region_within_exception_safe () =
   let hw = mk_hw () in
-  (try Region.with_region hw (fun () -> failwith "boom") with Failure _ -> ());
+  (try within hw (fun () -> failwith "boom") with Failure _ -> ());
   checkb "exited on exception" false (Region.in_region hw)
 
 (* -- Switch: passive ------------------------------------------------------------ *)
@@ -405,28 +404,27 @@ let test_passive_then_active_resume () =
 
 let test_passive_rejected_in_region () =
   let hw = mk_hw () in
-  Region.enter hw;
-  (match recognize_and_switch hw with
-  | Switch.Rejected_region cycles ->
-    checkb "handler entry+exit charged" true (cycles > 0);
-    checki "still in regular context" 0 (Hw.current_index hw);
-    checki "stack untouched" 0 (Stack.frame_depth (Hw.context hw 0).Tcb.stack);
-    checkb "UIF restored" true (Receiver.uif (Hw.receiver hw))
-  | Switch.Switched _ | Switch.Rejected_window _ -> Alcotest.fail "expected region rejection");
-  Region.exit hw
+  within hw (fun () ->
+      match recognize_and_switch hw with
+      | Switch.Rejected_region cycles ->
+        checkb "handler entry+exit charged" true (cycles > 0);
+        checki "still in regular context" 0 (Hw.current_index hw);
+        checki "stack untouched" 0 (Stack.frame_depth (Hw.context hw 0).Tcb.stack);
+        checkb "UIF restored" true (Receiver.uif (Hw.receiver hw))
+      | Switch.Switched _ | Switch.Rejected_window _ ->
+        Alcotest.fail "expected region rejection")
 
 let test_passive_ignores_region_when_disabled () =
   let hw = mk_hw () in
-  Region.enter hw;
-  let recv = Hw.receiver hw in
-  Receiver.post recv;
-  ignore (Receiver.recognize recv);
-  (match Switch.passive_switch ~honor_regions:false hw ~target:1 with
-  | Switch.Switched _ -> checki "switched despite region" 1 (Hw.current_index hw)
-  | Switch.Rejected_region _ | Switch.Rejected_window _ ->
-    Alcotest.fail "ablation mode must switch");
-  ignore (Switch.active_switch ~retire:true hw ~target:0);
-  Region.exit hw
+  within hw (fun () ->
+      let recv = Hw.receiver hw in
+      Receiver.post recv;
+      ignore (Receiver.recognize recv);
+      (match Switch.passive_switch ~honor_regions:false hw ~target:1 with
+      | Switch.Switched _ -> checki "switched despite region" 1 (Hw.current_index hw)
+      | Switch.Rejected_region _ | Switch.Rejected_window _ ->
+        Alcotest.fail "ablation mode must switch");
+      ignore (Switch.active_switch ~retire:true hw ~target:0))
 
 let test_passive_rejected_in_swap_window () =
   let hw = mk_hw () in
@@ -512,37 +510,40 @@ let test_channel_send_at_step_clock () =
   (* base latency 1200 cycles, jitter at most 20 % *)
   checkb "sent at the step's clock" true (!delivered_at >= 5_960L)
 
-(* A bare fabric sets no floor: no step starts a path, since every
-   senduipi is an event's.  A model that may deliver at any latency leaves
-   a floor of 0. *)
+(* The fabric's models and the floor: a model that may deliver a channel
+   message at any latency declares a path of latency 0; the latency model
+   perturbs only senduipi, which only events send, and declares nothing. *)
 let test_fabric_lookahead_floor () =
-  let des = Sim.Des.create () in
-  let fabric = Fabric.create des ~costs:Costs.default in
-  checki "no path, no floor" max_int (Fabric.lookahead_floor fabric);
-  Fabric.set_latency_model fabric (Some (fun ~flow:_ ~nominal -> nominal));
-  checki "no floor under a latency model" 0 (Fabric.lookahead_floor fabric);
-  Fabric.set_latency_model fabric None;
-  Fabric.set_delivery_model fabric (Some (fun ~flow:_ ~latency -> [ latency ]));
-  checki "no floor under a delivery model" 0 (Fabric.lookahead_floor fabric)
+  let floor_after f =
+    let des = Sim.Des.create () in
+    f (Fabric.create des ~costs:Costs.default);
+    Sim.Des.lookahead_floor des
+  in
+  checki "no path, no floor" max_int (floor_after ignore);
+  checki "the latency model declares nothing" max_int
+    (floor_after (fun fabric ->
+         Fabric.set_latency_model fabric (Some (fun ~flow:_ ~nominal -> nominal))));
+  checki "clearing a model declares nothing" max_int
+    (floor_after (fun fabric -> Fabric.set_delivery_model fabric None));
+  checki "the delivery model declares 0" 0
+    (floor_after (fun fabric ->
+         Fabric.set_delivery_model fabric (Some (fun ~flow:_ ~latency -> [ latency ]))));
+  checki "the channel model declares 0" 0
+    (floor_after (fun fabric ->
+         Fabric.set_channel_delivery_model fabric (Some (fun ~flow:_ ~latency -> [ latency ]))))
 
-(* Each registered path offers its least latency, and the least of them
-   is the floor: a channel its base latency less the jitter (960 by
-   default), a log device its fsync floor.  No message on a channel
-   arrives sooner than it registered. *)
+(* A channel declares its least latency, its base less the jitter (960 by
+   default), and the least declared path is the floor.  No message on a
+   channel arrives sooner than it declared. *)
 let test_fabric_floor_paths () =
   let des = Sim.Des.create () in
   let fabric = Fabric.create des ~costs:Costs.default in
   let (_ : unit Uintr.Channel.t) = Uintr.Channel.create des ~fabric ~name:"default" in
-  checki "a default channel registers 960" 960 (Fabric.lookahead_floor fabric);
-  let device_only = Fabric.create des ~costs:Costs.default in
-  Fabric.register_path device_only ~least_latency:9_600;
-  checki "a device registers its fsync floor" 9_600 (Fabric.lookahead_floor device_only);
-  Fabric.register_path fabric ~least_latency:9_600;
-  checki "the channel is the least of the two" 960 (Fabric.lookahead_floor fabric);
+  checki "a default channel declares 960" 960 (Sim.Des.lookahead_floor des);
+  Sim.Des.add_path des ~least_latency:9_600;
+  checki "the channel is the least of the two" 960 (Sim.Des.lookahead_floor des);
   let fast = Uintr.Channel.create ~base_latency:500 des ~fabric ~name:"fast" in
-  checki "a 500-cycle channel" 400 (Fabric.lookahead_floor fabric);
-  Fabric.register_path fabric ~least_latency:240;
-  checki "a faster device lowers it" 240 (Fabric.lookahead_floor fabric);
+  checki "a 500-cycle channel" 400 (Sim.Des.lookahead_floor des);
   let earliest = ref max_int in
   Uintr.Channel.set_on_deliver fast (fun sent ->
       earliest := min !earliest (Sim.Des.now_int des - sent));
@@ -551,57 +552,40 @@ let test_fabric_floor_paths () =
         Uintr.Channel.send fast ~bytes:(i mod 3) (Sim.Des.now_int des))
   done;
   Sim.Des.run des;
-  checkb "no message beat the channel's least latency" true (!earliest >= 400);
-  Fabric.set_channel_delivery_model fabric (Some (fun ~flow:_ ~latency -> [ latency ]));
-  checki "no floor under a channel model" 0 (Fabric.lookahead_floor fabric)
+  checkb "no message beat the channel's least latency" true (!earliest >= 400)
 
-(* The floor counts no senduipi and no wake, so neither may start in a
-   step: aimed at another actor from inside a step both raise, while an
-   actor's own receiver and its own re-arm stay legal, and an event may
-   do either.  An activation that raises leaves no actor running. *)
+(* No path declares a senduipi: one sent from a step to another worker's
+   receiver is a push under the floor, with no path declared and under a
+   log device's 9 600, and raises; an event's is delivered.  A wake of
+   another actor from a step raises too. *)
 let test_step_paths_enforced () =
-  let des = Sim.Des.create () in
-  let fabric = Fabric.create des ~costs:Costs.default in
   let raises what f =
     match f () with
     | () -> Alcotest.failf "%s from a step did not raise" what
     | exception Failure _ -> ()
   in
-  let a = ref (-1) and b = ref (-1) and ia = ref (-1) and ib = ref (-1) in
-  let steps = ref 0 in
-  a :=
-    Sim.Des.add_actor des (fun des ->
-        incr steps;
-        checki "the running actor" !a (Sim.Des.running_actor des);
-        if !steps = 1 then begin
-          Fabric.senduipi fabric !ia;
-          Sim.Des.wake_actor des !a ~time:500;
-          raises "a senduipi to another worker" (fun () -> Fabric.senduipi fabric !ib);
-          raises "a wake of another worker" (fun () -> Sim.Des.wake_actor des !b ~time:0);
-          let unowned = Fabric.register fabric (Receiver.create ()) in
-          raises "a senduipi to a receiver no actor owns" (fun () ->
-              Fabric.senduipi fabric unowned)
-        end);
-  b := Sim.Des.add_actor des (fun _ -> ());
-  let ra = Receiver.create () and rb = Receiver.create () in
-  ia := Fabric.register ~actor:!a fabric ra;
-  ib := Fabric.register ~actor:!b fabric rb;
-  Sim.Des.wake_actor des !a ~time:100;
-  Sim.Des.schedule_at_int des ~time:200 (fun des ->
-      checki "no actor runs in an event" (-1) (Sim.Des.running_actor des);
-      Fabric.senduipi fabric !ib;
-      Sim.Des.wake_actor des !b ~time:200);
-  Sim.Des.run des;
-  checki "the own re-arm ran" 2 !steps;
-  checkb "the own senduipi was delivered" true (Receiver.pending ra);
-  checkb "the event's senduipi was delivered" true (Receiver.pending rb);
-  checki "none after the run" (-1) (Sim.Des.running_actor des);
-  let c = Sim.Des.add_actor des (fun _ -> raise Exit) in
-  Sim.Des.wake_actor des c ~time:1_000;
-  (match Sim.Des.run des with () -> Alcotest.fail "the step did not raise" | exception Exit -> ());
-  checki "none after a raising step" (-1) (Sim.Des.running_actor des);
-  (* so a wake from outside the run is legal again *)
-  Sim.Des.wake_actor des !b ~time:2_000
+  List.iter
+    (fun floor ->
+      let des = Sim.Des.create () in
+      Option.iter (fun l -> Sim.Des.add_path des ~least_latency:l) floor;
+      let fabric = Fabric.create des ~costs:Costs.default in
+      let rb = Receiver.create () in
+      let ib = Fabric.register fabric rb in
+      let b = Sim.Des.add_actor des (fun _ -> ()) in
+      let a =
+        Sim.Des.add_actor des (fun des ->
+            raises "a senduipi to another worker" (fun () -> Fabric.senduipi fabric ib);
+            raises "a wake of another worker" (fun () -> Sim.Des.wake_actor des b ~time:0))
+      in
+      Sim.Des.wake_actor des a ~time:100;
+      Sim.Des.run des;
+      checkb "the step's senduipi pushed no drain" false (Receiver.pending rb);
+      Sim.Des.schedule_at_int des ~time:200 (fun des ->
+          Fabric.senduipi fabric ib;
+          Sim.Des.wake_actor des b ~time:200);
+      Sim.Des.run des;
+      checkb "the event's senduipi was delivered" true (Receiver.pending rb))
+    [ None; Some 9_600 ]
 
 let () =
   Alcotest.run "uintr"
@@ -661,8 +645,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_hw_basics;
           Alcotest.test_case "region nesting" `Quick test_region_nesting;
           Alcotest.test_case "region is context-local" `Quick test_region_is_context_local;
-          Alcotest.test_case "with_region exception safety" `Quick
-            test_region_with_region_exception_safe;
+          Alcotest.test_case "within exception safety" `Quick test_region_within_exception_safe;
         ] );
       ( "switch",
         [

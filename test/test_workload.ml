@@ -177,13 +177,13 @@ let test_idx_scan_limit_and_first () =
   let tree = IT.create () in
   List.iter (fun k -> ignore (IT.insert tree k k)) [ 2; 4; 6; 8 ];
   let env = mk_env eng in
-  let prog env =
+  let prog _env =
     let seen = ref [] in
-    Idx.scan_int env tree ~lo:0 ~hi:100 ~limit:2 (fun k _ ->
+    Idx.scan_int tree ~lo:0 ~hi:100 ~limit:2 (fun k _ ->
         seen := k :: !seen;
         true);
     Alcotest.(check (list int)) "limit" [ 2; 4 ] (List.rev !seen);
-    (match Idx.first_int env tree ~lo:5 ~hi:100 with
+    (match Idx.first_int tree ~lo:5 ~hi:100 with
     | Some (k, _) -> checki "first" 6 k
     | None -> Alcotest.fail "expected first");
     P.Committed 0L
