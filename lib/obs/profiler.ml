@@ -65,31 +65,20 @@ let fixed_names =
 (* Cells are native ints: accounting happens once per micro-op, and a boxed
    Int64.add there allocates three words per charge — enough to show up in
    the simulator's GC profile.  Cycle totals stay well inside 62 bits; the
-   reporting API below still speaks int64. *)
+   reporting API below still speaks int64.  Every bucket and class is its
+   own cell, so the worker resolves a request's cell once, when it installs
+   the request, and each micro-op is one add to it. *)
 type worker = {
   wid : int;
-  cells : int array;  (* indexed by bucket_index *)
+  cells : int ref array;  (* indexed by bucket_index *)
   txn : (string, int ref) Hashtbl.t;
-  (* one-entry memo: consecutive micro-ops of one transaction hit the same
-     class, so the common case is a physical-equality check + array-free add *)
-  mutable memo_label : string;
-  mutable memo_cell : int ref;
 }
 
 type t = { mutable workers : worker list (* ascending wid *) }
 
 let create () = { workers = [] }
 
-let no_cell = ref 0
-
-let new_worker wid =
-  {
-    wid;
-    cells = Array.make n_fixed 0;
-    txn = Hashtbl.create 8;
-    memo_label = "";
-    memo_cell = no_cell;
-  }
+let new_worker wid = { wid; cells = Array.init n_fixed (fun _ -> ref 0); txn = Hashtbl.create 8 }
 
 let worker t ~wid =
   match List.find_opt (fun w -> w.wid = wid) t.workers with
@@ -99,39 +88,28 @@ let worker t ~wid =
     t.workers <- List.sort (fun a b -> compare a.wid b.wid) (w :: t.workers);
     w
 
+let bucket_cell w b = w.cells.(bucket_index b)
+
 let account w b cycles =
   if cycles > 0 then begin
-    let i = bucket_index b in
-    w.cells.(i) <- w.cells.(i) + cycles
+    let c = bucket_cell w b in
+    c := !c + cycles
   end
 
-let account_txn w ~label cycles =
-  if cycles > 0 then begin
-    let cell =
-      if w.memo_label == label || String.equal w.memo_label label then w.memo_cell
-      else begin
-        let cell =
-          match Hashtbl.find_opt w.txn label with
-          | Some c -> c
-          | None ->
-            let c = ref 0 in
-            Hashtbl.add w.txn label c;
-            c
-        in
-        w.memo_label <- label;
-        w.memo_cell <- cell;
-        cell
-      end
-    in
-    cell := !cell + cycles
-  end
+let txn_cell w ~label =
+  match Hashtbl.find_opt w.txn label with
+  | Some c -> c
+  | None ->
+    let c = ref 0 in
+    Hashtbl.add w.txn label c;
+    c
 
 let worker_ids t = List.map (fun w -> w.wid) t.workers
 
 let raw_buckets w =
   let acc = ref [] in
   Array.iteri
-    (fun i v -> if v > 0 then acc := (fixed_names.(i), Int64.of_int v) :: !acc)
+    (fun i c -> if !c > 0 then acc := (fixed_names.(i), Int64.of_int !c) :: !acc)
     w.cells;
   Hashtbl.iter
     (fun label c -> if !c > 0 then acc := ("txn:" ^ label, Int64.of_int !c) :: !acc)
@@ -216,7 +194,7 @@ let to_json t =
                  [
                    ("wid", Json.Int w.wid);
                    ("cycles", Json.Int (Int64.to_int (worker_total t ~wid:w.wid)));
-                   ("idle_cycles", Json.Int w.cells.(bucket_index Idle));
+                   ("idle_cycles", Json.Int !(bucket_cell w Idle));
                  ])
              t.workers) );
     ]

@@ -4,9 +4,10 @@
     The worker's [charge] function — the single point where simulated work
     cycles are paid — feeds a per-worker slice ({!worker}) of a shared
     profiler.  Fixed buckets (switch overhead, interrupt handling, queue
-    ops, commit waits, ...) are an array add; transaction micro-ops are
-    keyed by class label through a one-entry memo, so the hot path stays
-    allocation-free.
+    ops, commit waits, ...) and transaction classes (keyed by label) are
+    each one [int ref] cell.  The worker resolves the cell a request's
+    micro-ops go to once, when it installs the request ({!txn_cell},
+    {!bucket_cell}), so the per-op path is one add and allocates nothing.
 
     Conservation invariant: per worker, the sum of all non-{!Idle} buckets
     equals exactly the cycles charged ([Worker.stats.busy_cycles]) — no
@@ -40,8 +41,16 @@ val worker : t -> wid:int -> worker
 (** The per-worker slice (memoized: same [wid] returns the same slice). *)
 
 val account : worker -> bucket -> int -> unit
-val account_txn : worker -> label:string -> int -> unit
 (** Add cycles to a bucket.  Negative amounts are ignored. *)
+
+val bucket_cell : worker -> bucket -> int ref
+(** The cell behind a bucket: what {!account} adds to. *)
+
+val txn_cell : worker -> label:string -> int ref
+(** The cell of transaction class [label] (reported as [txn:<label>]),
+    created at 0 on first use.  A hot path adds its cycles to it
+    directly.  Cells at 0 are not reported, so resolving a class that
+    never runs changes no output. *)
 
 val worker_ids : t -> int list
 (** Ascending ids of workers that accounted anything. *)

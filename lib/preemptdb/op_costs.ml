@@ -43,7 +43,7 @@ let default =
     commit_wait_spin = 400;
   }
 
-let cycles t (op : Workload.Program.op) =
+let[@inline] cycles t (op : Workload.Program.op) =
   match op with
   | Index_probe -> t.index_probe
   | Index_insert -> t.index_insert

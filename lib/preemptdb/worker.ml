@@ -31,7 +31,11 @@ type stats = {
 }
 
 type slot = {
-  mutable req : Request.t option;
+  mutable req : Request.t option;  (* set only through [set_req] *)
+  mutable level : int;  (* [req]'s rank, -1 with none *)
+  mutable cell : int ref;
+      (* the profiler cell [req]'s micro-ops are paid into: its class, or
+         the GC or checkpoint bucket for a maintenance chunk *)
   mutable step : P.step option;
   mutable env : P.env option;
   mutable attempts : int;
@@ -105,6 +109,7 @@ type t = {
   resumes : parked Queue.t array;  (* per context: unparked, ready to resume *)
   mutable parked_count : int;
   prof : Obs.Profiler.worker;  (* cycle-accounting slice for this worker *)
+  no_req_cell : int ref;  (* [txn:?]: a slot's cell while no request is installed *)
   mutable resume_flow : int;
       (* flow id of the last passive switch whose first post-switch action
          has not yet run: stamps the switch->resume stage, then -1 *)
@@ -127,6 +132,7 @@ let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
     let p = match prof with Some p -> p | None -> Obs.Profiler.create () in
     Obs.Profiler.worker p ~wid:id
   in
+  let no_req_cell = Obs.Profiler.txn_cell prof ~label:"?" in
   {
     wid = id;
     cfg;
@@ -149,6 +155,8 @@ let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
       Array.init levels (fun _ ->
           {
             req = None;
+            level = -1;
+            cell = no_req_cell;
             step = None;
             env = None;
             attempts = 0;
@@ -174,6 +182,7 @@ let create ?obs ?prof ~des ~cfg ~fabric ~metrics ~eng ~id () =
     resumes = Array.init levels (fun _ -> Queue.create ());
     parked_count = 0;
     prof;
+    no_req_cell;
     resume_flow = -1;
     st =
       {
@@ -301,10 +310,24 @@ let lp_free_slots t = free_slots t ~level:0
 let enqueue_hp t req = enqueue t ~level:1 req
 let enqueue_lp t req = enqueue t ~level:0 req
 
-let running_level t =
-  match t.slots.(Hw.current_index t.hw).req with
-  | Some req -> Request.rank req.Request.priority
-  | None -> -1
+(* Install a request on a slot, or clear it with [None], and resolve what
+   every micro-op of it reads: its rank and its profiler cell.  Ops then
+   read the slot, not the request. *)
+let set_req t slot req =
+  slot.req <- req;
+  match req with
+  | Some r ->
+    slot.level <- Request.rank r.Request.priority;
+    slot.cell <-
+      (if r.Request.maintenance then
+         Obs.Profiler.bucket_cell t.prof
+           (if String.equal r.Request.label "GC" then Obs.Profiler.Gc else Obs.Profiler.Ckpt)
+       else Obs.Profiler.txn_cell t.prof ~label:r.Request.label)
+  | None ->
+    slot.level <- -1;
+    slot.cell <- t.no_req_cell
+
+let running_level t = t.slots.(Hw.current_index t.hw).level
 
 (* A level has waiting work when its queue is non-empty or an unparked
    commit is ready to resume there. *)
@@ -336,7 +359,7 @@ let starvation_level t ~now =
    [busy_cycles]).  Returns the cycles actually paid, post straggler
    scaling, so attribution matches.  [hp]: the work counts toward the
    starvation level's Th (a preemptive context, or high-priority work). *)
-let pay t ~ctx ~hp cycles =
+let[@inline] pay t ~ctx ~hp cycles =
   (* Straggler fault model: a slowed core pays more cycles for the same
      work (and for its backoff waits — a uniformly slower machine). *)
   let cycles = if t.cost_mult_pct = 100 then cycles else cycles * t.cost_mult_pct / 100 in
@@ -356,7 +379,7 @@ let charge_b t bucket cycles = Obs.Profiler.account t.prof bucket (charge_raw t 
 
 let in_region t = Region.depth t.hw > 0
 
-let is_preempt = function Config.Preempt _ -> true | _ -> false
+let[@inline] is_preempt = function Config.Preempt _ -> true | _ -> false
 
 let starvation_threshold t =
   match t.mode with Config.Preempt l -> l | _ -> 1.0
@@ -386,32 +409,34 @@ let maybe_coop_yield t =
     | Some level -> coop_switch t ~target:level
     | None -> ()
 
-let is_cooperative = function
+let[@inline] is_cooperative = function
   | Config.Cooperative _ | Config.Cooperative_handcrafted _ -> true
   | Config.Wait | Config.Preempt _ -> false
 
+(* A passive switch's first post-switch action (an op or an unpark) closes
+   its switch->resume stage. *)
+let[@inline never] close_resume_stage t =
+  Uintr.Stages.on_resume (Uintr.Fabric.stages t.fabric) ~flow:t.resume_flow
+    ~time:(Int64.of_int t.local);
+  t.resume_flow <- -1
+
+let[@inline never] stall_in_region t f =
+  let extra = f () in
+  if extra > 0 then charge_b t Obs.Profiler.Fault_stall extra
+
 (* The part of a step before its program code runs: close a preemption's
-   switch->resume stage (this is its first post-switch op), pay the op,
-   advance the TCB, count toward the cooperative intervals, draw a fault
-   stall, call the op probe, and note the cooperative check the op owes
-   once its program code has run.  The running level is read once. *)
-let op_head t ctx op =
-  if t.resume_flow >= 0 then begin
-    Uintr.Stages.on_resume (Uintr.Fabric.stages t.fabric) ~flow:t.resume_flow
-      ~time:(Int64.of_int t.local);
-    t.resume_flow <- -1
-  end;
-  let cost = Op_costs.cycles Op_costs.default op in
-  let req = t.slots.(ctx).req in
-  let level = match req with Some r -> Request.rank r.Request.priority | None -> -1 in
-  let paid = pay t ~ctx ~hp:(ctx > 0 || level > 0) cost in
-  (match req with
-  | Some r when r.Request.maintenance ->
-    Obs.Profiler.account t.prof
-      (if r.Request.label = "GC" then Obs.Profiler.Gc else Obs.Profiler.Ckpt)
-      paid
-  | Some r -> Obs.Profiler.account_txn t.prof ~label:r.Request.label paid
-  | None -> Obs.Profiler.account_txn t.prof ~label:"?" paid);
+   switch->resume stage (this is its first post-switch op), pay the op
+   into the slot's cell, advance the TCB, count toward the cooperative
+   intervals, draw a fault stall, call the op probe, and note the
+   cooperative check the op owes once its program code has run.  Inlined
+   into both callers, and every call in it is on a rare branch, so an op
+   taken inline runs without one. *)
+let[@inline] op_head t ctx slot op =
+  if t.resume_flow >= 0 then close_resume_stage t;
+  let level = slot.level in
+  let paid = pay t ~ctx ~hp:(ctx > 0 || level > 0) (Op_costs.cycles Op_costs.default op) in
+  let cell = slot.cell in
+  cell := !cell + paid;
   let tcb = Hw.current t.hw in
   tcb.Tcb.rip <- tcb.Tcb.rip + 1;
   if P.is_record_access op then t.record_accesses <- t.record_accesses + 1;
@@ -419,11 +444,7 @@ let op_head t ctx op =
   if hint then t.yield_hints <- t.yield_hints + 1;
   (* Fault injection: stalls charged only inside non-preemptible regions —
      the worst place to be slow, since deliveries queue behind the region. *)
-  (match t.region_stall with
-  | Some f when in_region t ->
-    let extra = f () in
-    if extra > 0 then charge_b t Obs.Profiler.Fault_stall extra
-  | _ -> ());
+  (match t.region_stall with Some f when in_region t -> stall_in_region t f | _ -> ());
   (* Micro-op boundary hook: the schedule-exploration harness counts
      instruction boundaries here and injects forced interrupt posts. *)
   (match t.op_probe with Some f -> f t op | None -> ());
@@ -469,7 +490,7 @@ let[@inline] uintr_due t slot =
   let recv = Hw.receiver t.hw in
   Receiver.pending recv && Receiver.uif recv
 
-let is_wait_op t = function
+let[@inline] is_wait_op t = function
   | P.Commit_wait _ -> is_some t.dur
   | P.Gate_wait _ -> is_some t.gates
   | _ -> false
@@ -477,8 +498,8 @@ let is_wait_op t = function
 (* The step bound at this boundary: a commuting step may run ahead of
    other workers by less than the floor; any other keeps the tie rule. *)
 let[@inline] within_bound t ~commutes =
-  if commutes then Sim.Des.may_run_ahead t.des ~actor:t.actor ~local:t.local
-  else Sim.Des.may_step t.des ~actor:t.actor ~local:t.local
+  if commutes then Sim.Des.may_run_ahead t.des ~local:t.local
+  else Sim.Des.may_step t.des ~local:t.local
 
 (* A charge reached a boundary while this worker runs the program: take
    the step inline when [step_loop] would execute it at once — the owed
@@ -487,19 +508,21 @@ let[@inline] within_bound t ~commutes =
    suspends and [step_loop] takes the same boundary. *)
 let inline_step t op =
   let ctx = Hw.current_index t.hw in
-  coop_boundary t;
+  (* the owed check runs first, and a switch it takes declines the op *)
+  ((not t.coop_due) || (coop_check t; Hw.current_index t.hw = ctx))
   (* the checks are pure; the bound, the usual reason to decline, first *)
-  Hw.current_index t.hw = ctx
   && within_bound t ~commutes:(P.pending_commutes ())
   && (not (is_wait_op t op))
-  && (not (uintr_due t t.slots.(ctx)))
   &&
-  (op_head t ctx op;
+  let slot = t.slots.(ctx) in
+  (not (uintr_due t slot))
+  &&
+  (op_head t ctx slot op;
    true)
 
 let execute_op t ctx op k =
-  op_head t ctx op;
   let slot = t.slots.(ctx) in
+  op_head t ctx slot op;
   set_step t slot (P.resume ?stepper:t.stepper ~commutes:slot.commutes k)
 
 let start_request t ctx (req : Request.t) =
@@ -512,7 +535,7 @@ let start_request t ctx (req : Request.t) =
     t.hp_accum <- 0
   end;
   let env = make_env t ctx req in
-  slot.req <- Some req;
+  set_req t slot (Some req);
   slot.env <- Some env;
   slot.attempts <- 1;
   if has_obs t then
@@ -559,7 +582,7 @@ let finish_request t ctx outcome =
           (Obs.Event.Txn_retry
              { id = req.Request.id; label = req.Request.label; attempt = slot.attempts; backoff = 0 });
       charge_b t Obs.Profiler.Queue_op t.cfg.Config.uintr_costs.Uintr.Costs.queue_op;
-      slot.req <- None;
+      set_req t slot None;
       slot.env <- None;
       clear_step slot;
       slot.attempts <- 0
@@ -609,7 +632,7 @@ let finish_request t ctx outcome =
               reason = Err.abort_reason_to_string r;
             });
     Metrics.record_finish ~exhausted t.metrics req;
-    slot.req <- None;
+    set_req t slot None;
     slot.env <- None;
     clear_step slot;
     slot.attempts <- 0
@@ -829,7 +852,7 @@ and park_slot t slot k ~kind =
       pkind = kind;
     }
   in
-  slot.req <- None;
+  set_req t slot None;
   slot.env <- None;
   clear_step slot;
   slot.attempts <- 0;
@@ -842,11 +865,7 @@ and park_slot t slot k ~kind =
 and unpark t des ctx (p : parked) =
   (* The unpark is the first post-switch action when the resume came in on
      the flush-completion interrupt: close its switch->resume stage. *)
-  if t.resume_flow >= 0 then begin
-    Uintr.Stages.on_resume (Uintr.Fabric.stages t.fabric) ~flow:t.resume_flow
-      ~time:(Int64.of_int t.local);
-    t.resume_flow <- -1
-  end;
+  if t.resume_flow >= 0 then close_resume_stage t;
   let slot = t.slots.(ctx) in
   t.parked_count <- t.parked_count - 1;
   count_wait t p.pkind `Unpark;
@@ -855,7 +874,7 @@ and unpark t des ctx (p : parked) =
   Metrics.record_commit_wait t.metrics p.preq.Request.label (Int64.of_int waited);
   if has_obs t then
     emit t (Obs.Event.Commit_unpark { lsn = wait_key p.pkind; wait = waited });
-  slot.req <- Some p.preq;
+  set_req t slot (Some p.preq);
   slot.env <- Some p.penv;
   slot.attempts <- p.pattempts;
   set_step t slot (P.resume ?stepper:t.stepper p.pk);
@@ -969,7 +988,7 @@ let kill t =
     Array.iter
       (fun s ->
         if s.req <> None then incr dropped;
-        s.req <- None;
+        set_req t s None;
         clear_step s;
         s.env <- None;
         s.blocked_since <- -1)

@@ -23,10 +23,17 @@
     worker.  The worker declares a path of latency 0, lock-step, for an
     event sink ({!create}) and a region-stall fault
     ({!set_region_stall}), whose state every worker's steps share.  The
-    program runs
-    with this worker as its stepper ({!Workload.Program.start}), so a
-    step the loop would take at once is taken inside the charge, without
-    suspending the program.
+    program runs with this worker as its stepper
+    ({!Workload.Program.start}), so a step the loop would take at once is
+    taken inside the charge, without suspending the program.
+
+    That inline op path is one function with no call on its common
+    branch.  Its bound is one compare against the limit the DES holds
+    for the running actor ({!Sim.Des.may_step}).  Its accounting is one
+    add: a context's slot resolves its request's rank and profiler cell
+    (the class's, or the GC or checkpoint bucket's) when a request is
+    started, resumed from a park or cleared, and every op reads the
+    slot.
 
     Scheduling paths (Figure 5, generalized):
     - {e regular}: context 0 drains queues highest level first (subject to

@@ -16,6 +16,12 @@ type t = {
       (* least latency of the declared paths by which a step reaches
          another actor; [max_int] while none is declared *)
   mutable running : int;  (* id of the actor whose activation runs; -1 in an event *)
+  (* The running actor's step bounds, exclusive: its next step may start at
+     a clock under [lim_step] (the tie rule) or, if it commutes, under
+     [lim_ahead].  Set when an activation is dispatched and refreshed by
+     whatever inside the step can lower them (see [refresh_limits]). *)
+  mutable lim_step : int;
+  mutable lim_ahead : int;
   (* Actors live beside the queue: the activation closure and pending
      activation time ([-1] = none) of each, by id, and a binary min-heap of
      the scheduled ids on [(time, id)].  At most one activation per actor
@@ -41,6 +47,8 @@ let create ?(clock = Clock.default) ?(seed = 42L) () =
     probe = None;
     floor = max_int;
     running = -1;
+    lim_step = 0;
+    lim_ahead = 0;
     acts = [||];
     act_time = [||];
     heap = [||];
@@ -53,7 +61,6 @@ let rng t = t.root_rng
 let now t = Int64.of_int t.now_i
 let now_int t = t.now_i
 let set_actor_clock t time = t.now_i <- time
-let add_path t ~least_latency = if least_latency < t.floor then t.floor <- max 0 least_latency
 let lookahead_floor t = t.floor
 
 (* Workers poll this once per micro-op (inside the run-ahead bound), so it
@@ -67,6 +74,47 @@ let next_event_time t =
   if Event_queue.is_empty t.q then Int64.max_int
   else Int64.of_int (Event_queue.peek_time_int t.q)
 
+(* The running actor's limits, from the pending events, the pending
+   activations, the horizon and the floor:
+   - [lim_step], the tie rule: under the horizon + 1 and the next event,
+     and under the earliest pending activation, or up to and including its
+     time when the running actor has the lower id;
+   - [lim_ahead], for a step that commutes: [lim_step] at a floor of 0,
+     else under the horizon + 1, the next event and the earliest pending
+     activation plus the floor (saturating; with no path declared the
+     activations do not bound it).
+   A step's own pushes, its own re-arm and a path it declares are all that
+   can move them while it runs; each refreshes them (a push takes the
+   minimum with its time, which is the same thing). *)
+let refresh_limits t =
+  let h = if t.horizon = max_int then max_int else t.horizon + 1 in
+  let te = next_event_time_int t in
+  let base = if te < h then te else h in
+  if t.hsize = 0 then begin
+    t.lim_step <- base;
+    t.lim_ahead <- base
+  end
+  else begin
+    let w = Array.unsafe_get t.heap 0 in
+    let tw = Array.unsafe_get t.act_time w in
+    let tie = if t.running < w && tw < max_int then tw + 1 else tw in
+    let step = if tie < base then tie else base in
+    let floor = t.floor in
+    t.lim_step <- step;
+    t.lim_ahead <-
+      (if floor <= 0 then step
+       else if floor = max_int then base
+       else
+         let ahead = if tw > max_int - floor then max_int else tw + floor in
+         if ahead < base then ahead else base)
+  end
+
+let add_path t ~least_latency =
+  if least_latency < t.floor then begin
+    t.floor <- max 0 least_latency;
+    if t.running >= 0 then refresh_limits t
+  end
+
 (* A commuting step may run up to the floor ahead of other actors'
    pending steps, so an event a step pushes must land at least the floor
    after the step's clock: sooner, it could reach an actor past the
@@ -78,13 +126,19 @@ let[@inline never] pushed_under_floor t time =
        "Des: actor %d's step at %d pushed an event at %d, under the lookahead floor %d"
        t.running t.now_i time t.floor)
 
-(* A difference, not [time < now_i + floor]: the floor may be [max_int]. *)
-let[@inline] check_push t time =
-  if t.running >= 0 && time - t.now_i < t.floor then pushed_under_floor t time
+(* Check a push from a step against the floor (a difference, not
+   [time < now_i + floor]: the floor may be [max_int]) and bring the
+   step's limits down to it. *)
+let[@inline] note_push t time =
+  if t.running >= 0 then begin
+    if time - t.now_i < t.floor then pushed_under_floor t time;
+    if time < t.lim_step then t.lim_step <- time;
+    if time < t.lim_ahead then t.lim_ahead <- time
+  end
 
 let schedule_at_int t ~time f =
   let time = if time < t.now_i then t.now_i else time in
-  check_push t time;
+  note_push t time;
   Event_queue.push_int t.q ~time f
 
 let schedule_at t ~time f =
@@ -92,7 +146,7 @@ let schedule_at t ~time f =
     if Int64.compare time (Int64.of_int t.now_i) < 0 then Int64.of_int t.now_i
     else time
   in
-  check_push t (Int64.to_int time);
+  note_push t (Int64.to_int time);
   Event_queue.push t.q ~time f
 
 let schedule_after t ~delay f =
@@ -167,7 +221,9 @@ let wake_actor t id ~time =
   if t.act_time.(id) < 0 then begin
     t.act_time.(id) <- (if time < t.now_i then t.now_i else time);
     sift_up t t.heap id t.hsize;
-    t.hsize <- t.hsize + 1
+    t.hsize <- t.hsize + 1;
+    (* inside a step this is its own re-arm *)
+    if t.running >= 0 then refresh_limits t
   end
 
 let pop_actor t =
@@ -178,31 +234,9 @@ let pop_actor t =
   if n > 0 then sift_down t h n h.(n) 0;
   top
 
-(* The tie rule, as the bound a running actor's next step must satisfy:
-   no step starts past the horizon; a pending non-actor event at the same
-   instant runs first; a pending actor at the same instant runs first when
-   its id is lower.  The running actor is never in the heap. *)
-let[@inline] may_step t ~actor ~local =
-  local <= t.horizon
-  && local < next_event_time_int t
-  && (t.hsize = 0
-     ||
-     let w = Array.unsafe_get t.heap 0 in
-     let tw = Array.unsafe_get t.act_time w in
-     local < tw || (local = tw && actor < w))
-
-(* A step that commutes with every other actor may pass the other actors'
-   pending activations by less than the floor: whatever their next steps
-   push lands at least the floor after those steps start.  With no path
-   ([floor = max_int]) only the events and the horizon bound it. *)
-let[@inline] may_run_ahead t ~actor ~local =
-  let floor = t.floor in
-  if floor <= 0 then may_step t ~actor ~local
-  else
-    local <= t.horizon
-    && local < next_event_time_int t
-    && (floor = max_int || t.hsize = 0
-       || local - floor < Array.unsafe_get t.act_time (Array.unsafe_get t.heap 0))
+(* Inside a step only: the limits are the running actor's. *)
+let[@inline] may_step t ~local = local < t.lim_step
+let[@inline] may_run_ahead t ~local = local < t.lim_ahead
 
 (* -- the loop ------------------------------------------------------------ *)
 
@@ -246,6 +280,7 @@ let run ?until t =
           t.activations <- t.activations + 1;
           dispatch t ~time:ta;
           t.running <- id;
+          refresh_limits t;
           t.acts.(id) t;
           t.running <- -1
         end;

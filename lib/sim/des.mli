@@ -21,11 +21,22 @@
     {b Run-ahead protocol.}  An actor does not return to the loop after
     every step.  An activation keeps stepping while its next step is the
     schedule's next item ({!may_step}): nothing else can then observe or
-    change state before it.  Its own steps may push events; the bound is
-    re-read at every step, so it stops before them.  When the bound
-    fails it re-arms itself at its clock ({!wake_actor}) and returns, and
-    the item in front of it runs.  Where an activation is cut is
-    therefore invisible: the schedule is the rule's order.
+    change state before it.  When the bound fails it re-arms itself at
+    its clock ({!wake_actor}) and returns, and the item in front of it
+    runs.  Where an activation is cut is therefore invisible: the
+    schedule is the rule's order.
+
+    The bound lives in the DES, as two exclusive limits on the running
+    actor's clock, so a check is one compare: the tie rule's (the
+    horizon + 1, the next event, and the earliest other pending
+    activation, + 1 when the running actor has the lower id) and the
+    commuting one ({!may_run_ahead}).  They are computed when {!run}
+    dispatches the activation, and recomputed only by what inside a step
+    can move them: a push ({!schedule_at}, {!schedule_at_int},
+    {!schedule_after}), the actor re-arming itself ({!wake_actor}, when
+    that arms it) and {!add_path}.  Nothing else changes the pending
+    events, the pending activations, the horizon or the floor while a
+    step runs, so a step stops before the events it pushes.
 
     {b Lookahead.}  A step that commutes with every other actor's steps
     (it reads only its own state, a snapshot, or data no actor writes)
@@ -100,10 +111,12 @@ val set_actor_clock : t -> int -> unit
 (** Publish the running actor's clock: until the next dispatch, {!now} and
     the scheduling clamps read it. *)
 
-val may_step : t -> actor:int -> local:int -> bool
+val may_step : t -> local:int -> bool
 (** Whether the running actor's next step, at clock [local], comes before
     every pending event and every other pending actor under the tie rule
-    and does not start past the horizon. *)
+    and does not start past the horizon.  Holds only inside an actor's
+    step (it reads the running actor's limit, see the run-ahead
+    protocol). *)
 
 val add_path : t -> least_latency:int -> unit
 (** Declare a path by which an actor's step can reach another actor, and
@@ -116,11 +129,12 @@ val add_path : t -> least_latency:int -> unit
 val lookahead_floor : t -> int
 (** The least latency declared to {!add_path}; [max_int] while none is. *)
 
-val may_run_ahead : t -> actor:int -> local:int -> bool
+val may_run_ahead : t -> local:int -> bool
 (** The bound for a step that commutes with every other actor: before
     every pending event and the horizon, and less than the floor past the
     earliest pending actor (no actor bound with no path declared).
-    {!may_step} when the floor is 0. *)
+    {!may_step} when the floor is 0.  Holds only inside an actor's
+    step, like {!may_step}. *)
 
 (** {1 Running} *)
 

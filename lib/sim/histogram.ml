@@ -37,9 +37,15 @@ let create ?(sub_buckets = 64) () =
     sum = 0.;
   }
 
+(* A loop over a local ref, which the compiler keeps unboxed: a recursive
+   loop passing the int64 boxed a word of it per bit. *)
 let bit_length (v : int64) =
-  let rec loop acc v = if v = 0L then acc else loop (acc + 1) (Int64.shift_right_logical v 1) in
-  loop 0 v
+  let v = ref v and n = ref 0 in
+  while not (Int64.equal !v 0L) do
+    incr n;
+    v := Int64.shift_right_logical !v 1
+  done;
+  !n
 
 let index_of t v =
   let v = if Int64.compare v 0L < 0 then 0L else v in

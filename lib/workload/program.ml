@@ -32,7 +32,7 @@ type op =
          delivery); served by the worker with the same park/unpark or
          blocking-spin machinery as Commit_wait *)
 
-let is_record_access = function
+let[@inline] is_record_access = function
   | Record_read | Record_write | Record_insert | Scan_step -> true
   | Index_probe | Index_insert | Index_remove | Compute _ | Spin _ | Txn_begin
   | Commit_latch | Commit_validate | Commit_install _ | Txn_abort | Yield_hint

@@ -20,15 +20,20 @@ let check64 = Alcotest.(check int64)
 
 (* -- Profiler ------------------------------------------------------------- *)
 
+(* What the worker does for a micro-op: add its cycles to the class's cell. *)
+let account_txn w ~label cycles =
+  let c = Profiler.txn_cell w ~label in
+  c := !c + cycles
+
 let test_profiler_buckets () =
   let p = Profiler.create () in
   let w = Profiler.worker p ~wid:3 in
   Profiler.account w Profiler.Switch_passive 100;
   Profiler.account w Profiler.Switch_passive 50;
   Profiler.account w Profiler.Queue_op 10;
-  Profiler.account_txn w ~label:"NewOrder" 500;
-  Profiler.account_txn w ~label:"NewOrder" 500;
-  Profiler.account_txn w ~label:"Q2" 2000;
+  account_txn w ~label:"NewOrder" 500;
+  account_txn w ~label:"NewOrder" 500;
+  account_txn w ~label:"Q2" 2000;
   Profiler.account w Profiler.Idle (-5);
   (* negatives ignored *)
   check (Alcotest.list Alcotest.int) "one worker" [ 3 ] (Profiler.worker_ids p);
@@ -57,8 +62,8 @@ let test_profiler_memoized_slice () =
 let test_profiler_topk_and_totals () =
   let p = Profiler.create () in
   let w0 = Profiler.worker p ~wid:0 and w1 = Profiler.worker p ~wid:1 in
-  Profiler.account_txn w0 ~label:"A" 100;
-  Profiler.account_txn w1 ~label:"A" 200;
+  account_txn w0 ~label:"A" 100;
+  account_txn w1 ~label:"A" 200;
   Profiler.account w0 Profiler.Ckpt 50;
   check
     Alcotest.(list (pair string int64))
@@ -71,7 +76,7 @@ let test_profiler_topk_and_totals () =
 let test_profiler_folded () =
   let p = Profiler.create () in
   let w = Profiler.worker p ~wid:2 in
-  Profiler.account_txn w ~label:"Q2" 90;
+  account_txn w ~label:"Q2" 90;
   Profiler.account w Profiler.Switch_passive 10;
   checks "folded stacks" "worker2;txn:Q2 90\nworker2;switch:passive 10\n"
     (Profiler.to_folded p)

@@ -468,6 +468,50 @@ let test_worker_zero_paths () =
        ~metrics:(Preemptdb.Metrics.create ()) ~eng:(Engine.create ()) ~id:0 ());
   checki "an event sink declares 0" 0 (Sim.Des.lookahead_floor des)
 
+(* An op the worker takes inline allocates nothing and does not suspend
+   the program.  One worker under Preempt runs N rounds of a hint, a
+   1-cycle compute and a snapshot read, with nothing else pending: the
+   run's minor words are the same for N and 2N, and it is one
+   activation.  ([P.compute 1] is inlined here, so its [Compute 1] is a
+   constant; a computed cost allocates its op in the program, before the
+   charge.) *)
+let test_worker_inline_ops_allocate_nothing () =
+  let run n =
+    let cfg = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:1 () in
+    let des = Sim.Des.create () in
+    let eng = Engine.create () in
+    let table = Engine.create_table eng "t" in
+    let seeder = Engine.begin_txn eng ~worker:9 ~ctx:0 in
+    let oid = (Engine.insert eng seeder table (Value.of_fields [| Value.Int 1 |])).Tuple.oid in
+    (match Engine.commit eng seeder with Ok _ -> () | Error _ -> Alcotest.fail "seed");
+    let fabric = Uintr.Fabric.create des ~costs:cfg.Config.uintr_costs in
+    let metrics = Preemptdb.Metrics.create () in
+    let w = Worker.create ~des ~cfg ~fabric ~metrics ~eng ~id:0 () in
+    let prog env =
+      P.run_txn env ~writes:P.read_only (fun txn ->
+          for _ = 1 to n do
+            P.yield_hint ();
+            P.compute 1;
+            ignore (P.read env txn table ~oid)
+          done)
+    in
+    let req =
+      Request.make ~id:1 ~label:"reads" ~priority:Request.Low ~prog ~rng:(Sim.Rng.create 1L)
+        ~submitted_at:0L
+    in
+    ignore (Worker.enqueue_lp w req);
+    Worker.wake w;
+    let before = Gc.minor_words () in
+    Sim.Des.run des;
+    let words = Gc.minor_words () -. before in
+    checki "committed" 1 (Preemptdb.Metrics.committed metrics "reads");
+    checki "one activation" 1 (Sim.Des.activations des);
+    words
+  in
+  let small = run 10_000 in
+  let large = run 20_000 in
+  Alcotest.(check (float 0.)) "minor words do not grow with the ops" small large
+
 let test_worker_user_abort_is_not_retried () =
   let cfg = Config.default ~policy:(Config.Preempt 1.0) ~n_workers:1 () in
   let des = Sim.Des.create () in
@@ -980,6 +1024,8 @@ let () =
           Alcotest.test_case "user aborts are not retried" `Quick
             test_worker_user_abort_is_not_retried;
           Alcotest.test_case "shared state declares a zero path" `Quick test_worker_zero_paths;
+          Alcotest.test_case "an inline op allocates nothing" `Quick
+            test_worker_inline_ops_allocate_nothing;
         ] );
       ( "integration",
         [

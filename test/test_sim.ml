@@ -471,7 +471,7 @@ let stepping_actor des log costs =
     match !rest with
     | [] -> ()
     | c :: tl ->
-      if Des.may_step des ~actor:!id ~local:!local then begin
+      if Des.may_step des ~local:!local then begin
         log := (!id, !local) :: !log;
         rest := tl;
         local := !local + c;
@@ -628,6 +628,203 @@ let test_des_push_after_raising_step () =
       Des.schedule_after des ~delay:0L (fun _ -> incr ran));
   Des.run des;
   checki "the event's push ran" 1 !ran
+
+(* -- the limits are the tie rule ------------------------------------------ *)
+
+(* A random script for the DES: actors whose steps have a random cost and
+   commute flag and each do one thing (nothing, push an event at or past
+   the floor, re-arm the actor itself, declare a path), wakes and events
+   set up before the run, the actions of the events that steps and events
+   push (taken in order), a path declared before the run, and a horizon
+   for the first of two runs. *)
+type step_act = Nothing | Push of int | Rearm of int | Path of int
+type ev_act = E_nothing | E_push of int | E_wake of int * int | E_path of int
+
+type script = {
+  steps : (int * bool * step_act) list array;  (* (cost, commutes, act), per actor *)
+  wakes : (int * int) list;  (* (actor, time) *)
+  events : (int * ev_act) list;  (* (time, action) *)
+  pool : ev_act list;
+  path : int option;
+  horizon : int;
+}
+
+let gen_script =
+  let open QCheck2.Gen in
+  let* n = int_range 1 4 in
+  let act =
+    frequency
+      [
+        (4, pure Nothing);
+        (2, map (fun d -> Push d) (int_bound 60));
+        (2, map (fun d -> Rearm d) (int_bound 40));
+        (1, map (fun l -> Path l) (int_bound 80));
+      ]
+  in
+  let ev =
+    frequency
+      [
+        (2, pure E_nothing);
+        (2, map (fun d -> E_push d) (int_bound 60));
+        (2, map2 (fun a d -> E_wake (a, d)) (int_bound (n - 1)) (int_bound 40));
+        (1, map (fun l -> E_path l) (int_bound 80));
+      ]
+  in
+  map
+    (fun (steps, wakes, events, pool, path, horizon) ->
+      { steps = Array.of_list steps; wakes; events; pool; path; horizon })
+    (tup6
+       (list_repeat n (list_size (int_bound 12) (triple (int_bound 30) bool act)))
+       (list_size (int_range 1 6) (pair (int_bound (n - 1)) (int_bound 50)))
+       (list_size (int_bound 6) (pair (int_bound 200) ev))
+       (list_size (int_bound 20) ev) (opt (int_bound 80)) (int_bound 400))
+
+let print_script s =
+  let act = function
+    | Nothing -> "-"
+    | Push d -> Printf.sprintf "push+%d" d
+    | Rearm d -> Printf.sprintf "rearm+%d" d
+    | Path l -> Printf.sprintf "path %d" l
+  in
+  let ev = function
+    | E_nothing -> "-"
+    | E_push d -> Printf.sprintf "push+%d" d
+    | E_wake (a, d) -> Printf.sprintf "wake %d +%d" a d
+    | E_path l -> Printf.sprintf "path %d" l
+  in
+  let list f l = "[" ^ String.concat "; " (List.map f l) ^ "]" in
+  Printf.sprintf "steps=%s wakes=%s events=%s pool=%s path=%s horizon=%d"
+    (list
+       (list (fun (c, m, a) -> Printf.sprintf "%d%s %s" c (if m then "c" else "") (act a)))
+       (Array.to_list s.steps))
+    (list (fun (a, t) -> Printf.sprintf "%d@%d" a t) s.wakes)
+    (list (fun (t, e) -> Printf.sprintf "%d:%s" t (ev e)) s.events)
+    (list ev s.pool)
+    (match s.path with Some l -> string_of_int l | None -> "none")
+    s.horizon
+
+(* Run a script, keeping a model of the pending events and activations, the
+   floor and the horizon, and at every step check compare [Des.may_step]
+   and [Des.may_run_ahead] with the tie rule evaluated over the model (the
+   predicates as they were written before the DES held its limits).  The
+   model's answer drives the actor.  Returns the mismatches and the number
+   of checks. *)
+let run_script s =
+  let des = Des.create () in
+  let n = Array.length s.steps in
+  let steps = Array.copy s.steps in
+  let pending = Array.make n (-1) in
+  let events = Hashtbl.create 16 in
+  let next_ev = ref 0 and pool = ref s.pool in
+  let floor = ref max_int and horizon = ref max_int and running = ref (-1) in
+  let checks = ref 0 and bad = ref [] in
+  let next_event () = Hashtbl.fold (fun _ t m -> min t m) events max_int in
+  (* the earliest pending activation, lowest id first at a tie *)
+  let top () =
+    let best = ref None in
+    Array.iteri
+      (fun id t ->
+        match !best with
+        | Some (bt, _) when bt <= t -> ()
+        | _ -> if t >= 0 then best := Some (t, id))
+      pending;
+    !best
+  in
+  let model_step local =
+    local <= !horizon
+    && local < next_event ()
+    &&
+    match top () with
+    | None -> true
+    | Some (tw, w) -> local < tw || (local = tw && !running < w)
+  in
+  let model_ahead local =
+    if !floor <= 0 then model_step local
+    else
+      local <= !horizon
+      && local < next_event ()
+      && (!floor = max_int
+         || match top () with None -> true | Some (tw, _) -> local - !floor < tw)
+  in
+  let wake id time =
+    Des.wake_actor des id ~time;
+    if pending.(id) < 0 then pending.(id) <- max time (Des.now_int des)
+  in
+  let add_path l =
+    Des.add_path des ~least_latency:l;
+    if l < !floor then floor := max 0 l
+  in
+  let take () =
+    match !pool with
+    | [] -> E_nothing
+    | e :: rest ->
+      pool := rest;
+      e
+  in
+  let rec push time action =
+    let id = !next_ev in
+    incr next_ev;
+    Hashtbl.replace events id time;
+    Des.schedule_at_int des ~time (fun des ->
+        Hashtbl.remove events id;
+        match action with
+        | E_nothing -> ()
+        | E_push d -> push (Des.now_int des + d) (take ())
+        | E_wake (a, d) -> wake a (Des.now_int des + d)
+        | E_path l -> add_path l)
+  in
+  for i = 0 to n - 1 do
+    let id =
+      Des.add_actor des (fun des ->
+          running := i;
+          pending.(i) <- -1;
+          let local = ref (Des.now_int des) in
+          let rec loop () =
+            match steps.(i) with
+            | [] -> ()
+            | (cost, commutes, act) :: rest ->
+              incr checks;
+              let st = Des.may_step des ~local:!local
+              and ah = Des.may_run_ahead des ~local:!local in
+              let mst = model_step !local and mah = model_ahead !local in
+              if st <> mst || ah <> mah then
+                bad := Printf.sprintf "actor %d at %d: step %b/%b ahead %b/%b" i !local st mst ah mah
+                       :: !bad;
+              if not (if commutes then mah else mst) then wake i !local
+              else begin
+                steps.(i) <- rest;
+                local := !local + cost;
+                Des.set_actor_clock des !local;
+                (match act with
+                | Nothing -> ()
+                | Push d -> if !floor < max_int then push (!local + !floor + d) (take ())
+                | Rearm d -> wake i (!local + d)
+                | Path l -> add_path l);
+                loop ()
+              end
+          in
+          loop ();
+          running := -1)
+    in
+    assert (id = i)
+  done;
+  Option.iter add_path s.path;
+  List.iter (fun (a, t) -> wake a t) s.wakes;
+  List.iter (fun (t, e) -> push t e) s.events;
+  horizon := s.horizon;
+  Des.run ~until:(Int64.of_int s.horizon) des;
+  horizon := max_int;
+  Des.run des;
+  (List.rev !bad, !checks)
+
+let prop_des_limits =
+  QCheck2.Test.make ~name:"limits are the tie rule" ~count:500 ~print:print_script gen_script
+    (fun s ->
+      match run_script s with
+      | [], _ -> true
+      | bad, checks ->
+        QCheck2.Test.fail_reportf "%d of %d checks differ: %s" (List.length bad) checks
+          (String.concat ", " bad))
 
 let prop_eq_interleaved =
   QCheck2.Test.make ~name:"event queue min-pop under random interleaved insert/pop" ~count:200
@@ -814,5 +1011,6 @@ let () =
           Alcotest.test_case "a step wakes no other actor" `Quick test_des_wake_from_step;
           Alcotest.test_case "after a step raises, events push again" `Quick
             test_des_push_after_raising_step;
-        ] );
+        ]
+        @ qsuite [ prop_des_limits ] );
     ]

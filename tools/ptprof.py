@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Wall-clock sampling profiler for a native executable, built on ptrace.
 
-    python3 tools/ptprof.py [--interval-ms N] [--top K] [--json FILE] -- CMD [ARG...]
+    python3 tools/ptprof.py [--interval-ms N] [--top K] [--json FILE]
+        [--annotate PREFIX] -- CMD [ARG...]
 
 Starts CMD as a child, attaches with PTRACE_SEIZE and, every N ms of wall
 time (default 2), stops it with PTRACE_INTERRUPT, reads the main
@@ -19,6 +20,14 @@ It prints, on standard error, the share of samples of the top K groups
 and of the top K symbols (default 25); --json writes every count.  CMD's
 standard output and error pass through, and its exit status is ptprof's.
 
+--annotate PREFIX also prints the first symbol (in address order) whose
+name starts with PREFIX, disassembled by `objdump -d --no-show-raw-insn`
+over its `nm -n` range, each instruction with the samples that stopped
+on it and their share of the symbol's samples.  OCaml appends `_NNN` to
+its symbols, so a prefix such as `camlPreemptdb__Worker.inline_step`
+names a function without its stamp.  A stop lands on the instruction
+about to run, so a slow instruction's cost shows on the one after it.
+
 Unlike a SIGPROF handler inside an OCaml program, which only runs at the
 next safepoint and so charges time to the next allocation, a ptrace stop
 lands wherever the thread is.  It sees one thread (the one started) and
@@ -31,6 +40,7 @@ import bisect
 import ctypes
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -159,16 +169,51 @@ def attribute(exe, maps, rips):
     return groups, symbols
 
 
+def annotate(exe, maps, rips, prefix, out):
+    """Print the first symbol named PREFIX* with per-instruction samples."""
+    addrs, names = text_symbols(exe)
+    i = next((k for k, name in enumerate(names) if name.startswith(prefix)), None)
+    if i is None:
+        print("ptprof: no symbol starts with %s" % prefix, file=out)
+        return
+    start = addrs[i]
+    stop = next((a for a in addrs[i + 1:] if a > start), start + 1)
+    exe_maps = [m for m in maps if m[3] == exe]
+    base = min(m[0] - m[2] for m in exe_maps) if exe_maps and is_pie(exe) else 0
+    at = Counter(rip - base for rip in rips if start <= rip - base < stop)
+    total = sum(at.values())
+    proc = subprocess.run(["objdump", "-d", "--no-show-raw-insn",
+                           "--start-address=%#x" % start, "--stop-address=%#x" % stop, exe],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    print("%s: %d samples, %d bytes at %#x" % (names[i], total, stop - start, start), file=out)
+    for line in proc.stdout.splitlines():
+        head, sep, insn = line.partition(":\t")
+        try:
+            addr = int(head.strip(), 16)
+        except ValueError:
+            continue
+        if not sep or not start <= addr < stop:
+            continue
+        c = at.get(addr, 0)
+        share = "%5.1f%%" % (100.0 * c / total) if c else ""
+        print("%7s %6s  %x  %s" % (c or "", share, addr, insn.strip()), file=out)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--interval-ms", type=float, default=2.0)
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--json", help="also write the counts to this file")
+    ap.add_argument("--annotate", metavar="PREFIX",
+                    help="also disassemble the first symbol starting with PREFIX, with "
+                         "the samples of each instruction")
     ap.add_argument("cmd", nargs=argparse.REMAINDER)
     args = ap.parse_args()
     cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
     if not cmd or args.interval_ms <= 0:
         ap.error("give a positive --interval-ms and a command after --")
+    if args.annotate and not shutil.which("objdump"):
+        ap.error("--annotate needs objdump (binutils), which is not on PATH")
     status, exe, maps, rips = sample(cmd, args.interval_ms / 1000.0)
     if not rips:
         print("ptprof: no samples (the command ran under %.1f ms)" % args.interval_ms,
@@ -188,6 +233,8 @@ def main():
         if rest:
             print("%-60s %7d %6.1f%%" % ("(%d more)" % (len(counts) - len(top)), rest,
                                          100.0 * rest / n), file=err)
+    if args.annotate:
+        annotate(exe, maps, rips, args.annotate, err)
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"exe": exe, "interval_ms": args.interval_ms, "samples": n,
