@@ -7,6 +7,20 @@
     durable implies every record before it is too — the group-commit ack
     rule reduces to [marker_lsn < durable].
 
+    Records are stored once, in fixed-size chunks of parallel columns
+    indexed by LSN: transaction id, commit timestamp (unboxed), table and
+    oid packed in one word, and the payload the committed version already
+    holds.  Appends write the columns directly; a {!record} is built only
+    when a reader asks for one ({!entry}, {!durable_entries}, the dump).
+    The standby and recovery read ranges through the column readers
+    ({!txn_at} and its siblings).
+
+    {b Contract} — the standby relies on it to read a shipped LSN range
+    from this log when its own device write completes: an entry below
+    {!durable_lsn} never changes.  Appends go only at the end,
+    {!set_durable} only advances, and a crash
+    ({!Daemon.crash}) tears only the suffix past the durable LSN.
+
     The log also remembers the bootstrap-loaded {!base} image (direct
     installs bypass commits, so the log alone cannot reproduce them) and an
     optional fuzzy {!checkpoint}; {!Recovery} starts from whichever is
@@ -25,14 +39,17 @@ type record = {
   bytes : int;  (** modeled on-device size *)
 }
 
-val is_ddl : record -> bool
-val is_marker : record -> bool
-val is_prepare : record -> bool
-val is_twopc_install : record -> bool
-
-val is_decision : record -> bool
-(** Coordinator commit-decision record; its durability is the distributed
-    commit point (presumed abort: no durable decision ⟹ abort). *)
+(** A record's kind, from its oid. *)
+type kind =
+  | Write  (** [oid >= 0] *)
+  | Ddl  (** -1 *)
+  | Commit_marker  (** -2 *)
+  | Prepare_marker  (** -3 *)
+  | Install_marker  (** -4 *)
+  | Decision
+      (** -6: the coordinator's commit decision; its durability is the
+          distributed commit point (presumed abort: no durable decision ⟹
+          abort). *)
 
 (** Per table: rows as [(oid, payload, commit_ts)], OID order. *)
 type image = (string * (int * Storage.Value.t option * int64) list) list
@@ -60,10 +77,26 @@ val next_lsn : t -> int
 val durable_lsn : t -> int
 
 val entry : t -> int -> record
-(** @raise Invalid_argument when the LSN was never allocated. *)
+(** Build the record at an LSN.
+    @raise Invalid_argument when the LSN was never allocated. *)
 
 val durable_entries : t -> record list
 (** The durable prefix, LSN order — what survives a crash. *)
+
+(** {2 Column readers} — one field of the entry at an LSN, with no
+    {!record} built; the same bounds rule as {!entry}. *)
+
+val kind_at : t -> int -> kind
+val txn_at : t -> int -> int
+val ts_at : t -> int -> int64
+val oid_at : t -> int -> int
+val table_at : t -> int -> string
+val payload_at : t -> int -> Storage.Value.t option
+
+val range_bytes : t -> first:int -> upto:int -> int
+(** The modeled bytes of the entries [first, upto) — the sum of their
+    records' [bytes].
+    @raise Invalid_argument when the range leaves [0, next_lsn]. *)
 
 val pending_bytes : t -> int
 (** Bytes appended but not yet handed to the device. *)
@@ -118,4 +151,8 @@ val open_reservations : t -> int
 (** {1 Dump / load} — the crash artifact consumed by [preemptdb recover]. *)
 
 val to_string : t -> string
+
 val of_string : string -> (t, string) result
+(** Load a dump.  Strict: a malformed member — payload, image row,
+    catalog entry, [base], [ckpt] or entry — is an [Error] naming it and
+    its LSN, or its table and OID. *)

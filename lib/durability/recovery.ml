@@ -16,32 +16,56 @@ type stats = {
 
 (* The incremental redo applier: the same buffer-until-marker replay loop
    whether the records arrive all at once (crash recovery) or one shipped
-   batch at a time (a replica tailing the primary's log).  Feeding is
+   range at a time (a replica tailing the primary's log).  Feeding is
    idempotent — re-feeding a record a replica already applied (duplicated
-   delivery, overlap after a NAK re-request) installs the same version in
-   place — because [install_row] orders by commit timestamp. *)
+   delivery, overlap after a NAK re-request) lands on the same row in
+   place — because [install] orders by commit timestamp.
+
+   Applied state is flat: per table, in creation order, the latest payload
+   and commit timestamp of each OID in two arrays.  The engine is built
+   from them once, at [finish] or at the first [engine] call. *)
 module Applier = struct
+  (* [stamps.(oid) = absent]: nothing installed at [oid] (an aborted
+     insert's gap); otherwise [rows.(oid)] is the payload, [tombstone]
+     for a delete.  Slots at or past [size] are unused. *)
+  type table = {
+    name : string;
+    mutable rows : Value.t array;
+    mutable stamps : int array;
+    mutable size : int;  (* 1 + the highest installed OID *)
+  }
+
+  type write = { wtable : table; woid : int; wpayload : Value.t option; wts : int }
+
   type t = {
-    eng : Engine.t;
-    mutable tables_created : int;
-    mutable max_ts : int64;
+    by_name : (string, table) Hashtbl.t;
+    mutable tables : table list;  (* newest first *)
+    mutable eng : Engine.t option;
+    mutable max_ts : int;
     mutable replayed : int;
     mutable applied : int;
-    pending : (int, (Table.t * int * Value.t option * int64) list) Hashtbl.t;
+    pending : (int, write list) Hashtbl.t;
     (* 2PC (lib/shard): writes whose prepare marker is durable are held
        in-doubt — neither installed nor torn — keyed by global txn id,
        until cross-shard decision records resolve them. *)
-    prepared_ : (int, (Table.t * int * Value.t option * int64) list) Hashtbl.t;
+    prepared_ : (int, write list) Hashtbl.t;
     installed_ : (int, int64) Hashtbl.t;  (* gid → in-memory commit ts (-4) *)
     decisions_ : (int, int64 * int list) Hashtbl.t;
         (* gid → (commit ts, participant shards) from -6 records *)
   }
 
+  let absent = -1
+
+  (* A row of one field allocated here: no installed payload is
+     physically equal to it. *)
+  let tombstone = Value.of_fields [| Value.Int 0 |]
+
   let create () =
     {
-      eng = Engine.create ();
-      tables_created = 0;
-      max_ts = 0L;
+      by_name = Hashtbl.create 16;
+      tables = [];
+      eng = None;
+      max_ts = 0;
       replayed = 0;
       applied = 0;
       pending = Hashtbl.create 64;
@@ -50,104 +74,124 @@ module Applier = struct
       decisions_ = Hashtbl.create 16;
     }
 
-  let engine t = t.eng
+  let unbuilt t what =
+    if Option.is_some t.eng then
+      invalid_arg (Printf.sprintf "Recovery.Applier.%s: the engine is already built" what)
 
   let table_of t name =
-    match Engine.table t.eng name with
-    | table -> table
+    match Hashtbl.find t.by_name name with
+    | tb -> tb
     | exception Not_found ->
-      t.tables_created <- t.tables_created + 1;
-      Engine.create_table t.eng name
+      let tb = { name; rows = [||]; stamps = [||]; size = 0 } in
+      Hashtbl.replace t.by_name name tb;
+      t.tables <- tb :: t.tables;
+      tb
 
-  let create_table t name = ignore (table_of t name)
+  let create_table t name =
+    unbuilt t "create_table";
+    ignore (table_of t name)
 
-  let install_row t table ~oid ~ts payload =
-    (* materialize OID gaps left by aborted inserts *)
-    while Table.size table <= oid do
-      ignore (Table.alloc table)
-    done;
-    let tuple = Table.get table oid in
-    let v = Version.latest_committed (Tuple.head tuple) in
-    (* No transaction runs on an applier's engine before [finish], so every
-       chain here is empty or one committed version.  A newer commit
-       overwrites that version in place: the applied state is the latest
-       committed one, and the promoted engine's first snapshot lies past
-       [max_ts], so no reader could ask for an older version.  The same
-       transaction seen twice (image + replay, or a re-write) lands in
-       place too, the later replay winning; an older one is ignored. *)
-    if Version.is_nil v then Tuple.install tuple (Version.committed ~ts payload)
-    else if Int64.compare v.Version.begin_ts ts <= 0 then begin
-      v.Version.data <- payload;
-      v.Version.begin_ts <- ts
+  (* Room for OIDs below [n], growing by half again past the need. *)
+  let ensure tb n =
+    let cap = Array.length tb.stamps in
+    if n > cap then begin
+      let cap' = max n (cap + (cap / 2)) in
+      let rows = Array.make cap' tombstone and stamps = Array.make cap' absent in
+      Array.blit tb.rows 0 rows 0 tb.size;
+      Array.blit tb.stamps 0 stamps 0 tb.size;
+      tb.rows <- rows;
+      tb.stamps <- stamps
+    end
+
+  (* The applied state is the latest committed one: a newer commit
+     replaces the OID's payload, the same transaction seen twice (image +
+     replay, or a re-write) lands in place, the later replay winning, and
+     an older one is ignored.  The built engine's first snapshot lies
+     past [max_ts], so no reader could ask for an older version. *)
+  let install t tb ~oid ~ts payload =
+    ensure tb (oid + 1);
+    if oid >= tb.size then tb.size <- oid + 1;
+    let cur = tb.stamps.(oid) in
+    if cur = absent || cur <= ts then begin
+      tb.rows.(oid) <- (match payload with Some row -> row | None -> tombstone);
+      tb.stamps.(oid) <- ts
     end;
-    if Int64.compare ts t.max_ts > 0 then t.max_ts <- ts
+    if ts > t.max_ts then t.max_ts <- ts
 
   let load_image t image =
+    unbuilt t "load_image";
     let rows = ref 0 in
     List.iter
       (fun (name, image_rows) ->
-        let table = table_of t name in
+        let tb = table_of t name in
+        (* the image lists OIDs in order: size the arrays once *)
+        ensure tb (List.fold_left (fun acc (oid, _, _) -> max acc (oid + 1)) 0 image_rows);
         List.iter
           (fun (oid, payload, ts) ->
             incr rows;
-            install_row t table ~oid ~ts payload)
+            install t tb ~oid ~ts:(Int64.to_int ts) payload)
           image_rows)
       image;
     !rows
 
+  let take tbl key =
+    match Hashtbl.find tbl key with
+    | writes ->
+      Hashtbl.remove tbl key;
+      writes
+    | exception Not_found -> []
+
+  let apply t writes =
+    List.iter (fun w -> install t w.wtable ~oid:w.woid ~ts:w.wts w.wpayload) (List.rev writes)
+
   (* Buffer records per transaction; apply the batch when the commit
      marker arrives.  Records of a transaction whose marker never shows up
      stay invisible (torn tail / un-shipped suffix). *)
-  let feed t (r : Log.record) =
+  let feed_one t log lsn =
     t.replayed <- t.replayed + 1;
-    if Log.is_ddl r then ignore (table_of t r.Log.rtable)
-    else if Log.is_prepare r then begin
+    match Log.kind_at log lsn with
+    | Log.Write ->
+      let txn = Log.txn_at log lsn in
+      let prev = try Hashtbl.find t.pending txn with Not_found -> [] in
+      Hashtbl.replace t.pending txn
+        ({
+           wtable = table_of t (Log.table_at log lsn);
+           woid = Log.oid_at log lsn;
+           wpayload = Log.payload_at log lsn;
+           wts = Int64.to_int (Log.ts_at log lsn);
+         }
+        :: prev)
+    | Log.Commit_marker ->
+      apply t (take t.pending (Log.txn_at log lsn));
+      t.applied <- t.applied + 1
+    | Log.Ddl -> ignore (table_of t (Log.table_at log lsn))
+    | Log.Prepare_marker ->
       (* Seal the buffered writes as in-doubt: durable enough to survive
          the crash, but only a decision record may install them. *)
-      let gid = r.Log.txn_id in
-      let writes = try Hashtbl.find t.pending gid with Not_found -> [] in
-      Hashtbl.remove t.pending gid;
-      Hashtbl.replace t.prepared_ gid writes
-    end
-    else if Log.is_twopc_install r then
-      Hashtbl.replace t.installed_ r.Log.txn_id r.Log.commit_ts
-    else if Log.is_decision r then begin
+      let gid = Log.txn_at log lsn in
+      Hashtbl.replace t.prepared_ gid (take t.pending gid)
+    | Log.Install_marker ->
+      Hashtbl.replace t.installed_ (Log.txn_at log lsn) (Log.ts_at log lsn)
+    | Log.Decision ->
       let participants =
-        match r.Log.payload with
+        match Log.payload_at log lsn with
         | Some vals ->
           List.init (Value.length vals) (Value.get vals)
           |> List.filter_map (function Value.Int p -> Some p | _ -> None)
         | None -> []
       in
-      Hashtbl.replace t.decisions_ r.Log.txn_id
-        (r.Log.commit_ts, participants)
-    end
-    else if Log.is_marker r then begin
-      let writes =
-        try Hashtbl.find t.pending r.Log.txn_id with Not_found -> []
-      in
-      Hashtbl.remove t.pending r.Log.txn_id;
-      List.iter
-        (fun (table, oid, payload, ts) -> install_row t table ~oid ~ts payload)
-        (List.rev writes);
-      t.applied <- t.applied + 1
-    end
-    else begin
-      let prev =
-        try Hashtbl.find t.pending r.Log.txn_id with Not_found -> []
-      in
-      Hashtbl.replace t.pending r.Log.txn_id
-        (( table_of t r.Log.rtable,
-           r.Log.oid,
-           r.Log.payload,
-           r.Log.commit_ts )
-        :: prev)
-    end
+      Hashtbl.replace t.decisions_ (Log.txn_at log lsn) (Log.ts_at log lsn, participants)
+
+  let feed t log ~first ~upto =
+    unbuilt t "feed";
+    for lsn = first to upto - 1 do
+      feed_one t log lsn
+    done
 
   let replayed t = t.replayed
   let applied t = t.applied
   let pending_txns t = Hashtbl.length t.pending
-  let tables_created t = t.tables_created
+  let tables_created t = List.length t.tables
   let prepared_count t = Hashtbl.length t.prepared_
   let prepared_gids t = Hashtbl.fold (fun gid _ acc -> gid :: acc) t.prepared_ []
   let prepared t gid = Hashtbl.mem t.prepared_ gid
@@ -168,11 +212,11 @@ module Applier = struct
      decision timestamp, which could clobber writes committed after the
      2PC transaction released its latches).  Returns (committed, aborted). *)
   let resolve_in_doubt t ~decided =
+    unbuilt t "resolve_in_doubt";
     let committed = ref 0 and aborted = ref 0 in
     List.iter
       (fun gid ->
-        let writes = Hashtbl.find t.prepared_ gid in
-        Hashtbl.remove t.prepared_ gid;
+        let writes = take t.prepared_ gid in
         let verdict =
           match Hashtbl.find_opt t.installed_ gid with
           | Some ts -> Some ts
@@ -181,9 +225,7 @@ module Applier = struct
         match verdict with
         | Some ts ->
           incr committed;
-          List.iter
-            (fun (table, oid, payload, _) -> install_row t table ~oid ~ts payload)
-            (List.rev writes)
+          apply t (List.map (fun w -> { w with wts = Int64.to_int ts }) writes)
         | None -> incr aborted)
       (List.sort compare (prepared_gids t));
     (!committed, !aborted)
@@ -193,8 +235,34 @@ module Applier = struct
     Hashtbl.reset t.pending;
     torn
 
+  (* One tuple per OID below [size], creation order keeping the table
+     ids; an installed OID gets its one committed version.  The flat
+     arrays are dropped: nothing installs after the build. *)
+  let build t =
+    let eng = Engine.create () in
+    List.iter
+      (fun tb ->
+        let table = Engine.create_table eng tb.name in
+        for oid = 0 to tb.size - 1 do
+          let tuple = Table.alloc table in
+          let ts = tb.stamps.(oid) in
+          if ts <> absent then begin
+            let row = tb.rows.(oid) in
+            Tuple.install tuple
+              (Version.committed ~ts:(Int64.of_int ts)
+                 (if row == tombstone then None else Some row))
+          end
+        done;
+        tb.rows <- [||];
+        tb.stamps <- [||])
+      (List.rev t.tables);
+    t.eng <- Some eng;
+    eng
+
+  let engine t = match t.eng with Some eng -> eng | None -> build t
+
   (* resume the commit-timestamp counter past everything replayed *)
-  let finish t = Timestamp.advance_to (Engine.timestamp t.eng) t.max_ts
+  let finish t = Timestamp.advance_to (Engine.timestamp (engine t)) (Int64.of_int t.max_ts)
 end
 
 (* Newest image wins: a completed checkpoint pass supersedes the bootstrap
@@ -213,10 +281,7 @@ let replay log =
       Log.base log, 0
   in
   let image_rows = Applier.load_image ap image in
-  List.iter
-    (fun (r : Log.record) ->
-      if r.Log.lsn >= from_lsn then Applier.feed ap r)
-    (Log.durable_entries log);
+  Applier.feed ap log ~first:from_lsn ~upto:(Log.durable_lsn log);
   (ap, image_rows)
 
 (* 2PC variant: return the applier BEFORE discarding torn tails or

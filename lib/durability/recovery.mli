@@ -2,7 +2,8 @@
 
     Rebuild an engine from a log: install the newest image (a completed
     checkpoint pass if one exists, else the bootstrap base), then replay
-    the durable log suffix from the image's start LSN.  Replay is
+    the durable log suffix from the image's start LSN, walking its LSNs
+    through the log's column readers (no {!Log.record} is built).  Replay is
     redo-only and transaction-atomic — a transaction's records apply only
     when its commit marker is durable, so a torn tail (records flushed,
     marker lost) leaves no partial effects.  Per-record installs are
@@ -21,26 +22,41 @@ type stats = {
 
 (** The incremental redo applier under [recover]: buffer records per
     transaction, apply on commit marker, idempotent per-row installs by
-    commit timestamp.  A log-shipping replica feeds shipped records
+    commit timestamp.  A log-shipping replica feeds shipped LSN ranges
     through the same loop one batch at a time — duplicated or overlapping
-    deliveries re-feed already-applied records harmlessly. *)
+    deliveries re-feed already-applied records harmlessly.  Crash
+    recovery, the standby and the 2PC oracle ({!Check.Atomic}) all use it.
+
+    Applied state is flat: per table, in creation order, the latest
+    payload and commit timestamp of each OID (absent, tombstone or row).
+    The engine is built from it once — at {!finish} or at the first
+    {!engine} call, whichever comes first — with the same tables and
+    table ids as their creation order, one tuple per OID up to the
+    highest installed one (OID gaps as empty tuples), and one committed
+    version per installed OID. *)
 module Applier : sig
   type t
 
   val create : unit -> t
-  (** Start an applier over a fresh engine that it owns: no transaction
-      may run on {!engine} before {!finish}, because applying keeps one
-      version per tuple, overwriting it in place with each newer commit. *)
+  (** An empty applier: no tables, no engine yet. *)
 
   val engine : t -> Storage.Engine.t
+  (** The applied state as an engine, built at the first call (or by
+      {!finish}); every later call returns the same engine.  Its
+      timestamp counter resumes only at {!finish}. *)
+
   val create_table : t -> string -> unit
+  (** @raise Invalid_argument once the engine is built, like every call
+      below that installs. *)
 
   val load_image : t -> (string * (int * Storage.Value.t option * int64) list) list -> int
   (** Install a base/checkpoint image; returns rows installed. *)
 
-  val feed : t -> Log.record -> unit
-  (** Feed one log record in LSN order (re-feeding already-applied records
-      is harmless; skipping one is not — callers own gap detection). *)
+  val feed : t -> Log.t -> first:int -> upto:int -> unit
+  (** Feed the log's entries [first, upto) in LSN order, reading their
+      columns (re-feeding already-applied records is harmless; skipping
+      one is not — callers own gap detection).  Empty when
+      [first >= upto]. *)
 
   val applied : t -> int
 
@@ -49,8 +65,9 @@ module Applier : sig
       returns how many were discarded. *)
 
   val finish : t -> unit
-  (** Resume the engine's commit-timestamp counter past the replayed
-      maximum — required before the engine serves new transactions. *)
+  (** Build the engine if it is not built yet, and resume its
+      commit-timestamp counter past the replayed maximum — required
+      before the engine serves new transactions. *)
 
   (** {2 2PC in-doubt handling} (cross-shard recovery, {e lib/shard}) *)
 
@@ -74,7 +91,8 @@ module Applier : sig
   (** Resolve every in-doubt transaction against the union of durable
       decisions across all shards: install at the decision timestamp when
       [decided gid] is [Some ts], presume abort otherwise.  Returns
-      [(committed, aborted)].  Call before {!discard_pending}/{!finish}. *)
+      [(committed, aborted)].  Call before {!discard_pending}/{!finish}.
+      @raise Invalid_argument once the engine is built. *)
 end
 
 val recover : Log.t -> Storage.Engine.t

@@ -1,11 +1,13 @@
 (* The standby: persist shipped records on a private log device, apply
    them through the redo Applier, ack progress back to the primary.
 
-   Contiguity is the invariant: [expected_next] is the only LSN a fresh
-   record may carry.  A batch starting past it is a gap (lost or
-   reordered delivery) — NAK and drop; a batch overlapping below it
-   (duplicate, or NAK re-ship overlap) has its stale prefix filtered and
-   the remainder applied.  A heartbeat whose durable LSN is past
+   A batch is an LSN range of the primary's log.  Contiguity is the
+   invariant: [expected_next] is the only LSN a fresh record may carry.
+   A batch starting past it is a gap (lost or reordered delivery) — NAK
+   and drop; a batch overlapping below it (duplicate, or NAK re-ship
+   overlap) keeps its fresh part [max first expected_next, upto), which
+   is read from the primary's log and applied when its device write
+   completes (entries below the primary's durable LSN never change).  A heartbeat whose durable LSN is past
    [expected_next] betrays a lost batch that no later flush would re-ship
    — but a heartbeat is smaller than a batch, so under per-byte channel
    latency it routinely overtakes the batch it describes; only the second
@@ -108,36 +110,29 @@ let handle t (msg : Msg.to_replica) =
         t.hb_gap_streak <- 0;
         send_ack t
       end
-    | Msg.Batch { first; records; durable; sent_at } ->
+    | Msg.Batch { first; upto; bytes; durable; sent_at } ->
       t.batches_ <- t.batches_ + 1;
       t.hb_gap_streak <- 0;
       if first > t.expected_next then nak t ~got:first
       else begin
-        let fresh =
-          List.filter
-            (fun (r : Durability.Log.record) ->
-              r.Durability.Log.lsn >= t.expected_next)
-            records
-        in
-        t.dup_records_ <-
-          t.dup_records_ + (List.length records - List.length fresh);
-        match fresh with
-        | [] -> send_ack t  (* pure duplicate; repair a possibly-lost ack *)
-        | rs ->
-          let upto =
-            List.fold_left
-              (fun acc (r : Durability.Log.record) ->
-                max acc (r.Durability.Log.lsn + 1))
-              t.expected_next rs
-          in
+        (* the fresh part [from, upto); what lies below [expected_next]
+           was already received *)
+        let from = max first t.expected_next in
+        let fresh = max 0 (upto - from) in
+        t.dup_records_ <- t.dup_records_ + (upto - first - fresh);
+        if fresh = 0 then send_ack t (* pure duplicate; repair a possibly-lost ack *)
+        else begin
           t.expected_next <- upto;
-          let bytes = Msg.records_bytes rs in
+          let bytes =
+            if from = first then bytes
+            else Durability.Log.range_bytes t.primary_log ~first:from ~upto
+          in
           let completion =
             Durability.Device.submit t.device ~now:(Sim.Des.now t.des) ~bytes
           in
           Sim.Des.schedule_at t.des ~time:completion (fun des ->
               if not (t.halted_ || t.promoted_) then begin
-                List.iter (Applier.feed t.ap) rs;
+                Applier.feed t.ap t.primary_log ~first:from ~upto;
                 if upto > t.persisted_ then t.persisted_ <- upto;
                 if upto > t.applied_ then t.applied_ <- upto;
                 let lag_lsn = max 0 (durable - t.applied_) in
@@ -154,6 +149,7 @@ let handle t (msg : Msg.to_replica) =
                      { upto; lag_lsn; lag_us = int_of_float lag_us });
                 send_ack t
               end)
+        end
       end
   end
 

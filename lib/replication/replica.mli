@@ -1,12 +1,17 @@
-(** The standby: persists shipped log records on its own device, applies
+(** The standby: persists shipped LSN ranges on its own device, applies
     them through {!Durability.Recovery.Applier} (redo-only, idempotent —
     duplicated and overlapping deliveries are harmless), tracks apply lag
-    in LSNs and virtual µs, and acks progress.  LSN gaps — a batch
-    starting past the expected LSN, or a heartbeat advertising a durable
-    LSN beyond it — trigger NAK re-requests.  Applied state always equals
-    the replica's own durable prefix: records are fed only at device
-    write completion, and a write still in flight at promotion is
-    discarded like a torn tail. *)
+    in LSNs and virtual µs, and acks progress.  A batch carries no
+    records: of a range [first, upto) the replica keeps the fresh part
+    [max first expected_next, upto) and, when its device write
+    completes, reads those records from the primary's log, whose entries
+    below the durable LSN never change.  LSN gaps — a batch starting
+    past the expected LSN, or a heartbeat advertising a durable LSN
+    beyond it — trigger NAK re-requests.  Applied state always equals the
+    replica's own durable prefix: records are fed only at device write
+    completion, and a write still in flight at promotion is discarded
+    like a torn tail.  The applier holds flat per-table arrays until the
+    engine is built, at {!promote} or at the first {!engine} call. *)
 
 type t
 
@@ -43,6 +48,10 @@ val halt : t -> unit
     abandoned). *)
 
 val engine : t -> Storage.Engine.t
+(** The applied state as an engine, built at the first call if
+    {!promote} has not built it; read it once the run is over, since a
+    device write completing after the build raises. *)
+
 val persisted_lsn : t -> int
 val applied_lsn : t -> int
 

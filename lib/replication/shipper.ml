@@ -2,7 +2,7 @@
 
    Rides the group-commit daemon's flush-completion hook: each time the
    durable LSN advances, the suffix [shipped_upto, durable) goes out as
-   one batch.  Shipping is at-least-once over a lossy channel — the
+   one batch — the range and its modeled bytes, not the records.  Shipping is at-least-once over a lossy channel — the
    replica detects LSN gaps (against batch [first] or the durable LSN a
    heartbeat carries) and NAKs, which rewinds [shipped_upto] and re-ships
    from the log; duplicated deliveries are absorbed by the replica's
@@ -77,17 +77,21 @@ let ship t =
     let durable = Durability.Log.durable_lsn t.log in
     if t.shipped_upto < durable then begin
       let first = t.shipped_upto in
-      let records =
-        List.init (durable - first) (fun i -> Durability.Log.entry t.log (first + i))
-      in
       let msg =
-        Msg.Batch { first; records; durable; sent_at = Sim.Des.now_int t.des }
+        Msg.Batch
+          {
+            first;
+            upto = durable;
+            bytes = Durability.Log.range_bytes t.log ~first ~upto:durable;
+            durable;
+            sent_at = Sim.Des.now_int t.des;
+          }
       in
       let bytes = Msg.to_replica_bytes msg in
       Uintr.Channel.send t.ship_ch ~bytes msg;
       t.shipped_upto <- durable;
       t.batches_ <- t.batches_ + 1;
-      t.records_ <- t.records_ + List.length records;
+      t.records_ <- t.records_ + (durable - first);
       emit t (Obs.Event.Repl_ship { first; upto = durable; bytes })
     end
   end

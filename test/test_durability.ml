@@ -100,7 +100,7 @@ let test_log_commit_marker_contiguity () =
   let check_txn (t : Txn.t) =
     let marker = Option.get t.Txn.commit_lsn in
     let m = Log.entry log marker in
-    checkb "marker record" true (Log.is_marker m);
+    checkb "marker record" true (Log.kind_at log marker = Log.Commit_marker);
     checki "marker txn id" t.Txn.id m.Log.txn_id;
     (* the record just before the marker belongs to the same txn: the
        append is atomic, so records + marker are contiguous *)
@@ -210,6 +210,210 @@ let test_log_json_roundtrip () =
     (* the reloaded log recovers to the same state *)
     checkb "recovery agrees" true
       (Recovery.durable_state_equal (Recovery.recover log) (Recovery.recover log'))
+
+(* A dump with every member a loader reads: a base image, a checkpoint
+   image, a catalog and write records with payloads. *)
+let artifact () =
+  let eng, table, log = mk_logged_engine () in
+  let oid = seed_row eng table 5 in
+  ignore (commit_update eng table oid 6);
+  Log.install_checkpoint log ~start_lsn:(Log.next_lsn log)
+    [ ("accounts", [ (oid, Some (row 6), 2L) ]) ];
+  ignore (commit_update eng table oid 7);
+  flush_all log;
+  let eng', table' = mk_engine () in
+  ignore (seed_row eng' table' 1);
+  let with_base = Log.create ~n_workers:1 () in
+  Log.snapshot_base with_base eng';
+  (* the loaded log carries the first one's entries and the second's base *)
+  let json =
+    match Obs.Json.parse (Log.to_string log), Obs.Json.parse (Log.to_string with_base) with
+    | Ok (Obs.Json.Obj fields), Ok (Obs.Json.Obj base_fields) ->
+      Obs.Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "base" then (k, List.assoc "base" base_fields) else (k, v))
+           fields)
+    | _ -> Alcotest.fail "dump does not parse"
+  in
+  (log, json)
+
+let set_member key f = function
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+  | _ -> Alcotest.fail "not an object"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* [edit] corrupts one member; loading must fail naming [names]. *)
+let check_rejects what edit names () =
+  let _, json = artifact () in
+  (match Log.of_string (Obs.Json.to_string json) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("the unedited artifact must load: " ^ e));
+  match Log.of_string (Obs.Json.to_string (edit json)) with
+  | Ok _ -> Alcotest.failf "a malformed %s was accepted" what
+  | Error e ->
+    List.iter
+      (fun name -> checkb (Printf.sprintf "%S names %S" e name) true (contains e name))
+      names
+
+let bad_payload = Obs.Json.List [ Obs.Json.Obj [ ("x", Obs.Json.Int 1) ] ]
+
+let first_write_lsn = ref (-1)
+
+let corrupt_payload json =
+  set_member "entries"
+    (function
+      | Obs.Json.List entries ->
+        Obs.Json.List
+          (List.mapi
+             (fun i e ->
+               match Obs.Json.member "payload" e with
+               | Some (Obs.Json.List _) when !first_write_lsn < 0 || !first_write_lsn = i ->
+                 first_write_lsn := i;
+                 set_member "payload" (fun _ -> bad_payload) e
+               | _ -> e)
+             entries)
+      | _ -> Alcotest.fail "entries")
+    json
+
+let test_rejects_bad_payload () =
+  first_write_lsn := -1;
+  check_rejects "payload" corrupt_payload [ "payload" ] ();
+  checkb "a write record was edited" true (!first_write_lsn >= 0);
+  check_rejects "payload" corrupt_payload
+    [ Printf.sprintf "entry %d" !first_write_lsn ] ()
+
+let test_rejects_bad_image_row () =
+  check_rejects "image row"
+    (set_member "base" (function
+      | Obs.Json.List [ tbl ] ->
+        Obs.Json.List
+          [
+            set_member "rows"
+              (function
+                | Obs.Json.List (r :: rest) ->
+                  Obs.Json.List (set_member "payload" (fun _ -> bad_payload) r :: rest)
+                | _ -> Alcotest.fail "rows")
+              tbl;
+          ]
+      | _ -> Alcotest.fail "base"))
+    [ "base"; "table accounts oid 0"; "payload" ] ()
+
+let test_rejects_bad_catalog_entry () =
+  check_rejects "catalog entry"
+    (set_member "catalog" (function
+      | Obs.Json.List names -> Obs.Json.List (names @ [ Obs.Json.Int 7 ])
+      | _ -> Alcotest.fail "catalog"))
+    [ "catalog entry 1" ] ()
+
+let test_rejects_bad_base () =
+  check_rejects "base" (set_member "base" (fun _ -> Obs.Json.Int 5)) [ "base" ] ()
+
+let test_rejects_bad_ckpt () =
+  check_rejects "ckpt"
+    (set_member "ckpt" (set_member "start_lsn" (fun _ -> Obs.Json.String "x")))
+    [ "ckpt" ] ()
+
+let test_valid_dump_keeps_its_bytes () =
+  let log, _ = artifact () in
+  let s = Log.to_string log in
+  match Log.of_string s with
+  | Error e -> Alcotest.fail e
+  | Ok log' -> Alcotest.(check string) "reloaded dump" s (Log.to_string log')
+
+(* -- Memory budgets -------------------------------------------------------------- *)
+
+(* Words reachable from [x] that no payload reaches: payload rows are
+   leaves, so this is [x]'s own structure, whatever it shares with the
+   engine the payloads came from. *)
+let own_words x (payloads : Value.t list) =
+  Obj.reachable_words (Obj.repr (x, payloads)) - Obj.reachable_words (Obj.repr payloads) - 3
+
+let payloads_of log ~first ~upto =
+  List.filter_map (fun lsn -> (Log.entry log lsn).Log.payload) (List.init (upto - first) (( + ) first))
+
+(* 10 000 commits over three tables, two tables created midway and a 2PC
+   prepare, install and decision every 500 commits. *)
+let test_log_words_per_record () =
+  let eng = Engine.create () in
+  let log = Log.create ~n_workers:4 () in
+  Log.attach log eng;
+  let tables = Array.init 3 (fun i -> Engine.create_table eng (Printf.sprintf "t%d" i)) in
+  Log.snapshot_base log eng;
+  let write txn i =
+    let tb = tables.(i mod 3) in
+    if i <= 600 then ignore (Engine.insert eng txn tb (row i))
+    else
+      match Engine.update eng txn tb ~oid:(i mod 200) (row i) with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "update"
+  in
+  for i = 1 to 10_000 do
+    if i mod 5_000 = 0 then ignore (Engine.create_table eng (Printf.sprintf "late%d" i));
+    let worker = i mod 4 in
+    if i mod 500 = 0 then begin
+      let txn = Engine.begin_txn eng ~worker ~ctx:0 in
+      write txn i;
+      ignore (Log.append_prepare log ~worker ~gid:i txn);
+      Engine.abort eng txn;
+      ignore (Log.append_twopc_install log ~worker ~gid:i ~commit_ts:(Int64.of_int i));
+      ignore
+        (Log.append_decision log ~worker ~gid:i ~commit_ts:(Int64.of_int i)
+           ~participants:[ 0; 1 ])
+    end;
+    let txn = Engine.begin_txn eng ~worker ~ctx:0 in
+    write txn i;
+    match Engine.commit eng txn with Ok _ -> () | Error _ -> Alcotest.fail "commit"
+  done;
+  let n = Log.next_lsn log in
+  let per = float_of_int (own_words log (payloads_of log ~first:0 ~upto:n)) /. float_of_int n in
+  checkb (Printf.sprintf "%.2f words per record over %d records" per n) true (per <= 5.)
+
+(* An applier after a 9 000-row image load, 3 000 updates and 1 000
+   inserts, before [finish]. *)
+let test_applier_words_per_row () =
+  let eng = Engine.create () in
+  let log = Log.create ~n_workers:1 () in
+  Log.attach log eng;
+  let tables = Array.init 3 (fun i -> Engine.create_table eng (Printf.sprintf "t%d" i)) in
+  let commit f =
+    let txn = Engine.begin_txn eng ~worker:0 ~ctx:0 in
+    f txn;
+    match Engine.commit eng txn with Ok _ -> () | Error _ -> Alcotest.fail "commit"
+  in
+  for i = 0 to 8_999 do
+    commit (fun txn -> ignore (Engine.insert eng txn tables.(i mod 3) (row i)))
+  done;
+  Log.snapshot_base log eng;
+  let from = Log.next_lsn log in
+  for i = 0 to 2_999 do
+    commit (fun txn ->
+        match Engine.update eng txn tables.(i mod 3) ~oid:(i / 3 * 2) (row (-i)) with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "update")
+  done;
+  for i = 0 to 999 do
+    commit (fun txn -> ignore (Engine.insert eng txn tables.(i mod 3) (row (10_000 + i))))
+  done;
+  flush_all log;
+  let ap = Recovery.Applier.create () in
+  List.iter (Recovery.Applier.create_table ap) (Log.catalog log);
+  ignore (Recovery.Applier.load_image ap (Log.base log));
+  Recovery.Applier.feed ap log ~first:from ~upto:(Log.durable_lsn log);
+  let image_payloads =
+    List.concat_map (fun (_, rows) -> List.filter_map (fun (_, p, _) -> p) rows) (Log.base log)
+  in
+  let payloads = image_payloads @ payloads_of log ~first:from ~upto:(Log.durable_lsn log) in
+  let per = float_of_int (own_words ap payloads) /. 10_000. in
+  checkb (Printf.sprintf "%.2f words per row" per) true (per <= 4.);
+  (* the engine built afterwards holds every row *)
+  Recovery.Applier.finish ap;
+  checkb "built engine equals the primary" true
+    (Recovery.durable_state_equal eng (Recovery.Applier.engine ap))
 
 (* -- Group-commit daemon -------------------------------------------------------- *)
 
@@ -460,17 +664,15 @@ let test_recovery_applier_one_version () =
   ignore (commit_update eng table oid2 7);
   ignore (commit_update eng table oid1 8);
   flush_all log;
-  let records = Log.durable_entries log in
-  let from k = List.filteri (fun i _ -> i >= k) records in
-  let upto k = List.filteri (fun i _ -> i < k) records in
-  let half = List.length records / 2 in
+  let n = Log.durable_lsn log in
+  let half = n / 2 in
   let recovered = Recovery.recover log in
   List.iter
-    (fun (name, feed) ->
+    (fun (name, ranges) ->
       let ap = Recovery.Applier.create () in
       List.iter (Recovery.Applier.create_table ap) (Log.catalog log);
       ignore (Recovery.Applier.load_image ap (Log.base log));
-      List.iter (Recovery.Applier.feed ap) feed;
+      List.iter (fun (first, upto) -> Recovery.Applier.feed ap log ~first ~upto) ranges;
       Recovery.Applier.finish ap;
       let applied = Recovery.Applier.engine ap in
       List.iter
@@ -484,8 +686,8 @@ let test_recovery_applier_one_version () =
       checkb (name ^ ": equals recovery") true (Recovery.durable_state_equal applied recovered);
       checkb (name ^ ": equals the primary") true (Recovery.durable_state_equal applied eng))
     [
-      ("duplicated prefix", upto half @ records);
-      ("overlapping re-feed", upto (half + 3) @ from half);
+      ("duplicated prefix", [ (0, half); (0, n) ]);
+      ("overlapping re-feed", [ (0, half + 3); (half, n) ]);
     ]
 
 (* -- Fuzzy checkpoint ------------------------------------------------------------ *)
@@ -693,6 +895,252 @@ let prop_fuzzed_crash_point =
       Engine.abort recovered r;
       got = expected)
 
+(* The columnar log against a record model kept here: random
+   interleavings of commits (1-5 writes over three tables: inserts,
+   updates, deletes), DDL, 2PC prepare/install/decision appends, drains
+   and durable-LSN advances. *)
+type model_record = {
+  m_txn : int;
+  m_ts : int64;
+  m_table : string;
+  m_oid : int;
+  m_payload : Value.t option;
+}
+
+let model_bytes r =
+  match r.m_oid with
+  | -1 -> 32
+  | -2 | -3 | -4 -> 16
+  | _ -> 24 + Option.fold ~none:0 ~some:Value.size_bytes r.m_payload
+
+let model_json ~durable ~catalog records =
+  let module J = Obs.Json in
+  let payload = function
+    | None -> J.Null
+    | Some v ->
+      J.List
+        (List.init (Value.length v) (fun k ->
+             match Value.get v k with
+             | Value.Int i -> J.Obj [ ("i", J.Int i) ]
+             | Value.Float f -> J.Obj [ ("f", J.Float f) ]
+             | Value.Str s -> J.Obj [ ("s", J.String s) ]))
+  in
+  J.to_string ~minify:true
+    (J.Obj
+       [
+         ("durable", J.Int durable);
+         ("catalog", J.List (List.map (fun n -> J.String n) catalog));
+         ( "base",
+           J.List (List.map (fun n -> J.Obj [ ("table", J.String n); ("rows", J.List []) ]) catalog)
+         );
+         ("ckpt", J.Null);
+         ( "entries",
+           J.List
+             (List.mapi
+                (fun lsn r ->
+                  J.Obj
+                    [
+                      ("lsn", J.Int lsn);
+                      ("txn", J.Int r.m_txn);
+                      ("ts", J.Int (Int64.to_int r.m_ts));
+                      ("table", J.String r.m_table);
+                      ("oid", J.Int r.m_oid);
+                      ("payload", payload r.m_payload);
+                    ])
+                (List.filteri (fun i _ -> i < durable) records)) );
+       ])
+
+type log_op =
+  | Commit of (int * int * int) list  (* per write: table, kind, value *)
+  | Prepare of (int * int * int) list
+  | Install
+  | Decision of int list
+  | Ddl
+  | Drain
+  | Durable of int
+
+let gen_log_ops =
+  let open QCheck2.Gen in
+  let writes = list_size (int_range 1 5) (triple (int_bound 2) (int_bound 2) (int_bound 999)) in
+  pair
+    (list_size (int_range 1 40)
+       (frequency
+          [
+            (8, map (fun ws -> Commit ws) writes);
+            (2, map (fun ws -> Prepare ws) writes);
+            (1, return Install);
+            (1, map (fun ps -> Decision ps) (list_size (int_range 1 3) (int_bound 3)));
+            (1, return Ddl);
+            (2, return Drain);
+            (2, map (fun k -> Durable k) (int_bound 999));
+          ]))
+    (list_size (int_range 1 10) (pair nat nat))
+
+let model_row v =
+  if v mod 7 = 0 then Value.of_fields [| Value.Float (float_of_int v /. 7.); Value.Str "f" |]
+  else Value.of_fields [| Value.Int v; Value.Str (String.make (v mod 5) 'x') |]
+
+let prop_log_matches_model =
+  QCheck2.Test.make ~name:"the columnar log equals a record model" ~count:200 gen_log_ops
+    (fun (ops, ranges) ->
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let eng = Engine.create () in
+      let log = Log.create ~n_workers:2 () in
+      Log.attach log eng;
+      let model = ref [] and n = ref 0 in
+      let drained = ref 0 and durable = ref 0 and bytes = ref 0 and markers = ref 0 in
+      let add r =
+        model := r :: !model;
+        incr n;
+        bytes := !bytes + model_bytes r;
+        if r.m_oid = -2 then incr markers
+      in
+      let ddl name = add { m_txn = 0; m_ts = 0L; m_table = name; m_oid = -1; m_payload = None } in
+      let catalog = [ "a"; "b"; "c" ] in
+      let tables =
+        Array.of_list
+          (List.map
+             (fun name ->
+               let tb = Engine.create_table eng name in
+               ddl name;
+               tb)
+             catalog)
+      in
+      Log.snapshot_base log eng;
+      let live = Array.make 3 [] in
+      let gid = ref 1_000_000 and step = ref 0 in
+      (* run a transaction's writes, distinct OIDs; returns them in order *)
+      let run_writes txn ws =
+        let used = ref [] in
+        List.map
+          (fun (ti, kind, v) ->
+            let tb = tables.(ti) in
+            let free = List.filter (fun o -> not (List.mem (ti, o) !used)) live.(ti) in
+            let ok = function Ok () -> () | Error _ -> fail "write refused" in
+            let ti, oid, payload, effect =
+              match kind, free with
+              | 0, _ | _, [] ->
+                let p = model_row v in
+                let tuple = Engine.insert eng txn tb p in
+                (ti, tuple.Tuple.oid, Some p, `Insert)
+              | 1, free ->
+                let oid = List.nth free (v mod List.length free) and p = model_row (v + 1) in
+                ok (Engine.update eng txn tb ~oid p);
+                (ti, oid, Some p, `Keep)
+              | _, free ->
+                let oid = List.nth free (v mod List.length free) in
+                ok (Engine.delete eng txn tb ~oid);
+                (ti, oid, None, `Delete)
+            in
+            used := (ti, oid) :: !used;
+            (ti, oid, payload, effect))
+          ws
+      in
+      let add_writes ~txn ~ts writes =
+        List.iter
+          (fun (ti, oid, payload, _) ->
+            add { m_txn = txn; m_ts = ts; m_table = List.nth catalog ti; m_oid = oid; m_payload = payload })
+          writes
+      in
+      List.iter
+        (fun op ->
+          incr step;
+          let worker = !step mod 3 in
+          (match op with
+          | Commit ws -> (
+            let txn = Engine.begin_txn eng ~worker ~ctx:0 in
+            let writes = run_writes txn ws in
+            match Engine.commit eng txn with
+            | Error _ -> fail "commit refused"
+            | Ok ts ->
+              add_writes ~txn:txn.Txn.id ~ts writes;
+              add { m_txn = txn.Txn.id; m_ts = ts; m_table = ""; m_oid = -2; m_payload = None };
+              List.iter
+                (fun (ti, oid, _, effect) ->
+                  match effect with
+                  | `Insert -> live.(ti) <- oid :: live.(ti)
+                  | `Delete -> live.(ti) <- List.filter (( <> ) oid) live.(ti)
+                  | `Keep -> ())
+                writes)
+          | Prepare ws ->
+            incr gid;
+            let txn = Engine.begin_txn eng ~worker ~ctx:0 in
+            let writes = run_writes txn ws in
+            ignore (Log.append_prepare log ~worker ~gid:!gid txn);
+            Engine.abort eng txn;
+            add_writes ~txn:!gid ~ts:0L writes;
+            add { m_txn = !gid; m_ts = 0L; m_table = ""; m_oid = -3; m_payload = None }
+          | Install ->
+            let ts = Int64.of_int (7 * !step) in
+            ignore (Log.append_twopc_install log ~worker ~gid:!gid ~commit_ts:ts);
+            add { m_txn = !gid; m_ts = ts; m_table = ""; m_oid = -4; m_payload = None }
+          | Decision ps ->
+            let ts = Int64.of_int (11 * !step) in
+            ignore (Log.append_decision log ~worker ~gid:!gid ~commit_ts:ts ~participants:ps);
+            add
+              {
+                m_txn = !gid;
+                m_ts = ts;
+                m_table = "";
+                m_oid = -6;
+                m_payload = Some (Value.of_fields (Array.of_list (List.map (fun p -> Value.Int p) ps)));
+              }
+          | Ddl ->
+            let name = Printf.sprintf "late%d" !step in
+            ignore (Engine.create_table eng name);
+            ddl name
+          | Drain ->
+            let got = Log.drain_all log and want = (!drained, !n, !bytes, !markers) in
+            if got <> want then fail "drain_all at step %d" !step;
+            drained := !n;
+            bytes := 0;
+            markers := 0
+          | Durable k ->
+            durable := !durable + (k mod (!n - !durable + 1));
+            Log.set_durable log !durable);
+          if Log.pending_bytes log <> !bytes then
+            fail "pending_bytes %d, model %d at step %d" (Log.pending_bytes log) !bytes !step)
+        ops;
+      let records = List.rev !model in
+      let arr = Array.of_list records in
+      if Log.next_lsn log <> !n then fail "next_lsn %d, model %d" (Log.next_lsn log) !n;
+      let same (r : Log.record) lsn m =
+        r.Log.lsn = lsn && r.Log.txn_id = m.m_txn
+        && Int64.equal r.Log.commit_ts m.m_ts
+        && r.Log.rtable = m.m_table && r.Log.oid = m.m_oid
+        && Option.equal Value.equal r.Log.payload m.m_payload
+        && r.Log.bytes = model_bytes m
+      in
+      Array.iteri
+        (fun lsn m ->
+          if not (same (Log.entry log lsn) lsn m) then fail "entry %d" lsn;
+          if
+            not
+              (Log.txn_at log lsn = m.m_txn
+              && Int64.equal (Log.ts_at log lsn) m.m_ts
+              && Log.oid_at log lsn = m.m_oid
+              && Log.table_at log lsn = m.m_table
+              && Option.equal Value.equal (Log.payload_at log lsn) m.m_payload)
+          then fail "column readers at %d" lsn)
+        arr;
+      let durable_list = Log.durable_entries log in
+      if List.length durable_list <> !durable
+         || not (List.for_all2 (fun r lsn -> same r lsn arr.(lsn)) durable_list (List.init !durable Fun.id))
+      then fail "durable_entries";
+      List.iter
+        (fun (a, b) ->
+          let first = a mod (!n + 1) in
+          let upto = first + (b mod (!n - first + 1)) in
+          let want = ref 0 in
+          for lsn = first to upto - 1 do
+            want := !want + model_bytes arr.(lsn)
+          done;
+          if Log.range_bytes log ~first ~upto <> !want then fail "range_bytes [%d, %d)" first upto)
+        ranges;
+      let want = model_json ~durable:!durable ~catalog records in
+      if Log.to_string log <> want then fail "to_string differs from the model's dump";
+      true)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -710,7 +1158,18 @@ let () =
             test_log_abort_releases_reservation;
           Alcotest.test_case "json roundtrip" `Quick test_log_json_roundtrip;
           Alcotest.test_case "buffer overflows per worker" `Quick test_log_buffer_overflows;
-        ] );
+          Alcotest.test_case "a valid dump keeps its bytes" `Quick
+            test_valid_dump_keeps_its_bytes;
+          Alcotest.test_case "rejects a malformed payload" `Quick test_rejects_bad_payload;
+          Alcotest.test_case "rejects a malformed image row" `Quick test_rejects_bad_image_row;
+          Alcotest.test_case "rejects a malformed catalog entry" `Quick
+            test_rejects_bad_catalog_entry;
+          Alcotest.test_case "rejects a malformed base" `Quick test_rejects_bad_base;
+          Alcotest.test_case "rejects a malformed ckpt" `Quick test_rejects_bad_ckpt;
+          Alcotest.test_case "the log holds <= 5 words per record" `Quick
+            test_log_words_per_record;
+        ]
+        @ qsuite [ prop_log_matches_model ] );
       ( "daemon",
         [
           Alcotest.test_case "group-commit batching" `Quick test_daemon_group_commit_batching;
@@ -742,6 +1201,8 @@ let () =
         @ [
             Alcotest.test_case "applier keeps one version per tuple" `Quick
               test_recovery_applier_one_version;
+            Alcotest.test_case "the applier holds <= 4 words per row" `Quick
+              test_applier_words_per_row;
           ] );
       ( "checkpoint",
         [

@@ -48,6 +48,121 @@ let assert_clean (o : Check.Failover.outcome) =
   if o.Check.Failover.fv_violations <> [] then
     fail_violations o.Check.Failover.fv_violations
 
+(* -- Batches are LSN ranges ------------------------------------------------------ *)
+
+module Log = Durability.Log
+module Replica = Replication.Replica
+
+(* A primary log of five commits behind one DDL record, all durable:
+   LSN 0 DDL; 1-2 insert A; 3-4 insert B; 5-7 update A and B; 8-9 delete
+   B; 10-12 insert C and update A. *)
+let ranges_primary () =
+  let eng = Storage.Engine.create () in
+  let log = Log.create ~n_workers:1 () in
+  Log.attach log eng;
+  let table = Storage.Engine.create_table eng "accounts" in
+  Log.snapshot_base log eng;
+  let row i = Storage.Value.of_fields [| Storage.Value.Int i |] in
+  let commit f =
+    let txn = Storage.Engine.begin_txn eng ~worker:0 ~ctx:0 in
+    f txn;
+    match Storage.Engine.commit eng txn with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "commit"
+  in
+  let ok = function Ok () -> () | Error _ -> Alcotest.fail "write" in
+  let insert v txn = ignore (Storage.Engine.insert eng txn table (row v)) in
+  commit (insert 1);
+  commit (insert 2);
+  commit (fun txn ->
+      ok (Storage.Engine.update eng txn table ~oid:0 (row 11));
+      ok (Storage.Engine.update eng txn table ~oid:1 (row 12)));
+  commit (fun txn -> ok (Storage.Engine.delete eng txn table ~oid:1));
+  commit (fun txn ->
+      insert 3 txn;
+      ok (Storage.Engine.update eng txn table ~oid:0 (row 21)));
+  let _, upto, _, _ = Log.drain_all log in
+  Log.set_durable log upto;
+  checki "thirteen records" 13 (Log.durable_lsn log);
+  log
+
+(* A standby driven through [Replica.handle] directly, its device writes
+   completed by running the DES; returns what it sent the primary. *)
+let ranges_standby log =
+  let des = Sim.Des.create () in
+  let fabric = Uintr.Fabric.create des ~costs:Uintr.Costs.default in
+  let ack_ch = Uintr.Channel.create des ~fabric ~name:"ack" in
+  let sent = ref [] in
+  Uintr.Channel.set_on_deliver ack_ch (fun m -> sent := m :: !sent);
+  let r =
+    Replica.create des ~clock:(Sim.Des.clock des) ~primary_log:log
+      ~device:(Durability.Device.create ()) ~ack_ch ()
+  in
+  Replica.start r;
+  let deliver msg =
+    Replica.handle r msg;
+    Sim.Des.run ~until:(Int64.add (Sim.Des.now des) 1_000_000L) des
+  in
+  let batch ~first ~upto =
+    Replication.Msg.Batch
+      {
+        first;
+        upto;
+        bytes = Log.range_bytes log ~first ~upto;
+        durable = Log.durable_lsn log;
+        sent_at = 0;
+      }
+  in
+  (r, deliver, batch, sent)
+
+let test_batches_are_ranges () =
+  let log = ranges_primary () in
+  let r, deliver, batch, sent = ranges_standby log in
+  let naks () =
+    List.filter_map
+      (function Replication.Msg.Nak { from } -> Some from | Replication.Msg.Ack _ -> None)
+      (List.rev !sent)
+  in
+  deliver (batch ~first:0 ~upto:5);
+  deliver (batch ~first:0 ~upto:5);
+  checki "a duplicate is all stale" 5 (Replica.dup_records r);
+  checki "the duplicate moved nothing" 5 (Replica.persisted_lsn r);
+  deliver (batch ~first:8 ~upto:13);
+  checki "a gap is counted" 1 (Replica.gaps r);
+  Alcotest.(check (list int)) "and NAKed from the expected LSN" [ 5 ] (naks ());
+  (* the re-ship after the NAK overlaps two received records and ends
+     inside the last transaction *)
+  deliver (batch ~first:3 ~upto:11);
+  checki "the overlap is stale" 7 (Replica.dup_records r);
+  checki "persisted through the re-ship" 11 (Replica.persisted_lsn r);
+  deliver (Replication.Msg.Heartbeat { durable = 13 });
+  checki "one gap heartbeat is not a gap" 1 (Replica.gaps r);
+  deliver (Replication.Msg.Heartbeat { durable = 13 });
+  checki "the second one is" 2 (Replica.gaps r);
+  Alcotest.(check (list int)) "NAKed again" [ 5; 11 ] (naks ());
+  checki "transactions applied" 4 (Replica.txns_applied r);
+  checki "batches received" 4 (Replica.batches r);
+  let _, applied, torn = Replica.promote r in
+  checki "applied through the last persisted LSN" 11 applied;
+  checki "the split transaction is torn" 1 torn;
+  (* an unpromoted standby that received everything, the last
+     transaction split across two batches *)
+  let r, deliver, batch, _ = ranges_standby log in
+  deliver (batch ~first:0 ~upto:11);
+  deliver (batch ~first:11 ~upto:13);
+  checki "all five applied" 5 (Replica.txns_applied r);
+  let standby = Replica.engine r and recovered = Durability.Recovery.recover log in
+  checkb "the standby equals recovery of the durable prefix" true
+    (Durability.Recovery.durable_state_equal standby recovered);
+  Alcotest.(check (list (pair string int)))
+    "the same tables and tuple counts"
+    (List.map
+       (fun tb -> (Storage.Table.name tb, Storage.Table.size tb))
+       (Storage.Engine.tables recovered))
+    (List.map
+       (fun tb -> (Storage.Table.name tb, Storage.Table.size tb))
+       (Storage.Engine.tables standby))
+
 (* -- Clean shipping ----------------------------------------------------------- *)
 
 let test_semi_sync_clean () =
@@ -288,6 +403,7 @@ let () =
           Alcotest.test_case "async clean run" `Slow test_async_clean;
           Alcotest.test_case "semi-sync gates acks" `Slow test_semi_sync_gates_acks;
           Alcotest.test_case "deterministic" `Slow test_replication_deterministic;
+          Alcotest.test_case "batches are LSN ranges" `Quick test_batches_are_ranges;
         ] );
       ( "faults",
         [
